@@ -68,14 +68,19 @@ def capacity_plan(register_budgets):
     """Announce the register budgets the enclosed sweep will visit.
 
     Under ``--engine oracle`` every in-regime cell inside the block is
-    served from the design-space tables of
-    :mod:`repro.trace.oracle`: one stack-distance scan per (trace,
-    design family) covers the *whole* announced grid, so each
-    additional capacity point costs an O(1) table application instead
-    of a replay.  Cells outside the oracle's exactness boundary
-    (NMRU, line-scope reloads, wide-value traces) transparently fall
-    back, and the other engines ignore the plan entirely — results
-    are byte-identical across engines by construction.
+    served without a replay (:func:`~repro.trace.oracle.serve_from_tables`):
+    at or above the trace's peak demand by the O(1) columnar closed
+    form, below it from the design-space tables of
+    :mod:`repro.trace.oracle`.  Those are memoized by trace content for
+    the whole process, and one stack-distance scan per (trace, design
+    family) covers every announced capacity the table still lacks, so
+    each further capacity point costs an O(1) table application.  A
+    per-model trace (``trace_stable=False``) only ever meets one model
+    configuration, so it is scanned at that cell's capacity alone.
+    Cells outside the oracle's exactness boundary (NMRU, line-scope
+    reloads, wide-value traces) transparently fall back, and the
+    other engines ignore the plan entirely — results are
+    byte-identical across engines by construction.
     """
     _PLAN.append(tuple(int(b) for b in register_budgets))
     try:
@@ -84,7 +89,7 @@ def capacity_plan(register_budgets):
         _PLAN.pop()
 
 
-def _replay(trace, model):
+def _replay(trace, model, shared=True):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop; ``columnar``
@@ -93,13 +98,16 @@ def _replay(trace, model):
     exactness boundary and fall back to the scalar loop otherwise —
     every engine leaves byte-identical statistics by construction.
     Inside a :func:`capacity_plan` block the oracle engine serves
-    sub-peak cells from the shared design-space tables first.
+    cells from the closed form and the shared design-space tables
+    first; a trace that is not ``shared`` across model configurations
+    is scanned at the model's own capacity, not the plan's.
     """
     engine = selected_engine()
     if engine == "columnar":
         return replay_columnar(trace, model)
     if engine == "oracle":
-        if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
+        if _PLAN and serve_from_tables(trace, model,
+                                       _PLAN[-1] if shared else ()):
             return model
         return replay_oracle(trace, model)
     return replay(trace, model, verify=False)
@@ -137,7 +145,7 @@ def run_workload(workload, model, scale=1.0, seed=1):
         trace = trace_cache.load_for_model(workload, model, scale=scale,
                                            seed=seed)
         if trace is not None:
-            _replay(trace, model)
+            _replay(trace, model, shared=False)
         else:
             trace_cache.record_through(workload, model, scale=scale,
                                        seed=seed)

@@ -78,10 +78,12 @@ ENGINES = ("event", "columnar", "oracle")
 #: refuse to allocate dense scatter tables beyond this many keys
 _MAX_KEY_SPACE = 1 << 20
 
-#: in-process memo of analyses, keyed by trace identity (tiny: traces
-#: are large and sweeps replay the same one hundreds of times)
+#: in-process memo of analyses, keyed by :meth:`Trace.digest` and kept
+#: in least-recently-used order (a plain dict: the oldest key is first).
+#: An analysis takes a fraction of its trace's memory, and one sweep
+#: process visits a few dozen distinct traces.
 _ANALYSES = {}
-_MEMO_LIMIT = 4
+_MEMO_LIMIT = 32
 
 
 def numpy_available():
@@ -126,20 +128,20 @@ def _column_view(trace):
 def analyze(trace):
     """Columnar analysis of ``trace``; ``None`` when out of regime.
 
-    The result is memoized per trace object: a capacity sweep replays
+    The result is memoized by trace content: a capacity sweep replays
     one trace against many models, and the analysis is the expensive
     (though vectorized) half of synthesis.
     """
     if _np is None or not isinstance(trace, Trace):
         return None
-    key = id(trace)
-    hit = _ANALYSES.get(key)
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    analysis = _analyze_uncached(trace)
-    if len(_ANALYSES) >= _MEMO_LIMIT:
-        _ANALYSES.pop(next(iter(_ANALYSES)))
-    _ANALYSES[key] = (trace, analysis)
+    key = trace.digest()
+    if key in _ANALYSES:
+        analysis = _ANALYSES.pop(key)
+    else:
+        analysis = _analyze_uncached(trace)
+        if len(_ANALYSES) >= _MEMO_LIMIT:
+            del _ANALYSES[next(iter(_ANALYSES))]
+    _ANALYSES[key] = analysis  # most recently used last
     return analysis
 
 
@@ -487,6 +489,7 @@ def replay_columnar(trace, model):
             f"model context_size {model.context_size} smaller than the "
             f"trace's {trace.context_size}"
         )
-    if not apply_analysis(analyze(trace), model):
+    if not (supported_model(model)
+            and apply_analysis(analyze(trace), model)):
         _replay_fast(trace, model)
     return model

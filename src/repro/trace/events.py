@@ -49,6 +49,7 @@ corruption, not an adversary (the sweep journal already carries sha256
 for end-to-end results).
 """
 
+import hashlib
 import sys
 import zlib
 from array import array
@@ -146,12 +147,13 @@ def unframe(blob):
 class Trace:
     """A recorded register-reference stream, packed four int64s/event."""
 
-    __slots__ = ("_data", "_wide", "_pending", "context_size")
+    __slots__ = ("_data", "_wide", "_pending", "_digest", "context_size")
 
     def __init__(self, events=None, context_size=32):
         self._data = array("q")
         self._wide = {}
         self._pending = []
+        self._digest = None
         self.context_size = context_size
         if events:
             for op, cid, offset, value in events:
@@ -217,6 +219,25 @@ class Trace:
         """
         self._flush()
         return self._data, self._wide
+
+    def digest(self):
+        """Content key of the trace (16 bytes), for in-process memos.
+
+        blake2b over the packed events, the wide-value table and
+        ``context_size``: two traces with equal content share a key,
+        so no memo has to key on ``id()``.  The digest is cached on the
+        object and recomputed only once the trace has grown (events are
+        only ever appended), so a repeated lookup costs O(1).
+        """
+        self._flush()
+        stamp = (len(self._data), self.context_size)
+        cached = self._digest
+        if cached is None or cached[0] != stamp:
+            h = hashlib.blake2b(self._data, digest_size=16)
+            h.update(repr(stamp).encode())
+            h.update(repr(sorted(self._wide.items())).encode())
+            cached = self._digest = (stamp, h.digest())
+        return cached[1]
 
     def __len__(self):
         self._flush()

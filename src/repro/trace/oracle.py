@@ -89,6 +89,7 @@ from repro.trace.columnar import (
     apply_stats,
     numpy_available,
     replay_columnar,
+    supported_model,
 )
 from repro.trace.events import (
     OP_BEGIN,
@@ -1229,13 +1230,22 @@ def classify_model(model):
     return None
 
 
+def _scan_siblings(family):
+    """Every family one scan for ``family`` computes: a segmented scan
+    prices both spill modes (see :func:`_seg_tables_pair`)."""
+    if family[0] == "seg":
+        return tuple(("seg", mode) + family[2:]
+                     for mode in ("frame", "live"))
+    return (family,)
+
+
 def _family_tables(trace, family, caps):
     """Compute full tables for ``family`` over ``caps`` units.
 
-    Returns ``{family: table}``.  A segmented scan yields **both**
-    spill-mode sibling families at once (see
-    :func:`_seg_tables_pair`), so callers should keep every returned
-    entry, not just the one they asked for.
+    Returns ``{family: table}`` for every family in
+    :func:`_scan_siblings`, so callers should keep every returned
+    entry, not just the one they asked for.  This is the one scan
+    entry point: every table any caller serves was computed here.
     """
     kind = family[0]
     if kind == "nsf":
@@ -1273,79 +1283,95 @@ def apply_table(patch, model):
 
 # -- shared-table memo (sweep drivers and the evalx plan hook) --------------
 
+#: trace content (:meth:`Trace.digest`) -> ``{family: {units: patch}}``,
+#: ``None`` marking a family whose scan refused the trace.  A plain dict
+#: in least-recently-used order (the oldest key is first); the tables
+#: are small, so the bound only stops a long-lived process from growing
+#: without limit.
 _TABLE_MEMO = {}
-_MEMO_LIMIT = 4
+_MEMO_LIMIT = 64
+
+
+def _closed_form(trace, model):
+    """The trace's columnar analysis when ``model`` is a design whose
+    no-eviction closed form (:func:`apply_stats`) applies, else None."""
+    return analyze(trace) if supported_model(model) else None
 
 
 def tables_for_model(trace, model, capacities):
-    """Memoized full tables covering ``model``'s family and grid.
+    """Memoized full tables covering ``model``'s design family.
 
     ``capacities`` is in the model's *register* budget units (the
     numbers experiment modules know); they are converted to the
-    family's capacity units.  Returns ``(table, units)`` or ``None``
-    when the model is out of regime or the scan refuses the trace.
-    The memo is keyed like the columnar analysis memo — per trace
-    identity, holding a strong reference so ids cannot be recycled.
+    family's capacity units.  Returns ``(table, units)``, where
+    ``table`` is the family's ``{units: patch}`` and holds ``units``,
+    or ``None`` when the model is out of regime or the scan refuses
+    the trace.
+
+    The memo is keyed by trace *content* and keeps one merged table
+    per design family for the life of the process, across experiments.
+    A capacity already in the table costs a lookup; on a miss one scan
+    computes every announced capacity the table still lacks.
+    Capacities at or above the trace's ``peak_lines`` never enter a
+    scan where the columnar closed form serves them instead (see
+    :func:`serve_from_tables`).
     """
+    if not isinstance(trace, Trace):
+        return None
     classified = classify_model(model)
     if classified is None:
         return None
     family, units = classified
-    if family[0] == "nsf":
-        per_unit = model.line_size
-    else:
-        per_unit = model.frame_size
-    grid = set()
-    for regs in capacities:
-        u = int(regs) // per_unit
-        if u >= 1:
-            grid.add(u)
-    grid.add(units)
-    grid = tuple(sorted(grid))
-    memo_key = id(trace)
-    hit = _TABLE_MEMO.get(memo_key)
-    if hit is not None and hit[0] is trace:
-        family_hit = hit[1].get((family, grid))
-        if family_hit is not None:
-            return family_hit, units
-    else:
-        hit = None
-    try:
-        computed = _family_tables(trace, family, grid)
-    except OracleUnsupported:
-        computed = None
-    if hit is None:
+    key = trace.digest()
+    families = _TABLE_MEMO.pop(key, None)
+    if families is None:
+        families = {}
         if len(_TABLE_MEMO) >= _MEMO_LIMIT:
-            _TABLE_MEMO.pop(next(iter(_TABLE_MEMO)))
-        hit = (trace, {})
-        _TABLE_MEMO[memo_key] = hit
-    if computed is None:
-        hit[1][(family, grid)] = None
+            del _TABLE_MEMO[next(iter(_TABLE_MEMO))]
+    _TABLE_MEMO[key] = families  # most recently used last
+    table = families.get(family, {})
+    if table is None:
         return None
-    # one segmented scan yields both spill-mode siblings: memoize all
-    for fam, fam_table in computed.items():
-        hit[1][(fam, grid)] = fam_table
-    return computed[family], units
+    if units in table:
+        return table, units
+    per_unit = model.line_size if family[0] == "nsf" else model.frame_size
+    grid = {int(regs) // per_unit for regs in capacities}
+    analysis = _closed_form(trace, model)
+    if analysis is not None:
+        grid = {u for u in grid if u < analysis.peak_lines}
+    grid.add(units)
+    missing = sorted(u for u in grid if u >= 1 and u not in table)
+    try:
+        computed = _family_tables(trace, family, missing)
+    except OracleUnsupported:
+        for sibling in _scan_siblings(family):
+            families[sibling] = None
+        return None
+    for sibling, sibling_table in computed.items():
+        families.setdefault(sibling, {}).update(sibling_table)
+    return families[family], units
 
 
 def serve_from_tables(trace, model, capacities):
-    """Serve one replay from the shared design-space tables.
+    """Serve one replay from the cheapest exact answer, or decline.
 
-    ``capacities`` announces the register budgets the surrounding
-    sweep will visit (so one scan covers them all).  Returns True and
-    patches ``model.stats`` when the cell is in regime; False leaves
-    the model untouched for the caller's fallback engine.
+    At or above the trace's ``peak_lines`` a line-size-1 NSF never
+    evicts, and the columnar closed form
+    (:func:`~repro.trace.columnar.apply_stats`) serves the cell in
+    O(1).  Any other in-regime cell is served from its design family's
+    memoized table (:func:`tables_for_model`); ``capacities``
+    announces the register budgets the surrounding sweep will visit,
+    so one scan covers them all.  Returns True and patches
+    ``model.stats`` when the cell is served; False leaves the model
+    untouched for the caller's fallback engine.
     """
-    if not isinstance(trace, Trace):
-        return False
+    if apply_stats(_closed_form(trace, model), model):
+        return True
     served = tables_for_model(trace, model, capacities)
     if served is None:
         return False
     table, units = served
-    patch = table.get(units)
-    if patch is None:
-        return False
-    apply_table(patch, model)
+    apply_table(table[units], model)
     return True
 
 
@@ -1354,65 +1380,24 @@ def oracle_sweep(trace, model_factory, configurations):
 
     Drop-in for :func:`repro.trace.replay.sweep` (verify-off): builds
     ``model_factory(**config)`` per cell and returns ``(config,
-    stats)`` pairs.  Cells whose capacity never forces an eviction get
-    their statistics synthesized in O(1) from the shared columnar
-    analysis (:func:`~repro.trace.columnar.apply_stats`).  The
-    remaining in-regime cells are grouped by design family (line size
-    x policy for the NSF, spill mode x policy for the segmented file)
-    and served from **one** full-table scan per family
-    (:func:`capacity_tables` / :func:`segmented_tables`), an O(1)
-    apply per cell.  Every other cell — NMRU's RNG draws, fig13's
-    line-scope reloads, wide-value traces (the scans refuse them, so
-    they degrade here rather than raising) — transparently falls back
-    to event-exact replay, keeping the results byte-identical to
+    stats)`` pairs.  Every cell goes through
+    :func:`serve_from_tables` with the sweep's register budgets as
+    the plan: cells whose capacity never forces an eviction are
+    synthesized in O(1) from the shared columnar analysis, and the
+    other in-regime cells are served from **one** memoized full-table
+    scan per design family (line size x policy for the NSF, policy
+    for both segmented spill modes), an O(1) apply per cell.  Every
+    other cell — NMRU's RNG draws, fig13's line-scope reloads,
+    wide-value traces (the scans refuse them, so they degrade here
+    rather than raising) — transparently falls back to event-exact
+    replay, keeping the results byte-identical to
     :func:`~repro.trace.replay.sweep` by construction.
     """
-    analysis = analyze(trace) if numpy_available() else None
     cells = [(config, model_factory(**config))
              for config in configurations]
-    pending = []
-    for config, model in cells:
-        if not apply_stats(analysis, model):
-            pending.append((config, model))
-    if pending and isinstance(trace, Trace):
-        groups = {}
-        for config, model in pending:
-            classified = classify_model(model)
-            if classified is None:
-                continue
-            family, units = classified
-            groups.setdefault(family, set()).add(units)
-        # sibling seg spill modes come out of one scan: pool their
-        # unit grids so the shared table covers both
-        for family, units_set in list(groups.items()):
-            if family[0] == "seg":
-                sibling = ("seg",
-                           "live" if family[1] == "frame" else "frame",
-                           family[2], family[3])
-                if sibling in groups:
-                    units_set |= groups[sibling]
-        tables = {}
-        for family, units_set in groups.items():
-            if family in tables:
-                continue
-            try:
-                tables.update(_family_tables(trace, family,
-                                             sorted(units_set)))
-            except OracleUnsupported:
-                tables[family] = None
-        for config, model in pending:
-            classified = classify_model(model)
-            served = False
-            if classified is not None:
-                family, units = classified
-                table = tables.get(family)
-                if table is not None and units in table:
-                    apply_table(table[units], model)
-                    served = True
-            if not served:
-                _event_replay(trace, model, verify=False)
-    elif pending:
-        for config, model in pending:
+    budgets = [model.num_registers for _, model in cells]
+    for _, model in cells:
+        if not serve_from_tables(trace, model, budgets):
             _event_replay(trace, model, verify=False)
     return [(config, model.stats) for config, model in cells]
 
