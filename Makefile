@@ -55,7 +55,8 @@ bench:
 
 # Perf-regression gate: fast-path speedup ratios vs BENCH_baseline.json.
 # Gates on machine-independent ratios (fast vs legacy on the same box),
-# so it is safe to run in CI.
+# so it is safe to run in CI.  bench_e2e gates the fig09-fig14 sweeps
+# end to end (result memo and oracle vs per-figure event replay).
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hot_path.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --check
@@ -63,6 +64,7 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_columnar.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --check
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --check
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_core_ops.py --benchmark-only -q
 
 # Refresh the committed baseline after an intentional perf change.
@@ -72,6 +74,7 @@ bench-baseline:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_columnar.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --write-baseline
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --write-baseline
 
 eval:
 	PYTHONPATH=src $(PYTHON) -m repro.evalx

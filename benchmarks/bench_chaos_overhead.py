@@ -12,7 +12,9 @@ gating) the cost of an armed-but-empty plane.
   trace: the work a warm cell cannot avoid, with the cache machinery
   bypassed entirely;
 * ``warm``  — the real sweep path (:func:`run_workload`): cache memo
-  hit (incl. the new stat re-validation) + replay, plane disarmed;
+  hit (incl. the new stat re-validation) + replay, plane disarmed.
+  The replay-result memo is cleared before every call, so the cell
+  pays its miss path and a real replay;
 * ``armed`` — same, under an active plane with an exhausted/empty
   schedule (every hook takes its slow branch) — informational.
 
@@ -37,7 +39,7 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.chaos import plane as plane_mod
-from repro.evalx.common import make_nsf, run_workload
+from repro.evalx.common import clear_result_memo, make_nsf, run_workload
 from repro.trace import cache as trace_cache
 from repro.trace.replay import replay
 from repro.workloads import get_workload
@@ -75,12 +77,14 @@ def measure():
                 replay(trace, make_nsf(workload), verify=False)
 
             def warm():
+                clear_result_memo()
                 run_workload(workload, make_nsf(workload), scale=SCALE,
                              seed=SEED)
 
             empty_plane = plane_mod.FaultPlane(1, kinds=(), sites=())
 
             def armed():
+                clear_result_memo()
                 with plane_mod.activated(empty_plane):
                     run_workload(workload, make_nsf(workload),
                                  scale=SCALE, seed=SEED)

@@ -81,6 +81,12 @@ class RegisterFile:
         # plain integer bump allocator (itertools.count cannot be
         # captured into a snapshot)
         self._next_base = 0x1000_0000
+        #: False until a context is begun or a snapshot restored.  Any
+        #: other call that changes a model without contexts also changes
+        #: its ``stats`` (``tick``, line retirement) or ``backing``, so
+        #: a model with this flag clear and untouched ``stats`` and
+        #: ``backing`` is exactly what its constructor built
+        self._driven = False
 
     # -- context lifecycle ---------------------------------------------------
 
@@ -95,6 +101,7 @@ class RegisterFile:
             cid = self._fresh_cid()
         if cid in self._known_cids:
             raise DuplicateContextError(cid)
+        self._driven = True
         self._known_cids.add(cid)
         if base_address is None:
             base_address = self._next_base
@@ -278,6 +285,7 @@ class RegisterFile:
         }
 
     def _restore_base(self, state):
+        self._driven = True
         self.current_cid = state["current_cid"]
         self._known_cids = set(state["known_cids"])
         self._next_base = state["next_base"]

@@ -116,6 +116,7 @@ class NamedStateRegisterFile(RegisterFile):
         #: context's hot line skip the CAM dict entirely
         self._mru_latch = {}
         self._free = list(range(self.num_lines - 1, -1, -1))
+        self.policy_seed = policy_seed
         self._policy = make_policy(policy, seed=policy_seed)
         #: pre-bound hot-path methods (restore() mutates the policy in
         #: place, never replaces it, so the bindings stay valid)
@@ -684,18 +685,26 @@ class NamedStateRegisterFile(RegisterFile):
 
     # -- checkpointing -------------------------------------------------------
 
+    def _config(self):
+        """Construction parameters: ``capture()["config"]``."""
+        return dict(
+            self._base_config(),
+            line_size=self.line_size,
+            policy=self._policy.name,
+            # restore() does not check the seed (the RNG state is
+            # restored with the policy), but direct execution under
+            # two seeds differs, so the config fingerprint needs it
+            policy_seed=self.policy_seed,
+            reload_scope=self.reload_scope,
+            fetch_on_write=self.fetch_on_write,
+            spill_watermark=self.spill_watermark,
+        )
+
     def capture(self):
         """Complete mutable state as a plain dict (snapshot protocol)."""
         return {
             "kind": self.kind,
-            "config": dict(
-                self._base_config(),
-                line_size=self.line_size,
-                policy=self._policy.name,
-                reload_scope=self.reload_scope,
-                fetch_on_write=self.fetch_on_write,
-                spill_watermark=self.spill_watermark,
-            ),
+            "config": self._config(),
             "base": self._capture_base(),
             # tags are serialized in their architectural (cid, line_no)
             # form, not the packed-integer internal form: snapshots stay

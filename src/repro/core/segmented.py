@@ -85,6 +85,7 @@ class SegmentedRegisterFile(RegisterFile):
         self._frames = [_Frame(self.frame_size) for _ in range(self.num_frames)]
         self._resident = {}
         self._free = list(range(self.num_frames - 1, -1, -1))
+        self.policy_seed = policy_seed
         self._policy = make_policy(policy, seed=policy_seed)
         self._active = 0
         #: contexts that have been evicted at least once — only these pay
@@ -415,6 +416,16 @@ class SegmentedRegisterFile(RegisterFile):
 
     # -- checkpointing -------------------------------------------------------
 
+    def _config(self):
+        """Construction parameters: ``capture()["config"]``."""
+        return dict(
+            self._base_config(),
+            spill_mode=self.spill_mode,
+            policy=self._policy.name,
+            # not checked by restore(); see the NSF's _config()
+            policy_seed=self.policy_seed,
+        )
+
     def capture(self):
         """Complete mutable state as a plain dict (snapshot protocol).
 
@@ -424,11 +435,7 @@ class SegmentedRegisterFile(RegisterFile):
         """
         return {
             "kind": self.kind,
-            "config": dict(
-                self._base_config(),
-                spill_mode=self.spill_mode,
-                policy=self._policy.name,
-            ),
+            "config": self._config(),
             "base": self._capture_base(),
             "frames": [
                 {

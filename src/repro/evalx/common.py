@@ -18,13 +18,28 @@ are identical to direct execution by construction (pinned by
 ``tests/test_trace_crossvalidation.py`` and the golden tables); set
 ``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLIs)
 to force direct execution.
+
+Under the default ``event`` engine each distinct (trace content, model
+start state) pair is replayed at most once per process: the figures
+read different statistics off the same cells, and every repeat gets
+the first replay's complete end state back through the snapshot
+protocol (see :func:`_replay_event`).
 """
 
+import hashlib
+import marshal
 from contextlib import contextmanager
 
-from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
-from repro.trace import cache as trace_cache
+from repro.core import (
+    BackingStore,
+    ConventionalRegisterFile,
+    NamedStateRegisterFile,
+    RegFileStats,
+    SegmentedRegisterFile,
+)
+from repro.trace import cache as trace_cache, lru
 from repro.trace.columnar import replay_columnar, selected_engine
+from repro.trace.events import Trace
 from repro.trace.oracle import replay_oracle, serve_from_tables
 from repro.trace.replay import replay
 
@@ -89,10 +104,90 @@ def capacity_plan(register_budgets):
         _PLAN.pop()
 
 
+#: process-local hit/miss counters of the replay-result memo
+RESULT_STATS = lru.MemoStats()
+
+#: the exact model classes whose ``capture()``/``restore()`` round trip
+#: everything a replay changes; subclasses and wrappers (faults,
+#: protection, tracing) are always replayed
+_MEMO_MODELS = (NamedStateRegisterFile, SegmentedRegisterFile,
+                ConventionalRegisterFile)
+
+#: (trace digest, model class, fast-path flag, start state) -> the
+#: marshalled end-state ``capture()``, in least-recently-used order
+#: (:mod:`repro.trace.lru`); one fig09-fig14 pass needs 68 entries
+_RESULT_MEMO = {}
+_RESULT_MEMO_LIMIT = 128
+
+#: the capture of a backing store nothing has spilled to
+_FRESH_BACKING = BackingStore().capture()
+
+
+def clear_result_memo():
+    """Forget every memoized replay result (the counters are kept)."""
+    _RESULT_MEMO.clear()
+
+
+def _start_state(model):
+    """The start-state part of a memo key.
+
+    A model that was never driven is exactly what its constructor
+    built (see ``RegisterFile._driven``), so its configuration names
+    its whole state without a capture; the config carries the policy
+    seed, and so every RNG state.  Any other model is named by a
+    16-byte blake2b of its whole ``capture()``; equal bytes mean equal
+    captures, and an equal capture encoded differently only misses.
+    """
+    if (not model._driven
+            and model.stats == RegFileStats(capacity=model.num_registers)
+            and model.backing.capture() == _FRESH_BACKING):
+        return tuple(model._config().items())
+    return hashlib.blake2b(marshal.dumps(model.capture()),
+                           digest_size=16).digest()
+
+
+def _result_key(trace, model):
+    """Memo key of replaying ``trace`` onto ``model``, or ``None`` when
+    the pair is outside the memo (a non-``Trace`` iterable, a model
+    class off the allowlist, or a wrapped backing store)."""
+    if (not isinstance(trace, Trace) or type(model) not in _MEMO_MODELS
+            or type(model.backing) is not BackingStore):
+        return None
+    return (trace.digest(), type(model), model._fast_path,
+            _start_state(model))
+
+
+def _replay_event(trace, model):
+    """Event replay, each distinct (trace, start state) once per process.
+
+    The key names the model's whole start state, so only a model that
+    would replay identically can be served.  A hit decodes a fresh copy
+    of the memoized end state and ``restore()``s it, so the model ends
+    exactly as a replay would have left it, and a caller that drives it
+    further cannot corrupt the entry.  The end state is kept as
+    ``marshal`` bytes, the cheapest round trip for the snapshot
+    protocol's plain values, and never leaves the process.
+    """
+    key = _result_key(trace, model)
+    if key is None:
+        return replay(trace, model, verify=False)
+    end = lru.get(_RESULT_MEMO, key)
+    if end is None:
+        RESULT_STATS.misses += 1
+        replay(trace, model, verify=False)
+        lru.put(_RESULT_MEMO, key, marshal.dumps(model.capture()),
+                _RESULT_MEMO_LIMIT)
+    else:
+        RESULT_STATS.hits += 1
+        model.restore(marshal.loads(end))
+    return model
+
+
 def _replay(trace, model, shared=True):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
-    ``event`` (the default) is the scalar packed loop; ``columnar``
+    ``event`` (the default) is the scalar packed loop behind the
+    replay-result memo (:func:`_replay_event`); ``columnar``
     and ``oracle`` synthesize the outcome from the shared NumPy
     whole-trace analysis when the (trace, model) pair sits inside the
     exactness boundary and fall back to the scalar loop otherwise —
@@ -110,7 +205,7 @@ def _replay(trace, model, shared=True):
                                        _PLAN[-1] if shared else ()):
             return model
         return replay_oracle(trace, model)
-    return replay(trace, model, verify=False)
+    return _replay_event(trace, model)
 
 
 def run_workload(workload, model, scale=1.0, seed=1):

@@ -52,6 +52,7 @@ import os
 
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
+from repro.trace import lru
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -79,9 +80,9 @@ ENGINES = ("event", "columnar", "oracle")
 _MAX_KEY_SPACE = 1 << 20
 
 #: in-process memo of analyses, keyed by :meth:`Trace.digest` and kept
-#: in least-recently-used order (a plain dict: the oldest key is first).
-#: An analysis takes a fraction of its trace's memory, and one sweep
-#: process visits a few dozen distinct traces.
+#: in least-recently-used order by :mod:`repro.trace.lru`.  An analysis
+#: takes a fraction of its trace's memory, and one sweep process visits
+#: a few dozen distinct traces.
 _ANALYSES = {}
 _MEMO_LIMIT = 32
 
@@ -135,14 +136,9 @@ def analyze(trace):
     if _np is None or not isinstance(trace, Trace):
         return None
     key = trace.digest()
-    if key in _ANALYSES:
-        analysis = _ANALYSES.pop(key)
-    else:
-        analysis = _analyze_uncached(trace)
-        if len(_ANALYSES) >= _MEMO_LIMIT:
-            del _ANALYSES[next(iter(_ANALYSES))]
-    _ANALYSES[key] = analysis  # most recently used last
-    return analysis
+    if key in _ANALYSES:  # an out-of-regime ``None`` is memoized too
+        return lru.get(_ANALYSES, key)
+    return lru.put(_ANALYSES, key, _analyze_uncached(trace), _MEMO_LIMIT)
 
 
 def _analyze_uncached(trace):

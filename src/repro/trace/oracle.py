@@ -84,6 +84,7 @@ from heapq import heappop, heappush
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
 from repro.core.segmented import SegmentedRegisterFile
+from repro.trace import lru
 from repro.trace.columnar import (
     analyze,
     apply_stats,
@@ -1284,9 +1285,9 @@ def apply_table(patch, model):
 # -- shared-table memo (sweep drivers and the evalx plan hook) --------------
 
 #: trace content (:meth:`Trace.digest`) -> ``{family: {units: patch}}``,
-#: ``None`` marking a family whose scan refused the trace.  A plain dict
-#: in least-recently-used order (the oldest key is first); the tables
-#: are small, so the bound only stops a long-lived process from growing
+#: ``None`` marking a family whose scan refused the trace.  Kept in
+#: least-recently-used order by :mod:`repro.trace.lru`; the tables are
+#: small, so the bound only stops a long-lived process from growing
 #: without limit.
 _TABLE_MEMO = {}
 _MEMO_LIMIT = 64
@@ -1323,12 +1324,9 @@ def tables_for_model(trace, model, capacities):
         return None
     family, units = classified
     key = trace.digest()
-    families = _TABLE_MEMO.pop(key, None)
+    families = lru.get(_TABLE_MEMO, key)
     if families is None:
-        families = {}
-        if len(_TABLE_MEMO) >= _MEMO_LIMIT:
-            del _TABLE_MEMO[next(iter(_TABLE_MEMO))]
-    _TABLE_MEMO[key] = families  # most recently used last
+        families = lru.put(_TABLE_MEMO, key, {}, _MEMO_LIMIT)
     table = families.get(family, {})
     if table is None:
         return None

@@ -189,6 +189,26 @@ def test_unstable_workload_memoizes_per_model():
     assert trace_cache.STATS.records == 2
 
 
+def test_policy_seed_separates_per_model_traces():
+    """Two NMRU files that differ only in ``policy_seed`` evict
+    differently, so Gamteb's timing-sensitive stream differs too: the
+    second seed must not replay the first seed's recording."""
+    workload = get_workload("Gamteb")
+
+    def nmru(seed):
+        return make_nsf(workload, num_registers=64, policy="nmru",
+                        policy_seed=seed)
+
+    assert (trace_cache.model_fingerprint(nmru(1))
+            != trace_cache.model_fingerprint(nmru(2)))
+    run_workload(workload, nmru(1), scale=0.2, seed=1)
+    served = run_workload(workload, nmru(2), scale=0.2, seed=1)
+    assert trace_cache.STATS.records == 2
+    direct = nmru(2)
+    workload.run(direct, scale=0.2, seed=1)
+    assert served.stats.snapshot() == direct.stats.snapshot()
+
+
 def test_unstable_warm_stats_match_direct():
     workload = get_workload("Gamteb")
     run_workload(workload, make_nsf(workload), scale=0.1, seed=3)  # cold
