@@ -45,7 +45,6 @@ import tempfile
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.chaos import plane as _chaos
 from repro.errors import JournalError
@@ -409,6 +408,9 @@ def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
             ran += 1
             commit(key, payload, error, attempts)
     elif pending:
+        # imported here: a run-cell subprocess never builds a pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 key: pool.submit(_attempt_cell, experiment, key, scale,

@@ -46,6 +46,10 @@ Anything outside the boundary silently degrades to the scalar fast
 path (:func:`repro.trace.replay.replay`), which is exact by
 construction.  When NumPy is not installed every entry point degrades
 the same way, so the ``perf`` extra is genuinely optional.
+
+NumPy is imported on first use, by the ``columnar`` and ``oracle``
+engines only: importing this module (which ``repro.trace`` does) costs
+a process on the default ``event`` engine nothing.
 """
 
 import os
@@ -65,11 +69,6 @@ from repro.trace.events import (
 )
 from repro.trace.replay import _replay_fast, replay as _event_replay
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: env var selecting the replay engine used by the experiment harness
 ENV_ENGINE = "REPRO_REPLAY_ENGINE"
 
@@ -87,9 +86,28 @@ _ANALYSES = {}
 _MEMO_LIMIT = 32
 
 
+def _numpy():
+    """NumPy, imported on first use; ``None`` when it is not installed.
+
+    The module's only NumPy import.  It keeps no flag of its own: once
+    NumPy is loaded the import statement is a ``sys.modules`` lookup,
+    and a thread that asks while another is still importing NumPy
+    waits on the import system's module lock instead of being told it
+    is missing.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - the no-numpy CI leg
+        return None
+    return numpy
+
+
 def numpy_available():
-    """True when the optional ``perf`` extra (NumPy) is importable."""
-    return _np is not None
+    """True when the optional ``perf`` extra (NumPy) is importable.
+
+    The first call with NumPy installed imports it.
+    """
+    return _numpy() is not None
 
 
 def selected_engine(default="event"):
@@ -121,9 +139,10 @@ def _column_view(trace):
     data, wide = trace.packed()
     if wide:
         return None
+    np = _numpy()
     if not len(data):
-        return _np.empty((0, 4), dtype=_np.int64)
-    return _np.frombuffer(data, dtype=_np.int64).reshape(-1, 4)
+        return np.empty((0, 4), dtype=np.int64)
+    return np.frombuffer(data, dtype=np.int64).reshape(-1, 4)
 
 
 def analyze(trace):
@@ -133,7 +152,7 @@ def analyze(trace):
     one trace against many models, and the analysis is the expensive
     (though vectorized) half of synthesis.
     """
-    if _np is None or not isinstance(trace, Trace):
+    if not isinstance(trace, Trace) or _numpy() is None:
         return None
     key = trace.digest()
     if key in _ANALYSES:  # an out-of-regime ``None`` is memoized too
@@ -142,7 +161,7 @@ def analyze(trace):
 
 
 def _analyze_uncached(trace):
-    np = _np
+    np = _numpy()
     arr = _column_view(trace)
     if arr is None:
         return None

@@ -12,8 +12,6 @@ and a small dense matrix multiply — each returns a checksum folded into
 one output word.
 """
 
-from repro.cpu import CPU
-from repro.lang import compile_source
 from repro.workloads.base import Workload
 
 SOURCE_TEMPLATE = """
@@ -154,6 +152,10 @@ class CompiledSuite(Workload):
         )
 
     def run(self, regfile, scale=1.0, seed=1, check=True, **_ignored):
+        # The CPU and the compiler load here, not at import: no sweep
+        # cell runs this workload, and every cell imports the package.
+        from repro.cpu import CPU
+        from repro.lang import compile_source
         from repro.workloads.base import (
             WorkloadResult,
             WorkloadVerificationError,

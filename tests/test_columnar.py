@@ -7,6 +7,8 @@ cid interning, ctable, current context) as ``replay(trace, model,
 verify=False)``; outside the boundary it must visibly fall back.
 """
 
+import sys
+
 import pytest
 
 from repro.evalx.common import make_nsf, run_workload
@@ -153,7 +155,9 @@ def test_cid_reuse_is_synthesized_exactly():
 
 def test_missing_numpy_degrades_to_scalar(recorded, monkeypatch):
     workload, trace = recorded
-    monkeypatch.setattr(columnar, "_np", None)
+    # what the loader's import sees on a host without NumPy, even
+    # though this process loaded it long ago
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setattr(columnar, "_ANALYSES", {})
     assert not columnar.numpy_available()
     assert columnar.analyze(trace) is None

@@ -16,6 +16,8 @@ Three rings of evidence:
   tiny capacity, plus hold the Mattson monotonicity invariant.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,6 +207,48 @@ def test_vector_kernel_matches_scalar_walk(recorded):
         assert fast[0]["reads"] == shared["reads"]
         assert fast[0]["writes"] == shared["writes"]
         assert fast[1] == slow
+
+
+def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch):
+    """Without NumPy the oracle serves the whole capacity grid from one
+    stdlib Fenwick walk, in place of the NumPy kernel and the closed
+    form."""
+    from repro.trace import vector
+
+    _, trace = recorded
+    grid = _capacity_grid(trace)
+    ctx = trace.context_size
+    # what the loader's import sees on a host without NumPy, even
+    # though this process loaded it long ago
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(columnar, "_ANALYSES", {})
+    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("NumPy kernel ran with NumPy blocked")
+
+    walks = []
+    scalar_walk = oracle._scan_lru
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args[1])
+        return scalar_walk(*args, **kwargs)
+
+    monkeypatch.setattr(vector, "lru_scan", kernel)
+    monkeypatch.setattr(oracle, "_scan_lru", counted_walk)
+    assert not columnar.numpy_available()
+    assert columnar.analyze(trace) is None
+
+    def factory(num_registers):
+        return NamedStateRegisterFile(
+            num_registers=num_registers, context_size=ctx, line_size=1)
+
+    configurations = [{"num_registers": c} for c in grid]
+    expected = sweep(trace, factory, configurations, verify=False)
+    got = oracle.oracle_sweep(trace, factory, configurations)
+    assert walks == [grid]  # one walk priced every capacity
+    for (_, got_stats), (_, want_stats) in zip(got, expected):
+        assert got_stats.snapshot() == want_stats.snapshot()
 
 
 def test_curves_cost_one_pass_regardless_of_grid(recorded):

@@ -1,0 +1,202 @@
+"""What a fresh interpreter imports, and what it loads only on use.
+
+Every sweep cell of the journalled runner and the farm is a fresh
+``run-cell`` interpreter, so its imports are paid once per cell.  On
+the default ``event`` engine a cell never touches NumPy, the
+compiled-CPU front-end (``repro.cpu``, ``repro.lang``) or the thread
+pool; it must not load them either.  The other half of the contract
+is that the lazy imports still happen where they are used: the oracle
+loads NumPy and serves cells with it, ``CompiledSuite`` loads the CPU
+and the compiler, and ``run_sweep(jobs=2)`` builds its pool.
+
+The pytest process has loaded most of these modules already, so every
+check runs in a subprocess with a private trace cache.  The checks
+compare module sets, never times.
+"""
+
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from repro.evalx import runner
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: modules an event-engine cell has no use for
+LAZY = ("numpy", "repro.trace.vector", "repro.lang", "repro.cpu",
+        "concurrent.futures")
+
+#: the experiments the runner splits into one subprocess per cell
+CELL_EXPERIMENTS = ("table1", "compression", "resilience", "chaos")
+
+SCALE = 0.1
+
+#: asks the import system, not the loader under test: a loader that
+#: always answered "missing" would otherwise skip the checks meant to
+#: catch it
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None,
+    reason="the oracle's NumPy paths need the numpy perf extra",
+)
+
+
+def _fresh(cache, engine, body):
+    """Run ``body`` in a fresh interpreter on ``cache`` and ``engine``.
+
+    ``body`` may leave JSON-able findings in the dict ``out``; the
+    result is that dict plus ``loaded``, the :data:`LAZY` modules the
+    interpreter had imported when ``body`` finished.
+    """
+    code = "import json, sys\nout = {}\n" + textwrap.dedent(body) + (
+        "\nout['loaded'] = sorted(m for m in %r if m in sys.modules)"
+        "\nprint(json.dumps(out))\n" % (LAZY,))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC), REPRO_TRACE_CACHE=str(cache),
+               REPRO_REPLAY_ENGINE=engine)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+RUN_CELL = """
+import runpy
+
+sys.argv = ["repro.evalx.runner", "run-cell", {experiment!r}, {key!r},
+            "--scale", {scale!r}, "--seed", "1"]
+try:
+    runpy.run_module("repro.evalx.runner", run_name="__main__",
+                     alter_sys=True)
+except SystemExit as exc:
+    out["exit"] = exc.code
+"""
+
+
+@pytest.mark.parametrize("experiment", CELL_EXPERIMENTS)
+def test_event_cell_loads_nothing_lazy(tmp_path, experiment):
+    """``python -m repro.evalx.runner run-cell`` on ``event``, cold
+    (recording into an empty cache) and then warm (replaying it)."""
+    key = runner.sweep_cells(experiment)[0]
+    body = RUN_CELL.format(experiment=experiment, key=key,
+                           scale=str(SCALE))
+    for _ in ("cold", "warm"):
+        found = _fresh(tmp_path / "cache", "event", body)
+        assert found["exit"] == 0
+        assert found["loaded"] == []
+
+
+@needs_numpy
+def test_oracle_loads_numpy_and_serves_planned_cells(tmp_path):
+    found = _fresh(tmp_path / "cache", "oracle", """
+        from repro.evalx import common
+        from repro.trace import cache
+        from repro.trace.replay import replay
+        from repro.workloads import GateSim
+
+        served = []
+        serve = common.serve_from_tables
+
+        def watched(*args):
+            served.append(serve(*args))
+            return served[-1]
+
+        common.serve_from_tables = watched
+        workload = GateSim()
+        budgets = (8, 16, 80)  # sub-peak table cells and the closed form
+        with common.capacity_plan(budgets):
+            models = [common.run_workload(
+                workload, common.make_nsf(workload, num_registers=n),
+                scale=0.1) for n in budgets]
+        out["served"] = served
+        out["oracle"] = [m.stats.snapshot() for m in models]
+        trace = cache.load_or_record(workload, scale=0.1, seed=1)
+        out["event"] = [replay(trace, common.make_nsf(
+            workload, num_registers=n), verify=False).stats.snapshot()
+            for n in budgets]
+    """)
+    assert found["served"] == [True, True, True]
+    assert {"numpy", "repro.trace.vector"} <= set(found["loaded"])
+    assert found["oracle"] == found["event"]
+
+
+@needs_numpy
+def test_threads_racing_the_first_load_all_see_numpy(tmp_path):
+    """A thread that asks while another is still importing NumPy waits
+    for it; "missing" would silently send its cells down the scalar
+    paths."""
+    found = _fresh(tmp_path / "cache", "oracle", """
+        import threading
+
+        from repro.trace import columnar
+
+        out["before"] = "numpy" in sys.modules
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(8)
+        answers = []
+
+        def ask():
+            start.wait(timeout=60)
+            answers.append(columnar.numpy_available())
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        out["alive"] = sum(thread.is_alive() for thread in threads)
+        out["answers"] = answers
+    """)
+    assert not found["before"]
+    assert found["alive"] == 0
+    assert found["answers"] == [True] * 8
+
+
+def test_compiled_suite_loads_its_front_end_on_use(tmp_path):
+    found = _fresh(tmp_path / "cache", "event", """
+        from repro.evalx.common import make_nsf
+        from repro.workloads import CompiledSuite
+
+        out["before"] = sorted(m for m in ("repro.cpu", "repro.lang")
+                               if m in sys.modules)
+        workload = CompiledSuite()
+        out["verified"] = workload.run(make_nsf(workload),
+                                       scale=0.2).verified
+    """)
+    assert found["before"] == []
+    assert found["verified"]
+    assert {"repro.cpu", "repro.lang"} <= set(found["loaded"])
+
+
+def test_parallel_sweep_still_runs_its_pool(tmp_path):
+    found = _fresh(tmp_path / "cache", "event", f"""
+        import threading
+
+        from repro.evalx import runner
+
+        threads = set()
+        attempt = runner._attempt_cell
+
+        def watched(*args):
+            threads.add(threading.current_thread().name)
+            return attempt(*args)
+
+        runner._attempt_cell = watched
+        result = runner.run_sweep(
+            "table1", scale={SCALE!r}, seed=1, jobs=2,
+            journal_path={str(tmp_path / "sweep.jsonl")!r},
+            out_path={str(tmp_path / "sweep.json")!r})
+        out["ok"] = result.ok
+        out["threads"] = sorted(threads)
+    """)
+    assert found["ok"]
+    assert "concurrent.futures" in found["loaded"]
+    assert found["threads"]
+    assert all(name.startswith("ThreadPoolExecutor")
+               for name in found["threads"])
