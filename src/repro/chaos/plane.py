@@ -70,12 +70,18 @@ re-reads them):
 
 The plane never hides what it did: every injection is appended to
 ``FaultPlane.injected`` and summarized by :meth:`FaultPlane.report`.
+
+Retry loops back off through :func:`backoff`.  A retry after a fault
+the plane injected is counted in ``FaultPlane.backoff_s`` instead of
+slept, the way :class:`repro.core.resilience.RetryingBackingStore`
+prices its retries in simulated cycles; a real OS error still sleeps.
 """
 
 import contextlib
 import errno
 import os
 import random
+import time
 import zlib
 
 from repro.errors import ReproError
@@ -134,8 +140,29 @@ class ChaosError(ReproError):
 
 def oserror(kind, path):
     """The OSError one injected ``enospc``/``eio`` fault raises."""
-    return OSError(_ERRNOS[kind], f"chaos[{kind}]: injected fault",
-                   os.fspath(path))
+    return mark_injected(OSError(_ERRNOS[kind],
+                                 f"chaos[{kind}]: injected fault",
+                                 os.fspath(path)))
+
+
+def mark_injected(exc):
+    """Mark ``exc`` as caused by an injected fault; returns it."""
+    exc.chaos_injected = True
+    return exc
+
+
+def backoff(exc, seconds):
+    """Back off ``seconds`` before retrying the operation ``exc`` failed.
+
+    After an error :func:`mark_injected` marked, with a plane active,
+    the seconds are added to that plane's ``backoff_s`` and no time
+    passes.  Any other error sleeps exactly ``seconds``.
+    """
+    plane = ACTIVE
+    if plane is not None and getattr(exc, "chaos_injected", False):
+        plane.backoff_s += seconds
+    else:
+        time.sleep(seconds)
 
 
 def corrupt_bytes(kind, data, aux=0):
@@ -188,6 +215,8 @@ class FaultPlane:
         self.slow_delay = slow_delay
         #: log of every fault actually fired, in order
         self.injected = []
+        #: retry backoff counted, not slept, after injected faults
+        self.backoff_s = 0.0
         self._counts = {}
         self._armed = {}
         rng = random.Random(zlib.crc32(repr(
@@ -298,6 +327,7 @@ class FaultPlane:
             "injected": len(self.injected),
             "by_kind": dict(sorted(by_kind.items())),
             "armed_remaining": self.armed_remaining(),
+            "backoff_s": self.backoff_s,
         }
 
     def __repr__(self):

@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import pathlib
-import time
 
 from repro.chaos import plane as _chaos
 from repro.errors import JournalError
@@ -106,7 +105,7 @@ class Journal:
                 if (exc.errno not in TRANSIENT_ERRNOS
                         or attempt >= _APPEND_ATTEMPTS - 1):
                     raise
-                time.sleep(0.01 * (2 ** attempt))
+                _chaos.backoff(exc, 0.01 * (2 ** attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _append_once(self, data):

@@ -16,7 +16,9 @@ Two hardening layers ride on top (PR 6):
 * **Bounded retries** — ``attempts``/``backoff`` retry transient
   ``EIO``/``ENOSPC``/``EAGAIN`` failures with deterministic
   exponential backoff (``backoff * 2**attempt``; no jitter, so a
-  seeded chaos run replays identically).
+  seeded chaos run replays identically).  Backoff after a fault the
+  chaos plane injected is counted, not slept
+  (:func:`repro.chaos.plane.backoff`).
 * **Read-back verification** — ``verify=True`` re-reads the
   destination after the rename and raises ``OSError(EIO)`` on any
   mismatch, converting silent corruption (a torn rename, a bit flip
@@ -33,7 +35,6 @@ physically injected.
 import errno
 import os
 import tempfile
-import time
 
 from repro.chaos import plane as _chaos
 
@@ -64,7 +65,7 @@ def atomic_write_bytes(path, data, site=None, attempts=1, backoff=0.01,
             if (exc.errno not in TRANSIENT_ERRNOS
                     or attempt >= max(1, attempts) - 1):
                 raise
-            time.sleep(backoff * (2 ** attempt))
+            _chaos.backoff(exc, backoff * (2 ** attempt))
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -117,9 +118,13 @@ def _atomic_write_once(path, data, site=None, verify=False):
         except OSError:
             landed = None
         if landed != data:
-            raise OSError(errno.EIO, "read-back verification failed: "
+            exc = OSError(errno.EIO, "read-back verification failed: "
                           "destination does not hold the written "
                           "payload", path)
+            if fault is not None:
+                # this attempt's own injected fault tore the payload
+                _chaos.mark_injected(exc)
+            raise exc
     return path
 
 

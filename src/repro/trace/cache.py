@@ -341,7 +341,7 @@ def _read_bytes(path, attempts=3, backoff=0.005):
             if (exc.errno not in TRANSIENT_ERRNOS
                     or attempt >= attempts - 1):
                 raise
-            time.sleep(backoff * (2 ** attempt))
+            _chaos.backoff(exc, backoff * (2 ** attempt))
     raise AssertionError("unreachable")  # pragma: no cover
 
 

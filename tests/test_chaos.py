@@ -7,11 +7,14 @@ publish-disabled ladder, direct-execution fallback), and the chaos
 campaign's own invariants at a small operating point.
 """
 
+import builtins
 import errno
 import os
+import time
 
 import pytest
 
+from repro import ioutil
 from repro.chaos import plane as plane_mod
 from repro.chaos.__main__ import main as chaos_cli
 from repro.chaos.plane import (ChaosError, FaultPlane, corrupt_bytes,
@@ -19,6 +22,7 @@ from repro.chaos.plane import (ChaosError, FaultPlane, corrupt_bytes,
 from repro.errors import ReproError
 from repro.evalx import chaos as campaign
 from repro.evalx.common import make_nsf, run_workload
+from repro.evalx.journal import Journal
 from repro.ioutil import atomic_write_bytes
 from repro.trace import cache as trace_cache
 from repro.trace import events
@@ -334,6 +338,143 @@ class TestCampaign:
     def test_assert_campaign_clean_small(self):
         cells = campaign.assert_campaign_clean(scale=0.35, seed=11)
         assert len(cells) == 2 * len(campaign.campaign_pairs())
+
+
+# -- backoff after injected faults -------------------------------------------
+
+
+class Slept(BaseException):
+    """Raised by a patched ``time.sleep``; escapes ``except Exception``."""
+
+
+def _no_sleep(seconds):
+    raise Slept(seconds)
+
+
+def _fail_once(call):
+    """``call``, except that its first invocation raises a real EIO."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, "real transient device error")
+        return call(*args, **kwargs)
+
+    return wrapper
+
+
+class TestInjectedBackoff:
+    """Retry loops count the backoff after an injected fault instead of
+    sleeping it; a real OS error still sleeps exactly as before."""
+
+    def _campaign(self, monkeypatch, sleep):
+        """The chaos campaign with ``time.sleep`` replaced by ``sleep``;
+        returns its cells and the plane each cell ran under."""
+        planes = []
+        cell_plane = campaign._cell_plane
+
+        def capture(kind, site, seed):
+            planes.append(cell_plane(kind, site, seed))
+            return planes[-1]
+
+        monkeypatch.setattr(campaign, "_cell_plane", capture)
+        monkeypatch.setattr(time, "sleep", sleep)
+        return campaign.run_campaign(scale=0.35, seed=11), planes
+
+    def test_campaign_counts_what_it_would_have_slept(self, monkeypatch):
+        # reference: no error marked injected, so every backoff sleeps
+        slept = []
+        with monkeypatch.context() as patch:
+            patch.setattr(plane_mod, "mark_injected", lambda exc: exc)
+            reference, reference_planes = self._campaign(
+                patch, lambda seconds: slept.append(
+                    (plane_mod.ACTIVE, seconds)))
+        would_sleep = [sum(seconds for active, seconds in slept
+                           if active is plane)
+                       for plane in reference_planes]
+        cells, planes = self._campaign(monkeypatch, _no_sleep)
+        assert cells == reference
+        assert all(cell["exact"] == 1 for cell in cells)
+        assert sum(would_sleep) > 0
+        assert [plane.backoff_s for plane in planes] == would_sleep
+        assert all(plane.report()["backoff_s"] == plane.backoff_s
+                   for plane in planes)
+        # every retry loop backed off from an injected fault, including
+        # after a corrupt results write that only read-back exposes
+        backed_off = {(cell["kind"], cell["site"])
+                      for cell, plane in zip(cells, planes)
+                      if plane.backoff_s}
+        assert {"cache.load", "cache.publish", "journal.append",
+                "results.write"} <= {site for _, site in backed_off}
+        assert backed_off & {("bitflip", "results.write"),
+                             ("truncate", "results.write"),
+                             ("torn_rename", "results.write")}
+
+    @pytest.fixture
+    def armed(self, monkeypatch):
+        """An armed plane whose faults all sit at an unrelated site, and
+        the list of seconds ``time.sleep`` was called with."""
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        plane = FaultPlane(3, kinds=("stale_lock",), sites=("cache.lock",))
+        with plane_mod.activated(plane):
+            yield plane, slept
+        assert plane.backoff_s == 0
+
+    def test_atomic_write_sleeps_after_a_real_error(self, armed,
+                                                    monkeypatch,
+                                                    tmp_path):
+        _, slept = armed
+        monkeypatch.setattr(ioutil, "_atomic_write_once",
+                            _fail_once(ioutil._atomic_write_once))
+        atomic_write_bytes(tmp_path / "out.bin", b"payload",
+                           site="results.write", attempts=3, backoff=0.01)
+        assert slept == [0.01]
+        assert (tmp_path / "out.bin").read_bytes() == b"payload"
+
+    def test_real_read_back_mismatch_sleeps(self, armed, monkeypatch,
+                                            tmp_path):
+        _, slept = armed
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        replace = os.replace
+        lost = []
+
+        def lose_first(src, dst):
+            if not lost:
+                lost.append(src)
+                os.unlink(src)  # the rename never lands
+                return
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", lose_first)
+        atomic_write_bytes(path, b"payload", site="results.write",
+                           attempts=2, backoff=0.01, verify=True)
+        assert lost and slept == [0.01]
+        assert path.read_bytes() == b"payload"
+
+    def test_cache_read_sleeps_after_a_real_error(self, armed, monkeypatch,
+                                                  tmp_path):
+        _, slept = armed
+        path = tmp_path / "entry.bin"
+        path.write_bytes(b"entry")
+        monkeypatch.setattr(trace_cache, "open", _fail_once(builtins.open),
+                            raising=False)
+        assert trace_cache._read_bytes(path, attempts=3,
+                                       backoff=0.005) == b"entry"
+        assert slept == [0.005]
+
+    def test_journal_append_sleeps_after_a_real_error(self, armed,
+                                                      monkeypatch,
+                                                      tmp_path):
+        _, slept = armed
+        monkeypatch.setattr(Journal, "_append_once",
+                            _fail_once(Journal._append_once))
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append({"record": "cell", "key": "a"})
+        assert slept == [0.01]
+        assert len(journal.path.read_text().splitlines()) == 1
 
 
 # -- the CLI -----------------------------------------------------------------

@@ -8,6 +8,13 @@ zero-silent-corruption contract (property-based).
 """
 
 import dataclasses
+import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -485,6 +492,184 @@ class TestCampaign:
         first = run_campaign(scale=0.3, seed=7)
         second = run_campaign(scale=0.3, seed=7)
         assert first == second
+
+
+# -- the forked campaign ------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: counts ``os.fork`` calls, and leaves an unflushed line in stdout's
+#: buffer plus an atexit hook: a child that returned into this script
+#: instead of leaving through ``os._exit`` would print either again
+FORK_PRELUDE = """
+import atexit, json, os, sys
+from repro.core.faults import FAULT_KINDS
+from repro.evalx import resilience as r
+
+MAIN = os.getpid()
+forks = 0
+_fork = os.fork
+
+def counting_fork():
+    global forks
+    forks += 1
+    return _fork()
+
+os.fork = counting_fork
+atexit.register(lambda: print("atexit", os.getpid()))
+sys.stdout.write("buffered before any fork\\n")
+out = {}
+
+
+def against_run_single(records, scale, seed, triggers):
+    wscale = r._workload_scale(scale)
+    return [list(key) for key, record in sorted(records.items())
+            if record != r.run_single(key[0], key[1], key[2],
+                                      triggers[key[3]], scale=wscale,
+                                      seed=seed)]
+"""
+
+
+def _forked(body):
+    """Run ``body`` after :data:`FORK_PRELUDE` in a fresh interpreter.
+
+    pytest has loaded NumPy, whose BLAS pool sends the campaign in this
+    process to ``run_single``; a fresh interpreter has one thread.
+    Returns the dict ``out`` that ``body`` filled, with ``forks``.
+    """
+    code = FORK_PRELUDE + textwrap.dedent(body) + (
+        "\nout['forks'] = forks\nout['pid'] = MAIN"
+        "\nprint(json.dumps(out))\n")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    # one copy of the buffered line and one atexit hook, the script's
+    assert len(lines) == 3, lines
+    assert lines[0] == "buffered before any fork"
+    out = json.loads(lines[1])
+    assert lines[2] == f"atexit {out['pid']}"
+    return out
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the forked campaign needs os.fork")
+
+
+@needs_fork
+class TestForkedCampaign:
+    def test_every_record_matches_run_single(self):
+        out = _forked("""
+            for scale, seed in ((0.35, 11), (0.3, 7)):
+                records, served = r._campaign_records(
+                    scale, seed, FAULT_KINDS, r.CAMPAIGN_MODELS,
+                    r.CAMPAIGN_PROTECTION)
+                out[f"{scale}/{seed}"] = {
+                    "runs": len(records), "served": served,
+                    "mismatched": against_run_single(
+                        records, scale, seed, r.campaign_triggers(seed)),
+                }
+        """)
+        assert out["forks"] == 240
+        for point in ("0.35/11", "0.3/7"):
+            assert out[point] == {
+                "runs": 120, "mismatched": [],
+                "served": "120 of 120 runs forked from 4 shared prefixes",
+            }
+
+    def test_a_second_thread_sends_every_run_to_run_single(self):
+        out = _forked("""
+            import _thread, threading
+
+            def serve():
+                return r._serve_campaign(
+                    0.3, 7, kinds=("stale_read", "stuck_line"),
+                    models=("nsf",))
+
+            forked, served = serve()
+            out["forked"] = {"served": served, "forks": forks}
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            cells, served = serve()
+            out["threading"] = {"same": cells == forked, "served": served,
+                                "forks": forks}
+            release.set()
+            thread.join()
+            if os.path.isdir("/proc/self/task"):
+                # a thread the threading module never hears of
+                hold = _thread.allocate_lock()
+                hold.acquire()
+                _thread.start_new_thread(hold.acquire, ())
+                cells, served = serve()
+                out["os"] = {"same": cells == forked, "served": served,
+                             "forks": forks,
+                             "known": threading.active_count()}
+                hold.release()
+        """)
+        runs = "0 of 12 runs forked: run_single (2 threads)"
+        assert out["forked"] == {
+            "served": "12 of 12 runs forked from 2 shared prefixes",
+            "forks": 12}
+        assert out["threading"] == {"same": True, "served": runs,
+                                    "forks": 12}
+        if "os" in out:
+            assert out["os"] == {"same": True, "served": runs, "forks": 12,
+                                 "known": 1}
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise LookupError('planted')", "raised LookupError: planted"),
+        ("os.kill(os.getpid(), signal.SIGKILL)",
+         f"died without a record (killed by signal {signal.SIGKILL:d})"),
+    ], ids=["raises", "sigkilled"])
+    def test_a_failed_child_fails_the_campaign(self, failure, message):
+        out = _forked(f"""
+            import signal
+            from repro.core.faults import FaultyRegisterFile
+
+            fires = FaultyRegisterFile._fires
+
+            def failing(self, kind):
+                if (self.kind == "corrupt_write"
+                        and self.operations >= self.trigger_at):
+                    {failure}
+                return fires(self, kind)
+
+            FaultyRegisterFile._fires = failing
+            try:
+                r.run_campaign(0.3, 7, kinds=("drop_write", "corrupt_write"),
+                               models=("segmented",), protection=("off",))
+            except r.ForkedRunError as exc:
+                out["error"] = str(exc)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                out["children_left"] = True
+            except ChildProcessError:
+                out["children_left"] = False
+            out["first"] = r.campaign_triggers(7)[0]
+        """)
+        assert out["error"] == (f"forked run (corrupt_write, trigger "
+                                f"{out['first']}) {message}")
+        assert out["children_left"] is False
+        assert out["forks"] > 0
+
+    def test_duplicate_and_unreached_triggers_match_run_single(self):
+        out = _forked("""
+            triggers = [0, 300, 300, 10 ** 6]
+            r.campaign_triggers = lambda seed, count=3: triggers
+            records, served = r._campaign_records(
+                0.3, 7, ("flip_read_bit", "stuck_line", "stale_read"),
+                ("nsf",), ("ecc",))
+            out["served"] = served
+            out["mismatched"] = against_run_single(records, 0.3, 7,
+                                                   triggers)
+        """)
+        assert out["served"] == "9 of 12 runs forked from 1 shared prefix"
+        assert out["mismatched"] == []
+        assert out["forks"] == 9
 
 
 # -- wrapper drop-in satellites ----------------------------------------------
