@@ -32,7 +32,8 @@ always makes progress, and two runs with the same seed inject the same
 faults at the same operations.  The plane is process-local; sweep cell
 subprocesses build their own plane from the ``REPRO_CHAOS_*``
 environment, which is exactly what makes a multi-worker chaos run
-deterministic.
+deterministic.  A cell forked from the runner's warm parent inherits
+the plane that parent armed here and never consumed.
 
 Injection sites (the storage operations the substrate exposes):
 

@@ -24,7 +24,8 @@ their trigger, so :func:`run_campaign` runs each family's fault-free
 workload once and, at the operation before each trigger, forks one
 child per (kind, trigger); each child injects, finishes the workload
 and sends its record back over a pipe.  Where forking is unsafe (no
-``os.fork``, or any second thread alive) every run goes through
+``os.fork``, or any second thread alive:
+:func:`repro.ioutil.fork_unavailable`) every run goes through
 :func:`run_single`, the exact reference either way.
 
 CLI::
@@ -36,13 +37,13 @@ CLI::
 import marshal
 import os
 import random
-import threading
 
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.core.faults import FAULT_KINDS, FaultyRegisterFile
 from repro.core.resilience import ProtectedRegisterFile
 from repro.errors import MachineCheckError, ReproError
 from repro.evalx.tables import ExperimentTable
+from repro.ioutil import fork_unavailable
 
 CAMPAIGN_MODELS = ("nsf", "segmented")
 CAMPAIGN_PROTECTION = ("off", "ecc")
@@ -179,27 +180,6 @@ def run_campaign_cell(kind, model_kind, level, scale=1.0, seed=1):
 
 class ForkedRunError(RuntimeError):
     """A forked campaign run raised or died instead of classifying."""
-
-
-def _fork_unavailable():
-    """Why the campaign must not fork here, or ``None`` if it may.
-
-    Forking a multi-threaded process can deadlock the child (Python
-    3.12 warns about it), so any second thread sends every run to
-    :func:`run_single` — including threads :mod:`threading` does not
-    know about, such as NumPy's BLAS pool, which ``/proc/self/task``
-    shows where the OS has it.
-    """
-    if not hasattr(os, "fork"):
-        return "no os.fork"
-    threads = threading.active_count()
-    try:
-        threads = max(threads, len(os.listdir("/proc/self/task")))
-    except OSError:
-        pass
-    if threads != 1:
-        return f"{threads} threads"
-    return None
 
 
 class _ForkingFaultyRegisterFile(FaultyRegisterFile):
@@ -365,7 +345,7 @@ def _campaign_records(scale, seed, kinds, models, protection):
     index)``, plus a line saying how the runs were served."""
     triggers = campaign_triggers(seed)
     wscale = _workload_scale(scale)
-    reason = _fork_unavailable()
+    reason = fork_unavailable()
     records = {}
     forked = prefixes = 0
     for model_kind in models:

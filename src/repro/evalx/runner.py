@@ -25,7 +25,11 @@ cells)``, ``--jobs 1`` restores the strictly sequential scheduler).
 Parallelism never touches the contract: results are committed to the
 write-ahead journal in deterministic *cell order* regardless of
 completion order, so the journal, resume semantics, and the final
-output file are byte-identical to a sequential run.
+output file are byte-identical to a sequential run.  Each worker
+thread forks its cells from one warm parent that has done a
+``run-cell``'s imports once (:class:`WarmCells`), so a cell skips
+interpreter start-up; the sweep's closing line says how its attempts
+were launched.
 
 CLI::
 
@@ -34,10 +38,13 @@ CLI::
     python -m repro.evalx.runner smoke --kills 3     # chaos self-test
 """
 
+import io
 import json
+import math
 import os
 import pathlib
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -50,7 +57,7 @@ from repro.chaos import plane as _chaos
 from repro.errors import JournalError
 from repro.evalx.journal import Journal
 from repro.evalx.tables import ExperimentTable
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, fork_unavailable
 
 #: pseudo-key for experiments without a cell splitter
 GENERIC_CELL = "__table__"
@@ -118,12 +125,14 @@ def assemble_table(experiment, scale, seed, cells):
     return table, dropped
 
 
+def _runner_command(*args):
+    return [sys.executable, "-m", "repro.evalx.runner", *args]
+
+
 def _cell_command(experiment, key, scale, seed, attempt):
-    return [
-        sys.executable, "-m", "repro.evalx.runner", "run-cell",
-        experiment, key, "--scale", str(scale), "--seed", str(seed),
-        "--attempt", str(attempt),
-    ]
+    return _runner_command(
+        "run-cell", experiment, key, "--scale", str(scale),
+        "--seed", str(seed), "--attempt", str(attempt))
 
 
 def _cell_env():
@@ -185,7 +194,20 @@ def watched_run(command, env=None, timeout=None, grace=2.0):
     that double-forks workers of its own) cannot outlive its sweep and
     keep writing into the trace cache.  Whatever the cell printed
     before dying is still captured and returned.
+
+    Inside a :class:`WarmCells` scope this runner's own ``run-cell``
+    command is forked from the calling thread's warm parent instead of
+    exec'd, with the same session, watchdog and result; any other
+    command, and every call outside a scope, is exec'd.
     """
+    scope = _SCOPE
+    if (scope is not None
+            and list(command[:4]) == _runner_command("run-cell")):
+        result = scope.run(list(command[3:]),
+                           dict(os.environ) if env is None else env,
+                           timeout, grace)
+        if result is not None:
+            return result
     proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -204,6 +226,409 @@ def watched_run(command, env=None, timeout=None, grace=2.0):
         _signal_group(proc, signal.SIGKILL)
         proc.communicate()
         raise
+
+
+# -- warm cells ------------------------------------------------------------
+#
+# A cell's own work is a few tens of milliseconds; starting Python and
+# importing the runner and the cell modules costs more.  So inside a
+# WarmCells scope each executor thread keeps one warm parent: an
+# interpreter (the internal ``warm-parent`` subcommand) that has done a
+# run-cell's imports once and forks one child per cell attempt.  Each
+# child is a fresh run-cell in every way that matters: its own session,
+# stdin from /dev/null, its own output captures, a chaos plane armed
+# but unconsumed, empty in-process memos, and the exit status a fresh
+# interpreter would give.  The parent runs no cell code itself.
+#
+# Protocol, one JSON object per line: the executor writes
+# {"argv": [...]} and, while that cell runs, {"signal": N}; the parent
+# answers {"pid": P} (or {"refused": reason}) and, once it has reaped
+# P, {"status": S, "stdout": ..., "stderr": ...} with the captures
+# sent as latin-1 text.
+
+#: how long a warm parent may take to answer once its cell's group has
+#: been SIGKILLed, before the executor gives up on it
+_ANSWER_S = 5.0
+
+
+def _readable(fds, timeout=None):
+    """Those of ``fds`` ready to read within ``timeout`` seconds (None:
+    wait); ``poll`` has no ceiling on descriptor numbers, ``select``
+    has."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    wait = None if timeout is None else math.ceil(max(0.0, timeout) * 1e3)
+    return [fd for fd, _ in poller.poll(wait)]
+
+
+def _send(fd, message):
+    """Write one JSON line to a pipe; False if its reader is gone."""
+    data = (json.dumps(message) + "\n").encode()
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except OSError:
+        return False
+    return True
+
+
+class _Lines:
+    """JSON messages, one per line, read from a raw pipe descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.buffer = b""
+        self.eof = False
+
+    def feed(self):
+        chunk = os.read(self.fd, 1 << 16)
+        self.eof = not chunk
+        self.buffer += chunk
+
+    def pop(self):
+        """The next complete message, or ``None``."""
+        line, newline, rest = self.buffer.partition(b"\n")
+        if not newline:
+            return None
+        self.buffer = rest
+        return json.loads(line)
+
+    def next(self, deadline=None):
+        """The next message, or ``None`` once ``deadline`` (a
+        ``time.monotonic()`` value) has passed; EOFError at the end."""
+        while True:
+            message = self.pop()
+            if message is not None:
+                return message
+            if self.eof:
+                raise EOFError("pipe closed")
+            if deadline is not None and not _readable(
+                    [self.fd], deadline - time.monotonic()):
+                return None
+            self.feed()
+
+
+def _warm_parent():
+    """The ``warm-parent`` subcommand: fork one ``run-cell`` per request.
+
+    Imports what a ``run-cell`` imports before its cell, then serves
+    requests from stdin until EOF.  It forks only where
+    :func:`repro.ioutil.fork_unavailable` allows, and otherwise says
+    why, so the executor execs that attempt.  It never runs cell code,
+    starts a thread or calls ``waitpid(-1)``.  If the executor dies,
+    the in-flight cell finishes in its own session and the parent
+    exits after reaping it.
+    """
+    _cell_modules()
+    requests = _Lines(0)
+    while True:
+        try:
+            request = requests.next()
+        except EOFError:
+            return 0
+        if "argv" not in request:
+            continue  # a signal for a cell that has already been reaped
+        reason = fork_unavailable()
+        if reason is not None:
+            if not _send(1, {"refused": reason}):
+                return 0
+            continue
+        # a child inherits unflushed buffers and would flush them into
+        # its own captures
+        sys.stdout.flush()
+        sys.stderr.flush()
+        out_r, out_w = os.pipe()
+        err_r, err_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _warm_child(request["argv"], out_w, err_w, (out_r, err_r))
+        os.close(out_w)
+        os.close(err_w)
+        answered = _send(1, {"pid": pid})
+        status, out, err = _watch_cell(pid, out_r, err_r,
+                                       requests if answered else None)
+        answered = answered and _send(1, {
+            "status": status, "stdout": out.decode("latin-1"),
+            "stderr": err.decode("latin-1")})
+        if not answered or requests.eof:
+            return 0
+
+
+def _warm_child(argv, out_w, err_w, inherited):
+    """The forked cell; leaves through ``os._exit`` and never returns.
+
+    So it never runs the parent's loop, an atexit hook or a buffer it
+    inherited; it flushes only its own stdio, as an exiting interpreter
+    does.
+    """
+    status = 1
+    try:
+        os.setsid()
+        for fd in inherited:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_RDONLY)
+        for fd, target in ((null, 0), (out_w, 1), (err_w, 2)):
+            os.dup2(fd, target)
+            os.close(fd)
+        status = _exit_status(argv)
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _exit_status(argv):
+    """Run ``main(argv)``; returns the status a fresh interpreter would
+    exit with, printing the traceback of an uncaught exception."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except BaseException:
+        kind, exc, trace = sys.exc_info()
+        sys.excepthook(kind, exc, trace.tb_next)
+        return 1
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code
+    print(code, file=sys.stderr)
+    return 1
+
+
+def _signal_cell(pid, signum):
+    """Signal a warm child's whole group; before its ``setsid`` there is
+    no such group yet, and the child alone is all there is to signal."""
+    try:
+        os.killpg(pid, signum)
+    except ProcessLookupError:
+        try:
+            os.kill(pid, signum)
+        except OSError:
+            pass
+
+
+def _watch_cell(pid, out_r, err_r, requests):
+    """Drain a child's captures and relay signal requests to its group
+    until both captures are closed and the child has exited; returns
+    ``(status, stdout, stderr)``, the status as ``Popen.returncode``.
+
+    As with ``communicate()`` on an exec'd cell, a group member still
+    holding a capture keeps the cell running, and the child is reaped
+    only after both captures are closed, so no signal ever reaches a
+    reaped pid.
+    """
+    captured = {out_r: [], err_r: []}
+    open_fds = [out_r, err_r]
+    try:
+        exited = os.pidfd_open(pid)
+    except (AttributeError, OSError):
+        exited = None  # no pidfd here: poll for the exit
+    try:
+        while True:
+            while requests is not None:
+                message = requests.pop()
+                if message is None:
+                    break
+                if "signal" in message:
+                    _signal_cell(pid, message["signal"])
+            if not open_fds:
+                done, raw = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    return (os.waitstatus_to_exitcode(raw),
+                            b"".join(captured[out_r]),
+                            b"".join(captured[err_r]))
+            watch = list(open_fds)
+            if requests is not None and not requests.eof:
+                watch.append(requests.fd)
+            if not open_fds and exited is not None:
+                watch.append(exited)
+            poll = 0.005 if not open_fds and exited is None else None
+            for fd in _readable(watch, poll):
+                if fd in open_fds:
+                    chunk = os.read(fd, 1 << 16)
+                    if chunk:
+                        captured[fd].append(chunk)
+                    else:
+                        open_fds.remove(fd)
+                elif requests is not None and fd == requests.fd:
+                    requests.feed()
+    finally:
+        for fd in (out_r, err_r, exited):
+            if fd is not None:
+                os.close(fd)
+
+
+def _text(latin1):
+    """A capture as ``Popen(text=True)`` decodes it."""
+    return io.TextIOWrapper(io.BytesIO(latin1.encode("latin-1"))).read()
+
+
+class _WarmParent:
+    """The executor's end of one warm parent."""
+
+    def __init__(self, env):
+        self.env = env
+        self.proc = subprocess.Popen(
+            _runner_command("warm-parent"), env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+            start_new_session=True)
+        self.replies = _Lines(self.proc.stdout.fileno())
+        self.forks = 0
+
+    def _send(self, message):
+        if not _send(self.proc.stdin.fileno(), message):
+            raise EOFError("warm parent closed its stdin")
+
+    def _result(self, deadline):
+        """The cell's result, or ``None`` once ``deadline`` passes."""
+        while True:
+            reply = self.replies.next(deadline)
+            if reply is None or "pid" not in reply:
+                return reply
+
+    def run(self, argv, timeout, grace):
+        """One cell attempt: ``watched_run``'s tuple, or the parent's
+        reason for not forking it."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        timed_out = False
+        try:
+            self._send({"argv": argv})
+            reply = self.replies.next(deadline)
+            if reply is None:
+                return self._abandon("stopped answering", True)
+            if "refused" in reply:
+                return reply["refused"]
+            self.forks += 1
+            result = self._result(deadline)
+            timed_out = result is None
+            if timed_out:
+                self._send({"signal": int(signal.SIGTERM)})
+                result = self._result(time.monotonic() + max(0.1, grace))
+            if result is None:
+                self._send({"signal": int(signal.SIGKILL)})
+                result = self._result(time.monotonic() + _ANSWER_S)
+            if result is None:
+                return self._abandon("stopped answering", timed_out)
+        except (EOFError, OSError):
+            return self._abandon("died", timed_out)
+        except ValueError:
+            return self._abandon("sent an unreadable reply", timed_out)
+        except BaseException:
+            try:
+                self._send({"signal": int(signal.SIGKILL)})
+                self._result(time.monotonic() + _ANSWER_S)
+            except Exception:
+                pass
+            self._abandon("was interrupted")
+            raise
+        return (result["status"], _text(result["stdout"]),
+                _text(result["stderr"]), timed_out)
+
+    def _abandon(self, what, timed_out=False):
+        """Kill and reap this parent; the attempt fails, named."""
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.close()
+        return (self.proc.returncode or 1, "", f"warm parent {what} "
+                "mid-cell", timed_out)
+
+    def close(self):
+        """EOF on the parent's stdin, which ends it; then reap it."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        self.proc.wait()
+        self.proc.stdout.close()
+
+
+class WarmCells:
+    """A scope whose ``run-cell`` attempts fork from warm parents.
+
+    Inside it, :func:`watched_run` hands each of this runner's
+    ``run-cell`` commands to the calling thread's warm parent, started
+    at that thread's first cell with that cell's environment and
+    replaced when a cell's environment differs or the parent has died.
+    Leaving the scope ends and reaps every parent it started, so
+    nothing outlives it and their cells' usage reaches
+    ``RUSAGE_CHILDREN``.  The counts say how its attempts launched.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        #: executor thread ident -> its warm parent
+        self.parents = {}
+        self.attempts = 0
+        self.forked = 0
+        self.forked_by = set()
+        #: reason -> attempts exec'd for it
+        self.execd = {}
+        self._outer = None
+
+    def __enter__(self):
+        global _SCOPE
+        self._outer, _SCOPE = _SCOPE, self
+        return self
+
+    def __exit__(self, *exc_info):
+        global _SCOPE
+        _SCOPE = self._outer
+        with self.lock:
+            parents = list(self.parents.values())
+            self.parents.clear()
+        for parent in parents:
+            parent.close()
+
+    def _exec(self, reason):
+        with self.lock:
+            self.execd[reason] = self.execd.get(reason, 0) + 1
+
+    def run(self, argv, env, timeout, grace):
+        """One ``run-cell`` attempt forked from this thread's warm
+        parent; ``None`` when it must be exec'd instead."""
+        with self.lock:
+            self.attempts += 1
+        if not hasattr(os, "fork"):
+            self._exec("no os.fork")
+            return None
+        ident = threading.get_ident()
+        with self.lock:
+            parent = self.parents.get(ident)
+        if parent is not None and (parent.proc.poll() is not None
+                                   or parent.env != env):
+            parent.close()
+            parent = None
+        if parent is None:
+            parent = _WarmParent(env)
+            with self.lock:
+                self.parents[ident] = parent
+        forks = parent.forks
+        outcome = parent.run(argv, timeout, grace)
+        if isinstance(outcome, str):
+            self._exec(f"warm parent refused: {outcome}")
+            return None
+        if parent.forks > forks:
+            with self.lock:
+                self.forked += 1
+                self.forked_by.add(parent)
+        return outcome
+
+    def describe(self):
+        """How this scope's attempts were launched, for a say line."""
+        parts = [f"{self.forked} of {self.attempts} attempt(s) forked"
+                 + (f" from {len(self.forked_by)} warm parent(s)"
+                    if self.forked else "")]
+        parts += [f"{count} exec'd ({reason})"
+                  for reason, count in sorted(self.execd.items())]
+        return "; ".join(parts)
+
+
+#: the innermost open :class:`WarmCells` scope, or None
+_SCOPE = None
 
 
 def failure_detail(stdout, stderr, limit=200):
@@ -400,32 +825,35 @@ def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
                                              error=error)
 
     workers = resolve_jobs(jobs, len(pending))
-    if workers <= 1:
-        for key in pending:
-            payload, error, attempts = _attempt_cell(
-                experiment, key, scale, seed, timeout, retries, backoff,
-                say)
-            ran += 1
-            commit(key, payload, error, attempts)
-    elif pending:
-        # imported here: a run-cell subprocess never builds a pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(_attempt_cell, experiment, key, scale,
-                                 seed, timeout, retries, backoff, say)
-                for key in pending
-            }
-            # Journal commits happen here, in deterministic cell order:
-            # a cell that finishes early waits (buffered in its future)
-            # until every earlier cell has been committed, so the
-            # journal an interrupted run leaves behind is always an
-            # order-prefix of the sequential run's journal.
+    with WarmCells() as launches:
+        if workers <= 1:
             for key in pending:
-                payload, error, attempts = futures[key].result()
+                payload, error, attempts = _attempt_cell(
+                    experiment, key, scale, seed, timeout, retries,
+                    backoff, say)
                 ran += 1
                 commit(key, payload, error, attempts)
+        elif pending:
+            # imported here: a run-cell subprocess never builds a pool
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    key: pool.submit(_attempt_cell, experiment, key,
+                                     scale, seed, timeout, retries,
+                                     backoff, say)
+                    for key in pending
+                }
+                # Journal commits happen here, in deterministic cell
+                # order: a cell that finishes early waits (buffered in
+                # its future) until every earlier cell has been
+                # committed, so the journal an interrupted run leaves
+                # behind is always an order-prefix of the sequential
+                # run's journal.
+                for key in pending:
+                    payload, error, attempts = futures[key].result()
+                    ran += 1
+                    commit(key, payload, error, attempts)
 
     table, dropped_keys = assemble_table(experiment, scale, seed, cells)
     if dropped_keys:
@@ -461,7 +889,8 @@ def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
                           site="results.write", attempts=3,
                           verify=True)
         say(f"sweep {experiment}: {ran} cell(s) ran, {skipped} resumed "
-            f"from journal -> {out_path}")
+            f"from journal -> {out_path}"
+            + (f"; {launches.describe()}" if launches.attempts else ""))
     return SweepResult(experiment, scale, seed, table, keys, ran,
                        skipped, dropped_keys, journal_dropped,
                        pathlib.Path(out_path), deviations)
@@ -479,11 +908,9 @@ def _journal_records(path):
 
 
 def _sweep_command(experiment, scale, seed, journal, out, jobs=None):
-    command = [
-        sys.executable, "-m", "repro.evalx.runner", "sweep", experiment,
-        "--scale", str(scale), "--seed", str(seed), "--resume",
-        "--journal", str(journal), "--out", str(out),
-    ]
+    command = _runner_command(
+        "sweep", experiment, "--scale", str(scale), "--seed", str(seed),
+        "--resume", "--journal", str(journal), "--out", str(out))
     if jobs is not None:
         command += ["--jobs", str(jobs)]
     return command
@@ -687,6 +1114,10 @@ def main(argv=None):
     cell_p.add_argument("--seed", type=int, default=1)
     cell_p.add_argument("--attempt", type=int, default=0)
 
+    sub.add_parser("warm-parent",
+                   help="fork one run-cell per request read on stdin "
+                        "(internal)")
+
     smoke_p = sub.add_parser("smoke",
                              help="kill-and-resume chaos self-test")
     smoke_p.add_argument("--experiment", default="compression")
@@ -712,6 +1143,8 @@ def main(argv=None):
         from repro.trace.columnar import ENV_ENGINE
 
         os.environ[ENV_ENGINE] = args.engine
+    if args.command == "warm-parent":
+        return _warm_parent()
     if args.command == "run-cell":
         hooked = _maybe_hook_failures(args.experiment, args.key,
                                       args.attempt)

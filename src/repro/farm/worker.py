@@ -12,8 +12,9 @@ peer (or its respawned successor) reconstructs the exact situation:
 2. claim it under a TTL lease (:mod:`repro.farm.lease`) — breaking a
    stale lease *is* the steal that rescues a dead peer's cell;
 3. run the cell in a watched subprocess (the sweep runner's own
-   ``run-cell`` entry point, whole-process-group watchdog), renewing
-   the lease from a heartbeat thread every ``ttl/3`` seconds;
+   ``run-cell`` entry point, forked from the worker's warm parent,
+   whole-process-group watchdog), renewing the lease from a heartbeat
+   thread every ``ttl/3`` seconds;
 4. publish the outcome into the spool — success as
    ``<cell>.json`` (atomic write-then-rename; duplicate completions of
    a stolen cell write byte-identical payloads, so last-wins is
@@ -260,9 +261,17 @@ class FarmWorker:
     # -- the loop ------------------------------------------------------------
 
     def run(self):
-        """Work until every cell is resolved; returns 0."""
+        """Work until every cell is resolved; returns 0.
+
+        Cells fork from one warm parent (:class:`repro.evalx.runner.
+        WarmCells`), which is reaped before this returns.
+        """
         spool_dir(self.state_dir).mkdir(parents=True, exist_ok=True)
         lease_dir(self.state_dir).mkdir(parents=True, exist_ok=True)
+        with _runner.WarmCells() as launches:
+            return self._work(launches)
+
+    def _work(self, launches):
         while True:
             if self._orphaned():
                 self.say("supervisor is gone; exiting")
@@ -272,7 +281,8 @@ class FarmWorker:
                        if not self._resolved(key, state)]
             if state.order and not pending:
                 self.say(f"all {len(state.order)} cell(s) resolved; "
-                         f"ran {self.cells_run}, stole {self.steals}")
+                         f"ran {self.cells_run}, stole {self.steals}; "
+                         f"{launches.describe()}")
                 return 0
             claimed = False
             for key in pending:

@@ -30,11 +30,16 @@ When a :class:`repro.chaos.FaultPlane` is active, every write that
 names an injection ``site`` consults it first — this module is where
 torn renames, truncated writes, bit flips and ``ENOSPC``/``EIO`` are
 physically injected.
+
+:func:`fork_unavailable` is the one guard every ``os.fork`` in the
+repo consults: the resilience campaign's forked runs and the sweep
+runner's warm cell parents.
 """
 
 import errno
 import os
 import tempfile
+import threading
 
 from repro.chaos import plane as _chaos
 
@@ -141,3 +146,24 @@ def _fsync_directory(directory):
         pass
     finally:
         os.close(fd)
+
+
+def fork_unavailable():
+    """Why this process must not fork, or ``None`` if it may.
+
+    Forking a multi-threaded process can deadlock the child (Python
+    3.12 warns about it), so any second thread refuses the fork —
+    including threads :mod:`threading` does not know about, such as
+    NumPy's BLAS pool, which ``/proc/self/task`` shows where the OS
+    has it.  Callers fall back to their unforked path.
+    """
+    if not hasattr(os, "fork"):
+        return "no os.fork"
+    threads = threading.active_count()
+    try:
+        threads = max(threads, len(os.listdir("/proc/self/task")))
+    except OSError:
+        pass
+    if threads != 1:
+        return f"{threads} threads"
+    return None

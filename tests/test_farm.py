@@ -6,7 +6,8 @@ durable work queue under arbitrary claim/renew/expire/steal
 interleavings (hypothesis), the whole-group watchdog and seeded retry
 jitter satellites, and — the headline — a farm sweep producing output
 byte-identical to the sequential runner, including under poison-cell
-quarantine and chaos-armed lease paths.
+quarantine and chaos-armed lease paths.  Both the watchdog and the farm
+are also checked with warm cells, forked from a warm parent.
 """
 
 import io
@@ -309,6 +310,41 @@ class TestWatchedRun:
             time.sleep(0.05)
         return False
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="warm cells fork")
+    def test_group_kill_reaches_a_warm_cells_grandchildren(
+            self, tmp_path, cell_site):
+        """The same watchdog for a cell forked from a warm parent: its
+        whole session is SIGTERMed, then SIGKILLed after ``grace``."""
+        pidfile = tmp_path / "grandchild.pid"
+        grandchild = (
+            "import os,signal,time;"
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN);"
+            f"open({str(pidfile)!r},'w').write(str(os.getpid()));"
+            "time.sleep(120)"
+        )
+        cell_site(f"""
+            import subprocess, sys, time
+
+            if "warm-parent" in sys.orig_argv:
+                from repro.evalx import table1
+
+                def run_cell_rows(key, scale=1.0, seed=1):
+                    subprocess.Popen([sys.executable, "-c",
+                                      {grandchild!r}])
+                    time.sleep(120)
+
+                table1.run_cell_rows = run_cell_rows
+        """)
+        key = runner_mod.sweep_cells("table1")[0]
+        with runner_mod.WarmCells() as launches:
+            returncode, _, _, timed_out = runner_mod.watched_run(
+                runner_mod._cell_command("table1", key, SCALE, SEED, 0),
+                env=runner_mod._cell_env(), timeout=1.5, grace=0.3)
+        assert launches.forked == 1
+        assert timed_out
+        assert returncode != 0
+        assert self._dead_or_zombie(int(pidfile.read_text()), within=5.0)
+
     def test_fast_exit_is_not_timed_out(self):
         returncode, stdout, _, timed_out = runner_mod.watched_run(
             [sys.executable, "-c", "print('hi')"], timeout=30.0)
@@ -370,6 +406,39 @@ class TestFarmSweep:
         assert result.ok
         assert result.ran == len(result.keys)
         assert out.read_bytes() == ref_bytes
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="warm cells fork")
+    def test_farm_workers_fork_their_cells(self, tmp_path, cell_site):
+        """Every farm cell ran in a child of a worker's warm parent, and
+        the output still matches the sequential sweep byte for byte."""
+        ref_bytes = _sequential_reference(tmp_path)
+        log = tmp_path / "cells.log"
+        cell_site(f"""
+            import sys
+
+            if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+                from repro.evalx import compression
+
+                _rows = compression.run_cell_rows
+
+                def run_cell_rows(key, scale=1.0, seed=1):
+                    with open({str(log)!r}, "a") as handle:
+                        handle.write(repr(sys.orig_argv) + "\\n")
+                    return _rows(key, scale=scale, seed=seed)
+
+                compression.run_cell_rows = run_cell_rows
+        """)
+        out = tmp_path / "farm.json"
+        result = run_farm_sweep(
+            "compression", scale=SCALE, seed=SEED,
+            state_dir=tmp_path / "farm", out_path=out, workers=2,
+            lease_ttl=1.0)
+        assert result.ok
+        assert out.read_bytes() == ref_bytes
+        launched = log.read_text().splitlines()
+        assert len(launched) >= len(result.keys)
+        assert all("'warm-parent'" in argv and "'run-cell'" not in argv
+                   for argv in launched)
 
     def test_farm_engine_propagates_and_output_matches(self, tmp_path,
                                                        monkeypatch):

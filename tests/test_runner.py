@@ -3,11 +3,21 @@
 Covers the journal's corruption handling, resume-from-journal
 semantics, the loud-drop contract for failing cells, the wall-clock
 watchdog, and — the headline — kill-and-resume producing output
-byte-identical to an uninterrupted sweep.
+byte-identical to an uninterrupted sweep.  Warm cells (each forked
+from a warm parent) must write what exec'd cells write, fail in the
+same words, and leave no process behind.
 """
 
 import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import pytest
 
@@ -279,3 +289,366 @@ class TestParallelScheduler:
         assert partial.skipped == 2
         assert partial.ran == len(result.keys) - 2
         assert partial.table.to_dict() == result.table.to_dict()
+
+
+# -- warm cells --------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="warm cells fork")
+
+#: the launch clause of a sweep's closing line
+LAUNCHED = re.compile(r"(\d+) of (\d+) attempt\(s\) forked(?: from "
+                      r"(\d+) warm parent\(s\))?")
+
+
+def _launched(stream):
+    """``(forked, attempts)`` from a sweep's closing line."""
+    forked, attempts, _ = LAUNCHED.search(
+        stream.getvalue().splitlines()[-1]).groups()
+    return int(forked), int(attempts)
+
+
+def _sweep_exec_and_warm(tmp_path, monkeypatch, experiment,
+                         mode_env=lambda mode: {}, **kwargs):
+    """One sweep with every cell exec'd (``os.fork`` removed, so
+    ``watched_run`` execs) and again with warm cells, each under the
+    extra environment ``mode_env(mode)``; returns each run's
+    ``(journal bytes, output bytes)``.  Every warm attempt must have
+    been forked, so a guard that always execs fails here."""
+    found = {}
+    for mode in ("exec", "warm"):
+        stream = io.StringIO()
+        with monkeypatch.context() as patch:
+            if mode == "exec":
+                patch.delattr(os, "fork")
+            for name, value in mode_env(mode).items():
+                patch.setenv(name, value)
+            _sweep(tmp_path, experiment=experiment, stream=stream,
+                   journal_path=tmp_path / f"{mode}.jsonl",
+                   out_path=tmp_path / f"{mode}.json", **kwargs)
+        forked, attempts = _launched(stream)
+        assert attempts >= len(sweep_cells(experiment))
+        assert forked == (attempts if mode == "warm" else 0), \
+            stream.getvalue()
+        found[mode] = ((tmp_path / f"{mode}.jsonl").read_bytes(),
+                       (tmp_path / f"{mode}.json").read_bytes())
+    return found["exec"], found["warm"]
+
+
+#: logs, at the start of every compression cell, the chaos plane as the
+#: cell found it; a warm child must find it as fresh as an exec'd cell
+PLANE_LOG_SITE = """
+import os, sys
+
+if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+    from repro.chaos import plane
+    from repro.evalx import compression
+
+    _rows = compression.run_cell_rows
+
+    def run_cell_rows(key, scale=1.0, seed=1):
+        with open(os.environ["PLANE_LOG"], "a") as handle:
+            handle.write(repr((key, sorted(vars(plane.ACTIVE).items())))
+                         + "\\n")
+        return _rows(key, scale=scale, seed=seed)
+
+    compression.run_cell_rows = run_cell_rows
+"""
+
+#: leaves bytes unflushed in the warm parent's stderr buffer (with
+#: PYTHONUNBUFFERED unset); a cell must never print them
+LEFTOVER_SITE = """
+import sys
+
+if "warm-parent" in sys.orig_argv:
+    sys.stderr.write("LEFTOVER-IN-THE-PARENT")
+"""
+
+#: the first table1 cell attempt parks in ``run_cell_rows`` for a
+#: while, after leaving its pid in MARKER
+SLOW_FIRST_SITE = """
+import os, sys, time
+
+if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+    from repro.evalx import table1
+
+    _rows = table1.run_cell_rows
+
+    def run_cell_rows(key, scale=1.0, seed=1):
+        marker = os.environ["MARKER"]
+        if not os.path.exists(marker):
+            with open(marker, "w") as handle:
+                handle.write(str(os.getpid()))
+            time.sleep(2.0)
+        return _rows(key, scale=scale, seed=seed)
+
+    table1.run_cell_rows = run_cell_rows
+"""
+
+
+#: gives the warm parent a second thread, so it must refuse to fork
+THREAD_SITE = """
+import sys, threading, time
+
+if "warm-parent" in sys.orig_argv:
+    threading.Thread(target=time.sleep, args=(3600,), daemon=True).start()
+"""
+
+
+@needs_fork
+class TestWarmCells:
+    @pytest.mark.parametrize("experiment", ["compression", "table1",
+                                            "resilience", "chaos"])
+    def test_sweep_matches_exec_at_the_golden_point(self, tmp_path,
+                                                    monkeypatch,
+                                                    experiment):
+        exec_run, warm_run = _sweep_exec_and_warm(
+            tmp_path, monkeypatch, experiment, scale=0.35, seed=11,
+            jobs=2)
+        assert warm_run == exec_run
+
+    def test_chaos_armed_sweep_matches_exec(self, tmp_path, monkeypatch,
+                                            cell_site):
+        """The same injected faults, retries and plane state per cell;
+        a parent that consumed a token before forking would hand its
+        children a used plane."""
+        from repro.chaos import plane
+
+        cell_site(PLANE_LOG_SITE)
+        monkeypatch.setenv(plane.ENV_SEED, "11")
+        exec_run, warm_run = _sweep_exec_and_warm(
+            tmp_path, monkeypatch, "compression", scale=0.2, seed=7,
+            jobs=2, mode_env=lambda mode: {
+                "PLANE_LOG": str(tmp_path / f"{mode}-plane.log"),
+                "REPRO_TRACE_CACHE": str(tmp_path / f"{mode}-cache")})
+        assert warm_run == exec_run
+        assert b'"attempts":2' in warm_run[0]  # a crashed cell's retry
+        plane_logs = [sorted((tmp_path / f"{mode}-plane.log")
+                             .read_text().splitlines())
+                      for mode in ("exec", "warm")]
+        assert plane_logs[0] and plane_logs[1] == plane_logs[0]
+
+    # -- failure shapes: the journal's error field, byte for byte
+
+    @staticmethod
+    def _attempt_exec_and_warm(key, timeout=None, experiment="table1"):
+        """One attempt exec'd outside any scope, then forked inside
+        one; returns both ``(payload, journal error)`` pairs."""
+        exec_attempt = runner_mod._run_cell_subprocess(
+            experiment, key, SCALE, SEED, 0, timeout)
+        with runner_mod.WarmCells() as launches:
+            warm_attempt = runner_mod._run_cell_subprocess(
+                experiment, key, SCALE, SEED, 0, timeout)
+        assert (launches.forked, launches.attempts) == (1, 1)
+        return exec_attempt, warm_attempt
+
+    @pytest.fixture
+    def leftover(self, monkeypatch, cell_site):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        cell_site(LEFTOVER_SITE)
+
+    @pytest.mark.usefixtures("leftover")
+    def test_failure_hook_error_matches_exec(self, monkeypatch):
+        key = sweep_cells("table1")[0]
+        monkeypatch.setenv(runner_mod.FAIL_CELLS_ENV, f"{key}:1")
+        exec_attempt, warm_attempt = self._attempt_exec_and_warm(key)
+        assert warm_attempt == exec_attempt
+        assert warm_attempt[1].startswith("exit status 1: stderr: "
+                                          "injected failure")
+
+    @pytest.mark.usefixtures("leftover")
+    def test_hang_hook_error_and_partial_output_match_exec(
+            self, monkeypatch):
+        key = sweep_cells("table1")[0]
+        monkeypatch.setenv(runner_mod.HANG_CELLS_ENV, key)
+        exec_attempt, warm_attempt = self._attempt_exec_and_warm(
+            key, timeout=1.0)
+        assert warm_attempt == exec_attempt
+        assert warm_attempt[1].startswith("watchdog: cell exceeded 1.0s")
+        assert "partial output: stdout: injected hang" in warm_attempt[1]
+
+    @pytest.mark.usefixtures("leftover")
+    def test_uncaught_exception_error_matches_exec(self, monkeypatch):
+        key = sweep_cells("table1")[0]
+        monkeypatch.setenv(runner_mod.FAIL_CELLS_ENV, f"{key}:many")
+        exec_attempt, warm_attempt = self._attempt_exec_and_warm(key)
+        assert warm_attempt == exec_attempt
+        assert warm_attempt[1].startswith("exit status 1: stderr: ")
+        assert warm_attempt[1].endswith(
+            "ValueError: invalid literal for int() with base 10: 'many'")
+
+    @pytest.mark.usefixtures("leftover")
+    def test_chaos_process_faults_match_exec(self, monkeypatch):
+        from repro.chaos import plane
+
+        # seed 12 crashes Gamteb, hangs ZipFile and slows DTW
+        monkeypatch.setenv(plane.ENV_SEED, "12")
+        monkeypatch.setenv(plane.ENV_KINDS, "crash,hang,slow")
+        outcomes = {}
+        for key in ("Gamteb", "ZipFile", "DTW"):
+            exec_attempt, warm_attempt = self._attempt_exec_and_warm(
+                key, timeout=1.0)
+            assert warm_attempt == exec_attempt
+            outcomes[key] = warm_attempt
+        assert "chaos[crash]" in outcomes["Gamteb"][1]
+        assert "chaos[hang]" in outcomes["ZipFile"][1]
+        assert outcomes["DTW"][1] is None and outcomes["DTW"][0]["rows"]
+
+    def test_parent_with_a_thread_refuses_and_the_cell_is_execd(
+            self, cell_site):
+        cell_site(THREAD_SITE)
+        key = sweep_cells("table1")[0]
+        exec_attempt = runner_mod._run_cell_subprocess(
+            "table1", key, SCALE, SEED, 0, None)
+        with runner_mod.WarmCells() as launches:
+            refused_attempt = runner_mod._run_cell_subprocess(
+                "table1", key, SCALE, SEED, 0, None)
+        assert refused_attempt == exec_attempt
+        assert exec_attempt[1] is None
+        assert launches.describe() == ("0 of 1 attempt(s) forked; 1 exec'd "
+                                       "(warm parent refused: 2 threads)")
+
+    # -- lifetime
+
+    def test_dead_parent_fails_one_attempt_and_the_retry_runs(
+            self, tmp_path, monkeypatch, cell_site):
+        """SIGKILL a warm parent mid-cell: that attempt fails, named,
+        and the retry succeeds on a new parent."""
+        key = sweep_cells("table1")[0]
+        monkeypatch.setattr(runner_mod, "sweep_cells",
+                            lambda experiment: [key])
+        marker = tmp_path / "marker"
+        cell_site(SLOW_FIRST_SITE)
+        monkeypatch.setenv("MARKER", str(marker))
+        stream = io.StringIO()
+        done = {}
+        sweep = threading.Thread(target=lambda: done.setdefault(
+            "result", _sweep(tmp_path, jobs=1, retries=1, stream=stream)))
+        sweep.start()
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        parents = [parent.proc.pid
+                   for parent in runner_mod._SCOPE.parents.values()]
+        assert len(parents) == 1
+        os.kill(parents[0], signal.SIGKILL)
+        sweep.join(timeout=60)
+        assert done["result"].ok
+        _, cells, _ = Journal(tmp_path / "sweep.jsonl").load()
+        assert cells[key]["attempts"] == 2
+        assert (f"cell {key}: attempt 1 failed (exit status -9: stderr: "
+                "warm parent died mid-cell)") in stream.getvalue()
+        assert "2 of 2 attempt(s) forked from 2 warm parent(s)" \
+            in stream.getvalue()
+
+    def test_changed_environment_gets_a_new_parent(self, tmp_path,
+                                                   monkeypatch):
+        """A cell never runs on a parent started under another
+        environment: not within one scope, nor in a later sweep."""
+        keys = sweep_cells("table1")[:2]
+        monkeypatch.delenv(runner_mod.FAIL_CELLS_ENV, raising=False)
+        with runner_mod.WarmCells() as launches:
+            first = runner_mod._run_cell_subprocess(
+                "table1", keys[0], SCALE, SEED, 0, None)
+            monkeypatch.setenv(runner_mod.FAIL_CELLS_ENV, f"{keys[0]}:99")
+            second = runner_mod._run_cell_subprocess(
+                "table1", keys[0], SCALE, SEED, 0, None)
+        assert first[1] is None
+        assert second[1].startswith("exit status 1: stderr: injected")
+        assert launches.forked == 2 and len(launches.forked_by) == 2
+
+        monkeypatch.setattr(runner_mod, "sweep_cells",
+                            lambda experiment: list(keys))
+        monkeypatch.delenv(runner_mod.FAIL_CELLS_ENV)
+        assert _sweep(tmp_path, journal_path=tmp_path / "1.jsonl",
+                      out_path=tmp_path / "1.json").ok
+        monkeypatch.setenv(runner_mod.FAIL_CELLS_ENV, f"{keys[1]}:99")
+        again = _sweep(tmp_path, retries=0,
+                       journal_path=tmp_path / "2.jsonl",
+                       out_path=tmp_path / "2.json")
+        assert again.dropped_keys == [keys[1]]
+
+    def test_no_child_outlives_a_sweep(self, tmp_path):
+        code = textwrap.dedent(f"""
+            import os
+            from repro.evalx import runner
+
+            keys = runner.sweep_cells("table1")[:3]
+            runner.sweep_cells = lambda experiment: keys
+            result = runner.run_sweep(
+                "table1", scale={SCALE!r}, seed={SEED!r}, jobs=2,
+                journal_path={str(tmp_path / "s.jsonl")!r},
+                out_path={str(tmp_path / "s.json")!r})
+            assert result.ok
+            try:
+                print("child left:", os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                print("no child left")
+        """)
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=runner_mod._cell_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "no child left"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="finds the warm parents through /proc")
+    def test_parents_of_a_killed_sweep_exit_after_their_cells(
+            self, tmp_path, monkeypatch, cell_site):
+        marker = tmp_path / "marker"
+        cell_site(SLOW_FIRST_SITE)
+        monkeypatch.setenv("MARKER", str(marker))
+        proc = subprocess.Popen(
+            runner_mod._runner_command(
+                "sweep", "table1", "--scale", str(SCALE), "--seed",
+                str(SEED), "--jobs", "2", "--journal",
+                str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "s.json")),
+            env=runner_mod._cell_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            parents = _warm_parents_of(proc.pid)
+            assert parents
+        finally:
+            proc.kill()
+            proc.wait()
+        cell = int(marker.read_text())
+        assert not _gone(cell, within=0.5)  # the cell runs on ...
+        for pid in parents + [cell]:  # ... then it and its parent end
+            assert _gone(pid, within=20.0)
+
+
+def _warm_parents_of(pid):
+    """Pids of the live warm parents whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid and b"warm-parent" in argv:
+            found.append(int(entry))
+    return found
+
+
+def _gone(pid, within):
+    """True once ``pid`` is dead or a zombie, polling for ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                if handle.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except (OSError, IndexError):
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+

@@ -12,8 +12,14 @@ and the compiler, and ``run_sweep(jobs=2)`` builds its pool.
 The pytest process has loaded most of these modules already, so every
 check runs in a subprocess with a private trace cache.  The checks
 compare module sets, never times.
+
+A warm parent, which forks the runner's cells, does a ``run-cell``'s
+imports once; before its first fork it may hold no module that such a
+cell does not load, and whatever a cell loads on use (NumPy under the
+oracle) loads in the forked child only.
 """
 
+import contextlib
 import importlib.util
 import json
 import os
@@ -200,3 +206,81 @@ def test_parallel_sweep_still_runs_its_pool(tmp_path):
     assert found["threads"]
     assert all(name.startswith("ThreadPoolExecutor")
                for name in found["threads"])
+
+
+#: logs the modules of each exec'd ``run-cell`` as it exits, and those
+#: of a warm parent as it forks and of its child as it leaves
+MODULE_LOG_SITE = """
+import atexit, json, os, sys
+
+def _dump(where):
+    with open(os.environ["MODULE_LOG"], "a") as handle:
+        handle.write(json.dumps([where, sorted(sys.modules)]) + "\\n")
+
+if "run-cell" in sys.orig_argv:
+    atexit.register(_dump, "run-cell")
+if "warm-parent" in sys.orig_argv:
+    _fork, _exit = os.fork, os._exit
+
+    def fork():
+        _dump("fork")
+        return _fork()
+
+    def leave(status):
+        _dump("child")
+        _exit(status)
+
+    os.fork, os._exit = fork, leave
+"""
+
+
+def _module_log(tmp_path, engine, commands, warm):
+    """Run ``commands`` as cells, warm or exec'd, on a private cache,
+    with :data:`MODULE_LOG_SITE` installed; returns ``{where: [module
+    set, ...]}`` from the module log."""
+    log = tmp_path / "modules.log"
+    env = {key: value for key, value in runner._cell_env().items()
+           if not key.startswith("REPRO_")}
+    env.update(REPRO_TRACE_CACHE=str(tmp_path / "cache"),
+               REPRO_REPLAY_ENGINE=engine, MODULE_LOG=str(log))
+    scope = runner.WarmCells()
+    with scope if warm else contextlib.nullcontext():
+        for command in commands:
+            returncode, _, stderr, _ = runner.watched_run(command, env=env)
+            assert returncode == 0, stderr[-2000:]
+    assert scope.forked == (len(commands) if warm else 0)
+    found = {}
+    for line in log.read_text().splitlines():
+        where, modules = json.loads(line)
+        found.setdefault(where, []).append(set(modules))
+    log.unlink()
+    return found
+
+
+def test_warm_parent_loads_nothing_a_cell_does_not(tmp_path, cell_site):
+    cell_site(MODULE_LOG_SITE)
+    commands = [runner._cell_command(experiment,
+                                     runner.sweep_cells(experiment)[0],
+                                     SCALE, 1, 0)
+                for experiment in CELL_EXPERIMENTS]
+    cells = _module_log(tmp_path, "event", commands, warm=False)
+    warm = _module_log(tmp_path, "event", commands, warm=True)
+    assert len(cells["run-cell"]) == len(CELL_EXPERIMENTS)
+    first_fork = warm["fork"][0]
+    assert not first_fork & set(LAZY)
+    assert first_fork <= set.intersection(*cells["run-cell"])
+    assert all(not child & set(LAZY) for child in warm["child"])
+
+
+@needs_numpy
+def test_oracle_loads_numpy_in_the_warm_child_only(tmp_path, cell_site):
+    """A planned cell (fig10 serves from a capacity plan) loads NumPy;
+    its warm parent still has none when it forks the next cell."""
+    cell_site(MODULE_LOG_SITE)
+    commands = [runner._cell_command("fig10", runner.GENERIC_CELL, SCALE,
+                                     1, attempt) for attempt in (0, 1)]
+    warm = _module_log(tmp_path, "oracle", commands, warm=True)
+    assert len(warm["fork"]) == 2
+    assert all("numpy" not in parent for parent in warm["fork"])
+    assert all("numpy" in child for child in warm["child"])
+
