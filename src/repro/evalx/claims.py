@@ -11,7 +11,7 @@ from repro.core import (
     SEGMENT_HW_COSTS,
     speedup,
 )
-from repro.evalx.common import run_pair
+from repro.evalx.common import run_pair_totals
 from repro.evalx.tables import ExperimentTable
 from repro.hw import (
     access_time_penalty,
@@ -22,17 +22,6 @@ from repro.hw import (
 from repro.workloads import PARALLEL_WORKLOADS, SEQUENTIAL_WORKLOADS
 
 
-def _aggregate(classes, scale, seed, num_registers=None):
-    nsf_total = seg_total = None
-    for workload_cls in classes:
-        workload = workload_cls()
-        nsf, seg = run_pair(workload, scale=scale, seed=seed,
-                            num_registers=num_registers)
-        nsf_total = nsf if nsf_total is None else nsf_total + nsf
-        seg_total = seg if seg_total is None else seg_total + seg
-    return nsf_total, seg_total
-
-
 def run(scale=1.0, seed=1):
     table = ExperimentTable(
         experiment="Conclusions",
@@ -41,8 +30,15 @@ def run(scale=1.0, seed=1):
         notes="'Holds' verifies the claim's direction/shape, not the "
               "absolute value",
     )
-    seq_nsf, seq_seg = _aggregate(SEQUENTIAL_WORKLOADS, scale, seed)
-    par_nsf, par_seg = _aggregate(PARALLEL_WORKLOADS, scale, seed)
+    # each class at its default budget, and the sequential one at Fig
+    # 14's 128 registers for claim 4
+    (seq_nsf, seq_seg), (par_nsf, par_seg), (seq_nsf128, seq_seg128) = (
+        run_pair_totals([[(cls(), budget) for cls in classes]
+                         for classes, budget in (
+                             (SEQUENTIAL_WORKLOADS, None),
+                             (PARALLEL_WORKLOADS, None),
+                             (SEQUENTIAL_WORKLOADS, 128))],
+                        scale=scale, seed=seed))
 
     # 1. More active data than a same-size conventional file.
     seq_gain = (seq_nsf.utilization_avg / seq_seg.utilization_avg - 1
@@ -83,8 +79,6 @@ def run(scale=1.0, seed=1):
     )
 
     # 4. Execution speedup (vs hardware-assisted segmented, Fig 14).
-    seq_nsf128, seq_seg128 = _aggregate(SEQUENTIAL_WORKLOADS, scale, seed,
-                                        num_registers=128)
     seq_speed = speedup(SEGMENT_HW_COSTS.total_cycles(seq_seg128),
                         NSF_COSTS.total_cycles(seq_nsf128))
     par_speed = speedup(SEGMENT_HW_COSTS.total_cycles(par_seg),

@@ -24,10 +24,18 @@ start state) pair is replayed at most once per process: the figures
 read different statistics off the same cells, and every repeat gets
 the first replay's complete end state back through the snapshot
 protocol (see :func:`_replay_event`).
+
+An experiment that drives many models hands them to :func:`run_cells`
+in one batch, which computes the replays and oracle scans its memos
+lack in forked children on every CPU the process may use, then serves
+each cell in-process exactly as :func:`run_workload` would have.
 """
 
+import collections
 import hashlib
 import marshal
+import os
+import threading
 from contextlib import contextmanager
 
 from repro.core import (
@@ -37,10 +45,29 @@ from repro.core import (
     RegFileStats,
     SegmentedRegisterFile,
 )
+from repro.core.compress import (
+    CODECS,
+    CompressedSpillPort,
+    CompressingBackingStore,
+)
+from repro.ioutil import (
+    fork_unavailable,
+    kill_and_reap,
+    read_reply,
+    reply_and_exit,
+)
 from repro.trace import cache as trace_cache, lru
 from repro.trace.columnar import replay_columnar, selected_engine
 from repro.trace.events import Trace
-from repro.trace.oracle import replay_oracle, serve_from_tables
+from repro.trace.oracle import (
+    closed_form_serves,
+    merge_tables,
+    replay_oracle,
+    scan_siblings,
+    scan_tables,
+    serve_from_tables,
+    table_request,
+)
 from repro.trace.replay import replay
 
 SEQ_REGISTERS = 80
@@ -157,6 +184,31 @@ def _result_key(trace, model):
             _start_state(model))
 
 
+def _travels(model):
+    """True when ``model.capture()`` round-trips everything a replay
+    changes, so a forked child may drive it and ship its end state
+    back: an exact class of the memo's allowlist over a plain backing
+    store, or over a compressing store whose codecs are all built in
+    and whose own backing is plain."""
+    if type(model) not in _MEMO_MODELS:
+        return False
+    backing = model.backing
+    if type(backing) is BackingStore:
+        return True
+    return (type(backing) is CompressingBackingStore
+            and type(backing.inner) is BackingStore
+            and type(backing.port) is CompressedSpillPort
+            and all(type(codec) in CODECS
+                    for codec in (backing.port.codec,)
+                    + backing.port.shadows))
+
+
+def _remember(key, end):
+    """Memoize one replay's marshalled end state (a counted miss)."""
+    RESULT_STATS.misses += 1
+    lru.put(_RESULT_MEMO, key, end, _RESULT_MEMO_LIMIT)
+
+
 def _replay_event(trace, model):
     """Event replay, each distinct (trace, start state) once per process.
 
@@ -173,10 +225,8 @@ def _replay_event(trace, model):
         return replay(trace, model, verify=False)
     end = lru.get(_RESULT_MEMO, key)
     if end is None:
-        RESULT_STATS.misses += 1
         replay(trace, model, verify=False)
-        lru.put(_RESULT_MEMO, key, marshal.dumps(model.capture()),
-                _RESULT_MEMO_LIMIT)
+        _remember(key, marshal.dumps(model.capture()))
     else:
         RESULT_STATS.hits += 1
         model.restore(marshal.loads(end))
@@ -201,11 +251,54 @@ def _replay(trace, model, shared=True):
     if engine == "columnar":
         return replay_columnar(trace, model)
     if engine == "oracle":
-        if _PLAN and serve_from_tables(trace, model,
-                                       _PLAN[-1] if shared else ()):
+        capacities = _plan_for(shared)
+        if (capacities is not None
+                and serve_from_tables(trace, model, capacities)):
             return model
         return replay_oracle(trace, model)
     return _replay_event(trace, model)
+
+
+def _plan_for(shared):
+    """The register budgets the oracle serves a cell at: the innermost
+    :func:`capacity_plan`'s, ``()`` for a trace no other configuration
+    shares (its own capacity only), ``None`` outside any plan."""
+    if not _PLAN:
+        return None
+    return _PLAN[-1] if shared else ()
+
+
+class _Cell:
+    """One cell whose trace is resolved and whose replay is pending."""
+
+    __slots__ = ("workload", "model", "scale", "seed", "trace", "shared",
+                 "done", "error")
+
+    def __init__(self, workload, model, scale, seed, trace, shared):
+        self.workload = workload
+        self.model = model
+        self.scale = scale
+        self.seed = seed
+        self.trace = trace
+        self.shared = shared
+        #: a fanned-out job already left the model in its end state
+        self.done = False
+        #: what that job raised in this process instead
+        self.error = None
+
+    def drive(self):
+        """Replay the trace onto the model, as :func:`run_workload`
+        does (same engine, same last rung)."""
+        try:
+            _replay(self.trace, self.model, shared=self.shared)
+        except OSError:
+            self.workload.run(self.model, scale=self.scale,
+                              seed=self.seed)
+
+
+#: per thread, the pending cells of the innermost open
+#: :func:`run_cells` batch (absent outside one)
+_BATCH = threading.local()
 
 
 def run_workload(workload, model, scale=1.0, seed=1):
@@ -227,6 +320,9 @@ def run_workload(workload, model, scale=1.0, seed=1):
     by construction.  A cell therefore only ever surfaces an error in
     the journal when the computation itself fails, never because the
     disk lied.
+
+    Inside :func:`run_cells` the trace is resolved here as always, and
+    the replay is left to the batch.
     """
     if not trace_cache.enabled():
         workload.run(model, scale=scale, seed=seed)
@@ -235,32 +331,365 @@ def run_workload(workload, model, scale=1.0, seed=1):
         if workload.trace_stable:
             trace = trace_cache.load_or_record(workload, scale=scale,
                                                seed=seed)
-            _replay(trace, model)
-            return model
-        trace = trace_cache.load_for_model(workload, model, scale=scale,
-                                           seed=seed)
-        if trace is not None:
-            _replay(trace, model, shared=False)
         else:
-            trace_cache.record_through(workload, model, scale=scale,
-                                       seed=seed)
-        return model
+            trace = trace_cache.load_for_model(workload, model,
+                                               scale=scale, seed=seed)
+            if trace is None:
+                trace_cache.record_through(workload, model, scale=scale,
+                                           seed=seed)
+                return model
     except OSError:
         # the cache's own retries/quarantine already failed: last rung
         workload.run(model, scale=scale, seed=seed)
         return model
+    cell = _Cell(workload, model, scale, seed, trace,
+                 workload.trace_stable)
+    pending = getattr(_BATCH, "cells", None)
+    if pending is None:
+        cell.drive()
+    else:
+        pending.append(cell)
+    return model
 
 
-def run_pair(workload, scale=1.0, seed=1, num_registers=None,
-             nsf_kwargs=None, seg_kwargs=None):
-    """Run one workload on a fresh NSF and segmented file; return stats.
+# -- fanning a batch of cells out over the CPUs ------------------------------
 
-    One recorded execution feeds both models (and every other cell that
-    asks for the same ``(workload, scale, seed)``)."""
-    nsf = make_nsf(workload, num_registers=num_registers,
-                   **(nsf_kwargs or {}))
-    seg = make_segmented(workload, num_registers=num_registers,
-                         **(seg_kwargs or {}))
-    run_workload(workload, nsf, scale=scale, seed=seed)
-    run_workload(workload, seg, scale=scale, seed=seed)
-    return nsf.stats, seg.stats
+
+class FanoutStats:
+    """Process-local account of :func:`run_cells` batches.
+
+    ``forked`` counts jobs a child computed and the parent merged,
+    ``parent`` the jobs the parent computed itself, and ``refused``
+    maps each reason a batch with jobs did not fork to its count.  A
+    job whose child failed is neither: its cell replays in-process.
+    """
+
+    __slots__ = ("batches", "forked", "parent", "refused")
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.batches = self.forked = self.parent = 0
+        self.refused = {}
+
+    def summary(self):
+        line = (f"{self.forked} of {self.forked + self.parent} cell "
+                f"job(s) forked in {self.batches} batch(es)")
+        if self.refused:
+            line += "; not forked: " + ", ".join(
+                f"{reason} ({count}x)"
+                for reason, count in self.refused.items())
+        return line
+
+
+FANOUT = FanoutStats()
+
+#: job indices the pre-filled queue pipe takes without blocking (4 KiB,
+#: within every pipe's capacity); later jobs replay in-process
+_QUEUE_LIMIT = 1024
+
+
+def run_cells(cells, scale=1.0, seed=1):
+    """Drive every ``(workload, model)`` cell of one experiment.
+
+    Leaves each model exactly as :func:`run_workload` on each cell in
+    order would, in four steps:
+
+    1. resolve every cell's trace in order, in this process, through
+       :func:`run_workload` itself, so recording, publishing,
+       quarantine, the chaos plane's draws and the cache log happen
+       once and in the serial order;
+    2. ask the selected engine what the cells lack: a result-memo
+       entry under ``event``, a table scan or a fallback replay under
+       ``oracle`` (``columnar`` has nothing to fan out);
+    3. compute those jobs in forked children on every CPU this process
+       may use, the parent taking jobs too, and merge the end states
+       and tables they send back into the memos;
+    4. serve every cell in order: a memo hit or a table hit, or the
+       plain serial path for anything no job covered.
+
+    Where forking is refused (a second thread, one CPU) step 3 is
+    skipped and step 4 is the serial pass itself.  A job a child could
+    not finish (it died, was killed or raised) is left to step 4,
+    which runs it here, so a failure never changes a number or an
+    error.  If resolving a cell raises, the cells before it are driven
+    first, as a serial pass would have, and nothing forks.
+    """
+    FANOUT.batches += 1
+    outer = getattr(_BATCH, "cells", None)
+    _BATCH.cells = pending = []
+    try:
+        for workload, model in cells:
+            run_workload(workload, model, scale=scale, seed=seed)
+    except Exception:
+        for cell in pending:
+            cell.drive()
+        raise
+    finally:
+        _BATCH.cells = outer
+    _fan_out(_jobs(pending))
+    for cell in pending:
+        if cell.error is not None:
+            raise cell.error
+        if not cell.done:
+            cell.drive()
+
+
+def run_pairs(pairs, scale=1.0, seed=1):
+    """One fresh NSF and segmented file per ``(workload, register
+    budget)`` pair, all driven in one :func:`run_cells` batch; returns
+    their ``(nsf stats, segmented stats)`` in pair order.  A budget of
+    ``None`` is the workload's default."""
+    models = [(workload,
+               make_nsf(workload, num_registers=budget),
+               make_segmented(workload, num_registers=budget))
+              for workload, budget in pairs]
+    run_cells([(workload, model) for workload, nsf, seg in models
+               for model in (nsf, seg)], scale=scale, seed=seed)
+    return [(nsf.stats, seg.stats) for _, nsf, seg in models]
+
+
+def run_pair_totals(groups, scale=1.0, seed=1):
+    """:func:`run_pairs` over every group of pairs in one batch;
+    returns each group's summed ``(nsf stats, segmented stats)``."""
+    pairs = iter(run_pairs([pair for group in groups for pair in group],
+                           scale=scale, seed=seed))
+    totals = []
+    for group in groups:
+        nsf_total = seg_total = None
+        for _ in group:
+            nsf, seg = next(pairs)
+            nsf_total = nsf if nsf_total is None else nsf_total + nsf
+            seg_total = seg if seg_total is None else seg_total + seg
+        totals.append((nsf_total, seg_total))
+    return totals
+
+
+class _Job:
+    """One unit of fanned-out work.
+
+    A replay job drives its cell's model (``kind`` ``"event"`` through
+    the scalar loop, ``"oracle"`` through :func:`replay_oracle`); a
+    scan job (``kind`` ``"scan"``, no cell) prices ``units`` of one
+    design family for the trace digest ``key``.  A replay job's
+    ``key`` is its result-memo key, or ``None`` for a model the memo
+    never holds.
+    """
+
+    __slots__ = ("kind", "cell", "key", "trace", "family", "units")
+
+    def __init__(self, kind, cell, key, trace, family=None, units=None):
+        self.kind = kind
+        self.cell = cell
+        self.key = key
+        self.trace = trace
+        self.family = family
+        self.units = units
+
+
+def _jobs(cells):
+    """The jobs the selected engine's memos lack for ``cells``.
+
+    A model that several cells drive gets no job: only its first cell
+    starts from the state planning sees, so all of them are served in
+    order instead.
+    """
+    engine = selected_engine()
+    models = collections.Counter(id(cell.model) for cell in cells)
+    cells = [cell for cell in cells if models[id(cell.model)] == 1]
+    jobs = []
+    if engine == "event":
+        keys = set()
+        for cell in cells:
+            key = _result_key(cell.trace, cell.model)
+            if key is None:
+                if _travels(cell.model):
+                    jobs.append(_Job("event", cell, None, cell.trace))
+            elif key not in _RESULT_MEMO and key not in keys:
+                keys.add(key)
+                jobs.append(_Job("event", cell, key, cell.trace))
+    elif engine == "oracle":
+        scans = {}
+        for cell in cells:
+            trace, model = cell.trace, cell.model
+            if closed_form_serves(trace, model):
+                continue
+            capacities = _plan_for(cell.shared)
+            request = (None if capacities is None
+                       else table_request(trace, model, capacities))
+            if request is None:
+                if _travels(model):
+                    jobs.append(_Job("oracle", cell, None, trace))
+                continue
+            key, family, _, missing = request
+            if missing:
+                # one scan per trace and sibling families covers every
+                # capacity the plan asks for; a trace no other
+                # configuration shares is scanned per capacity, as a
+                # serial pass scans it
+                group = (key, scan_siblings(family),
+                         () if cell.shared else tuple(missing))
+                if group not in scans:
+                    scans[group] = _Job("scan", None, key, trace, family,
+                                        set())
+                    jobs.append(scans[group])
+                scans[group].units.update(missing)
+    return jobs
+
+
+def _compute(job):
+    """Run ``job``'s serial function here; returns a scan's tables."""
+    if job.kind == "scan":
+        return scan_tables(job.trace, job.family, sorted(job.units))
+    if job.kind == "event":
+        replay(job.trace, job.cell.model, verify=False)
+    else:
+        replay_oracle(job.trace, job.cell.model)
+    return None
+
+
+def _run_here(job):
+    """Compute ``job`` in this process and keep its result.
+
+    A job that raises is not retried here: a scan is rerun by the
+    first cell that needs it, and a replay's error is raised when the
+    batch reaches its cell (its model is left half driven), so the
+    error a batch raises is the one a serial pass would.
+    """
+    FANOUT.parent += 1
+    try:
+        tables = _compute(job)
+    except Exception as exc:
+        if job.cell is not None:
+            job.cell.error = exc
+        return
+    if job.kind == "scan":
+        merge_tables(job.key, job.family, tables)
+        return
+    if job.key is not None:
+        _remember(job.key, marshal.dumps(job.cell.model.capture()))
+    job.cell.done = True
+
+
+def _merge(job, reply):
+    """Keep what a child computed for ``job``."""
+    FANOUT.forked += 1
+    if job.kind == "scan":
+        merge_tables(job.key, job.family, reply)
+        return
+    if job.key is not None:
+        _remember(job.key, reply)
+    job.cell.model.restore(marshal.loads(reply))
+    job.cell.done = True
+
+
+def _take(queue):
+    """Job indices from the shared queue pipe until it runs dry."""
+    while True:
+        data = os.read(queue, 4)
+        if not data:
+            return
+        yield int.from_bytes(data, "little")
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def _fan_out(jobs):
+    """Compute ``jobs`` on every CPU this process may use.
+
+    Longest first, handed out one at a time from a pipe pre-filled
+    with job indices that the parent and its children all read: a
+    static split leaves CPUs idle, because replay cost per event
+    varies by model.  The fork guard is asked here, after planning,
+    which may have loaded NumPy.
+    """
+    if not jobs:
+        return
+    jobs.sort(key=lambda job: len(job.trace), reverse=True)
+    workers = min(len(jobs), _cpus())
+    reason = None
+    if len(jobs) > 1:
+        reason = "1 CPU" if workers < 2 else fork_unavailable()
+    queue = None
+    if reason is None and workers > 1:
+        try:
+            queue, fill = os.pipe()
+        except OSError as exc:
+            reason = exc.strerror
+    if queue is None:
+        # the cells' serial path computes the same jobs, in cell order
+        if reason is not None:
+            FANOUT.refused[reason] = FANOUT.refused.get(reason, 0) + 1
+        FANOUT.parent += len(jobs)
+        return
+    os.write(fill, b"".join(index.to_bytes(4, "little") for index in
+                            range(min(len(jobs), _QUEUE_LIMIT))))
+    os.close(fill)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            child = _fork_worker(jobs, queue)
+            if child is None:
+                break
+            children.append(child)
+        for index in _take(queue):
+            _run_here(jobs[index])
+        while children:
+            pid, fd = children[0]
+            replies, _ = read_reply(pid, fd)
+            del children[0]
+            for index, reply in (replies or {}).items():
+                _merge(jobs[index], reply)
+    except BaseException:
+        kill_and_reap(children)
+        raise
+    finally:
+        os.close(queue)
+
+
+def _fork_worker(jobs, queue):
+    """Fork one worker; ``(pid, reply fd)``, or ``None`` if the OS
+    refuses.
+
+    The child takes jobs from ``queue`` until it runs dry, running
+    each job's serial function on its copy of the cell, and sends back
+    one marshalled ``{job index: reply}``: a replay's end-state
+    ``capture()`` as the memo stores it, or a scan's tables.  It
+    touches no cache, journal or results file, stays in the caller's
+    process group (a watchdog's group kill reaches it) and leaves
+    through ``os._exit``.
+    """
+    try:
+        reply, send = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reply)
+        os.close(send)
+        return None
+    if pid:
+        os.close(send)
+        return pid, reply
+    replies = {}
+    try:
+        os.close(reply)
+        for index in _take(queue):
+            job = jobs[index]
+            try:
+                tables = _compute(job)
+                replies[index] = (
+                    tables if job.kind == "scan"
+                    else marshal.dumps(job.cell.model.capture()))
+            except Exception:
+                pass  # unanswered: the parent reruns the job serially
+    finally:
+        reply_and_exit(send, replies)

@@ -35,6 +35,7 @@ from repro.evalx.common import (
     make_nsf,
     make_segmented,
     registers_for,
+    run_cells,
     run_workload,
 )
 from repro.evalx.tables import ExperimentTable
@@ -65,20 +66,20 @@ def build_model(config, workload):
                           spill_mode=config["spill_mode"])
 
 
-def run_cell(workload_name, config, scale=1.0, seed=1):
-    """Run one workload over one model with every codec measured.
+def _build_cell(key):
+    """``(workload, model, port)`` of one sweep cell, not yet driven.
 
-    Returns ``(model, port)``; the primary codec is ``raw`` so the
+    The port measures every codec; the primary codec is ``raw`` so the
     model's own stats stay byte-identical to an uncompressed run.
     """
+    workload_name, config_name = key.split("/", 1)
     workload = get_workload(workload_name)
-    model = build_model(config, workload)
+    model = build_model(dict(MODEL_CONFIGS)[config_name], workload)
     port = compress_spills(
         model, codec="raw",
         shadow_codecs=[c for c in CODEC_SWEEP if c != "raw"],
     )
-    run_workload(workload, model, scale=scale, seed=seed)
-    return model, port
+    return workload, model, port
 
 
 def table_skeleton(scale=1.0, seed=1):
@@ -105,9 +106,14 @@ def cell_keys():
 
 def run_cell_rows(key, scale=1.0, seed=1):
     """Run one sweep cell; returns its table rows (one per codec)."""
+    workload, model, port = _build_cell(key)
+    run_workload(workload, model, scale=scale, seed=seed)
+    return _rows(key, port)
+
+
+def _rows(key, port):
+    """A cell's rows, one per codec, read off its driven port."""
     workload_name, config_name = key.split("/", 1)
-    config = dict(MODEL_CONFIGS)[config_name]
-    _, port = run_cell(workload_name, config, scale=scale, seed=seed)
     rows = []
     for codec in CODEC_SWEEP:
         cs = port.stats_for(codec)
@@ -123,8 +129,11 @@ def run_cell_rows(key, scale=1.0, seed=1):
 
 def run(scale=1.0, seed=1):
     table = table_skeleton(scale=scale, seed=seed)
-    for key in cell_keys():
-        for row in run_cell_rows(key, scale=scale, seed=seed):
+    cells = [(key, *_build_cell(key)) for key in cell_keys()]
+    run_cells([(workload, model) for _, workload, model, _ in cells],
+              scale=scale, seed=seed)
+    for key, _, _, port in cells:
+        for row in _rows(key, port):
             table.add_row(*row)
     return table
 

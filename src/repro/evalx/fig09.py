@@ -10,7 +10,7 @@ from repro.evalx.common import (
     SEQ_REGISTERS,
     PAR_REGISTERS,
     capacity_plan,
-    run_pair,
+    run_pairs,
 )
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import ALL_WORKLOADS
@@ -25,18 +25,19 @@ def run(scale=1.0, seed=1):
         notes="80 registers for sequential runs, 128 for parallel; "
               "segment = 4 frames, NSF line = 1 register",
     )
+    workloads = [workload_cls() for workload_cls in ALL_WORKLOADS]
     with capacity_plan((SEQ_REGISTERS, PAR_REGISTERS)):
-        for workload_cls in ALL_WORKLOADS:
-            workload = workload_cls()
-            nsf, seg = run_pair(workload, scale=scale, seed=seed)
-            ratio = (nsf.utilization_avg / seg.utilization_avg
-                     if seg.utilization_avg else float("inf"))
-            table.add_row(
-                workload.name,
-                workload.kind.capitalize(),
-                round(100 * nsf.utilization_max, 1),
-                round(100 * nsf.utilization_avg, 1),
-                round(100 * seg.utilization_avg, 1),
-                round(ratio, 2),
-            )
+        pairs = run_pairs([(workload, None) for workload in workloads],
+                          scale=scale, seed=seed)
+    for workload, (nsf, seg) in zip(workloads, pairs):
+        ratio = (nsf.utilization_avg / seg.utilization_avg
+                 if seg.utilization_avg else float("inf"))
+        table.add_row(
+            workload.name,
+            workload.kind.capitalize(),
+            round(100 * nsf.utilization_max, 1),
+            round(100 * nsf.utilization_avg, 1),
+            round(100 * seg.utilization_avg, 1),
+            round(ratio, 2),
+        )
     return table

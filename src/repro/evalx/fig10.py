@@ -10,7 +10,7 @@ from repro.evalx.common import (
     SEQ_REGISTERS,
     PAR_REGISTERS,
     capacity_plan,
-    run_pair,
+    run_pairs,
 )
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import ALL_WORKLOADS
@@ -25,19 +25,20 @@ def run(scale=1.0, seed=1):
         notes="log-scale figure in the paper; a 0 entry means the NSF "
               "held the entire working set",
     )
+    workloads = [workload_cls() for workload_cls in ALL_WORKLOADS]
     with capacity_plan((SEQ_REGISTERS, PAR_REGISTERS)):
-        for workload_cls in ALL_WORKLOADS:
-            workload = workload_cls()
-            nsf, seg = run_pair(workload, scale=scale, seed=seed)
-            nsf_rate = nsf.reloads_per_instruction
-            seg_rate = seg.reloads_per_instruction
-            ratio = seg_rate / nsf_rate if nsf_rate else float("inf")
-            table.add_row(
-                workload.name,
-                workload.kind.capitalize(),
-                round(100 * nsf_rate, 4),
-                round(100 * seg_rate, 4),
-                round(100 * seg.live_reloads_per_instruction, 4),
-                "inf" if ratio == float("inf") else round(ratio, 1),
-            )
+        pairs = run_pairs([(workload, None) for workload in workloads],
+                          scale=scale, seed=seed)
+    for workload, (nsf, seg) in zip(workloads, pairs):
+        nsf_rate = nsf.reloads_per_instruction
+        seg_rate = seg.reloads_per_instruction
+        ratio = seg_rate / nsf_rate if nsf_rate else float("inf")
+        table.add_row(
+            workload.name,
+            workload.kind.capitalize(),
+            round(100 * nsf_rate, 4),
+            round(100 * seg_rate, 4),
+            round(100 * seg.live_reloads_per_instruction, 4),
+            "inf" if ratio == float("inf") else round(ratio, 1),
+        )
     return table

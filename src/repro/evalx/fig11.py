@@ -11,7 +11,7 @@ from repro.evalx.common import (
     REPRESENTATIVE_PARALLEL,
     REPRESENTATIVE_SEQUENTIAL,
     capacity_plan,
-    run_pair,
+    run_pairs,
 )
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import get_workload
@@ -23,6 +23,16 @@ def sweep_budgets(*workloads):
     """Every register budget the 2-10 frame sweep visits."""
     return [frames * w.context_size
             for w in workloads for frames in FRAME_SWEEP]
+
+
+def sweep_pairs(seq, par, scale, seed):
+    """``(frames, seq (nsf, seg) stats, par (nsf, seg) stats)`` per
+    point of the 2-10 frame sweep, every cell in one batch."""
+    with capacity_plan(sweep_budgets(seq, par)):
+        pairs = run_pairs([(w, frames * w.context_size)
+                           for frames in FRAME_SWEEP for w in (seq, par)],
+                          scale=scale, seed=seed)
+    return zip(FRAME_SWEEP, pairs[0::2], pairs[1::2])
 
 
 def run(scale=1.0, seed=1):
@@ -37,21 +47,8 @@ def run(scale=1.0, seed=1):
     )
     seq = get_workload(REPRESENTATIVE_SEQUENTIAL)
     par = get_workload(REPRESENTATIVE_PARALLEL)
-    with capacity_plan(sweep_budgets(seq, par)):
-        _sweep(table, seq, par, scale, seed)
-    return table
-
-
-def _sweep(table, seq, par, scale, seed):
-    for frames in FRAME_SWEEP:
-        seq_nsf, seq_seg = run_pair(
-            seq, scale=scale, seed=seed,
-            num_registers=frames * seq.context_size,
-        )
-        par_nsf, par_seg = run_pair(
-            par, scale=scale, seed=seed,
-            num_registers=frames * par.context_size,
-        )
+    for frames, (seq_nsf, seq_seg), (par_nsf, par_seg) in sweep_pairs(
+            seq, par, scale, seed):
         table.add_row(
             frames,
             round(seq_nsf.avg_resident_contexts, 2),
@@ -59,3 +56,4 @@ def _sweep(table, seq, par, scale, seed):
             round(par_nsf.avg_resident_contexts, 2),
             round(par_seg.avg_resident_contexts, 2),
         )
+    return table

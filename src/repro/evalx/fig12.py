@@ -10,10 +10,8 @@ segmented file and less than one twice its size.
 from repro.evalx.common import (
     REPRESENTATIVE_PARALLEL,
     REPRESENTATIVE_SEQUENTIAL,
-    capacity_plan,
-    run_pair,
 )
-from repro.evalx.fig11 import FRAME_SWEEP, sweep_budgets
+from repro.evalx.fig11 import sweep_pairs
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import get_workload
 
@@ -30,21 +28,13 @@ def run(scale=1.0, seed=1):
     )
     seq = get_workload(REPRESENTATIVE_SEQUENTIAL)
     par = get_workload(REPRESENTATIVE_PARALLEL)
-    with capacity_plan(sweep_budgets(seq, par)):
-        for frames in FRAME_SWEEP:
-            seq_nsf, seq_seg = run_pair(
-                seq, scale=scale, seed=seed,
-                num_registers=frames * seq.context_size,
-            )
-            par_nsf, par_seg = run_pair(
-                par, scale=scale, seed=seed,
-                num_registers=frames * par.context_size,
-            )
-            table.add_row(
-                frames,
-                round(100 * seq_nsf.reloads_per_instruction, 4),
-                round(100 * seq_seg.reloads_per_instruction, 4),
-                round(100 * par_nsf.reloads_per_instruction, 4),
-                round(100 * par_seg.reloads_per_instruction, 4),
-            )
+    for frames, (seq_nsf, seq_seg), (par_nsf, par_seg) in sweep_pairs(
+            seq, par, scale, seed):
+        table.add_row(
+            frames,
+            round(100 * seq_nsf.reloads_per_instruction, 4),
+            round(100 * seq_seg.reloads_per_instruction, 4),
+            round(100 * par_nsf.reloads_per_instruction, 4),
+            round(100 * par_seg.reloads_per_instruction, 4),
+        )
     return table

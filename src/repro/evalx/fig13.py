@@ -23,7 +23,7 @@ from repro.evalx.common import (
     REPRESENTATIVE_PARALLEL,
     REPRESENTATIVE_SEQUENTIAL,
     make_nsf,
-    run_workload,
+    run_cells,
 )
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import get_workload
@@ -49,24 +49,26 @@ def run(scale=1.0, seed=1):
         ("Parallel", get_workload(REPRESENTATIVE_PARALLEL),
          PAR_LINE_SIZES),
     ]
-    for kind, workload, line_sizes in cases:
-        for line_size in line_sizes:
-            # Strategy A semantics: any miss (read or write) brings the
-            # whole line back; curves B and C are counted from the same
-            # simulation.
-            nsf = make_nsf(workload, line_size=line_size,
-                           reload_scope="line", fetch_on_write=True)
-            run_workload(workload, nsf, scale=scale, seed=seed)
-            stats = nsf.stats
-            instructions = stats.instructions or 1
-            table.add_row(
-                kind,
-                line_size,
-                round(100 * stats.lines_reloaded * line_size
-                      / instructions, 4),
-                round(100 * stats.live_registers_reloaded
-                      / instructions, 4),
-                round(100 * stats.active_registers_reloaded
-                      / instructions, 4),
-            )
+    # Strategy A semantics: any miss (read or write) brings the whole
+    # line back; curves B and C are counted from the same simulation.
+    cells = [(kind, line_size, workload,
+              make_nsf(workload, line_size=line_size, reload_scope="line",
+                       fetch_on_write=True))
+             for kind, workload, line_sizes in cases
+             for line_size in line_sizes]
+    run_cells([(workload, nsf) for *_, workload, nsf in cells],
+              scale=scale, seed=seed)
+    for kind, line_size, _, nsf in cells:
+        stats = nsf.stats
+        instructions = stats.instructions or 1
+        table.add_row(
+            kind,
+            line_size,
+            round(100 * stats.lines_reloaded * line_size
+                  / instructions, 4),
+            round(100 * stats.live_registers_reloaded
+                  / instructions, 4),
+            round(100 * stats.active_registers_reloaded
+                  / instructions, 4),
+        )
     return table

@@ -17,24 +17,11 @@ from repro.core import (
     SEGMENT_SW_COSTS,
     speedup,
 )
-from repro.evalx.common import capacity_plan, run_pair
+from repro.evalx.common import capacity_plan, run_pair_totals
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import PARALLEL_WORKLOADS, SEQUENTIAL_WORKLOADS
 
 FIG14_REGISTERS = 128
-
-
-def _aggregate(workload_classes, scale, seed):
-    nsf_total = None
-    seg_total = None
-    with capacity_plan((FIG14_REGISTERS,)):
-        for workload_cls in workload_classes:
-            workload = workload_cls()
-            nsf, seg = run_pair(workload, scale=scale, seed=seed,
-                                num_registers=FIG14_REGISTERS)
-            nsf_total = nsf if nsf_total is None else nsf_total + nsf
-            seg_total = seg if seg_total is None else seg_total + seg
-    return nsf_total, seg_total
 
 
 def run(scale=1.0, seed=1):
@@ -47,9 +34,13 @@ def run(scale=1.0, seed=1):
         notes="paper: serial 0.01 / 8.5 / 15.5; parallel 12.1 / 26.7 / "
               "38.1; all files hold 128 registers",
     )
-    for label, classes in (("Serial", SEQUENTIAL_WORKLOADS),
-                           ("Parallel", PARALLEL_WORKLOADS)):
-        nsf, seg = _aggregate(classes, scale, seed)
+    groups = (("Serial", SEQUENTIAL_WORKLOADS),
+              ("Parallel", PARALLEL_WORKLOADS))
+    with capacity_plan((FIG14_REGISTERS,)):
+        totals = run_pair_totals(
+            [[(cls(), FIG14_REGISTERS) for cls in classes]
+             for _, classes in groups], scale=scale, seed=seed)
+    for (label, _), (nsf, seg) in zip(groups, totals):
         nsf_cycles = NSF_COSTS.total_cycles(nsf)
         hw_cycles = SEGMENT_HW_COSTS.total_cycles(seg)
         sw_cycles = SEGMENT_SW_COSTS.total_cycles(seg)

@@ -116,7 +116,9 @@ def main(argv=None):
             for deviation in deviations:
                 print(f"DEVIATION: {deviation}")
             return 1
-        print("all experiments match their goldens")
+        from repro.evalx.common import FANOUT
+
+        print(f"all experiments match their goldens; {FANOUT.summary()}")
         return 0
     renderers = {
         "table": lambda t: t.render(),

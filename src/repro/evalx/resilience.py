@@ -34,7 +34,6 @@ CLI::
     python -m repro.evalx.resilience --check    # assert the contract
 """
 
-import marshal
 import os
 import random
 
@@ -43,7 +42,12 @@ from repro.core.faults import FAULT_KINDS, FaultyRegisterFile
 from repro.core.resilience import ProtectedRegisterFile
 from repro.errors import MachineCheckError, ReproError
 from repro.evalx.tables import ExperimentTable
-from repro.ioutil import fork_unavailable
+from repro.ioutil import (
+    fork_unavailable,
+    kill_and_reap,
+    read_reply,
+    reply_and_exit,
+)
 
 CAMPAIGN_MODELS = ("nsf", "segmented")
 CAMPAIGN_PROTECTION = ("off", "ecc")
@@ -257,25 +261,17 @@ class _ForkingFaultyRegisterFile(FaultyRegisterFile):
         records = {}
         while self.children:
             pid, rfd, slot = self.children[0]
-            chunks = []
-            while True:
-                chunk = os.read(rfd, 1 << 16)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            os.close(rfd)
-            _, status = os.waitpid(pid, 0)
+            reply, status = read_reply(pid, rfd)
             del self.children[0]
             kind, trigger = self._runs[slot]
-            try:
-                state, value = marshal.loads(b"".join(chunks))
-            except (EOFError, ValueError, TypeError):
+            if reply is None:
                 code = os.waitstatus_to_exitcode(status)
                 how = (f"killed by signal {-code}" if code < 0
                        else f"exit code {code}")
                 raise ForkedRunError(
                     f"forked run ({kind}, trigger {trigger}) died without "
-                    f"a record ({how})") from None
+                    f"a record ({how})")
+            state, value = reply
             if state != "ok":
                 raise ForkedRunError(
                     f"forked run ({kind}, trigger {trigger}) raised "
@@ -285,22 +281,7 @@ class _ForkingFaultyRegisterFile(FaultyRegisterFile):
 
     def abort(self):
         """SIGKILL and reap every live child; the parent is failing."""
-        import signal
-
-        for pid, _, _ in self.children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-        for pid, rfd, _ in self.children:
-            try:
-                os.close(rfd)
-            except OSError:
-                pass
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
+        kill_and_reap([(pid, rfd) for pid, rfd, _ in self.children])
         self.children = []
 
 
@@ -332,12 +313,7 @@ def _run_family(model_kind, protection, runs, scale, seed):
         payload = ("error", f"{type(exc).__name__}: {exc}")
     finally:
         if os.getpid() != parent:
-            try:
-                data = marshal.dumps(payload)
-                while data:
-                    data = data[os.write(faulty.pipe, data):]
-            finally:
-                os._exit(0)
+            reply_and_exit(faulty.pipe, payload)
 
 
 def _campaign_records(scale, seed, kinds, models, protection):

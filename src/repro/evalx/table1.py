@@ -7,7 +7,7 @@ the same quantities over our implementations (see DESIGN.md for the
 static-metric substitution).
 """
 
-from repro.evalx.common import make_nsf, run_workload
+from repro.evalx.common import make_nsf, run_cells, run_workload
 from repro.evalx.tables import ExperimentTable
 from repro.workloads import ALL_WORKLOADS, get_workload
 
@@ -31,9 +31,14 @@ def cell_keys():
 
 def run_cell_rows(key, scale=1.0, seed=1):
     workload = get_workload(key)
-    static = workload.static_metrics()
     nsf = make_nsf(workload)
     run_workload(workload, nsf, scale=scale, seed=seed)
+    return _rows(workload, nsf)
+
+
+def _rows(workload, nsf):
+    """The cell's rows, read off its driven NSF."""
+    static = workload.static_metrics()
     stats = nsf.stats
     return [[
         workload.name,
@@ -47,7 +52,10 @@ def run_cell_rows(key, scale=1.0, seed=1):
 
 def run(scale=1.0, seed=1):
     table = table_skeleton(scale=scale, seed=seed)
-    for key in cell_keys():
-        for row in run_cell_rows(key, scale=scale, seed=seed):
+    cells = [(workload, make_nsf(workload))
+             for workload in map(get_workload, cell_keys())]
+    run_cells(cells, scale=scale, seed=seed)
+    for workload, nsf in cells:
+        for row in _rows(workload, nsf):
             table.add_row(*row)
     return table

@@ -32,11 +32,15 @@ torn renames, truncated writes, bit flips and ``ENOSPC``/``EIO`` are
 physically injected.
 
 :func:`fork_unavailable` is the one guard every ``os.fork`` in the
-repo consults: the resilience campaign's forked runs and the sweep
-runner's warm cell parents.
+repo consults: the resilience campaign's forked runs, the sweep
+runner's warm cell parents and the experiments' fanned-out cells
+(:func:`repro.evalx.common.run_cells`).  The last two use the same
+child plumbing: :func:`reply_and_exit`, :func:`read_reply` and
+:func:`kill_and_reap`.
 """
 
 import errno
+import marshal
 import os
 import tempfile
 import threading
@@ -167,3 +171,65 @@ def fork_unavailable():
     if threads != 1:
         return f"{threads} threads"
     return None
+
+
+def reply_and_exit(fd, payload):
+    """Write ``payload`` to ``fd`` as one marshalled reply, then leave
+    through ``os._exit(0)``: the only way out of a forked child.
+
+    The exit happens even when encoding or writing fails, so the child
+    never returns into its caller's frames, runs no atexit hook and
+    flushes no buffer it inherited.  A parent that reads no decodable
+    reply treats the child as dead (:func:`read_reply`).
+    """
+    try:
+        data = marshal.dumps(payload)
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os._exit(0)
+
+
+def read_reply(pid, fd):
+    """``(reply, wait status)`` of the forked child ``pid``.
+
+    Reads ``fd`` to EOF and closes it, then reaps ``pid``: that pid
+    only, so no other child of the caller is disturbed.  ``reply`` is
+    ``None`` when the child left nothing decodable (it was killed, or
+    died before it wrote).
+    """
+    chunks = []
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    os.close(fd)
+    _, status = os.waitpid(pid, 0)
+    try:
+        return marshal.loads(b"".join(chunks)), status
+    except (EOFError, ValueError, TypeError):
+        return None, status
+
+
+def kill_and_reap(children):
+    """SIGKILL every ``(pid, fd)`` child, close its fd and reap it.
+
+    For a parent that is failing: no child may outlive it.
+    """
+    import signal
+
+    for pid, _ in children:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    for pid, fd in children:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass

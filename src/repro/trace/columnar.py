@@ -53,6 +53,7 @@ a process on the default ``event`` engine nothing.
 """
 
 import os
+import sys
 
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
@@ -94,7 +95,16 @@ def _numpy():
     and a thread that asks while another is still importing NumPy
     waits on the import system's module lock instead of being told it
     is missing.
+
+    Before the first import it defaults NumPy's BLAS pool to one
+    thread (a value the user set is kept).  This program's NumPy work
+    is integer and boolean vectors, which never use the pool, and the
+    pool's threads would make the process refuse every fork
+    (:func:`repro.ioutil.fork_unavailable`).
     """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     try:
         import numpy
     except ImportError:  # pragma: no cover - the no-numpy CI leg
@@ -360,6 +370,14 @@ def supported_model(model):
     )
 
 
+def synthesizable(analysis, model):
+    """True when ``analysis`` serves ``model`` exactly: a supported
+    model whose capacity holds the trace's peak demand, so it never
+    evicts."""
+    return (analysis is not None and supported_model(model)
+            and analysis.peak_lines <= model.num_lines)
+
+
 def apply_stats(analysis, model):
     """Accumulate the synthesized statistics onto ``model.stats`` only.
 
@@ -370,9 +388,7 @@ def apply_stats(analysis, model):
     capacity sweep then costs one shared analysis plus a constant-time
     apply per cell.
     """
-    if analysis is None or not supported_model(model):
-        return False
-    if analysis.peak_lines > model.num_lines:
+    if not synthesizable(analysis, model):
         return False  # evictions: per-access stack depth territory
     stats = model.stats
     stats.reads += analysis.n_reads

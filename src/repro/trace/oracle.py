@@ -91,6 +91,7 @@ from repro.trace.columnar import (
     numpy_available,
     replay_columnar,
     supported_model,
+    synthesizable,
 )
 from repro.trace.events import (
     OP_BEGIN,
@@ -1231,7 +1232,7 @@ def classify_model(model):
     return None
 
 
-def _scan_siblings(family):
+def scan_siblings(family):
     """Every family one scan for ``family`` computes: a segmented scan
     prices both spill modes (see :func:`_seg_tables_pair`)."""
     if family[0] == "seg":
@@ -1244,7 +1245,7 @@ def _family_tables(trace, family, caps):
     """Compute full tables for ``family`` over ``caps`` units.
 
     Returns ``{family: table}`` for every family in
-    :func:`_scan_siblings`, so callers should keep every returned
+    :func:`scan_siblings`, so callers should keep every returned
     entry, not just the one they asked for.  This is the one scan
     entry point: every table any caller serves was computed here.
     """
@@ -1299,22 +1300,28 @@ def _closed_form(trace, model):
     return analyze(trace) if supported_model(model) else None
 
 
-def tables_for_model(trace, model, capacities):
-    """Memoized full tables covering ``model``'s design family.
+def closed_form_serves(trace, model):
+    """True when the O(1) closed form serves ``model``: the first thing
+    :func:`serve_from_tables` and :func:`replay_oracle` both try."""
+    return synthesizable(_closed_form(trace, model), model)
 
-    ``capacities`` is in the model's *register* budget units (the
-    numbers experiment modules know); they are converted to the
-    family's capacity units.  Returns ``(table, units)``, where
-    ``table`` is the family's ``{units: patch}`` and holds ``units``,
-    or ``None`` when the model is out of regime or the scan refuses
-    the trace.
 
-    The memo is keyed by trace *content* and keeps one merged table
-    per design family for the life of the process, across experiments.
-    A capacity already in the table costs a lookup; on a miss one scan
-    computes every announced capacity the table still lacks.
-    Capacities at or above the trace's ``peak_lines`` never enter a
-    scan where the columnar closed form serves them instead (see
+def table_request(trace, model, capacities):
+    """What serving ``model`` from its design family's table needs.
+
+    Returns ``(key, family, units, missing)``: the memo key (the trace
+    digest), the family and the model's capacity in its units, and the
+    sorted units one scan must still compute (empty when the table
+    already holds ``units``); ``None`` when the model is out of regime
+    or the family's scan refused the trace.  The one home of the grid,
+    peak and missing-units rules: :func:`tables_for_model` and the
+    experiments' batch planner (:func:`repro.evalx.common.run_cells`)
+    both call it.
+
+    ``capacities`` is in register budget units (the numbers experiment
+    modules know) and is converted to the family's units.  Capacities
+    at or above the trace's ``peak_lines`` never enter a scan where the
+    columnar closed form serves them instead (see
     :func:`serve_from_tables`).
     """
     if not isinstance(trace, Trace):
@@ -1324,30 +1331,75 @@ def tables_for_model(trace, model, capacities):
         return None
     family, units = classified
     key = trace.digest()
-    families = lru.get(_TABLE_MEMO, key)
-    if families is None:
-        families = lru.put(_TABLE_MEMO, key, {}, _MEMO_LIMIT)
-    table = families.get(family, {})
+    table = _families(key).get(family, {})
     if table is None:
         return None
     if units in table:
-        return table, units
+        return key, family, units, ()
     per_unit = model.line_size if family[0] == "nsf" else model.frame_size
     grid = {int(regs) // per_unit for regs in capacities}
     analysis = _closed_form(trace, model)
     if analysis is not None:
         grid = {u for u in grid if u < analysis.peak_lines}
     grid.add(units)
-    missing = sorted(u for u in grid if u >= 1 and u not in table)
+    return key, family, units, sorted(u for u in grid
+                                      if u >= 1 and u not in table)
+
+
+def _families(key):
+    """The memo's ``{family: table}`` for one trace digest (created
+    empty, and moved to most recently used)."""
+    families = lru.get(_TABLE_MEMO, key)
+    if families is None:
+        families = lru.put(_TABLE_MEMO, key, {}, _MEMO_LIMIT)
+    return families
+
+
+def scan_tables(trace, family, units):
+    """``{family: table}`` of one scan, or ``None`` when it refused the
+    trace (:class:`OracleUnsupported`)."""
     try:
-        computed = _family_tables(trace, family, missing)
+        return _family_tables(trace, family, units)
     except OracleUnsupported:
-        for sibling in _scan_siblings(family):
-            families[sibling] = None
         return None
+
+
+def merge_tables(key, family, computed):
+    """Keep every table one scan for ``family`` returned in the memo
+    entry of trace digest ``key``; ``computed`` ``None`` marks the
+    scan's siblings refused."""
+    families = _families(key)
+    if computed is None:
+        for sibling in scan_siblings(family):
+            families[sibling] = None
+        return
     for sibling, sibling_table in computed.items():
         families.setdefault(sibling, {}).update(sibling_table)
-    return families[family], units
+
+
+def tables_for_model(trace, model, capacities):
+    """Memoized full tables covering ``model``'s design family.
+
+    Returns ``(table, units)``, where ``table`` is the family's
+    ``{units: patch}`` and holds ``units``, or ``None`` when the model
+    is out of regime or the scan refuses the trace.
+
+    The memo is keyed by trace *content* and keeps one merged table
+    per design family for the life of the process, across experiments.
+    A capacity already in the table costs a lookup; on a miss one scan
+    computes every announced capacity the table still lacks
+    (:func:`table_request`).
+    """
+    request = table_request(trace, model, capacities)
+    if request is None:
+        return None
+    key, family, units, missing = request
+    if missing:
+        merge_tables(key, family, scan_tables(trace, family, missing))
+    table = _families(key).get(family)
+    if table is None:
+        return None
+    return table, units
 
 
 def serve_from_tables(trace, model, capacities):

@@ -1,5 +1,6 @@
 """Suite-wide fixtures."""
 
+import json
 import os
 import textwrap
 
@@ -15,6 +16,28 @@ def fresh_result_memo():
     common.clear_result_memo()
     common.RESULT_STATS.reset()
     yield
+
+
+class FileLog:
+    """JSON records appended to a file, one line each.
+
+    A wrapped call logs here rather than to a list so that calls made
+    in forked children (an experiment fans its cells out over them)
+    are counted as well as the test process's own.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, record):
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+
+    def records(self):
+        if not os.path.exists(self.path):
+            return []
+        with open(self.path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import replay, sweep
+from tests.conftest import FileLog
 
 #: capacity-dependent stat fields the oracle predicts exactly
 CURVE_FIELDS = (
@@ -209,7 +210,8 @@ def test_vector_kernel_matches_scalar_walk(recorded):
         assert fast[1] == slow
 
 
-def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch):
+def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch,
+                                               tmp_path):
     """Without NumPy the oracle serves the whole capacity grid from one
     stdlib Fenwick walk, in place of the NumPy kernel and the closed
     form."""
@@ -227,11 +229,11 @@ def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("NumPy kernel ran with NumPy blocked")
 
-    walks = []
+    walks = FileLog(tmp_path / "walks.jsonl")
     scalar_walk = oracle._scan_lru
 
     def counted_walk(*args, **kwargs):
-        walks.append(args[1])
+        walks.append(list(args[1]))
         return scalar_walk(*args, **kwargs)
 
     monkeypatch.setattr(vector, "lru_scan", kernel)
@@ -246,7 +248,7 @@ def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch):
     configurations = [{"num_registers": c} for c in grid]
     expected = sweep(trace, factory, configurations, verify=False)
     got = oracle.oracle_sweep(trace, factory, configurations)
-    assert walks == [grid]  # one walk priced every capacity
+    assert walks.records() == [grid]  # one walk priced every capacity
     for (_, got_stats), (_, want_stats) in zip(got, expected):
         assert got_stats.snapshot() == want_stats.snapshot()
 

@@ -27,6 +27,7 @@ from repro.trace import cache as trace_cache, columnar, oracle
 from repro.trace.events import FREE, OP_BEGIN, OP_READ, OP_WRITE, Trace
 from repro.trace.replay import replay
 from repro.workloads import get_workload
+from tests.conftest import FileLog
 from tests.test_oracle_differential import CTX, random_traces
 
 SWEEPS = ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14")
@@ -47,20 +48,27 @@ def fresh_memos(monkeypatch):
 
 
 class ScanLog:
-    """Records every table scan: ``(label, digest, families, caps)``."""
+    """Records every table scan, in this process or a forked child:
+    ``scans`` lists ``(label, digest, families, caps)``."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, path):
         self.label = None
-        self.scans = []
+        self.log = FileLog(path)
         scan = oracle._family_tables
 
         def logged(trace, family, caps):
             computed = scan(trace, family, caps)
-            self.scans.append((self.label, trace.digest(),
-                               tuple(computed), tuple(caps)))
+            self.log.append([self.label, trace.digest().hex(),
+                             list(computed), list(caps)])
             return computed
 
         monkeypatch.setattr(oracle, "_family_tables", logged)
+
+    @property
+    def scans(self):
+        return [(label, bytes.fromhex(digest),
+                 tuple(tuple(family) for family in families), tuple(caps))
+                for label, digest, families, caps in self.log.records()]
 
 
 def _nsf(budget, policy="lru"):
@@ -114,7 +122,7 @@ def test_sweeps_scan_each_trace_family_and_capacity_once(
     expected = {name: run_experiment(name, scale=SCALE, seed=SEED)
                 for name in SWEEPS}
 
-    log = ScanLog(monkeypatch)
+    log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     for name in SWEEPS:
         log.label = name
@@ -147,8 +155,9 @@ def test_sweeps_scan_each_trace_family_and_capacity_once(
 # -- memo semantics -----------------------------------------------------------
 
 
-def test_equal_content_shares_one_scan(monkeypatch, fresh_memos):
-    log = ScanLog(monkeypatch)
+def test_equal_content_shares_one_scan(monkeypatch, fresh_memos,
+                                       tmp_path):
+    log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     first = _contexts_trace(6)
     second = Trace.loads_binary(first.dumps_binary())
     assert second is not first and second == first
@@ -157,8 +166,9 @@ def test_equal_content_shares_one_scan(monkeypatch, fresh_memos):
     assert len(log.scans) == 1
 
 
-def test_grown_trace_is_scanned_again(monkeypatch, fresh_memos):
-    log = ScanLog(monkeypatch)
+def test_grown_trace_is_scanned_again(monkeypatch, fresh_memos,
+                                      tmp_path):
+    log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     trace = _contexts_trace(6)
     before = _served(trace, 8)
     trace.append(OP_READ, 0, 0, 0)  # context 0 was evicted at 8 lines
@@ -179,9 +189,10 @@ def test_grown_trace_gets_a_fresh_analysis(fresh_memos):
     assert grown.n_reads == analysis.n_reads + 1
 
 
-def test_table_memo_evicts_least_recently_used(monkeypatch, fresh_memos):
+def test_table_memo_evicts_least_recently_used(monkeypatch, fresh_memos,
+                                                tmp_path):
     monkeypatch.setattr(oracle, "_MEMO_LIMIT", 2)
-    log = ScanLog(monkeypatch)
+    log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     old, other, new = (_contexts_trace(n) for n in (5, 6, 7))
     for trace in (old, other, old, new):  # ``old`` is used again
         _served(trace, 4)
@@ -206,8 +217,9 @@ def test_analysis_memo_evicts_least_recently_used(monkeypatch, fresh_memos):
 
 @needs_numpy
 def test_capacities_at_or_above_peak_are_never_scanned(monkeypatch,
-                                                       fresh_memos):
-    log = ScanLog(monkeypatch)
+                                                       fresh_memos,
+                                                       tmp_path):
+    log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     trace = _contexts_trace(6)
     peak = columnar.analyze(trace).peak_lines
     plan = (4, 8, peak, peak + 8)

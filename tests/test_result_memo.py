@@ -41,6 +41,7 @@ from repro.trace.events import OP_BEGIN, OP_END, OP_READ, OP_WRITE, Trace
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import replay
 from repro.workloads import get_workload
+from tests.conftest import FileLog
 from tests.test_oracle_differential import CTX, random_traces
 from tests.test_oracle_memo import _contexts_trace
 
@@ -76,18 +77,25 @@ def cache_env(tmp_path, monkeypatch):
 
 
 class ReplayLog:
-    """Records the memo key of every event replay ``common`` runs."""
+    """Records the memo key of every event replay ``common`` runs, in
+    this process or a forked child: ``keys`` lists ``(label, repr of
+    the key)``, ``None`` for a replay outside the memo."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, path):
         self.label = None
-        self.keys = []
+        self.log = FileLog(path)
         inner = common.replay
 
         def logged(trace, model, verify=True):
-            self.keys.append((self.label, common._result_key(trace, model)))
+            key = common._result_key(trace, model)
+            self.log.append([self.label, None if key is None else repr(key)])
             return inner(trace, model, verify=verify)
 
         monkeypatch.setattr(common, "replay", logged)
+
+    @property
+    def keys(self):
+        return [tuple(record) for record in self.log.records()]
 
 
 def _nsf(ctx=20, budget=BUDGET, **kw):
@@ -115,7 +123,8 @@ def _served_and_twin(trace, build):
 # -- end to end ---------------------------------------------------------------
 
 
-def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch):
+def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
+                                               tmp_path):
     expected = {}
     for name in SWEEPS:
         common.clear_result_memo()
@@ -123,7 +132,7 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch):
                                         seed=SEED).to_dict()
 
     common.clear_result_memo()
-    log = ReplayLog(monkeypatch)
+    log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
     replays = {}
     for name in SWEEPS:
         log.label = name
@@ -345,8 +354,9 @@ WRAPPED = {
 
 
 @pytest.mark.parametrize("kind", sorted(WRAPPED))
-def test_wrapped_models_are_always_replayed(gatesim, monkeypatch, kind):
-    log = ReplayLog(monkeypatch)
+def test_wrapped_models_are_always_replayed(gatesim, monkeypatch, kind,
+                                           tmp_path):
+    log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
     for _ in range(2):
         common._replay_event(gatesim, WRAPPED[kind]())
     assert log.keys == [(None, None)] * 2

@@ -209,7 +209,8 @@ def test_parallel_sweep_still_runs_its_pool(tmp_path):
 
 
 #: logs the modules of each exec'd ``run-cell`` as it exits, and those
-#: of a warm parent as it forks and of its child as it leaves
+#: of a warm parent as it forks and of its child as it leaves (not the
+#: forks and exits of the workers a cell's experiment fans out to)
 MODULE_LOG_SITE = """
 import atexit, json, os, sys
 
@@ -221,13 +222,16 @@ if "run-cell" in sys.orig_argv:
     atexit.register(_dump, "run-cell")
 if "warm-parent" in sys.orig_argv:
     _fork, _exit = os.fork, os._exit
+    _warm = os.getpid()
 
     def fork():
-        _dump("fork")
+        if os.getpid() == _warm:
+            _dump("fork")
         return _fork()
 
     def leave(status):
-        _dump("child")
+        if os.getppid() == _warm:
+            _dump("child")
         _exit(status)
 
     os.fork, os._exit = fork, leave
