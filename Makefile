@@ -62,7 +62,6 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos_overhead.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_columnar.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --check
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_core_ops.py --benchmark-only -q
@@ -72,7 +71,6 @@ bench-baseline:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hot_path.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --write-baseline
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_columnar.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --write-baseline
 

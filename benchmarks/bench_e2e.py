@@ -17,8 +17,7 @@ event engine's.  Three kinds of pass, interleaved, min-of-3 each:
 Two same-box ratios are gated on hard floors:
 
 * ``memo_speedup = event_cold / event`` >= 1.5x;
-* ``oracle_speedup = event / oracle`` >= 1.2x (needs NumPy; reported
-  but not gated without it).
+* ``oracle_speedup = event / oracle`` >= 1.2x.
 
 The recorded baseline is printed next to each ratio but does not
 raise the floor: a whole-sweep pass swings with host load more than
@@ -153,14 +152,8 @@ def report(results, stream=sys.stdout):
 def check(results, baseline, stream=sys.stdout):
     """True when both ratios hold their floors."""
     ok = True
-    gates = [("memo_speedup", MIN_MEMO_SPEEDUP)]
-    if columnar.numpy_available():
-        gates.append(("oracle_speedup", MIN_ORACLE_SPEEDUP))
-    else:
-        stream.write(f"check e2e.oracle_speedup: "
-                     f"{results['oracle_speedup']:.2f}x not gated "
-                     f"(numpy unavailable)\n")
-    for name, floor in gates:
+    for name, floor in (("memo_speedup", MIN_MEMO_SPEEDUP),
+                        ("oracle_speedup", MIN_ORACLE_SPEEDUP)):
         got = results[name]
         verdict = "ok" if got >= floor else "REGRESSION"
         ok = ok and got >= floor

@@ -1,25 +1,20 @@
 """Design-space oracle grid benchmark and gate.
 
-Two committed contracts under the ``oracle_grid`` key of
-BENCH_baseline.json, both same-box ratios (machine-independent, safe
-to gate in CI):
+One committed contract under the ``oracle_grid`` key of
+BENCH_baseline.json, a same-box ratio (machine-independent, safe to
+gate in CI):
 
 * ``grid_speedup`` — a fig09..fig14-style design-space grid (NSF line
   sizes 1/2/4 x {LRU, FIFO} plus segmented {frame, live} x {LRU,
   FIFO}, each over a capacity sweep straddling the trace's peak
   demand) evaluated end to end two ways: every cell through
-  :func:`repro.trace.oracle.serve_from_tables` (one shared scan per
-  design family, O(1) table apply per cell) vs every cell through
-  :func:`repro.trace.columnar.replay_columnar` (the engine sweep
-  drivers used before the design-space tables existed; sub-peak,
-  wide-line and segmented cells fall back to event-exact replay
-  there).  The oracle grid must come in **>= 5x** faster — the
-  "whole design space for a few passes" contract.
-* ``vector_speedup`` — the NumPy windowed-stack Mattson kernel
-  (:func:`repro.trace.vector.lru_scan`) vs the pure-stdlib Fenwick
-  walk (:func:`repro.trace.oracle._scan_lru`) on the same trace and
-  sub-peak capacity grid, reported per line size and baseline-gated
-  on the compiled-CPU line-size-1 scan.
+  :func:`repro.trace.oracle.serve_from_tables` (the closed form at or
+  above the peak, one shared scan per design family and an O(1) table
+  apply per cell below it) vs every cell through event replay
+  (:func:`repro.trace.replay.replay` with ``verify=False``, the
+  reference the oracle answers to).  The oracle grid must come in
+  **>= 5x** faster — the "whole design space for a few passes"
+  contract.
 
 Every oracle-served cell is checked (outside the timed region) to be
 snapshot-identical to the per-cell replay before anything is timed —
@@ -46,8 +41,7 @@ if __package__ in (None, ""):
 
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.evalx.common import make_nsf
-from repro.trace import TracingRegisterFile
-from repro.trace import columnar, oracle, vector
+from repro.trace import TracingRegisterFile, columnar, oracle, replay
 from repro.workloads.compiled import CompiledSuite
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
@@ -131,21 +125,21 @@ def run_grid(trace):
         served = _build(cell, ctx)
         assert oracle.serve_from_tables(trace, served, budgets), \
             f"grid cell fell out of the oracle regime: {cell}"
-        replayed = columnar.replay_columnar(trace, _build(cell, ctx))
+        replayed = replay(trace, _build(cell, ctx), verify=False)
         assert _snapshot(served) == _snapshot(replayed), \
             f"oracle snapshot deviates from replay: {cell}"
 
     def oracle_pass():
         oracle._TABLE_MEMO.clear()
+        columnar._ANALYSES.clear()
         for cell in cells:
             oracle.serve_from_tables(trace, _build(cell, ctx), budgets)
 
-    def columnar_pass():
-        columnar._ANALYSES.clear()
+    def replay_pass():
         for cell in cells:
-            columnar.replay_columnar(trace, _build(cell, ctx))
+            replay(trace, _build(cell, ctx), verify=False)
 
-    oracle_t, columnar_t = _best_times([oracle_pass, columnar_pass])
+    oracle_t, replay_t = _best_times([oracle_pass, replay_pass])
     return {
         "workload": "CompiledSuite",
         "events": len(trace),
@@ -154,42 +148,13 @@ def run_grid(trace):
                     + len(SEG_MODES) * len(POLICIES),
         "budgets": list(budgets),
         "oracle_grid_ms": round(oracle_t * 1e3, 3),
-        "per_cell_replay_ms": round(columnar_t * 1e3, 3),
-        "grid_speedup": round(columnar_t / oracle_t, 2),
+        "per_cell_replay_ms": round(replay_t * 1e3, 3),
+        "grid_speedup": round(replay_t / oracle_t, 2),
     }
 
 
-def run_vector(trace):
-    analysis = columnar.analyze(trace)
-    peak = analysis.peak_lines if analysis else 40
-    grid = sorted({max(1, peak * (i + 1) // 7) for i in range(6)})
-    rows = {}
-    for line_size in NSF_LINE_SIZES:
-        caps = sorted({max(1, c // line_size) for c in grid})
-
-        def vec():
-            assert vector.lru_scan(trace, caps, 4, line_size) is not None
-
-        def scalar():
-            oracle._scan_lru(trace, caps, 4, line_size, tables=False)
-
-        vec_t, scalar_t = _best_times([vec, scalar])
-        rows[f"line{line_size}"] = {
-            "capacities": caps,
-            "vector_ms": round(vec_t * 1e3, 3),
-            "scalar_ms": round(scalar_t * 1e3, 3),
-            "speedup": round(scalar_t / vec_t, 2),
-        }
-    return {"workload": "CompiledSuite",
-            "vector_speedup": rows["line1"]["speedup"],
-            **rows}
-
-
 def measure():
-    trace = _record()
-    grid = run_grid(trace)
-    kernel = run_vector(trace)
-    return {"oracle_grid": {"grid": grid, "kernel": kernel}}
+    return {"oracle_grid": {"grid": run_grid(_record())}}
 
 
 def report(results, stream=sys.stdout):
@@ -200,38 +165,19 @@ def report(results, stream=sys.stdout):
         f"{grid['oracle_grid_ms']}ms vs per-cell replay "
         f"{grid['per_cell_replay_ms']}ms "
         f"({grid['grid_speedup']:.1f}x)\n")
-    kernel = results["oracle_grid"]["kernel"]
-    for name in ("line1", "line2", "line4"):
-        row = kernel[name]
-        stream.write(
-            f"vector-kernel/{name}: {row['vector_ms']}ms vs scalar "
-            f"{row['scalar_ms']}ms ({row['speedup']:.1f}x) over "
-            f"capacities {row['capacities']}\n")
 
 
 def check(results, baseline, tolerance=TOLERANCE, stream=sys.stdout):
-    """True when the grid holds its hard floor and the kernel its
-    baseline-relative floor (``baseline / tolerance``)."""
-    base = baseline["oracle_grid"]
-    ok = True
-
-    floor = max(MIN_GRID_SPEEDUP,
-                base["grid"]["grid_speedup"] / tolerance)
+    """True when the grid holds its floor: the hard 5x or
+    ``baseline / tolerance``, whichever is higher."""
+    base = baseline["oracle_grid"]["grid"]["grid_speedup"]
+    floor = max(MIN_GRID_SPEEDUP, base / tolerance)
     got = results["oracle_grid"]["grid"]["grid_speedup"]
     verdict = "ok" if got >= floor else "REGRESSION"
-    ok = ok and got >= floor
     stream.write(f"check oracle-grid.grid_speedup: {got:.1f}x "
-                 f"(baseline {base['grid']['grid_speedup']:.1f}x, "
-                 f"floor {floor:.1f}x) {verdict}\n")
-
-    floor = base["kernel"]["vector_speedup"] / tolerance
-    got = results["oracle_grid"]["kernel"]["vector_speedup"]
-    verdict = "ok" if got >= floor else "REGRESSION"
-    ok = ok and got >= floor
-    stream.write(f"check oracle-grid.vector_speedup: {got:.1f}x "
-                 f"(baseline {base['kernel']['vector_speedup']:.1f}x, "
-                 f"floor {floor:.1f}x) {verdict}\n")
-    return ok
+                 f"(baseline {base:.1f}x, floor {floor:.1f}x) "
+                 f"{verdict}\n")
+    return got >= floor
 
 
 def main(argv=None):
@@ -246,11 +192,6 @@ def main(argv=None):
     parser.add_argument("--tolerance", type=float, default=TOLERANCE,
                         help="allowed baseline/measured ratio drift")
     args = parser.parse_args(argv)
-
-    if not columnar.numpy_available():
-        print("numpy unavailable: oracle grid benchmark skipped "
-              "(install the perf extra)", file=sys.stderr)
-        return 0
 
     results = measure()
     report(results)

@@ -11,7 +11,12 @@ from repro.core import (
     SEGMENT_HW_COSTS,
     speedup,
 )
-from repro.evalx.common import run_pair_totals
+from repro.evalx.common import (
+    PAR_REGISTERS,
+    SEQ_REGISTERS,
+    capacity_plan,
+    run_pair_totals,
+)
 from repro.evalx.tables import ExperimentTable
 from repro.hw import (
     access_time_penalty,
@@ -31,14 +36,16 @@ def run(scale=1.0, seed=1):
               "absolute value",
     )
     # each class at its default budget, and the sequential one at Fig
-    # 14's 128 registers for claim 4
-    (seq_nsf, seq_seg), (par_nsf, par_seg), (seq_nsf128, seq_seg128) = (
-        run_pair_totals([[(cls(), budget) for cls in classes]
-                         for classes, budget in (
-                             (SEQUENTIAL_WORKLOADS, None),
-                             (PARALLEL_WORKLOADS, None),
-                             (SEQUENTIAL_WORKLOADS, 128))],
-                        scale=scale, seed=seed))
+    # 14's 128 registers for claim 4; only statistics are read off the
+    # fresh models, so the oracle engine may serve them from its tables
+    with capacity_plan((SEQ_REGISTERS, PAR_REGISTERS)):
+        (seq_nsf, seq_seg), (par_nsf, par_seg), (seq_nsf128, seq_seg128) = (
+            run_pair_totals([[(cls(), budget) for cls in classes]
+                             for classes, budget in (
+                                 (SEQUENTIAL_WORKLOADS, None),
+                                 (PARALLEL_WORKLOADS, None),
+                                 (SEQUENTIAL_WORKLOADS, 128))],
+                            scale=scale, seed=seed))
 
     # 1. More active data than a same-size conventional file.
     seq_gain = (seq_nsf.utilization_avg / seq_seg.utilization_avg - 1

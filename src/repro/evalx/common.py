@@ -19,11 +19,13 @@ are identical to direct execution by construction (pinned by
 ``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLIs)
 to force direct execution.
 
-Under the default ``event`` engine each distinct (trace content, model
-start state) pair is replayed at most once per process: the figures
-read different statistics off the same cells, and every repeat gets
-the first replay's complete end state back through the snapshot
-protocol (see :func:`_replay_event`).
+Each distinct (trace content, model start state) pair is replayed at
+most once per process: the figures read different statistics off the
+same cells, and every repeat gets the first replay's complete end state
+back through the snapshot protocol (see :func:`_replay_event`).  Under
+``REPRO_REPLAY_ENGINE=oracle`` the cells of a :func:`capacity_plan`
+are served from the oracle's closed form and design-space tables where
+they can be, and every other cell takes that same memoized replay.
 
 An experiment that drives many models hands them to :func:`run_cells`
 in one batch, which computes the replays and oracle scans its memos
@@ -57,12 +59,11 @@ from repro.ioutil import (
     reply_and_exit,
 )
 from repro.trace import cache as trace_cache, lru
-from repro.trace.columnar import replay_columnar, selected_engine
+from repro.trace.columnar import selected_engine
 from repro.trace.events import Trace
 from repro.trace.oracle import (
     closed_form_serves,
     merge_tables,
-    replay_oracle,
     scan_siblings,
     scan_tables,
     serve_from_tables,
@@ -120,9 +121,10 @@ def capacity_plan(register_budgets):
     per-model trace (``trace_stable=False``) only ever meets one model
     configuration, so it is scanned at that cell's capacity alone.
     Cells outside the oracle's exactness boundary (NMRU, line-scope
-    reloads, wide-value traces) transparently fall back, and the
-    other engines ignore the plan entirely — results are
-    byte-identical across engines by construction.
+    reloads, wide-value traces) transparently fall back to the
+    memoized event replay, and the ``event`` engine ignores the plan
+    entirely — results are byte-identical across engines by
+    construction.
     """
     _PLAN.append(tuple(int(b) for b in register_budgets))
     try:
@@ -233,24 +235,27 @@ def _replay_event(trace, model):
     return model
 
 
+#: the oracle engine's route for every cell its closed form and tables
+#: do not serve: the same memoized event replay, under a name of its own
+#: so that the two routes can be told apart where callers look them up
+replay_oracle = _replay_event
+
+
 def _replay(trace, model, shared=True):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop behind the
-    replay-result memo (:func:`_replay_event`); ``columnar``
-    and ``oracle`` synthesize the outcome from the shared NumPy
-    whole-trace analysis when the (trace, model) pair sits inside the
-    exactness boundary and fall back to the scalar loop otherwise —
-    every engine leaves byte-identical statistics by construction.
-    Inside a :func:`capacity_plan` block the oracle engine serves
-    cells from the closed form and the shared design-space tables
-    first; a trace that is not ``shared`` across model configurations
-    is scanned at the model's own capacity, not the plan's.
+    replay-result memo (:func:`_replay_event`).  Under ``oracle`` a cell
+    inside a :func:`capacity_plan` block is served by
+    :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
+    above the trace's peak demand by the closed form, below it from the
+    shared design-space tables; a trace that is not ``shared`` across
+    model configurations is scanned at the model's own capacity, not
+    the plan's.  Every other cell goes to :func:`replay_oracle`, the
+    memoized event replay, so both engines leave byte-identical
+    statistics by construction.
     """
-    engine = selected_engine()
-    if engine == "columnar":
-        return replay_columnar(trace, model)
-    if engine == "oracle":
+    if selected_engine() == "oracle":
         capacities = _plan_for(shared)
         if (capacities is not None
                 and serve_from_tables(trace, model, capacities)):
@@ -400,9 +405,9 @@ def run_cells(cells, scale=1.0, seed=1):
        :func:`run_workload` itself, so recording, publishing,
        quarantine, the chaos plane's draws and the cache log happen
        once and in the serial order;
-    2. ask the selected engine what the cells lack: a result-memo
-       entry under ``event``, a table scan or a fallback replay under
-       ``oracle`` (``columnar`` has nothing to fan out);
+    2. ask the selected engine what the cells lack: a table scan for
+       a cell the oracle's tables will serve, a result-memo entry for
+       every other cell;
     3. compute those jobs in forked children on every CPU this process
        may use, the parent taking jobs too, and merge the end states
        and tables they send back into the memos;
@@ -469,12 +474,11 @@ def run_pair_totals(groups, scale=1.0, seed=1):
 class _Job:
     """One unit of fanned-out work.
 
-    A replay job drives its cell's model (``kind`` ``"event"`` through
-    the scalar loop, ``"oracle"`` through :func:`replay_oracle`); a
-    scan job (``kind`` ``"scan"``, no cell) prices ``units`` of one
-    design family for the trace digest ``key``.  A replay job's
-    ``key`` is its result-memo key, or ``None`` for a model the memo
-    never holds.
+    A replay job (``kind`` ``"event"``) drives its cell's model through
+    the scalar loop; a scan job (``kind`` ``"scan"``, no cell) prices
+    ``units`` of one design family for the trace digest ``key``.  A
+    replay job's ``key`` is its result-memo key, or ``None`` for a model
+    the memo never holds.
     """
 
     __slots__ = ("kind", "cell", "key", "trace", "family", "units")
@@ -491,50 +495,48 @@ class _Job:
 def _jobs(cells):
     """The jobs the selected engine's memos lack for ``cells``.
 
-    A model that several cells drive gets no job: only its first cell
-    starts from the state planning sees, so all of them are served in
-    order instead.
+    Under ``oracle`` a planned cell that the closed form serves needs
+    nothing, and one the tables serve needs the scan its family's table
+    lacks; every other cell is planned as under ``event``, a replay per
+    result-memo key not yet held.  A model that several cells drive
+    gets no job: only its first cell starts from the state planning
+    sees, so all of them are served in order instead.
     """
-    engine = selected_engine()
+    oracle = selected_engine() == "oracle"
     models = collections.Counter(id(cell.model) for cell in cells)
     cells = [cell for cell in cells if models[id(cell.model)] == 1]
     jobs = []
-    if engine == "event":
-        keys = set()
-        for cell in cells:
-            key = _result_key(cell.trace, cell.model)
-            if key is None:
-                if _travels(cell.model):
-                    jobs.append(_Job("event", cell, None, cell.trace))
-            elif key not in _RESULT_MEMO and key not in keys:
-                keys.add(key)
-                jobs.append(_Job("event", cell, key, cell.trace))
-    elif engine == "oracle":
-        scans = {}
-        for cell in cells:
-            trace, model = cell.trace, cell.model
+    keys = set()
+    scans = {}
+    for cell in cells:
+        trace, model = cell.trace, cell.model
+        capacities = _plan_for(cell.shared) if oracle else None
+        if capacities is not None:
             if closed_form_serves(trace, model):
                 continue
-            capacities = _plan_for(cell.shared)
-            request = (None if capacities is None
-                       else table_request(trace, model, capacities))
-            if request is None:
-                if _travels(model):
-                    jobs.append(_Job("oracle", cell, None, trace))
+            request = table_request(trace, model, capacities)
+            if request is not None:
+                key, family, _, missing = request
+                if missing:
+                    # one scan per trace and sibling families covers
+                    # every capacity the plan asks for; a trace no
+                    # other configuration shares is scanned per
+                    # capacity, as a serial pass scans it
+                    group = (key, scan_siblings(family),
+                             () if cell.shared else tuple(missing))
+                    if group not in scans:
+                        scans[group] = _Job("scan", None, key, trace,
+                                            family, set())
+                        jobs.append(scans[group])
+                    scans[group].units.update(missing)
                 continue
-            key, family, _, missing = request
-            if missing:
-                # one scan per trace and sibling families covers every
-                # capacity the plan asks for; a trace no other
-                # configuration shares is scanned per capacity, as a
-                # serial pass scans it
-                group = (key, scan_siblings(family),
-                         () if cell.shared else tuple(missing))
-                if group not in scans:
-                    scans[group] = _Job("scan", None, key, trace, family,
-                                        set())
-                    jobs.append(scans[group])
-                scans[group].units.update(missing)
+        key = _result_key(trace, model)
+        if key is None:
+            if _travels(model):
+                jobs.append(_Job("event", cell, None, trace))
+        elif key not in _RESULT_MEMO and key not in keys:
+            keys.add(key)
+            jobs.append(_Job("event", cell, key, trace))
     return jobs
 
 
@@ -542,10 +544,7 @@ def _compute(job):
     """Run ``job``'s serial function here; returns a scan's tables."""
     if job.kind == "scan":
         return scan_tables(job.trace, job.family, sorted(job.units))
-    if job.kind == "event":
-        replay(job.trace, job.cell.model, verify=False)
-    else:
-        replay_oracle(job.trace, job.cell.model)
+    replay(job.trace, job.cell.model, verify=False)
     return None
 
 

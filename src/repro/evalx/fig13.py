@@ -13,10 +13,10 @@ The paper's conclusion: single-register lines with per-register valid
 bits dominate; large lines approach segmented-file behaviour.
 
 These cells use line-scope reloads with fetch-on-write, which sit
-outside the stack-distance oracle's exactness boundary — under
-``--engine oracle`` they are served by the columnar above-peak
-synthesis or event-exact replay, never the design-space tables, so no
-:func:`~repro.evalx.common.capacity_plan` is declared here.
+outside the oracle's exactness boundary (neither its closed form nor
+its design-space tables price them), so no
+:func:`~repro.evalx.common.capacity_plan` is declared here and under
+``--engine oracle`` every cell takes the memoized event replay.
 """
 
 from repro.evalx.common import (

@@ -1,18 +1,8 @@
 """Register-reference traces: record once, replay across configurations."""
 
-from repro.trace.columnar import (
-    ENGINES,
-    numpy_available,
-    replay_columnar,
-    selected_engine,
-)
+from repro.trace.columnar import ENGINES, selected_engine
 from repro.trace.events import Trace, TraceFormatError
-from repro.trace.oracle import (
-    OracleUnsupported,
-    capacity_curves,
-    oracle_sweep,
-    replay_oracle,
-)
+from repro.trace.oracle import OracleUnsupported
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import ReplayDivergenceError, replay, sweep
 
@@ -23,12 +13,7 @@ __all__ = [
     "Trace",
     "TraceFormatError",
     "TracingRegisterFile",
-    "capacity_curves",
-    "numpy_available",
-    "oracle_sweep",
     "replay",
-    "replay_columnar",
-    "replay_oracle",
     "selected_engine",
     "sweep",
 ]

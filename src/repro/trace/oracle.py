@@ -51,13 +51,13 @@ This module generalizes that pass into a full design-space oracle:
   (only contexts that were ever evicted pay restore traffic).  One
   synchronized walk produces the exact snapshot for every frame count.
 
-:func:`capacity_curves` returns the capacity-dependent counters only;
 :func:`capacity_tables` / :func:`segmented_tables` return the *full*
 :class:`~repro.core.stats.RegFileStats` snapshot per capacity —
 occupancy and residency tick-integrals, tick-sampled maxima, context
 lifecycle counts — so an in-regime sweep cell is an O(1) dictionary
-lookup after one shared scan (:func:`oracle_sweep`,
-:func:`serve_from_tables`).
+lookup after one shared scan (:func:`serve_from_tables`).  At or above
+the trace's peak demand a line-size-1 NSF never evicts, and the closed
+form of :mod:`repro.trace.columnar` serves it without a scan.
 
 Exactness boundary (checked, ``OracleUnsupported`` otherwise): NSF
 semantics with ``reload_scope="register"`` + ``fetch_on_write=False``,
@@ -71,15 +71,14 @@ falls back to event-exact replay per cell.
 Positions are 0-based depths: the most recent entry is at depth 0, a
 re-reference at depth ``p`` hits every file with ``C > p``.
 
-With NumPy present the LRU curve pass runs on the
-:mod:`repro.trace.vector` kernel (batched composite-key searchsorted
-preprocessing feeding a lean Fenwick core); the pure-stdlib walk below
-is the no-NumPy fallback and the reference implementation.
+The LRU pass runs on the NumPy kernel of :mod:`repro.trace.vector`
+(batched composite-key preprocessing feeding a windowed recency
+stack); the FIFO and segmented walks below are plain Python.  Event
+replay (:func:`repro.trace.replay.replay`) is the reference every
+table is tested against.
 """
 
-from bisect import bisect_right
 from collections import OrderedDict, deque
-from heapq import heappop, heappush
 
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
@@ -88,8 +87,6 @@ from repro.trace import lru
 from repro.trace.columnar import (
     analyze,
     apply_stats,
-    numpy_available,
-    replay_columnar,
     supported_model,
     synthesizable,
 )
@@ -103,74 +100,20 @@ from repro.trace.events import (
     OP_WRITE,
     Trace,
 )
-from repro.trace.replay import replay as _event_replay
 
 __all__ = [
     "OracleUnsupported",
-    "capacity_curves",
     "capacity_tables",
     "segmented_tables",
     "classify_model",
     "apply_table",
     "tables_for_model",
     "serve_from_tables",
-    "oracle_sweep",
-    "replay_oracle",
 ]
 
 
 class OracleUnsupported(ValueError):
     """The trace or model is outside the oracle's exactness boundary."""
-
-
-class _Fenwick:
-    """Binary indexed tree counting stack entries per timestamp."""
-
-    __slots__ = ("size", "tree", "_hibit")
-
-    def __init__(self, size):
-        self.size = size
-        self.tree = [0] * (size + 1)
-        self._hibit = 1 << (size.bit_length() - 1) if size else 0
-
-    def add(self, i, delta):
-        i += 1
-        tree = self.tree
-        size = self.size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, i):
-        """Entries with timestamp <= ``i``."""
-        i += 1
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-    def select(self, rank):
-        """Timestamp of the ``rank``-th entry in ascending ts order."""
-        pos = 0
-        mask = self._hibit
-        tree = self.tree
-        size = self.size
-        while mask:
-            nxt = pos + mask
-            if nxt <= size and tree[nxt] < rank:
-                pos = nxt
-                rank -= tree[nxt]
-            mask >>= 1
-        return pos  # internal index pos+1 holds the entry; ts == pos
-
-
-def _suffix_sums(histogram):
-    out = histogram[:]
-    for i in range(len(out) - 2, -1, -1):
-        out[i] += out[i + 1]
-    return out
 
 
 class _PerCap:
@@ -278,301 +221,6 @@ def _check_trace(trace, capacities):
     return data, capacities
 
 
-def _scan_lru(trace, capacities, word_bytes, line_size, tables):
-    """Line-granular Mattson pass; optionally full per-capacity tables.
-
-    Returns ``(shared, percap)``: trace-wide counters plus a dict
-    ``{capacity: field dict}``.
-    """
-    data, caps = _check_trace(trace, capacities)
-    L = line_size
-    ctx = trace.context_size
-    nlpc = (ctx - 1) // L + 1  # line keys per context instance
-    cmax = caps[-1]
-    clamp = cmax + 1
-    K = len(caps)
-
-    n_events = len(data) // 4
-    bit = _Fenwick(n_events + 1)
-    item_ts = {}            # live line key -> recency timestamp
-    ts_key = {}             # timestamp -> line key (victim select)
-    line_inv = {}           # line key -> per-slot validity threshold
-    holes = []              # max-heap (negated timestamps) of holes
-    cur_inst = {}           # cid -> open context instance ordinal
-    inst_live = {}          # instance ordinal -> set of live line keys
-    next_inst = 0
-    total = 0
-    next_ts = 0
-    reads = writes = 0
-    n_begin = n_end = n_switch = 0
-    cur_cid = None
-    read_hist = [0] * (clamp + 1)   # read miss when C <= threshold
-    write_hist = [0] * (clamp + 1)  # write miss when C <= line depth
-    fill_hist = [0] * (clamp + 1)   # full-line read miss (line depth)
-    evict_hist = [0] * (clamp + 1)  # line eviction in files C <= bin
-    live_hist = [0] * (clamp + 1)   # live-register spill span maxima
-    per = _PerCap(caps) if tables else None
-
-    it = iter(data.tolist())
-    for op, cid, offset, value in zip(it, it, it, it):
-        if op <= OP_WRITE:
-            inst = cur_inst.get(cid)
-            if inst is None:
-                raise OracleUnsupported(
-                    f"access to context {cid} outside BEGIN/END")
-            if L == 1:
-                lkey = inst * nlpc + offset
-                slot = 0
-            else:
-                line_no, slot = divmod(offset, L)
-                lkey = inst * nlpc + line_no
-            ts_old = item_ts.get(lkey)
-            ts_new = next_ts
-            next_ts += 1
-            if op == OP_READ:
-                reads += 1
-            else:
-                writes += 1
-            if ts_old is not None:
-                # re-reference: depth decides hit/miss per capacity
-                invs = line_inv[lkey]
-                p = total - bit.prefix(ts_old)
-                iv = invs[slot]
-                if op == OP_READ:
-                    if iv is None:
-                        raise OracleUnsupported(
-                            f"cold read of ({cid}, {offset})")
-                    T = iv if iv > p else p
-                    read_hist[T if T < clamp else clamp] += 1
-                    fill_hist[p if p < clamp else clamp] += 1
-                else:
-                    write_hist[p if p < clamp else clamp] += 1
-                    T = None if iv is None else (iv if iv > p else p)
-                if iv is not None:
-                    # close the slot's validity span: it was spilled
-                    # live exactly once in every file C <= max(iv, p)
-                    M = iv if iv > p else p
-                    if M > 0:
-                        live_hist[M if M < clamp else clamp] += 1
-                if holes:
-                    h1_ts = -holes[0]
-                    h1_pos = total - bit.prefix(h1_ts)
-                    eb = p if p < h1_pos else h1_pos
-                else:
-                    h1_ts = None
-                    eb = p
-                evict_hist[eb if eb < clamp else clamp] += 1
-                if per is not None:
-                    if eb > 0:
-                        _evict_victims(per, bit, ts_key, line_inv,
-                                       caps, eb, total, nlpc)
-                    # the line re-enters every file that had evicted it
-                    for ci in range(bisect_right(caps, p)):
-                        per.line_in(inst, ci)
-                    # the slot becomes valid wherever it was not
-                    upto = K if T is None else bisect_right(caps, T)
-                    for ci in range(upto):
-                        per.add_active(ci, 1)
-                if h1_ts is not None and h1_ts > ts_old:
-                    # hole above the item: every small-enough file
-                    # reuses that free line, leaving one at the item's
-                    # old depth instead
-                    heappop(holes)
-                    bit.add(h1_ts, -1)
-                    total -= 1
-                    heappush(holes, -ts_old)
-                else:
-                    bit.add(ts_old, -1)
-                    total -= 1
-                    if per is not None:
-                        ts_key.pop(ts_old, None)
-                bit.add(ts_new, 1)
-                total += 1
-                item_ts[lkey] = ts_new
-                if per is not None:
-                    ts_key[ts_new] = lkey
-                if L > 1 and p > 0:
-                    for s in range(L):
-                        v = invs[s]
-                        if v is not None and v < p:
-                            invs[s] = p
-                invs[slot] = 0
-            else:
-                # first touch of the line: write-allocate only
-                if op == OP_READ:
-                    raise OracleUnsupported(
-                        f"cold read of ({cid}, {offset})")
-                write_hist[clamp] += 1  # misses at every capacity
-                if holes:
-                    h1_ts = -holes[0]
-                    h1_pos = total - bit.prefix(h1_ts)
-                    eb = h1_pos if h1_pos < total else total
-                else:
-                    h1_ts = None
-                    eb = total
-                evict_hist[eb if eb < clamp else clamp] += 1
-                if per is not None:
-                    if eb > 0:
-                        _evict_victims(per, bit, ts_key, line_inv,
-                                       caps, eb, total, nlpc)
-                    for ci in range(K):
-                        per.line_in(inst, ci)
-                        per.add_active(ci, 1)
-                if h1_ts is not None:
-                    heappop(holes)
-                    bit.add(h1_ts, -1)
-                    total -= 1
-                bit.add(ts_new, 1)
-                total += 1
-                item_ts[lkey] = ts_new
-                inst_live[inst].add(lkey)
-                invs = [None] * L
-                invs[slot] = 0
-                line_inv[lkey] = invs
-                if per is not None:
-                    ts_key[ts_new] = lkey
-        elif op == OP_TICK:
-            if per is not None:
-                per.tick(value)
-        elif op == OP_SWITCH:
-            if cid != cur_cid:
-                n_switch += 1
-                cur_cid = cid
-        elif op == OP_BEGIN:
-            cur_inst[cid] = next_inst
-            inst_live[next_inst] = set()
-            if per is not None:
-                per.begin(next_inst)
-            next_inst += 1
-            n_begin += 1
-        elif op == OP_END:
-            inst = cur_inst.pop(cid, None)
-            if inst is None:
-                raise OracleUnsupported(f"END of unknown context {cid}")
-            n_end += 1
-            for lkey in inst_live.pop(inst):
-                # the line leaves with zero traffic; it becomes a free
-                # line (a hole) at the same recency depth
-                ts = item_ts.pop(lkey)
-                invs = line_inv.pop(lkey)
-                d = total - bit.prefix(ts)
-                for s in range(L):
-                    v = invs[s]
-                    if v is None:
-                        continue
-                    M = v if v > d else d
-                    if M > 0:
-                        live_hist[M if M < clamp else clamp] += 1
-                    if per is not None:
-                        for ci in range(bisect_right(caps, M), K):
-                            per.add_active(ci, -1)
-                if per is not None:
-                    for ci in range(bisect_right(caps, d), K):
-                        per.line_out(inst, ci)
-                    ts_key.pop(ts, None)
-                heappush(holes, -ts)
-            if per is not None:
-                per.end(inst)
-            if cur_cid == cid:
-                cur_cid = None
-        elif op == OP_FREE:
-            if L > 1:
-                raise OracleUnsupported(
-                    "FREE ops at line_size > 1 diverge per capacity")
-            inst = cur_inst.get(cid)
-            if inst is None:
-                raise OracleUnsupported(
-                    f"FREE in context {cid} outside BEGIN/END")
-            lkey = inst * nlpc + offset
-            ts = item_ts.pop(lkey, None)
-            if ts is None:
-                continue  # never written / already freed: no traffic
-            line_inv.pop(lkey)
-            inst_live[inst].discard(lkey)
-            d = total - bit.prefix(ts)
-            if d > 0:
-                live_hist[d if d < clamp else clamp] += 1
-            if per is not None:
-                for ci in range(bisect_right(caps, d), K):
-                    per.add_active(ci, -1)
-                    per.line_out(inst, ci)
-                ts_key.pop(ts, None)
-            heappush(holes, -ts)
-
-    # registers still resident at trace end were spilled live in every
-    # file small enough to have evicted them during the run
-    for lkey, ts in item_ts.items():
-        invs = line_inv[lkey]
-        d = total - bit.prefix(ts)
-        for s in range(L):
-            v = invs[s]
-            if v is None:
-                continue
-            M = v if v > d else d
-            if M > 0:
-                live_hist[M if M < clamp else clamp] += 1
-    if per is not None:
-        per.finalize()
-
-    rm = _suffix_sums(read_hist)
-    wm = _suffix_sums(write_hist)
-    fills = _suffix_sums(fill_hist)
-    evs = _suffix_sums(evict_hist)
-    lvs = _suffix_sums(live_hist)
-    shared = {
-        "reads": reads, "writes": writes,
-        "instructions": per.gt if per is not None else 0,
-        "contexts_created": n_begin, "contexts_ended": n_end,
-        "context_switches": n_switch,
-    }
-    percap = {}
-    for ci, cap in enumerate(caps):
-        entry = {
-            "read_misses": rm[cap], "write_misses": wm[cap],
-            "lines_reloaded": fills[cap], "lines_spilled": evs[cap],
-            "registers_reloaded": rm[cap],
-            "live_registers_reloaded": rm[cap],
-            "active_registers_reloaded": rm[cap],
-            "registers_spilled": lvs[cap],
-            "live_registers_spilled": lvs[cap],
-            "words_loaded": rm[cap], "words_stored": lvs[cap],
-            "raw_bytes_reloaded": rm[cap] * word_bytes,
-            "wire_bytes_reloaded": rm[cap] * word_bytes,
-            "raw_bytes_spilled": lvs[cap] * word_bytes,
-            "wire_bytes_spilled": lvs[cap] * word_bytes,
-            "switch_misses": 0,
-        }
-        if per is not None:
-            entry["occupancy_weighted"] = per.occ[ci]
-            entry["resident_contexts_weighted"] = per.rcw[ci]
-            entry["max_active_registers"] = per.max_active[ci]
-            entry["max_resident_contexts"] = per.max_rc[ci]
-        percap[cap] = entry
-    return shared, percap
-
-
-def _evict_victims(per, bit, ts_key, line_inv, caps, eb, total, nlpc):
-    """Account the eviction victims of every file with ``C <= eb``.
-
-    Runs against the pre-access stack.  In file ``C`` the victim is
-    the entry at stack position ``C - 1``; because an eviction in
-    ``C`` requires ``C <= depth of the topmost hole``, that entry is
-    always a real line, found by Fenwick order-statistic select.  Its
-    live registers in ``C`` are the slots with threshold below ``C``.
-    """
-    for ci in range(bisect_right(caps, eb)):
-        cap = caps[ci]
-        vts = bit.select(total - cap + 1)
-        vkey = ts_key[vts]
-        lv = 0
-        for v in line_inv[vkey]:
-            if v is not None and v < cap:
-                lv += 1
-        if lv:
-            per.add_active(ci, -lv)
-        per.line_out(vkey // nlpc, ci)
-
-
 def _bits(mask):
     while mask:
         b = mask & -mask
@@ -580,7 +228,7 @@ def _bits(mask):
         yield b.bit_length() - 1
 
 
-def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
+def _scan_fifo(trace, capacities, word_bytes, line_size):
     """Capacity-synchronized FIFO simulation at line granularity.
 
     FIFO has no stack inclusion property, so every capacity is
@@ -612,7 +260,7 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
     fills = [0] * K
     evs = [0] * K
     lvs = [0] * K
-    per = _PerCap(caps) if tables else None
+    per = _PerCap(caps)
 
     def evict_into(ci):
         """Free one line in file ``ci`` by FIFO eviction."""
@@ -635,10 +283,9 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
                 live += 1
         lvs[ci] += live
         res[vkey] &= ~bit
-        if per is not None:
-            if live:
-                per.add_active(ci, -live)
-            per.line_out(vkey // nlpc, ci)
+        if live:
+            per.add_active(ci, -live)
+        per.line_out(vkey // nlpc, ci)
 
     def install(ci, lkey, inst):
         if used[ci] == caps[ci]:
@@ -650,8 +297,7 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
             glist = gen[lkey] = [0] * K
         glist[ci] += 1
         queues[ci].append((lkey, glist[ci]))
-        if per is not None:
-            per.line_in(inst, ci)
+        per.line_in(inst, ci)
 
     it = iter(data.tolist())
     for op, cid, offset, value in zip(it, it, it, it):
@@ -682,8 +328,7 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
                     if not (rmask >> ci) & 1:
                         fills[ci] += 1
                         install(ci, lkey, inst)
-                    if per is not None:
-                        per.add_active(ci, 1)
+                    per.add_active(ci, 1)
                 val[okey] = full
                 res[lkey] = rmask | miss
             else:
@@ -699,13 +344,11 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
                     inst_live[inst].add(lkey)
                 newly = full & ~vmask
                 if newly:
-                    if per is not None:
-                        for ci in _bits(newly):
-                            per.add_active(ci, 1)
+                    for ci in _bits(newly):
+                        per.add_active(ci, 1)
                     val[okey] = full
         elif op == OP_TICK:
-            if per is not None:
-                per.tick(value)
+            per.tick(value)
         elif op == OP_SWITCH:
             if cid != cur_cid:
                 n_switch += 1
@@ -713,8 +356,7 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
         elif op == OP_BEGIN:
             cur_inst[cid] = next_inst
             inst_live[next_inst] = set()
-            if per is not None:
-                per.begin(next_inst)
+            per.begin(next_inst)
             next_inst += 1
             n_begin += 1
         elif op == OP_END:
@@ -726,17 +368,15 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
                 rmask = res.pop(lkey, 0)
                 for ci in _bits(rmask):
                     used[ci] -= 1
-                    if per is not None:
-                        per.line_out(inst, ci)
+                    per.line_out(inst, ci)
                 gen.pop(lkey, None)
                 base = lkey * L
                 for s in range(L):
                     vmask = val.pop(base + s, None)
-                    if vmask and per is not None:
+                    if vmask:
                         for ci in _bits(vmask):
                             per.add_active(ci, -1)
-            if per is not None:
-                per.end(inst)
+            per.end(inst)
             if cur_cid == cid:
                 cur_cid = None
         elif op == OP_FREE:
@@ -752,29 +392,25 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
             if vmask is None:
                 continue  # never written / already freed: no traffic
             rmask = res.pop(lkey, 0)
-            if per is not None:
-                for ci in _bits(vmask):
-                    per.add_active(ci, -1)
+            for ci in _bits(vmask):
+                per.add_active(ci, -1)
             for ci in _bits(rmask):
                 used[ci] -= 1
-                if per is not None:
-                    per.line_out(inst, ci)
+                per.line_out(inst, ci)
             # gen deliberately kept: a rewrite of this key must get a
             # fresh generation, or its queue entry would collide with
             # the stale one left by this free
             inst_live[inst].discard(lkey)
 
-    if per is not None:
-        per.finalize()
+    per.finalize()
     shared = {
-        "reads": reads, "writes": writes,
-        "instructions": per.gt if per is not None else 0,
+        "reads": reads, "writes": writes, "instructions": per.gt,
         "contexts_created": n_begin, "contexts_ended": n_end,
         "context_switches": n_switch,
     }
     percap = {}
     for ci, cap in enumerate(caps):
-        entry = {
+        percap[cap] = {
             "read_misses": rm[ci], "write_misses": wm[ci],
             "lines_reloaded": fills[ci], "lines_spilled": evs[ci],
             "registers_reloaded": rm[ci],
@@ -788,13 +424,11 @@ def _scan_fifo(trace, capacities, word_bytes, line_size, tables):
             "raw_bytes_spilled": lvs[ci] * word_bytes,
             "wire_bytes_spilled": lvs[ci] * word_bytes,
             "switch_misses": 0,
+            "occupancy_weighted": per.occ[ci],
+            "resident_contexts_weighted": per.rcw[ci],
+            "max_active_registers": per.max_active[ci],
+            "max_resident_contexts": per.max_rc[ci],
         }
-        if per is not None:
-            entry["occupancy_weighted"] = per.occ[ci]
-            entry["resident_contexts_weighted"] = per.rcw[ci]
-            entry["max_active_registers"] = per.max_active[ci]
-            entry["max_resident_contexts"] = per.max_rc[ci]
-        percap[cap] = entry
     return shared, percap
 
 
@@ -1021,58 +655,7 @@ def _scan_segmented(trace, frame_counts, policy):
     return shared, percap
 
 
-# -- public curve / table entry points --------------------------------------
-
-
-def capacity_curves(trace, capacities, word_bytes=4, line_size=1,
-                    policy="lru"):
-    """Exact per-capacity miss/spill/reload counts from one pass.
-
-    Walks ``trace`` once and returns ``{capacity: {field: value}}``
-    for every capacity (in *lines*) in ``capacities``: exactly the
-    capacity-dependent counters an event-exact replay leaves on a
-    pristine ``NamedStateRegisterFile(num_registers=C * line_size,
-    line_size=line_size, policy=policy)`` with register-scope reloads
-    and write-allocate misses, plus the backing store's word counters.
-    Capacity-independent counters (ticks, occupancy integrals, context
-    lifecycle) are not part of the curve — see
-    :func:`capacity_tables` for the full snapshot.
-
-    ``policy="lru"`` uses the Mattson stack-with-holes pass (one
-    Fenwick-tree walk regardless of how many capacities are asked,
-    accelerated by the NumPy kernel in :mod:`repro.trace.vector` when
-    available); ``policy="fifo"`` runs the synchronized direct
-    simulation.  Raises :class:`OracleUnsupported` outside the
-    boundary (wide values, cold reads, ``FREE`` with
-    ``line_size > 1``, unknown policy).  Pure Python fallback needs no
-    NumPy.
-    """
-    if policy == "lru":
-        scanned = None
-        if numpy_available():
-            from repro.trace import vector
-
-            scanned = vector.lru_scan(trace, capacities, word_bytes,
-                                      line_size)
-        if scanned is None:
-            scanned = _scan_lru(trace, capacities, word_bytes,
-                                line_size, tables=False)
-        shared, percap = scanned
-    elif policy == "fifo":
-        shared, percap = _scan_fifo(trace, capacities, word_bytes,
-                                    line_size, tables=False)
-    else:
-        raise OracleUnsupported(f"no exact pass for policy {policy!r}")
-    # re-shape into the historical curve format (hits included)
-    reads = shared["reads"]
-    writes = shared["writes"]
-    for entry in percap.values():
-        entry.pop("switch_misses", None)
-        entry["reads"] = reads
-        entry["writes"] = writes
-        entry["read_hits"] = reads - entry["read_misses"]
-        entry["write_hits"] = writes - entry["write_misses"]
-    return percap
+# -- public table entry points ----------------------------------------------
 
 
 _ZERO_FIELDS = (
@@ -1107,27 +690,32 @@ def capacity_tables(trace, capacities, word_bytes=4, line_size=1,
                     policy="lru"):
     """Full per-capacity NSF snapshots from one shared scan.
 
-    Like :func:`capacity_curves` but returns *every*
+    Walks ``trace`` once and returns ``{capacity: patch}`` for every
+    capacity (in *lines*) in ``capacities``: *every*
     :class:`~repro.core.stats.RegFileStats` field an event replay
-    would leave (tick-integrated occupancy and residency, tick-sampled
-    maxima, context lifecycle, the zero-by-construction fault and
-    watermark counters), keyed by capacity in lines.  Feed the result
-    to :func:`apply_table`.
+    would leave on a pristine ``NamedStateRegisterFile(num_registers=C
+    * line_size, line_size=line_size, policy=policy)`` with
+    register-scope reloads and write-allocate misses (hit and miss
+    counts, spill and reload traffic, tick-integrated occupancy and
+    residency, tick-sampled maxima, context lifecycle, the
+    zero-by-construction fault and watermark counters), plus the
+    backing store's word counters.  Feed a patch to
+    :func:`apply_table`.
+
+    ``policy="lru"`` runs the Mattson stack-with-holes pass (one walk
+    regardless of how many capacities are asked); ``policy="fifo"``
+    runs the synchronized direct simulation.  Raises
+    :class:`OracleUnsupported` outside the boundary (wide values, cold
+    reads, ``FREE`` with ``line_size > 1``, unknown policy).
     """
     if policy == "lru":
-        scanned = None
-        if numpy_available():
-            from repro.trace import vector
+        from repro.trace import vector
 
-            scanned = vector.lru_scan(trace, capacities, word_bytes,
-                                      line_size, tables=True)
-        if scanned is None:
-            scanned = _scan_lru(trace, capacities, word_bytes,
-                                line_size, tables=True)
-        shared, percap = scanned
+        shared, percap = vector.lru_scan(trace, capacities, word_bytes,
+                                         line_size)
     elif policy == "fifo":
         shared, percap = _scan_fifo(trace, capacities, word_bytes,
-                                    line_size, tables=True)
+                                    line_size)
     else:
         raise OracleUnsupported(f"no exact pass for policy {policy!r}")
     return _assemble_tables(shared, percap)
@@ -1302,7 +890,7 @@ def _closed_form(trace, model):
 
 def closed_form_serves(trace, model):
     """True when the O(1) closed form serves ``model``: the first thing
-    :func:`serve_from_tables` and :func:`replay_oracle` both try."""
+    :func:`serve_from_tables` tries."""
     return synthesizable(_closed_form(trace, model), model)
 
 
@@ -1413,7 +1001,7 @@ def serve_from_tables(trace, model, capacities):
     announces the register budgets the surrounding sweep will visit,
     so one scan covers them all.  Returns True and patches
     ``model.stats`` when the cell is served; False leaves the model
-    untouched for the caller's fallback engine.
+    untouched for the caller's event replay.
     """
     if apply_stats(_closed_form(trace, model), model):
         return True
@@ -1423,44 +1011,3 @@ def serve_from_tables(trace, model, capacities):
     table, units = served
     apply_table(table[units], model)
     return True
-
-
-def oracle_sweep(trace, model_factory, configurations):
-    """Replay one trace over many configurations, oracle-accelerated.
-
-    Drop-in for :func:`repro.trace.replay.sweep` (verify-off): builds
-    ``model_factory(**config)`` per cell and returns ``(config,
-    stats)`` pairs.  Every cell goes through
-    :func:`serve_from_tables` with the sweep's register budgets as
-    the plan: cells whose capacity never forces an eviction are
-    synthesized in O(1) from the shared columnar analysis, and the
-    other in-regime cells are served from **one** memoized full-table
-    scan per design family (line size x policy for the NSF, policy
-    for both segmented spill modes), an O(1) apply per cell.  Every
-    other cell — NMRU's RNG draws, fig13's line-scope reloads,
-    wide-value traces (the scans refuse them, so they degrade here
-    rather than raising) — transparently falls back to event-exact
-    replay, keeping the results byte-identical to
-    :func:`~repro.trace.replay.sweep` by construction.
-    """
-    cells = [(config, model_factory(**config))
-             for config in configurations]
-    budgets = [model.num_registers for _, model in cells]
-    for _, model in cells:
-        if not serve_from_tables(trace, model, budgets):
-            _event_replay(trace, model, verify=False)
-    return [(config, model.stats) for config, model in cells]
-
-
-def replay_oracle(trace, model):
-    """Single-model oracle replay (the ``engine="oracle"`` hook).
-
-    Per replayed model this is the columnar engine — synthesis inside
-    the no-eviction boundary, scalar fallback outside — but routed
-    through the oracle module so sweep drivers and
-    :func:`oracle_sweep` share one analysis memo.  Sweep drivers that
-    know their capacity grid up front should call
-    :func:`serve_from_tables` first (the evalx ``capacity_plan`` hook
-    does), which covers the sub-peak cells this entry point cannot.
-    """
-    return replay_columnar(trace, model)

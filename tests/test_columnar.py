@@ -1,18 +1,18 @@
-"""Columnar synthesis is byte-identical to scalar replay — state too.
+"""The oracle's closed form equals event replay, and steps aside.
 
-The columnar engine may only differ from the event loop in speed:
-inside the exactness boundary it must leave the *same statistics and
-the same complete mutable state* (free-list order, policy order, CAM,
-cid interning, ctable, current context) as ``replay(trace, model,
-verify=False)``; outside the boundary it must visibly fall back.
+Inside its exactness boundary :func:`columnar.apply_stats` must leave
+the *same statistics* on a fresh model as ``replay(trace, model,
+verify=False)``; outside it (a used model, another design, a trace
+that would evict) it must refuse and leave the model untouched, and
+the oracle engine must then serve the cell from its tables or by
+event replay, with the same result.
 """
-
-import sys
 
 import pytest
 
+from repro.evalx import common
 from repro.evalx.common import make_nsf, run_workload
-from repro.trace import cache as trace_cache, columnar
+from repro.trace import cache as trace_cache, columnar, oracle
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -23,11 +23,6 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import _dispatch_table, replay
-
-pytestmark = pytest.mark.skipif(
-    not columnar.numpy_available(),
-    reason="columnar synthesis needs the numpy perf extra",
-)
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +35,16 @@ def recorded():
     return workload, recorder.trace
 
 
-def _pair(workload, trace, **kw):
-    scalar = make_nsf(workload, **kw)
-    fast = make_nsf(workload, **kw)
-    replay(trace, scalar, verify=False)
-    columnar.replay_columnar(trace, fast)
-    return scalar, fast
+def _replayed(workload, trace, **kw):
+    return replay(trace, make_nsf(workload, **kw), verify=False)
+
+
+def _oracle_cell(monkeypatch, trace, model):
+    """Drive ``model`` as the oracle engine drives a planned cell."""
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    with common.capacity_plan((model.num_registers,)):
+        common._replay(trace, model)
+    return model
 
 
 def test_analysis_covers_recorded_workloads(recorded):
@@ -60,47 +59,62 @@ def test_analysis_covers_recorded_workloads(recorded):
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
 def test_synthesis_equals_scalar_replay(recorded, policy):
     workload, trace = recorded
-    scalar, fast = _pair(workload, trace, policy=policy)
-    assert columnar.apply_analysis(columnar.analyze(trace),
-                                   make_nsf(workload, policy=policy))
-    assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
+    scalar = _replayed(workload, trace, policy=policy)
+    closed = make_nsf(workload, policy=policy)
+    assert columnar.apply_stats(columnar.analyze(trace), closed)
+    assert closed.stats.snapshot() == scalar.stats.snapshot()
+    served = make_nsf(workload, policy=policy)
+    assert oracle.serve_from_tables(trace, served, ())
+    assert served.stats.snapshot() == scalar.stats.snapshot()
 
 
 def test_peak_boundary_is_exact(recorded):
     workload, trace = recorded
-    peak = columnar.analyze(trace).peak_lines
-    # at exactly peak lines synthesis still applies...
-    assert columnar.apply_analysis(
-        columnar.analyze(trace),
-        make_nsf(workload, num_registers=peak))
-    # ...one below, an eviction would happen: refuse
-    assert not columnar.apply_analysis(
-        columnar.analyze(trace),
-        make_nsf(workload, num_registers=peak - 1))
-    # and the engine silently falls back to the exact loop
-    scalar, fast = _pair(workload, trace, num_registers=peak - 1)
-    assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
+    analysis = columnar.analyze(trace)
+    peak = analysis.peak_lines
+    # at exactly peak lines the closed form still applies...
+    at_peak = make_nsf(workload, num_registers=peak)
+    assert columnar.apply_stats(analysis, at_peak)
+    assert at_peak.stats.snapshot() == _replayed(
+        workload, trace, num_registers=peak).stats.snapshot()
+    # ...one below, an eviction would happen: refuse, model untouched
+    below = make_nsf(workload, num_registers=peak - 1)
+    assert not columnar.apply_stats(analysis, below)
+    assert below.stats.snapshot() == make_nsf(
+        workload, num_registers=peak - 1).stats.snapshot()
+    # and the oracle prices that cell from its tables instead
+    assert oracle.serve_from_tables(trace, below, (peak - 1,))
+    assert below.stats.snapshot() == _replayed(
+        workload, trace, num_registers=peak - 1).stats.snapshot()
 
 
-def test_used_model_falls_back(recorded):
-    workload, trace = recorded
+def _used(workload):
     model = make_nsf(workload)
     model.begin_context(cid=901)
     model.write(0, 42, cid=901)
+    return model
+
+
+def test_used_model_falls_back(recorded, monkeypatch):
+    workload, trace = recorded
+    model = _used(workload)
     assert not columnar.supported_model(model)
-    assert not columnar.apply_analysis(columnar.analyze(trace), model)
+    assert not columnar.apply_stats(columnar.analyze(trace), model)
+    assert not oracle.serve_from_tables(trace, model, ())
+    _oracle_cell(monkeypatch, trace, model)
+    twin = replay(trace, _used(workload), verify=False)
+    assert model.capture() == twin.capture()
 
 
-def test_out_of_regime_models_fall_back(recorded):
+def test_out_of_regime_models_fall_back(recorded, monkeypatch):
     workload, trace = recorded
     for kw in ({"line_size": 2}, {"policy": "nmru"},
                {"fetch_on_write": True}, {"spill_watermark": 4}):
-        assert not columnar.apply_analysis(
+        assert not columnar.apply_stats(
             columnar.analyze(trace), make_nsf(workload, **kw))
-        scalar, fast = _pair(workload, trace, **kw)
-        assert fast.stats.snapshot() == scalar.stats.snapshot()
+        model = _oracle_cell(monkeypatch, trace, make_nsf(workload, **kw))
+        assert model.stats.snapshot() == _replayed(
+            workload, trace, **kw).stats.snapshot(), kw
 
 
 def test_out_of_regime_traces_analyze_to_none():
@@ -124,6 +138,21 @@ def test_out_of_regime_traces_analyze_to_none():
     wide.append_wide(OP_WRITE, 1, 0, 1 << 90)
     assert columnar.analyze(wide) is None
 
+    # event replay raises on both: the closed form must not price them
+    after_end = Trace(context_size=4)
+    after_end.append(OP_BEGIN, 1)
+    after_end.append(OP_WRITE, 1, 0, 5)
+    after_end.append(OP_END, 1)
+    after_end.append(OP_READ, 1, 0, 0)
+    assert columnar.analyze(after_end) is None
+
+    ended_twice = Trace(context_size=4)
+    ended_twice.append(OP_BEGIN, 1)
+    ended_twice.append(OP_WRITE, 1, 0, 5)
+    ended_twice.append(OP_END, 1)
+    ended_twice.append(OP_END, 1)
+    assert columnar.analyze(ended_twice) is None
+
 
 def test_cid_reuse_is_synthesized_exactly():
     """Front-ends recycle cids; instances must keep lifetimes apart."""
@@ -138,45 +167,37 @@ def test_cid_reuse_is_synthesized_exactly():
     trace.append(OP_WRITE, 5, 2, 99)
 
     analysis = columnar.analyze(trace)
-    assert analysis is not None
+    assert analysis is not None and analysis.peak_lines == 2
 
-    def fresh():
+    def fresh(lines):
         from repro.core import NamedStateRegisterFile
 
-        return NamedStateRegisterFile(num_registers=8, context_size=4,
+        return NamedStateRegisterFile(num_registers=lines, context_size=4,
                                       line_size=1)
 
-    scalar, fast = fresh(), fresh()
-    replay(trace, scalar, verify=False)
-    columnar.replay_columnar(trace, fast)
-    assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
-
-
-def test_missing_numpy_degrades_to_scalar(recorded, monkeypatch):
-    workload, trace = recorded
-    # what the loader's import sees on a host without NumPy, even
-    # though this process loaded it long ago
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.setattr(columnar, "_ANALYSES", {})
-    assert not columnar.numpy_available()
-    assert columnar.analyze(trace) is None
-    scalar, fast = _pair(workload, trace)
-    assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
+    closed = fresh(8)
+    assert columnar.apply_stats(analysis, closed)
+    assert closed.stats.snapshot() == \
+        replay(trace, fresh(8), verify=False).stats.snapshot()
+    # below the peak the tables key lifetimes by instance as well
+    tabled = fresh(1)
+    assert oracle.serve_from_tables(trace, tabled, ())
+    assert tabled.stats.snapshot() == \
+        replay(trace, fresh(1), verify=False).stats.snapshot()
 
 
 def test_selected_engine_parsing(monkeypatch):
     monkeypatch.delenv(columnar.ENV_ENGINE, raising=False)
     assert columnar.selected_engine() == "event"
-    monkeypatch.setenv(columnar.ENV_ENGINE, "Columnar ")
-    assert columnar.selected_engine() == "columnar"
+    monkeypatch.setenv(columnar.ENV_ENGINE, "Oracle ")
+    assert columnar.selected_engine() == "oracle"
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracel")  # typo: default
     assert columnar.selected_engine() == "event"
-    assert columnar.selected_engine(default="columnar") == "columnar"
+    monkeypatch.setenv(columnar.ENV_ENGINE, "columnar")  # retired
+    assert columnar.selected_engine() == "event"
 
 
-@pytest.mark.parametrize("engine", ["columnar", "oracle"])
+@pytest.mark.parametrize("engine", ["oracle"])
 def test_run_workload_honors_engine_env(tmp_path, monkeypatch, engine):
     from repro.workloads import GateSim
 

@@ -16,7 +16,8 @@ this process.  Evidence that this never changes a number:
   raising in a child raises the serial error in the parent; a parent
   whose own share raises leaves no child behind.
 * **Guard timing.** Under ``oracle`` planning loads NumPy; with a
-  multi-threaded BLAS pool nothing forks after that.
+  multi-threaded BLAS pool nothing forks after that, and NumPy's one
+  import site keeps the pool at one thread however it is first used.
 * **Chaos.** An armed fault plane sees the same draws either way.
 """
 
@@ -380,8 +381,6 @@ def test_an_interrupted_parent_kills_its_children(tmp_path):
 
 
 @needs_fork
-@pytest.mark.skipif(not columnar.numpy_available(),
-                    reason="planning loads NumPy only when it is installed")
 def test_nothing_forks_after_planning_loads_a_threaded_numpy(tmp_path):
     script = f"""
         os.environ[trace_cache.ENV_DIR] = {str(tmp_path)!r}
@@ -402,36 +401,61 @@ def test_nothing_forks_after_planning_loads_a_threaded_numpy(tmp_path):
     assert single["table"] == threaded["table"]
 
 
-@pytest.mark.skipif(not columnar.numpy_available(),
-                    reason="nothing is imported without NumPy")
-def test_numpy_loads_with_a_single_threaded_blas_pool():
-    code = textwrap.dedent("""
-        import json, os
-        from repro.ioutil import fork_unavailable
-        from repro.trace import columnar
-        columnar._numpy()
-        tasks = (len(os.listdir("/proc/self/task"))
-                 if os.path.isdir("/proc/self/task") else 1)
-        print(json.dumps([tasks, fork_unavailable(),
-                          os.environ["OPENBLAS_NUM_THREADS"],
-                          os.environ["OMP_NUM_THREADS"]]))
-    """)
+#: prints ``[tasks, fork_unavailable(), OPENBLAS_NUM_THREADS,
+#: OMP_NUM_THREADS]`` after the script's first use of NumPy
+FIRST_LOAD = """
+import json, os
+from repro.ioutil import fork_unavailable
+{load}
+tasks = (len(os.listdir("/proc/self/task"))
+         if os.path.isdir("/proc/self/task") else 1)
+print(json.dumps([tasks, fork_unavailable(),
+                  os.environ.get("OPENBLAS_NUM_THREADS"),
+                  os.environ.get("OMP_NUM_THREADS")]))
+"""
+
+
+def _first_load(load, **env):
+    """Run :data:`FIRST_LOAD` with ``load`` in a fresh interpreter that
+    starts without either BLAS thread variable (unless ``env`` sets
+    it)."""
     environ = {key: value for key, value in os.environ.items()
                if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     environ["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_LOAD.format(load=textwrap.dedent(load))],
+        env={**environ, **env}, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
 
-    def run(**env):
-        done = subprocess.run([sys.executable, "-c", code],
-                              env={**environ, **env}, check=True,
-                              capture_output=True, text=True)
-        return json.loads(done.stdout)
 
-    assert run() == [1, None, "1", "1"]
-    tasks, reason, openblas, omp = run(OPENBLAS_NUM_THREADS="2",
-                                       OMP_NUM_THREADS="3")
+def test_numpy_loads_with_a_single_threaded_blas_pool():
+    load = """
+        from repro.trace import columnar
+        columnar._numpy()
+    """
+    assert _first_load(load) == [1, None, "1", "1"]
+    tasks, reason, openblas, omp = _first_load(
+        load, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
     assert (openblas, omp) == ("2", "3")  # the user's values stay
     if os.path.isdir("/proc/self/task"):
         assert tasks > 1 and reason == f"{tasks} threads"
+
+
+def test_a_line_scan_as_first_numpy_use_keeps_one_thread():
+    """The LRU kernel takes NumPy from the one import site: a process
+    whose first NumPy use is a line-size-2 table scan may still fork."""
+    tasks, reason, openblas, omp = _first_load("""
+        from repro.trace import oracle
+        from repro.trace.events import OP_BEGIN, OP_READ, OP_WRITE, Trace
+        trace = Trace(context_size=4)
+        trace.append(OP_BEGIN, 1)
+        for offset in range(4):
+            trace.append(OP_WRITE, 1, offset, offset)
+        trace.append(OP_READ, 1, 0, 0)
+        oracle.capacity_tables(trace, [1, 2], line_size=2)
+    """)
+    assert (tasks, reason) == (1, None)
+    assert (openblas, omp) == ("1", "1")
 
 
 # -- chaos ---------------------------------------------------------------------

@@ -1,30 +1,39 @@
 """The stack-distance oracle equals event-exact replay, everywhere.
 
+Event replay is the one reference: every table the oracle serves is
+checked against the snapshot an event replay leaves on the same model.
 Three rings of evidence:
 
 * **Golden workloads.** For every recorded workload trace the paper's
-  sweeps replay, :func:`capacity_curves` must reproduce the hit /
-  spill / reload counters of an event-exact replay at every capacity
-  on a grid straddling the trace's peak demand — including the
-  sub-peak region where real evictions happen.
-* **Sweep parity.** :func:`oracle_sweep` returns byte-identical stats
-  snapshots to :func:`repro.trace.replay.sweep` across capacities and
-  policies, including configurations (NMRU, FIFO) it can only serve by
-  falling back to event replay.
+  sweeps replay, :func:`capacity_tables` and :func:`segmented_tables`
+  must reproduce every statistic of an event-exact replay at every
+  capacity on a grid straddling the trace's peak demand — including
+  the sub-peak region where real evictions happen — across line sizes,
+  policies and spill modes.
+* **Sweep parity.** A sweep run under the oracle engine (closed form
+  and tables inside a :func:`~repro.evalx.common.capacity_plan`, event
+  replay for every cell they do not serve) returns byte-identical
+  stats snapshots to :func:`repro.trace.replay.sweep`, including
+  configurations (NMRU) and trace shapes (negative or huge context
+  ids, out-of-range offsets) only event replay serves.
 * **Random traces.** Hypothesis generates arbitrary BEGIN / END /
-  read / write interleavings and the curves must match replay at every
-  tiny capacity, plus hold the Mattson monotonicity invariant.
+  read / write / FREE interleavings, and the tables must match replay
+  at every tiny capacity under LRU and FIFO at line sizes 1 and 2,
+  plus hold the Mattson monotonicity invariant under LRU.
 """
 
-import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import NamedStateRegisterFile
+from repro.errors import RegisterRangeError
+from repro.evalx import common
 from repro.evalx.common import make_nsf
 from repro.trace import columnar, oracle
 from repro.trace.events import (
+    FREE,
     OP_BEGIN,
     OP_END,
     OP_FREE,
@@ -34,17 +43,6 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import replay, sweep
-from tests.conftest import FileLog
-
-#: capacity-dependent stat fields the oracle predicts exactly
-CURVE_FIELDS = (
-    "reads", "writes", "read_hits", "read_misses", "write_hits",
-    "write_misses", "registers_spilled", "lines_spilled",
-    "live_registers_spilled", "registers_reloaded", "lines_reloaded",
-    "live_registers_reloaded", "active_registers_reloaded",
-    "raw_bytes_spilled", "wire_bytes_spilled", "raw_bytes_reloaded",
-    "wire_bytes_reloaded",
-)
 
 #: (workload name, recording scale) — the golden sweeps' workloads
 GOLDEN_WORKLOADS = [
@@ -78,28 +76,57 @@ def _capacity_grid(trace):
     return sorted(c for c in grid if c >= 1)
 
 
-def _event_model(trace, capacity, **kw):
-    model = NamedStateRegisterFile(
-        num_registers=capacity, context_size=trace.context_size,
-        line_size=1, **kw)
+def _nsf(trace, lines, line_size=1, **kw):
+    """A fresh NSF of ``lines`` lines for ``trace``'s contexts."""
+    return NamedStateRegisterFile(
+        num_registers=lines * line_size, context_size=trace.context_size,
+        line_size=line_size, **kw)
+
+
+def _snapshot(model):
+    return (model.stats.snapshot(), model.backing.words_stored,
+            model.backing.words_loaded)
+
+
+def _event_model(trace, lines, line_size=1, **kw):
+    model = _nsf(trace, lines, line_size, **kw)
     replay(trace, model, verify=False)
     return model
 
 
+def _tabled(patch, model):
+    """``model``'s snapshot once one table patch is applied to it."""
+    return _snapshot(oracle.apply_table(patch, model))
+
+
+def _assert_tables_match_replay(trace, grid, line_size=1, policy="lru"):
+    tables = oracle.capacity_tables(trace, grid, line_size=line_size,
+                                    policy=policy)
+    assert sorted(tables) == sorted(set(grid))
+    for cap in grid:
+        want = _snapshot(_event_model(trace, cap, line_size, policy=policy))
+        got = _tabled(tables[cap], _nsf(trace, cap, line_size,
+                                        policy=policy))
+        assert got == want, f"L={line_size} {policy} cap={cap}"
+
+
+def _oracle_sweep(trace, factory, configurations):
+    """Each configuration's stats as the oracle engine leaves them, the
+    sweep's register budgets announced as its capacity plan."""
+    models = [factory(**config) for config in configurations]
+    plan = [model.num_registers for model in models]
+    with mock.patch.dict("os.environ", {columnar.ENV_ENGINE: "oracle"}), \
+            common.capacity_plan(plan):
+        for model in models:
+            common._replay(trace, model)
+    return [(config, model.stats)
+            for config, model in zip(configurations, models)]
+
+
 def test_curves_match_event_replay_on_golden_workloads(recorded):
+    """Every capacity's table equals an event replay's full snapshot."""
     _, trace = recorded
-    grid = _capacity_grid(trace)
-    curves = oracle.capacity_curves(trace, grid)
-    for capacity in grid:
-        model = _event_model(trace, capacity)
-        stats = model.stats
-        for field in CURVE_FIELDS:
-            assert curves[capacity][field] == getattr(stats, field), (
-                f"capacity {capacity}: {field}")
-        assert curves[capacity]["words_stored"] == \
-            model.backing.words_stored
-        assert curves[capacity]["words_loaded"] == \
-            model.backing.words_loaded
+    _assert_tables_match_replay(trace, _capacity_grid(trace))
 
 
 def test_curves_match_event_replay_across_line_sizes_and_policies(
@@ -111,27 +138,11 @@ def test_curves_match_event_replay_across_line_sizes_and_policies(
     valid masks are all exercised.
     """
     _, trace = recorded
-    ctx = trace.context_size
     base = _capacity_grid(trace)
     for line_size in (1, 2, 4):
         grid = sorted({max(1, c // line_size) for c in base} | {1, 3})
         for policy in ("lru", "fifo"):
-            curves = oracle.capacity_curves(
-                trace, grid, line_size=line_size, policy=policy)
-            for cap in grid:
-                model = NamedStateRegisterFile(
-                    num_registers=cap * line_size, context_size=ctx,
-                    line_size=line_size, policy=policy)
-                replay(trace, model, verify=False)
-                for field in CURVE_FIELDS:
-                    assert curves[cap][field] == \
-                        getattr(model.stats, field), (
-                            f"L={line_size} {policy} cap={cap}: "
-                            f"{field}")
-                assert curves[cap]["words_stored"] == \
-                    model.backing.words_stored
-                assert curves[cap]["words_loaded"] == \
-                    model.backing.words_loaded
+            _assert_tables_match_replay(trace, grid, line_size, policy)
 
 
 def test_tables_match_event_snapshots_on_golden_workloads(recorded):
@@ -189,74 +200,34 @@ def test_segmented_tables_match_event_replay(recorded):
 
 
 def test_vector_kernel_matches_scalar_walk(recorded):
-    """The NumPy windowed-stack kernel is byte-identical to the
-    pure-stdlib Fenwick walk (the no-NumPy fallback)."""
+    """The NumPy windowed-stack kernel prices every capacity exactly as
+    the scalar event walk (``replay``) counts it, at line sizes 1, 2
+    and 4 on one grid of capacities in lines."""
     from repro.trace import vector
 
-    if not columnar.numpy_available():
-        pytest.skip("NumPy unavailable: only the scalar walk runs")
     _, trace = recorded
     grid = _capacity_grid(trace)
     for line_size in (1, 2, 4):
-        fast = vector.lru_scan(trace, grid, 4, line_size)
-        assert fast is not None
-        shared, percap = oracle._scan_lru(trace, grid, 4, line_size,
-                                          tables=False)
-        slow = {cap: {k: v for k, v in entry.items()
-                      if k != "switch_misses"}
-                for cap, entry in percap.items()}
-        assert fast[0]["reads"] == shared["reads"]
-        assert fast[0]["writes"] == shared["writes"]
-        assert fast[1] == slow
-
-
-def test_missing_numpy_degrades_to_scalar_walk(recorded, monkeypatch,
-                                               tmp_path):
-    """Without NumPy the oracle serves the whole capacity grid from one
-    stdlib Fenwick walk, in place of the NumPy kernel and the closed
-    form."""
-    from repro.trace import vector
-
-    _, trace = recorded
-    grid = _capacity_grid(trace)
-    ctx = trace.context_size
-    # what the loader's import sees on a host without NumPy, even
-    # though this process loaded it long ago
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.setattr(columnar, "_ANALYSES", {})
-    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
-
-    def kernel(*args, **kwargs):
-        raise AssertionError("NumPy kernel ran with NumPy blocked")
-
-    walks = FileLog(tmp_path / "walks.jsonl")
-    scalar_walk = oracle._scan_lru
-
-    def counted_walk(*args, **kwargs):
-        walks.append(list(args[1]))
-        return scalar_walk(*args, **kwargs)
-
-    monkeypatch.setattr(vector, "lru_scan", kernel)
-    monkeypatch.setattr(oracle, "_scan_lru", counted_walk)
-    assert not columnar.numpy_available()
-    assert columnar.analyze(trace) is None
-
-    def factory(num_registers):
-        return NamedStateRegisterFile(
-            num_registers=num_registers, context_size=ctx, line_size=1)
-
-    configurations = [{"num_registers": c} for c in grid]
-    expected = sweep(trace, factory, configurations, verify=False)
-    got = oracle.oracle_sweep(trace, factory, configurations)
-    assert walks.records() == [grid]  # one walk priced every capacity
-    for (_, got_stats), (_, want_stats) in zip(got, expected):
-        assert got_stats.snapshot() == want_stats.snapshot()
+        shared, percap = vector.lru_scan(trace, grid, 4, line_size)
+        for cap in grid:
+            model = _event_model(trace, cap, line_size)
+            stats = model.stats
+            for field, value in shared.items():
+                assert value == getattr(stats, field), (
+                    f"L={line_size} cap={cap}: {field}")
+            for field, value in percap[cap].items():
+                want = (getattr(model.backing, field)
+                        if field.startswith("words_")
+                        else getattr(stats, field))
+                assert value == want, f"L={line_size} cap={cap}: {field}"
 
 
 def test_curves_cost_one_pass_regardless_of_grid(recorded):
+    """A capacity's table entry does not depend on the grid the one
+    pass priced it with."""
     _, trace = recorded
-    few = oracle.capacity_curves(trace, [8, 40])
-    many = oracle.capacity_curves(trace, range(1, 121))
+    few = oracle.capacity_tables(trace, [8, 40])
+    many = oracle.capacity_tables(trace, range(1, 121))
     for capacity, point in few.items():
         assert many[capacity] == point
 
@@ -278,7 +249,7 @@ def test_oracle_sweep_matches_event_sweep(recorded):
         for policy in ("lru", "fifo", "nmru")
     ]
     expected = sweep(trace, factory, configurations, verify=False)
-    got = oracle.oracle_sweep(trace, factory, configurations)
+    got = _oracle_sweep(trace, factory, configurations)
     assert [config for config, _ in got] == \
         [config for config, _ in expected]
     for (_, got_stats), (_, want_stats) in zip(got, expected):
@@ -291,25 +262,74 @@ def test_unsupported_traces_raise():
     trace.append(OP_WRITE, 1, 0, 7)
     trace.append(OP_READ, 1, 1, 0)  # cold read: demand-reload regime
     with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(trace, [4])
+        oracle.capacity_tables(trace, [4])
 
     wide = Trace(context_size=4)
     wide.append(OP_BEGIN, 1)
     wide.append_wide(OP_WRITE, 1, 0, 1 << 80)
     with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(wide, [4])
+        oracle.capacity_tables(wide, [4])
 
     with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(Trace(context_size=4), [])
+        oracle.capacity_tables(Trace(context_size=4), [])
 
     freed = Trace(context_size=4)
     freed.append(OP_BEGIN, 1)
     freed.append(OP_WRITE, 1, 0, 7)
     freed.append(OP_FREE, 1, 0)  # line-granular FREE diverges per file
     with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(freed, [4], line_size=2)
+        oracle.capacity_tables(freed, [4], line_size=2)
     # ... but at line_size 1 a FREE is an exact deletion
-    assert oracle.capacity_curves(freed, [4])[4]["write_misses"] == 1
+    assert oracle.capacity_tables(freed, [4])[4]["write_misses"] == 1
+
+
+def _two_contexts(cid, offset):
+    """Two contexts ``cid`` and ``cid + 1`` writing registers 0 and
+    ``offset`` and reading them back, so a two-line file evicts."""
+    trace = Trace(context_size=4)
+    for c in (cid, cid + 1):
+        trace.append(OP_BEGIN, c)
+        trace.append(OP_WRITE, c, 0, c)
+        trace.append(OP_WRITE, c, offset, c + 1)
+    for c in (cid, cid + 1):
+        trace.append(OP_READ, c, 0, 0)
+        trace.append(OP_READ, c, offset, 0)
+        trace.append(OP_END, c)
+    return trace
+
+
+def _outcome(drive, model):
+    """``model``'s snapshot after ``drive(model)``, or the type of the
+    error it raised."""
+    try:
+        drive(model)
+    except Exception as exc:
+        return type(exc)
+    return model.stats.snapshot()
+
+
+@pytest.mark.parametrize("shape", ["negative-cid", "offset-out-of-range",
+                                   "cid-overflows-composite-key"])
+def test_unkeyable_traces_fall_back_to_event_replay(shape):
+    """The shapes the kernel's composite keying cannot represent are
+    refused by the scan, and under the oracle engine their cells replay
+    exactly as the event engine does."""
+    trace = {
+        "negative-cid": lambda: _two_contexts(-5, 1),
+        "offset-out-of-range": lambda: _two_contexts(1, 5),
+        "cid-overflows-composite-key": lambda: _two_contexts(1 << 60, 1),
+    }[shape]()
+    for family in (("nsf", 1, "lru", 4), ("nsf", 2, "lru", 4)):
+        assert oracle.scan_tables(trace, family, [1, 2]) is None
+    for lines in (2, 4):
+        def oracle_cell(model):
+            _oracle_sweep(trace, lambda: model, [{}])
+
+        want = _outcome(lambda model: replay(trace, model, verify=False),
+                        _nsf(trace, lines))
+        assert _outcome(oracle_cell, _nsf(trace, lines)) == want
+    if shape == "offset-out-of-range":
+        assert want is RegisterRangeError
 
 
 # -- hypothesis: random traces -------------------------------------------
@@ -364,38 +384,50 @@ def random_traces(draw):
     return trace
 
 
-@settings(max_examples=80, deadline=None)
-@given(random_traces())
-def test_curves_match_replay_on_random_traces(trace):
-    capacities = list(range(1, 10))
-    curves = oracle.capacity_curves(trace, capacities)
-    for capacity in capacities:
-        stats = _event_model(trace, capacity).stats
-        for field in CURVE_FIELDS:
-            assert curves[capacity][field] == getattr(stats, field), (
-                f"capacity {capacity}: {field}")
+def _without_frees(trace):
+    return Trace([event for event in trace if event[0] != FREE],
+                 context_size=trace.context_size)
 
 
 @settings(max_examples=80, deadline=None)
-@given(random_traces())
-def test_curves_are_monotone_in_capacity(trace):
+@given(random_traces(), st.sampled_from((1, 2)),
+       st.sampled_from(("lru", "fifo")))
+def test_curves_match_replay_on_random_traces(trace, line_size, policy):
+    if line_size > 1:
+        trace = _without_frees(trace)  # FREE needs line_size 1
+    _assert_tables_match_replay(trace, list(range(1, 10)), line_size,
+                                policy)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_traces(), st.sampled_from((1, 2)))
+def test_curves_are_monotone_in_capacity(trace, line_size):
+    if line_size > 1:
+        trace = _without_frees(trace)
     capacities = list(range(1, 12))
-    curves = oracle.capacity_curves(trace, capacities)
+    tables = oracle.capacity_tables(trace, capacities,
+                                    line_size=line_size)
     for small, big in zip(capacities, capacities[1:]):
         for field in ("read_misses", "write_misses",
                       "registers_spilled", "registers_reloaded"):
-            assert curves[small][field] >= curves[big][field]
+            assert tables[small][field] >= tables[big][field]
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_traces())
-def test_oracle_sweep_matches_replay_on_random_traces(trace):
+@given(random_traces(), st.sampled_from((1, 2)),
+       st.sampled_from(("lru", "fifo")))
+def test_oracle_sweep_matches_replay_on_random_traces(trace, line_size,
+                                                      policy):
+    if line_size > 1:
+        trace = _without_frees(trace)
+
     def factory(num_registers):
         return NamedStateRegisterFile(
-            num_registers=num_registers, context_size=CTX, line_size=1)
+            num_registers=num_registers, context_size=CTX,
+            line_size=line_size, policy=policy)
 
-    configurations = [{"num_registers": n} for n in (2, 5, 64)]
+    configurations = [{"num_registers": n} for n in (2, 6, 64)]
     expected = sweep(trace, factory, configurations, verify=False)
-    got = oracle.oracle_sweep(trace, factory, configurations)
+    got = _oracle_sweep(trace, factory, configurations)
     for (_, got_stats), (_, want_stats) in zip(got, expected):
         assert got_stats.snapshot() == want_stats.snapshot()

@@ -12,8 +12,8 @@ Two rings of evidence:
 * **Memo semantics.** Equal content shares one scan; a trace that grew
   is scanned again, never served a stale table; eviction is least
   recently used; a capacity's patch does not depend on the grid that
-  computed it; and at or above the peak the columnar closed form
-  equals the table patch.
+  computed it; and at or above the peak the closed form equals the
+  table patch.
 """
 
 import collections
@@ -24,21 +24,20 @@ from hypothesis import given, settings, strategies as st
 from repro.core import NamedStateRegisterFile
 from repro.evalx import run_experiment
 from repro.trace import cache as trace_cache, columnar, oracle
-from repro.trace.events import FREE, OP_BEGIN, OP_READ, OP_WRITE, Trace
+from repro.trace.events import OP_BEGIN, OP_READ, OP_WRITE, Trace
 from repro.trace.replay import replay
 from repro.workloads import get_workload
 from tests.conftest import FileLog
-from tests.test_oracle_differential import CTX, random_traces
+from tests.test_oracle_differential import (
+    CTX,
+    _without_frees,
+    random_traces,
+)
 
 SWEEPS = ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14")
 
 #: the golden seed (11) is covered by the golden checks
 SCALE, SEED = 0.2, 3
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(),
-    reason="the closed form needs the numpy perf extra",
-)
 
 
 @pytest.fixture
@@ -103,11 +102,6 @@ def _contexts_trace(contexts):
         for offset in range(CTX):
             trace.append(OP_READ, cid, offset, cid + offset)
     return trace
-
-
-def _without_frees(trace):
-    return Trace([event for event in trace if event[0] != FREE],
-                 context_size=trace.context_size)
 
 
 # -- end to end ---------------------------------------------------------------
@@ -177,7 +171,6 @@ def test_grown_trace_is_scanned_again(monkeypatch, fresh_memos,
     assert after == _replayed(trace, 8) and after != before
 
 
-@needs_numpy
 def test_grown_trace_gets_a_fresh_analysis(fresh_memos):
     first = _contexts_trace(6)
     twin = Trace.loads_binary(first.dumps_binary())
@@ -203,7 +196,6 @@ def test_table_memo_evicts_least_recently_used(monkeypatch, fresh_memos,
     assert len(log.scans) == 4  # evicted, so scanned again
 
 
-@needs_numpy
 def test_analysis_memo_evicts_least_recently_used(monkeypatch, fresh_memos):
     monkeypatch.setattr(columnar, "_MEMO_LIMIT", 2)
     old, other, new = (_contexts_trace(n) for n in (5, 6, 7))
@@ -215,7 +207,6 @@ def test_analysis_memo_evicts_least_recently_used(monkeypatch, fresh_memos):
     assert other.digest() not in columnar._ANALYSES
 
 
-@needs_numpy
 def test_capacities_at_or_above_peak_are_never_scanned(monkeypatch,
                                                        fresh_memos,
                                                        tmp_path):
@@ -256,7 +247,6 @@ def test_patch_does_not_depend_on_the_grid(trace, family, cap, extra_a,
             assert table[shared] == tables_b[fam][shared], (fam, shared)
 
 
-@needs_numpy
 @settings(max_examples=60, deadline=None)
 @given(random_traces().map(_without_frees), st.integers(0, 3),
        st.sampled_from(("lru", "fifo")))

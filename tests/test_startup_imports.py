@@ -20,7 +20,6 @@ oracle) loads in the forked child only.
 """
 
 import contextlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -42,15 +41,6 @@ LAZY = ("numpy", "repro.trace.vector", "repro.lang", "repro.cpu",
 CELL_EXPERIMENTS = ("table1", "compression", "resilience", "chaos")
 
 SCALE = 0.1
-
-#: asks the import system, not the loader under test: a loader that
-#: always answered "missing" would otherwise skip the checks meant to
-#: catch it
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="the oracle's NumPy paths need the numpy perf extra",
-)
-
 
 def _fresh(cache, engine, body):
     """Run ``body`` in a fresh interpreter on ``cache`` and ``engine``.
@@ -98,7 +88,6 @@ def test_event_cell_loads_nothing_lazy(tmp_path, experiment):
         assert found["loaded"] == []
 
 
-@needs_numpy
 def test_oracle_loads_numpy_and_serves_planned_cells(tmp_path):
     found = _fresh(tmp_path / "cache", "oracle", """
         from repro.evalx import common
@@ -132,11 +121,10 @@ def test_oracle_loads_numpy_and_serves_planned_cells(tmp_path):
     assert found["oracle"] == found["event"]
 
 
-@needs_numpy
 def test_threads_racing_the_first_load_all_see_numpy(tmp_path):
     """A thread that asks while another is still importing NumPy waits
-    for it; "missing" would silently send its cells down the scalar
-    paths."""
+    for it and gets the whole module, never a partial one or an
+    error."""
     found = _fresh(tmp_path / "cache", "oracle", """
         import threading
 
@@ -149,7 +137,7 @@ def test_threads_racing_the_first_load_all_see_numpy(tmp_path):
 
         def ask():
             start.wait(timeout=60)
-            answers.append(columnar.numpy_available())
+            answers.append(columnar._numpy().__name__)
 
         threads = [threading.Thread(target=ask) for _ in range(8)]
         for thread in threads:
@@ -161,7 +149,7 @@ def test_threads_racing_the_first_load_all_see_numpy(tmp_path):
     """)
     assert not found["before"]
     assert found["alive"] == 0
-    assert found["answers"] == [True] * 8
+    assert found["answers"] == ["numpy"] * 8
 
 
 def test_compiled_suite_loads_its_front_end_on_use(tmp_path):
@@ -276,7 +264,6 @@ def test_warm_parent_loads_nothing_a_cell_does_not(tmp_path, cell_site):
     assert all(not child & set(LAZY) for child in warm["child"])
 
 
-@needs_numpy
 def test_oracle_loads_numpy_in_the_warm_child_only(tmp_path, cell_site):
     """A planned cell (fig10 serves from a capacity plan) loads NumPy;
     its warm parent still has none when it forks the next cell."""
