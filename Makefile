@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test faults chaos compression resume-smoke farm-smoke bench bench-check bench-baseline eval charts goldens check-goldens clean-traces examples all
+.PHONY: install test faults chaos compression resume-smoke bench bench-check bench-baseline eval charts goldens check-goldens clean-traces examples all
 
 # Parallel cell workers for the sweep runner (1 = sequential).
 JOBS ?= 4
@@ -36,19 +36,8 @@ compression:
 # parallel scheduler so crash recovery is exercised with JOBS workers,
 # and with the storage fault plane armed (--chaos-seed) so the resumed
 # sweep also survives injected torn writes, EIO and worker crashes.
-# The farm half then SIGKILLs a farm *worker* (pid lifted from its
-# lease file) and the farm *supervisor* mid-sweep and requires the
-# resumed farm output to match the sequential sweep byte for byte.
 resume-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.evalx.runner smoke --experiment compression --scale 0.2 --kills 3 --jobs $(JOBS) --chaos-seed 5
-	PYTHONPATH=src $(PYTHON) -m repro.farm smoke --scenarios external-kill --jobs $(JOBS)
-
-# Service-grade chaos campaign for the sweep farm: worker self-kills,
-# supervisor kills, heartbeat stalls, planted stale leases and external
-# SIGKILLs, each compared byte-for-byte against an uninterrupted
-# sequential sweep, plus a golden check at the pinned operating point.
-farm-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.farm smoke --check --jobs $(JOBS)
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -61,7 +50,6 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hot_path.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos_overhead.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --check
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_core_ops.py --benchmark-only -q
@@ -70,7 +58,6 @@ bench-check:
 bench-baseline:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hot_path.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --write-baseline
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_farm.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --write-baseline
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --write-baseline
 

@@ -19,10 +19,6 @@ stale_lock a crashed recorder's lock file is left behind      storage
 crash      a sweep worker exits nonzero on its first attempt  process
 hang       a sweep worker parks until the watchdog fires      process
 slow       a sweep worker stalls ``slow_delay`` seconds       process
-worker_kill a farm worker SIGKILLs itself mid-cell            farm
-daemon_kill the farm supervisor SIGKILLs itself mid-sweep     farm
-heartbeat_stall a worker's lease renewals stall past the TTL  farm
-stale_lease a dead peer's lease file squats on a cell         farm
 ========== ================================================== =========
 
 Faults fire from a **seeded schedule**: a :class:`FaultPlane` arms, per
@@ -42,21 +38,6 @@ Injection sites (the storage operations the substrate exposes):
 * ``cache.lock``     — acquiring the single-flight recording lock;
 * ``journal.append`` — appending one write-ahead journal record;
 * ``results.write``  — publishing a sweep's final output file.
-
-Service-grade sites (PR 8) — the sweep farm's coordination substrate
-(:mod:`repro.farm`) consults four more sites; their *farm* fault kinds
-are opt-in (like ``hang``) because each needs a supervisor or smoke
-harness on top to be survivable:
-
-* ``lease.acquire``  — a worker claiming a cell's TTL lease
-  (``stale_lease`` plants a dead peer's lease the claim must break);
-* ``lease.renew``    — a worker's heartbeat extending its lease
-  (``heartbeat_stall`` silences renewals past the TTL, forcing an
-  expired-lease steal while the original worker still runs);
-* ``queue.claim``    — the supervisor journalling an observed claim
-  (``daemon_kill`` SIGKILLs the supervisor mid-sweep);
-* ``worker.spawn``   — the supervisor spawning a worker process
-  (``worker_kill`` makes that worker SIGKILL itself mid-cell).
 
 Environment knobs (read once at import; ``refresh_from_env()``
 re-reads them):
@@ -95,21 +76,13 @@ ENV_COUNT = "REPRO_CHAOS_COUNT"
 STORAGE_KINDS = ("torn_rename", "truncate", "bitflip", "enospc", "eio",
                  "stale_lock")
 PROCESS_KINDS = ("crash", "hang", "slow")
-#: service-grade faults against the sweep farm's coordination substrate
-FARM_KINDS = ("worker_kill", "daemon_kill", "heartbeat_stall",
-              "stale_lease")
-FAULT_KINDS = STORAGE_KINDS + PROCESS_KINDS + FARM_KINDS
+FAULT_KINDS = STORAGE_KINDS + PROCESS_KINDS
 
 #: every storage operation the substrate routes through the plane
 SITES = ("cache.publish", "cache.load", "cache.lock", "journal.append",
-         "results.write", "lease.acquire", "lease.renew", "queue.claim",
-         "worker.spawn")
+         "results.write")
 
-#: the farm coordination sites (consulted by :mod:`repro.farm`)
-FARM_SITES = ("lease.acquire", "lease.renew", "queue.claim",
-              "worker.spawn")
-
-#: which storage/farm kind can fire at which site
+#: which storage kind can fire at which site
 KIND_SITES = {
     "torn_rename": ("cache.publish", "results.write"),
     "truncate": ("cache.publish", "journal.append", "results.write"),
@@ -118,18 +91,13 @@ KIND_SITES = {
     "eio": ("cache.publish", "cache.load", "journal.append",
             "results.write"),
     "stale_lock": ("cache.lock",),
-    "stale_lease": ("lease.acquire",),
-    "heartbeat_stall": ("lease.renew",),
-    "daemon_kill": ("queue.claim",),
-    "worker_kill": ("worker.spawn",),
 }
 
 DEFAULT_COUNT = 2
 DEFAULT_HORIZON = 4
 
 #: kinds an env-armed plane injects by default; ``hang`` needs a
-#: watchdog to be survivable and the farm kinds need a supervisor or
-#: smoke harness on top, so all of those must be requested explicitly
+#: watchdog to be survivable, so it must be requested explicitly
 DEFAULT_ENV_KINDS = STORAGE_KINDS + ("crash", "slow")
 
 _ERRNOS = {"enospc": errno.ENOSPC, "eio": errno.EIO}
@@ -267,24 +235,6 @@ class FaultPlane:
             with open(lock_path, "w", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()}\n")
             os.utime(lock_path, (1, 1))
-        except OSError:
-            pass
-
-    def plant_stale_lease(self, lease_path):
-        """Leave the debris of a SIGKILLed farm worker: a lease whose
-        deadline is ancient history (so the TTL steal path must fire;
-        the pid is live on purpose — deadline expiry alone must
-        suffice, exactly the hung-but-alive-worker scenario)."""
-        import json as _json
-
-        try:
-            with open(lease_path, "w", encoding="utf-8") as handle:
-                handle.write(_json.dumps({
-                    "worker": "chaos-debris", "pid": os.getpid(),
-                    "attempt": 0, "ttl": 1.0, "acquired": 1.0,
-                    "deadline": 2.0,
-                }))
-            os.utime(lease_path, (1, 1))
         except OSError:
             pass
 

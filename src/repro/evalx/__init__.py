@@ -1,9 +1,9 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Experiment modules are imported **lazily**: importing ``repro.evalx``
-(which every sweep-cell subprocess and farm worker does, via the
-runner) must not pay for all sixteen table/figure modules and the
-workload stack behind them when it will only ever run one.  The
+(which every sweep-cell subprocess does, via the runner) must not
+pay for all sixteen table/figure modules and the workload stack
+behind them when it will only ever run one.  The
 registry maps names to thin loaders, and submodule attribute access
 (``repro.evalx.table1`` et al.) resolves through PEP 562
 ``__getattr__`` on demand.  ``from repro.evalx import table1`` keeps

@@ -202,31 +202,6 @@ class Journal:
 
     # -- reading -----------------------------------------------------------
 
-    def records(self):
-        """Every intact record, in file order; returns
-        ``(records, dropped)``.
-
-        The kind-agnostic read path: unlike :meth:`load` it surfaces
-        *all* record kinds (the farm's work queue layers ``enqueue`` /
-        ``claim`` records into the same journal format), counting only
-        unparsable or integrity-failed lines as ``dropped``.
-        """
-        records = []
-        dropped = 0
-        if not self.path.exists():
-            return records, dropped
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        for raw in lines:
-            if not raw.strip():
-                continue
-            record = _parse_line(raw)
-            if record is None:
-                dropped += 1
-                continue
-            records.append(record)
-        return records, dropped
-
     def load(self):
         """Parse the journal; returns ``(header, cells, dropped)``.
 
@@ -236,8 +211,18 @@ class Journal:
         """
         header = None
         cells = {}
-        records, dropped = self.records()
-        for record in records:
+        dropped = 0
+        if not self.path.exists():
+            return header, cells, dropped
+        with open(self.path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        for raw in lines:
+            if not raw.strip():
+                continue
+            record = _parse_line(raw)
+            if record is None:
+                dropped += 1
+                continue
             kind = record.get("record")
             if kind == "header":
                 if record.get("version") != JOURNAL_VERSION:

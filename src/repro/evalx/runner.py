@@ -635,8 +635,8 @@ def failure_detail(stdout, stderr, limit=200):
     """Both output tails of a failed cell, labelled, for the journal.
 
     Every failure path — watchdog, crash, nonzero exit — journals the
-    same shape, so a quarantine record always carries enough debris to
-    diagnose the poison without re-running the cell.
+    same shape, so a ``failed`` record always carries enough debris to
+    diagnose the cell without re-running it.
     """
     parts = []
     stderr_tail = _output_tail(stderr, limit)
@@ -746,31 +746,14 @@ class SweepResult:
 
 def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
               out_path=None, resume=False, timeout=None, retries=1,
-              backoff=0.0, check=False, stream=None, jobs=None,
-              farm=False):
+              backoff=0.0, check=False, stream=None, jobs=None):
     """Run (or resume) one journalled sweep; returns a SweepResult.
 
     ``jobs`` bounds the pool of concurrent cell subprocesses (None =
     one per core, capped at the cell count).  Whatever the pool size,
     journal records are committed in cell order and the output file is
     byte-identical to a ``jobs=1`` run.
-
-    ``farm=True`` delegates the whole sweep to the crash-tolerant farm
-    service (:mod:`repro.farm`): a durable work queue, lease-based
-    work-stealing worker processes and a supervising daemon, with
-    ``jobs`` as the worker count.  The output file stays byte-identical
-    to this direct scheduler's.
     """
-    if farm:
-        from repro.farm import run_farm_sweep
-
-        return run_farm_sweep(
-            experiment, scale=scale, seed=seed,
-            journal_path=journal_path, out_path=out_path, resume=resume,
-            timeout=timeout, max_attempts=retries + 1, backoff=backoff,
-            check=check, stream=stream, workers=jobs,
-        )
-
     say_lock = threading.Lock()
 
     def say(message):
@@ -1094,11 +1077,6 @@ def main(argv=None):
     sweep_p.add_argument("--jobs", type=int, default=None,
                          help="parallel cell workers (default "
                               "min(cpu_count, cells); 1 = sequential)")
-    sweep_p.add_argument("--farm", action="store_true",
-                         help="delegate to the crash-tolerant sweep "
-                              "farm (durable queue + lease-based "
-                              "work-stealing workers; --jobs sets the "
-                              "worker count)")
     sweep_p.add_argument("--engine", choices=("event", "oracle"),
                          default=None,
                          help="replay engine for every cell (exported "
@@ -1139,7 +1117,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "engine", None):
         # _cell_env() copies os.environ, so the selector reaches every
-        # cell subprocess (and farm worker) automatically
+        # cell subprocess automatically
         from repro.trace.columnar import ENV_ENGINE
 
         os.environ[ENV_ENGINE] = args.engine
@@ -1165,7 +1143,7 @@ def main(argv=None):
         journal_path=args.journal, out_path=args.out,
         resume=args.resume, timeout=args.timeout, retries=args.retries,
         backoff=args.backoff, check=args.check, stream=sys.stdout,
-        jobs=args.jobs, farm=args.farm,
+        jobs=args.jobs,
     )
     return 0 if result.ok else 1
 

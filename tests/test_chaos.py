@@ -297,8 +297,8 @@ class TestCacheUnderFaults:
 
 class TestCampaign:
     def test_pairs_cover_every_valid_combination(self):
-        # the campaign sweeps the *storage* matrix only; farm kinds
-        # (worker_kill etc.) are exercised by the farm smoke instead,
+        # the campaign sweeps the *storage* matrix only; the process
+        # kinds are exercised by the runner's tests and smoke instead,
         # so the chaos golden stays pinned
         pairs = campaign.campaign_pairs()
         assert len(pairs) == len(set(pairs)) == sum(

@@ -582,7 +582,7 @@ class TestForkedCampaign:
 
     def test_a_second_thread_sends_every_run_to_run_single(self):
         out = _forked("""
-            import _thread, threading
+            import _thread, threading, time
 
             def serve():
                 return r._serve_campaign(
@@ -600,6 +600,12 @@ class TestForkedCampaign:
             release.set()
             thread.join()
             if os.path.isdir("/proc/self/task"):
+                # join() returns before the OS drops the joined thread's
+                # task, so wait until this process is back to one
+                deadline = time.monotonic() + 10.0
+                while (len(os.listdir("/proc/self/task")) > 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
                 # a thread the threading module never hears of
                 hold = _thread.allocate_lock()
                 hold.acquire()

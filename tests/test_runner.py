@@ -120,6 +120,44 @@ def _sweep(tmp_path, **kwargs):
     return run_sweep(kwargs.pop("experiment", "table1"), **kwargs)
 
 
+#: the first attempt of the compression cell KILL_KEY SIGKILLs its own
+#: process group; MARKER records that it has fired
+KILL_FIRST_SITE = """
+import os, signal, sys
+
+if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+    from repro.evalx import compression
+
+    _rows = compression.run_cell_rows
+
+    def run_cell_rows(key, scale=1.0, seed=1):
+        marker = os.environ["MARKER"]
+        if key == os.environ["KILL_KEY"] and not os.path.exists(marker):
+            open(marker, "w").close()
+            os.killpg(0, signal.SIGKILL)
+        return _rows(key, scale=scale, seed=seed)
+
+    compression.run_cell_rows = run_cell_rows
+"""
+
+#: logs the replay engine each table1 cell finds in its environment
+ENGINE_LOG_SITE = """
+import os, sys
+
+if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+    from repro.evalx import table1
+
+    _rows = table1.run_cell_rows
+
+    def run_cell_rows(key, scale=1.0, seed=1):
+        with open(os.environ["ENGINE_LOG"], "a") as handle:
+            handle.write(f"{key} {os.environ.get('REPRO_REPLAY_ENGINE')}\\n")
+        return _rows(key, scale=scale, seed=seed)
+
+    table1.run_cell_rows = run_cell_rows
+"""
+
+
 class TestRunSweep:
     def test_sweep_resume_and_partial_journal(self, tmp_path):
         direct = run_experiment("table1", scale=SCALE,
@@ -160,12 +198,20 @@ class TestRunSweep:
                             lambda experiment: list(keys))
         monkeypatch.setenv(runner_mod.FAIL_CELLS_ENV, f"{keys[0]}:99")
         stream = io.StringIO()
-        result = _sweep(tmp_path, retries=0, stream=stream)
+        retries = 1
+        result = _sweep(tmp_path, retries=retries, stream=stream)
         assert not result.ok
         assert result.dropped_keys == [keys[0]]
         assert "1 of 2 cell(s) dropped" in stream.getvalue()
         assert "PARTIAL" in result.table.notes
         assert len(result.table.rows) == 1
+        # the journal keeps the dropped cell's attempts and debris
+        _, cells, _ = Journal(tmp_path / "sweep.jsonl").load()
+        record = cells[keys[0]]
+        assert record["status"] == "failed"
+        assert record["attempts"] == retries + 1
+        assert "stderr:" in record["error"]
+        assert "injected failure" in record["error"]
 
     def test_transient_failure_is_retried(self, tmp_path, monkeypatch):
         keys = sweep_cells("table1")[:2]
@@ -177,6 +223,61 @@ class TestRunSweep:
         _, cells, _ = Journal(tmp_path / "sweep.jsonl").load()
         assert cells[keys[0]]["attempts"] == 2
         assert cells[keys[1]]["attempts"] == 1
+
+    def test_killed_cell_is_retried_and_output_unchanged(
+            self, tmp_path, monkeypatch, cell_site):
+        """A cell whose first attempt SIGKILLs its own process group
+        fails that attempt as ``exit status -9``; the retry runs, and
+        the sweep writes what an unharmed sweep writes."""
+        reference = _sweep(tmp_path, experiment="compression", jobs=2,
+                           journal_path=tmp_path / "ref.jsonl",
+                           out_path=tmp_path / "ref.json")
+        assert reference.ok
+        key = reference.keys[1]
+        marker = tmp_path / "marker"
+        cell_site(KILL_FIRST_SITE)
+        monkeypatch.setenv("MARKER", str(marker))
+        monkeypatch.setenv("KILL_KEY", key)
+        stream = io.StringIO()
+        result = _sweep(tmp_path, experiment="compression", jobs=2,
+                        retries=1, stream=stream)
+        assert result.ok
+        assert marker.exists()
+        _, cells, _ = Journal(tmp_path / "sweep.jsonl").load()
+        assert {k: cells[k]["attempts"] for k in result.keys} == {
+            k: 2 if k == key else 1 for k in result.keys}
+        assert (f"cell {key}: attempt 1 failed (exit status -9"
+                in stream.getvalue())
+        assert ((tmp_path / "sweep.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_engine_flag_reaches_every_cell(self, tmp_path, monkeypatch,
+                                            cell_site):
+        """``--engine oracle`` on the runner's command line reaches
+        every cell, and the sweep writes what an ``event`` sweep
+        writes."""
+        from repro.trace.columnar import ENV_ENGINE
+
+        cell_site(ENGINE_LOG_SITE)
+        # main() exports the engine into os.environ; monkeypatch puts
+        # the variable back as it was
+        monkeypatch.setenv(ENV_ENGINE, "event")
+        monkeypatch.setenv("ENGINE_LOG", str(tmp_path / "event.log"))
+        assert _sweep(tmp_path, jobs=2,
+                      journal_path=tmp_path / "event.jsonl",
+                      out_path=tmp_path / "event.json").ok
+        monkeypatch.setenv("ENGINE_LOG", str(tmp_path / "oracle.log"))
+        assert runner_mod.main([
+            "sweep", "table1", "--scale", str(SCALE), "--seed", str(SEED),
+            "--jobs", "2", "--engine", "oracle",
+            "--journal", str(tmp_path / "oracle.jsonl"),
+            "--out", str(tmp_path / "oracle.json")]) == 0
+        assert ((tmp_path / "oracle.json").read_bytes()
+                == (tmp_path / "event.json").read_bytes())
+        keys = sweep_cells("table1")
+        for engine in ("event", "oracle"):
+            seen = (tmp_path / f"{engine}.log").read_text().splitlines()
+            assert sorted(seen) == sorted(f"{key} {engine}" for key in keys)
 
     def test_watchdog_kills_hung_cell(self, tmp_path, monkeypatch):
         keys = sweep_cells("table1")[:2]
@@ -289,6 +390,123 @@ class TestParallelScheduler:
         assert partial.skipped == 2
         assert partial.ran == len(result.keys) - 2
         assert partial.table.to_dict() == result.table.to_dict()
+
+
+# -- the watchdog, retry jitter and failure detail --------------------------
+
+
+class TestWatchedRun:
+    def test_group_kill_reaches_sigterm_immune_grandchildren(
+            self, tmp_path):
+        pidfile = tmp_path / "grandchild.pid"
+        grandchild = (
+            "import time,os,sys,signal;"
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN);"
+            f"open({str(pidfile)!r},'w').write(str(os.getpid()));"
+            "time.sleep(120)"
+        )
+        script = (
+            "import subprocess,sys,time;"
+            f"subprocess.Popen([sys.executable,'-c',{grandchild!r}]);"
+            "time.sleep(120)"
+        )
+        returncode, _, _, timed_out = runner_mod.watched_run(
+            [sys.executable, "-c", script], timeout=1.5, grace=0.3)
+        assert timed_out
+        assert returncode != 0
+        pid = int(pidfile.read_text())
+        # the grandchild ignored SIGTERM; only a group SIGKILL can
+        # have removed it.  It may linger briefly as an unreaped
+        # zombie after reparenting, so poll for dead-or-zombie.
+        assert self._dead_or_zombie(pid, within=5.0)
+
+    @staticmethod
+    def _dead_or_zombie(pid, within):
+        deadline = time.monotonic() + within
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            try:
+                with open(f"/proc/{pid}/stat", "r") as handle:
+                    if handle.read().rsplit(")", 1)[1].split()[0] == "Z":
+                        return True
+            except (OSError, IndexError):
+                return True
+            time.sleep(0.05)
+        return False
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="warm cells fork")
+    def test_group_kill_reaches_a_warm_cells_grandchildren(
+            self, tmp_path, cell_site):
+        """The same watchdog for a cell forked from a warm parent: its
+        whole session is SIGTERMed, then SIGKILLed after ``grace``."""
+        pidfile = tmp_path / "grandchild.pid"
+        grandchild = (
+            "import os,signal,time;"
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN);"
+            f"open({str(pidfile)!r},'w').write(str(os.getpid()));"
+            "time.sleep(120)"
+        )
+        cell_site(f"""
+            import subprocess, sys, time
+
+            if "warm-parent" in sys.orig_argv:
+                from repro.evalx import table1
+
+                def run_cell_rows(key, scale=1.0, seed=1):
+                    subprocess.Popen([sys.executable, "-c",
+                                      {grandchild!r}])
+                    time.sleep(120)
+
+                table1.run_cell_rows = run_cell_rows
+        """)
+        key = runner_mod.sweep_cells("table1")[0]
+        with runner_mod.WarmCells() as launches:
+            returncode, _, _, timed_out = runner_mod.watched_run(
+                runner_mod._cell_command("table1", key, SCALE, SEED, 0),
+                env=runner_mod._cell_env(), timeout=1.5, grace=0.3)
+        assert launches.forked == 1
+        assert timed_out
+        assert returncode != 0
+        assert self._dead_or_zombie(int(pidfile.read_text()), within=5.0)
+
+    def test_fast_exit_is_not_timed_out(self):
+        returncode, stdout, _, timed_out = runner_mod.watched_run(
+            [sys.executable, "-c", "print('hi')"], timeout=30.0)
+        assert returncode == 0 and not timed_out
+        assert stdout.strip() == "hi"
+
+
+class TestRetryJitter:
+    def test_deterministic_and_bounded(self):
+        values = {runner_mod.retry_jitter(7, "a/b", attempt)
+                  for attempt in range(8)}
+        assert all(0.5 <= v <= 1.0 for v in values)
+        assert len(values) > 1  # attempts spread, not constant
+        assert runner_mod.retry_jitter(7, "a/b", 3) \
+            == runner_mod.retry_jitter(7, "a/b", 3)
+        assert runner_mod.retry_jitter(7, "a/b", 3) \
+            != runner_mod.retry_jitter(8, "a/b", 3)
+
+    def test_delay_is_jittered_exponential(self):
+        d0 = runner_mod.retry_delay(0.1, 0, 7, "k")
+        d3 = runner_mod.retry_delay(0.1, 3, 7, "k")
+        assert 0.05 <= d0 <= 0.1
+        assert 0.4 <= d3 <= 0.8
+
+
+class TestFailureDetail:
+    def test_both_tails_always_captured(self):
+        detail = runner_mod.failure_detail("out line", "err line")
+        assert "stderr: err line" in detail
+        assert "stdout: out line" in detail
+
+    def test_empty_streams_vanish(self):
+        assert runner_mod.failure_detail("", "") == ""
+        assert runner_mod.failure_detail("only out", "") \
+            == "stdout: only out"
 
 
 # -- warm cells --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """What a fresh interpreter imports, and what it loads only on use.
 
-Every sweep cell of the journalled runner and the farm is a fresh
-``run-cell`` interpreter, so its imports are paid once per cell.  On
+Every sweep cell of the journalled runner is a fresh ``run-cell``
+interpreter, so its imports are paid once per cell.  On
 the default ``event`` engine a cell never touches NumPy, the
 compiled-CPU front-end (``repro.cpu``, ``repro.lang``) or the thread
 pool; it must not load them either.  The other half of the contract
