@@ -132,27 +132,53 @@ class CompressedBlock:
         return self.raw_bytes / self.wire_bytes
 
 
+def frame_unit(values):
+    """Split one transfer unit into what every codec compresses.
+
+    Returns ``(values, dead, escape positions, escaped values, words)``:
+    the unit as a tuple, the indices of its dead (``None``) slots, the
+    positions and values of its live slots outside the 32-bit word
+    domain, and its in-word integers in slot order.
+    """
+    values = tuple(values)
+    dead = []
+    esc_pos = []
+    esc_vals = []
+    words = []
+    for i, v in enumerate(values):
+        if v is None:
+            dead.append(i)
+        elif _is_word(v):
+            words.append(v)
+        else:
+            esc_pos.append(i)
+            esc_vals.append(v)
+    return (values, tuple(dead), tuple(esc_pos), tuple(esc_vals),
+            tuple(words))
+
+
 class SpillCodec:
     """Base codec: shared unit framing plus the raw fallback.
 
     Subclasses implement ``_encode_words`` / ``_decode_words`` over the
-    unit's in-word integers only; the base class strips dead (``None``)
-    slots, escapes out-of-domain values at full width, and falls back to
-    the raw payload whenever packing would not win.
+    unit's in-word integers only; :func:`frame_unit` strips dead
+    (``None``) slots and escapes out-of-domain values at full width, and
+    the base class falls back to the raw payload whenever packing would
+    not win.
     """
 
     name = "abstract"
 
     def compress(self, values):
-        values = list(values)
+        return self.compress_frame(frame_unit(values))
+
+    def compress_frame(self, frame):
+        """Compress one unit already split by :func:`frame_unit`."""
+        values, dead, esc_pos, esc_vals, words = frame
         n = len(values)
         raw_bits = n * WORD_BITS
         if n == 0:
             return CompressedBlock(self.name, "raw", 0, 0, 0, ())
-        dead = tuple(i for i, v in enumerate(values) if v is None)
-        escapes = tuple((i, v) for i, v in enumerate(values)
-                        if v is not None and not _is_word(v))
-        words = [v for v in values if _is_word(v)]
         encoded = self._encode_words(words)
         fallback_bits = raw_bits + 1  # mode bit + full-width unit
         candidate = None
@@ -161,13 +187,12 @@ class SpillCodec:
             live = n - len(dead)
             # mode bit + has-escapes flag + escape mask (only when some
             # live word escaped) + escaped literals at word width
-            candidate = (2 + (live if escapes else 0)
-                         + WORD_BITS * len(escapes) + payload_bits)
+            candidate = (2 + (live if esc_pos else 0)
+                         + WORD_BITS * len(esc_pos) + payload_bits)
         if candidate is None or candidate >= fallback_bits:
             return CompressedBlock(self.name, "raw", n, raw_bits,
-                                   fallback_bits, tuple(values))
-        state = (dead, tuple(i for i, _ in escapes),
-                 tuple(v for _, v in escapes), word_state)
+                                   fallback_bits, values)
+        state = (dead, esc_pos, esc_vals, word_state)
         return CompressedBlock(self.name, "packed", n, raw_bits,
                                candidate, state)
 
@@ -209,6 +234,9 @@ class RawCodec(SpillCodec):
         raw_bits = len(values) * WORD_BITS
         return CompressedBlock(self.name, "raw", len(values), raw_bits,
                                raw_bits, values)
+
+    def compress_frame(self, frame):
+        return self.compress(frame[0])
 
     def _encode_words(self, words):  # pragma: no cover - raw never packs
         return None
@@ -452,12 +480,15 @@ class CompressedSpillPort:
         """Push one transfer unit through every codec; returns a record.
 
         ``wire_values`` is the unit as it would cross the wire: live
-        values in slot order, dead slots as ``None``.
+        values in slot order, dead slots as ``None``.  The unit is
+        framed once (:func:`frame_unit`) for all the codecs, and each
+        codec's decompression is still compared with it.
         """
         wire_values = list(wire_values)
+        frame = frame_unit(wire_values)
         primary_block = None
         for codec in (self.codec,) + self.shadows:
-            block = codec.compress(wire_values)
+            block = codec.compress_frame(frame)
             if self.verify:
                 decoded = codec.decompress(block)
                 if decoded != wire_values:

@@ -75,28 +75,40 @@ class FaultyRegisterFile:
         self._previous_values = {}
         #: physical index of the hard-faulted line (``stuck_line`` only)
         self.stuck_index = None
+        # The front-ends tick once per simulated instruction: bind the
+        # model's own method once rather than reach it through
+        # ``__getattr__`` on every call.
+        self.tick = inner.tick
 
     # -- faulted operations ---------------------------------------------------
+    # Reads, writes and switches each pay one ``not injected and
+    # operations >= trigger_at`` guard; the kind dispatch runs only
+    # inside it, so the wrapper costs a counter and a test until its
+    # fault lands.
 
     def write(self, offset, value, cid=None):
         self.operations += 1
-        cid_key = cid if cid is not None else self.inner.current_cid
-        key = (cid_key, offset)
-        if self._fires("drop_write"):
-            # The write is lost: the register keeps its old value (or
-            # dies entirely when it never had one).
-            old = self._current_values.get(key)
-            if old is not None:
-                return self.inner.write(offset, old, cid=cid)
-            result = self.inner.write(offset, value, cid=cid)
-            self.inner.free_register(offset, cid=cid)
-            return result
-        if self._fires("corrupt_write"):
-            value = value + 1 if isinstance(value, int) else value
-        elif self._armed("flip_write_bit") and isinstance(value, int):
-            # A particle strike flips one bit of the stored word.
-            self.injected = True
-            value = value ^ (1 << (self.operations % 24))
+        key = (cid if cid is not None else self.inner.current_cid, offset)
+        if not self.injected and self.operations >= self.trigger_at:
+            kind = self.kind
+            if kind == "drop_write":
+                # The write is lost: the register keeps its old value
+                # (or dies entirely when it never had one).
+                self.injected = True
+                old = self._current_values.get(key)
+                if old is not None:
+                    return self.inner.write(offset, old, cid=cid)
+                result = self.inner.write(offset, value, cid=cid)
+                self.inner.free_register(offset, cid=cid)
+                return result
+            if kind == "corrupt_write":
+                self.injected = True
+                if isinstance(value, int):
+                    value = value + 1
+            elif kind == "flip_write_bit" and isinstance(value, int):
+                # A particle strike flips one bit of the stored word.
+                self.injected = True
+                value = value ^ (1 << (self.operations % 24))
         result = self.inner.write(offset, value, cid=cid)
         self._previous_values[key] = self._current_values.get(key)
         self._current_values[key] = value
@@ -104,37 +116,12 @@ class FaultyRegisterFile:
 
     def read(self, offset, cid=None):
         self.operations += 1
-        cid_key = cid if cid is not None else self.inner.current_cid
         value, result = self.inner.read(offset, cid=cid)
-        if self._fires("corrupt_reload"):
-            value = value + 1 if isinstance(value, int) else value
-        elif self._armed("flip_read_bit") and isinstance(value, int):
-            self.injected = True
-            value = value ^ (1 << (self.operations % 24))
-        elif self._armed("alias_read") and isinstance(value, int):
-            # The CAM/decoder selects the wrong word for one access: the
-            # returned value differs in several bits, the signature a
-            # tag parity check exists to catch.
-            self.injected = True
-            value = value ^ 0b110
-        elif self._armed("flip_clean_bits") and isinstance(value, int) \
-                and self.inner.backing.peek(cid_key, offset) == value:
-            # Double-bit upset of a *clean* register: uncorrectable by
-            # SEC-DED, but the backing store still has a good copy.
-            # Persist the corruption into the stored state.
-            self.injected = True
-            value = value ^ 0b101
-            self.inner.write(offset, value, cid=cid)
-        elif self.kind == "stuck_line":
-            value = self._stuck_read(cid_key, offset, value)
-        elif (self.kind == "stale_read" and not self.injected
-                and self.operations >= self.trigger_at):
-            # Only consume the injection when the staleness is
-            # observable (a previous value exists and differs).
-            previous = self._previous_values.get((cid_key, offset))
-            if previous is not None and previous != value:
-                self.injected = True
-                value = previous
+        if not self.injected:
+            if self.operations >= self.trigger_at:
+                value = self._read_fault(offset, cid, value)
+        elif self.stuck_index is not None:
+            value = self._stuck_value(offset, cid, value)
         return value, result
 
     def free_register(self, offset, cid=None):
@@ -150,8 +137,8 @@ class FaultyRegisterFile:
 
     def switch_to(self, cid):
         self.operations += 1
-        if (self.kind == "lose_spill" and not self.injected
-                and self.operations >= self.trigger_at):
+        if (not self.injected and self.operations >= self.trigger_at
+                and self.kind == "lose_spill"):
             # Drop the context's save area: every backed offset whose
             # only copy is in memory vanishes.  (A backed-but-resident
             # offset merely has a stale shadow — losing it is harmless.)
@@ -168,34 +155,65 @@ class FaultyRegisterFile:
 
     # -- plumbing ------------------------------------------------------------------
 
-    def _fires(self, kind):
-        if (self.kind == kind and not self.injected
-                and self.operations >= self.trigger_at):
+    def _read_fault(self, offset, cid, value):
+        """The armed fault's effect on one read's ``value``.
+
+        Some kinds need a suitable victim first (an int, a clean
+        register, a value that differs from the previous one, a
+        resident line) and stay armed until a read offers one.
+        """
+        kind = self.kind
+        if kind == "corrupt_reload":
             self.injected = True
-            return True
-        return False
-
-    def _armed(self, kind):
-        """Like :meth:`_fires` but leaves consuming the injection to the
-        caller (some faults need a suitable victim value first)."""
-        return (self.kind == kind and not self.injected
-                and self.operations >= self.trigger_at)
-
-    def _stuck_read(self, cid_key, offset, value):
-        """Plant and replay the hard stuck-at fault."""
-        locate = getattr(self.inner, "line_index_of", None)
-        if locate is None:
-            return value
-        if self.stuck_index is None and not self.injected \
-                and self.operations >= self.trigger_at:
-            index = locate(cid_key, offset)
-            if index is not None:
+            return value + 1 if isinstance(value, int) else value
+        cid_key = cid if cid is not None else self.inner.current_cid
+        if kind == "stuck_line":
+            # Plant the hard fault on the line under this read; every
+            # later read replays it (:meth:`_stuck_value`).
+            locate = getattr(self.inner, "line_index_of", None)
+            index = locate(cid_key, offset) if locate is not None else None
+            if index is None:
+                return value
+            self.injected = True
+            self.stuck_index = index
+            return self._stuck_value(offset, cid, value)
+        if kind == "stale_read":
+            # Only consume the injection when the staleness is
+            # observable (a previous value exists and differs).
+            previous = self._previous_values.get((cid_key, offset))
+            if previous is not None and previous != value:
                 self.injected = True
-                self.stuck_index = index
-        if self.stuck_index is not None \
-                and locate(cid_key, offset) == self.stuck_index \
-                and isinstance(value, int) and value & 1 == 0:
-            return value | 1  # bit 0 stuck at 1
+                return previous
+            return value
+        if not isinstance(value, int):
+            return value
+        if kind == "flip_read_bit":
+            self.injected = True
+            return value ^ (1 << (self.operations % 24))
+        if kind == "alias_read":
+            # The CAM/decoder selects the wrong word for one access: the
+            # returned value differs in several bits, the signature a
+            # tag parity check exists to catch.
+            self.injected = True
+            return value ^ 0b110
+        if (kind == "flip_clean_bits"
+                and self.inner.backing.peek(cid_key, offset) == value):
+            # Double-bit upset of a *clean* register: uncorrectable by
+            # SEC-DED, but the backing store still has a good copy.
+            # Persist the corruption into the stored state.
+            self.injected = True
+            value = value ^ 0b101
+            self.inner.write(offset, value, cid=cid)
+        return value
+
+    def _stuck_value(self, offset, cid, value):
+        """Replay the planted hard fault: bit 0 of every word read from
+        the stuck line reads as 1."""
+        if not isinstance(value, int) or value & 1:
+            return value
+        cid_key = cid if cid is not None else self.inner.current_cid
+        if self.inner.line_index_of(cid_key, offset) == self.stuck_index:
+            return value | 1
         return value
 
     # -- checkpointing -------------------------------------------------------

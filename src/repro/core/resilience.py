@@ -59,6 +59,16 @@ def _codeable(value):
             and -_SIGN_BIT <= value < _SIGN_BIT)
 
 
+#: ``secded_encode`` results for values whose type is exactly ``int``
+#: (an int's code is a pure function of its value).  The campaign's
+#: GateSim runs encode 126 distinct ints at the golden point, 174 at
+#: scale 1.0 and 588 at scale 4.0, so over 92% of one run's encodes
+#: repeat a value; the bound holds about 7x the largest of those
+#: counts in under 1 MiB
+_ECC_MEMO = {}
+_ECC_MEMO_LIMIT = 4096
+
+
 def secded_encode(value):
     """Compute the check word stored alongside a register value.
 
@@ -68,7 +78,24 @@ def secded_encode(value):
     (floats, tuples, out-of-range ints) get a CRC fingerprint — any
     corruption is *detected*, but only reload/trap can recover it,
     exactly like a detected-uncorrectable ECC event.
+
+    Codes of plain ints are memoized (up to ``_ECC_MEMO_LIMIT`` values,
+    then the memo starts over).  ``bool``, int subclasses and every
+    other type are encoded afresh: a memo keyed by value would hand
+    ``True`` and ``1.0`` the code of ``1``, and a subclass may redefine
+    equality.
     """
+    if type(value) is int:
+        code = _ECC_MEMO.get(value)
+        if code is None:
+            if len(_ECC_MEMO) >= _ECC_MEMO_LIMIT:
+                _ECC_MEMO.clear()
+            code = _ECC_MEMO[value] = _encode(value)
+        return code
+    return _encode(value)
+
+
+def _encode(value):
     if _codeable(value):
         x = value & _ECC_MASK
         syndrome = 0
@@ -193,6 +220,8 @@ class ProtectedRegisterFile:
         self.rstats = ResilienceStats()
         self._codes = {}
         self._line_errors = {}
+        # bound once, as in :class:`repro.core.faults.FaultyRegisterFile`
+        self.tick = inner.tick
 
     # -- protected operations ----------------------------------------------
 
@@ -214,9 +243,9 @@ class ProtectedRegisterFile:
             # reads): nothing to verify against.
             return value, result
         self.rstats.checks += 1
-        status, fixed = secded_check(value, code)
-        if status == "ok":
+        if secded_encode(value) == code:
             return value, result
+        status, fixed = secded_check(value, code)
         return self._recover(cid_key, offset, value, code, status, fixed,
                              result)
 

@@ -30,6 +30,20 @@ Cells sandbox their storage in a per-cell temporary directory and
 restore the cache's degradation state afterwards, so the campaign can
 run inside any process (goldens, report, sweeps) without leaking.
 
+The cells are independent, so :func:`run_campaign` spreads them over
+the CPUs with :func:`repro.evalx.common.fan_out`: forked workers and
+this process take cells from one queue.  Both fault-free reference
+traces are recorded here first, so every worker inherits them.  A
+worker sends back each cell's record, its plane's report and the
+``cache.STATS`` it moved, which this process adds to its own, so the
+counters read as a serial pass's do; a cell no worker answered runs
+here.  Where the fork guard refuses, or on one CPU, every cell runs
+here in table order, as a serial pass.  While every worker answers,
+the cache log (``REPRO_TRACE_CACHE_LOG``) gets a serial pass's lines,
+possibly in another order.  A worker that dies or raises has already
+logged the cells it ran, and this process runs them again, so their
+lines appear twice.
+
 CLI::
 
     python -m repro.evalx chaos             # print the table
@@ -165,6 +179,11 @@ def _results_cell(tmpdir, run_seed):
 
 def run_campaign_cell(kind, site, seed, scale=1.0):
     """One campaign cell; returns its classification record."""
+    return _run_cell(kind, site, seed, scale)[0]
+
+
+def _run_cell(kind, site, seed, scale):
+    """One campaign cell: ``(record, its plane's report())``."""
     plane = _cell_plane(kind, site, seed)
     wscale = _workload_scale(scale)
     quarantined_before = cache.STATS.quarantined
@@ -193,7 +212,7 @@ def run_campaign_cell(kind, site, seed, scale=1.0):
     finally:
         # the cell's ladder state is its own; never leak it
         cache._degraded.update(degraded_before)
-    return {
+    record = {
         "kind": kind,
         "site": site,
         "seed": seed,
@@ -202,13 +221,54 @@ def run_campaign_cell(kind, site, seed, scale=1.0):
         "outcome": outcome,
         "exact": exact,
     }
+    return record, plane.report()
+
+
+def _forked_cell(kind, site, seed, scale):
+    """:func:`_run_cell` in a worker, plus the ``cache.STATS`` it moved."""
+    before = cache.STATS.counts()
+    record, report = _run_cell(kind, site, seed, scale)
+    return record, report, [now - then for now, then in
+                            zip(cache.STATS.counts(), before)]
+
+
+def _serve_campaign(scale, seed):
+    """``(records, plane reports, served)``: one record and one plane
+    report per cell in table order, and a line saying how the cells
+    were served."""
+    from repro.evalx.common import fan_out
+
+    cells = [(kind, site, run_seed) for kind, site in campaign_pairs()
+             for run_seed in campaign_seeds(seed)]
+    for run_seed in campaign_seeds(seed):
+        # recorded once here for every worker to inherit; the cells'
+        # re-records stay real recordings, compared with these bytes
+        _reference_bytes(_workload_scale(scale), run_seed)
+    done = {}
+
+    def here(index):
+        done[index] = _run_cell(*cells[index], scale)
+
+    replies, reason = fan_out(
+        len(cells), lambda index: _forked_cell(*cells[index], scale), here)
+    for index, (record, report, moved) in (replies or {}).items():
+        cache.STATS.add(moved)
+        done[index] = record, report
+    for index, cell in enumerate(cells):
+        if index not in done:
+            done[index] = _run_cell(*cell, scale)
+    if replies is None:
+        served = f"0 of {len(cells)} cells forked: serial ({reason})"
+    else:
+        served = (f"{len(replies)} of {len(cells)} cells forked, "
+                  f"{len(cells) - len(replies)} run in this process")
+    records, reports = zip(*(done[index] for index in range(len(cells))))
+    return list(records), list(reports), served
 
 
 def run_campaign(scale=1.0, seed=1):
     """Full sweep; one record per (kind, site, schedule seed)."""
-    return [run_campaign_cell(kind, site, run_seed, scale=scale)
-            for kind, site in campaign_pairs()
-            for run_seed in campaign_seeds(seed)]
+    return _serve_campaign(scale, seed)[0]
 
 
 def _cell_row(cell):
@@ -266,6 +326,11 @@ def assert_campaign_clean(scale=1.0, seed=1):
       cache publish path).
     """
     cells = run_campaign(scale=scale, seed=seed)
+    _assert_clean(cells)
+    return cells
+
+
+def _assert_clean(cells):
     inexact = [c for c in cells if not c["exact"]]
     assert not inexact, (
         f"{len(inexact)} cell(s) were not byte-identical to the "
@@ -284,7 +349,6 @@ def assert_campaign_clean(scale=1.0, seed=1):
             assert (cell["kind"], cell["site"]) == \
                 ("enospc", "cache.publish"), (
                     f"unexpected ladder degradation: {cell}")
-    return cells
 
 
 def main(argv=None):
@@ -300,13 +364,15 @@ def main(argv=None):
                              "contract instead of printing the table")
     args = parser.parse_args(argv)
     if args.check:
-        cells = assert_campaign_clean(scale=args.scale, seed=args.seed)
+        cells, _, served = _serve_campaign(args.scale, args.seed)
+        _assert_clean(cells)
         injected = sum(c["injected"] for c in cells)
         quarantined = sum(c["quarantined"] for c in cells)
         print(f"chaos campaign clean: {injected} storage fault(s) "
               f"injected across {len(cells)} cell(s), "
               f"{quarantined} corrupt file(s) quarantined, every "
-              "completed operation byte-identical to fault-free")
+              "completed operation byte-identical to fault-free; "
+              f"{served}")
         return 0
     print(run(scale=args.scale, seed=args.seed).render())
     return 0

@@ -31,6 +31,8 @@ An experiment that drives many models hands them to :func:`run_cells`
 in one batch, which computes the replays and oracle scans its memos
 lack in forked children on every CPU the process may use, then serves
 each cell in-process exactly as :func:`run_workload` would have.
+:func:`fan_out` is the one fork-worker loop behind it; the storage-
+fault chaos campaign spreads its cells with it too.
 """
 
 import collections
@@ -390,8 +392,8 @@ class FanoutStats:
 
 FANOUT = FanoutStats()
 
-#: job indices the pre-filled queue pipe takes without blocking (4 KiB,
-#: within every pipe's capacity); later jobs replay in-process
+#: task indices the pre-filled queue pipe takes without blocking (4 KiB,
+#: within every pipe's capacity); later tasks are the caller's to run
 _QUEUE_LIMIT = 1024
 
 
@@ -433,7 +435,7 @@ def run_cells(cells, scale=1.0, seed=1):
         raise
     finally:
         _BATCH.cells = outer
-    _fan_out(_jobs(pending))
+    _fan_out_jobs(_jobs(pending))
     for cell in pending:
         if cell.error is not None:
             raise cell.error
@@ -584,7 +586,7 @@ def _merge(job, reply):
 
 
 def _take(queue):
-    """Job indices from the shared queue pipe until it runs dry."""
+    """Task indices from the shared queue pipe until it runs dry."""
     while True:
         data = os.read(queue, 4)
         if not data:
@@ -600,71 +602,93 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _fan_out(jobs):
-    """Compute ``jobs`` on every CPU this process may use.
-
-    Longest first, handed out one at a time from a pipe pre-filled
-    with job indices that the parent and its children all read: a
-    static split leaves CPUs idle, because replay cost per event
-    varies by model.  The fork guard is asked here, after planning,
-    which may have loaded NumPy.
-    """
+def _fan_out_jobs(jobs):
+    """Compute ``jobs`` on every CPU this process may use, longest
+    first (:func:`fan_out`).  The fork guard is asked there, after
+    planning, which may have loaded NumPy."""
     if not jobs:
         return
     jobs.sort(key=lambda job: len(job.trace), reverse=True)
-    workers = min(len(jobs), _cpus())
-    reason = None
-    if len(jobs) > 1:
-        reason = "1 CPU" if workers < 2 else fork_unavailable()
-    queue = None
-    if reason is None and workers > 1:
-        try:
-            queue, fill = os.pipe()
-        except OSError as exc:
-            reason = exc.strerror
-    if queue is None:
+    replies, reason = fan_out(len(jobs), lambda index: _reply(jobs[index]),
+                              lambda index: _run_here(jobs[index]))
+    if replies is None:
         # the cells' serial path computes the same jobs, in cell order
         if reason is not None:
             FANOUT.refused[reason] = FANOUT.refused.get(reason, 0) + 1
         FANOUT.parent += len(jobs)
         return
+    for index, reply in replies.items():
+        _merge(jobs[index], reply)
+
+
+def _reply(job):
+    """What a worker sends back for ``job``: a replay's end-state
+    ``capture()`` as the memo stores it, or a scan's tables.  Neither
+    touches a cache, journal or results file."""
+    tables = _compute(job)
+    if job.kind == "scan":
+        return tables
+    return marshal.dumps(job.cell.model.capture())
+
+
+def fan_out(count, work, here):
+    """Spread tasks ``0 .. count - 1`` over every CPU this process may use.
+
+    This process and its forked workers take task indices one at a
+    time, in index order, from one pipe pre-filled with them: a static
+    split leaves CPUs idle when task costs vary.  This process passes
+    each index it takes to ``here``.  A worker passes each to ``work``
+    and sends back one marshalled ``{index: work(index)}``, leaving out
+    a task whose ``work`` raised.  Workers stay in the caller's process
+    group (a watchdog's group kill reaches them) and leave through
+    ``os._exit``.
+
+    Returns ``(replies, reason)``: every worker's replies, merged in
+    worker order, or ``None`` and why nothing forked (one CPU, the fork
+    guard, no pipe), the reason ``None`` too for fewer than two tasks.
+    Tasks neither process ran are the caller's to run: those of a
+    worker that died or raised, and those past the queue's capacity.
+    """
+    if count < 2:
+        return None, None
+    workers = min(count, _cpus())
+    reason = "1 CPU" if workers < 2 else fork_unavailable()
+    if reason is None:
+        try:
+            queue, fill = os.pipe()
+        except OSError as exc:
+            reason = exc.strerror
+    if reason is not None:
+        return None, reason
     os.write(fill, b"".join(index.to_bytes(4, "little") for index in
-                            range(min(len(jobs), _QUEUE_LIMIT))))
+                            range(min(count, _QUEUE_LIMIT))))
     os.close(fill)
     children = []
+    replies = {}
     try:
         for _ in range(workers - 1):
-            child = _fork_worker(jobs, queue)
+            child = _fork_worker(queue, work)
             if child is None:
                 break
             children.append(child)
         for index in _take(queue):
-            _run_here(jobs[index])
+            here(index)
         while children:
             pid, fd = children[0]
-            replies, _ = read_reply(pid, fd)
+            reply, _ = read_reply(pid, fd)
             del children[0]
-            for index, reply in (replies or {}).items():
-                _merge(jobs[index], reply)
+            replies.update(reply or {})
     except BaseException:
         kill_and_reap(children)
         raise
     finally:
         os.close(queue)
+    return replies, None
 
 
-def _fork_worker(jobs, queue):
-    """Fork one worker; ``(pid, reply fd)``, or ``None`` if the OS
-    refuses.
-
-    The child takes jobs from ``queue`` until it runs dry, running
-    each job's serial function on its copy of the cell, and sends back
-    one marshalled ``{job index: reply}``: a replay's end-state
-    ``capture()`` as the memo stores it, or a scan's tables.  It
-    touches no cache, journal or results file, stays in the caller's
-    process group (a watchdog's group kill reaches it) and leaves
-    through ``os._exit``.
-    """
+def _fork_worker(queue, work):
+    """Fork one :func:`fan_out` worker; ``(pid, reply fd)``, or
+    ``None`` if the OS refuses."""
     try:
         reply, send = os.pipe()
     except OSError:
@@ -682,13 +706,9 @@ def _fork_worker(jobs, queue):
     try:
         os.close(reply)
         for index in _take(queue):
-            job = jobs[index]
             try:
-                tables = _compute(job)
-                replies[index] = (
-                    tables if job.kind == "scan"
-                    else marshal.dumps(job.cell.model.capture()))
+                replies[index] = work(index)
             except Exception:
-                pass  # unanswered: the parent reruns the job serially
+                pass  # unanswered: the caller runs the task itself
     finally:
         reply_and_exit(send, replies)

@@ -193,8 +193,9 @@ class _ForkingFaultyRegisterFile(FaultyRegisterFile):
     never injects (its trigger is infinite).  At the top of the
     operation that ``run_single(kind, ..., trigger=T)`` counts as ``T``
     it forks one child per run with trigger ``T``; the child takes its
-    kind and trigger and carries on, so from there it sees exactly the
-    state and operation stream that :func:`run_single` sees.
+    kind and trigger, becomes a plain :class:`FaultyRegisterFile` and
+    carries on, so from there it sees exactly the state and operation
+    stream that :func:`run_single` sees.
     """
 
     def __init__(self, inner, runs):
@@ -212,25 +213,30 @@ class _ForkingFaultyRegisterFile(FaultyRegisterFile):
         #: the write end of a child's pipe (``None`` in the parent)
         self.pipe = None
 
+    # The parent's trigger is infinite, so only the fork-point test in
+    # front of each operation does anything here.  A child leaves this
+    # class at its fork and stops paying for it, which is why these call
+    # the base class by name: ``super()`` fails once the class changed.
+
     def write(self, offset, value, cid=None):
         if self.operations == self._fork_at:
             self._fork()
-        return super().write(offset, value, cid=cid)
+        return FaultyRegisterFile.write(self, offset, value, cid=cid)
 
     def read(self, offset, cid=None):
         if self.operations == self._fork_at:
             self._fork()
-        return super().read(offset, cid=cid)
+        return FaultyRegisterFile.read(self, offset, cid=cid)
 
     def free_register(self, offset, cid=None):
         if self.operations == self._fork_at:
             self._fork()
-        return super().free_register(offset, cid=cid)
+        return FaultyRegisterFile.free_register(self, offset, cid=cid)
 
     def switch_to(self, cid):
         if self.operations == self._fork_at:
             self._fork()
-        return super().switch_to(cid)
+        return FaultyRegisterFile.switch_to(self, cid)
 
     def _fork(self):
         for slot in self._forks.pop(self._fork_at):
@@ -240,8 +246,8 @@ class _ForkingFaultyRegisterFile(FaultyRegisterFile):
                 os.close(rfd)
                 self.pipe = wfd
                 self.children = []
-                self._fork_at = -1
                 self.kind, self.trigger_at = self._runs[slot]
+                self.__class__ = FaultyRegisterFile
                 return
             self.children.append((pid, rfd, slot))
             os.close(wfd)

@@ -114,6 +114,15 @@ class CacheStats:
     def reset(self):
         self.hits = self.misses = self.records = self.quarantined = 0
 
+    def counts(self):
+        """Every counter, in ``__slots__`` order (what :meth:`add` takes)."""
+        return [getattr(self, name) for name in self.__slots__]
+
+    def add(self, counts):
+        """Add a :meth:`counts`-shaped list of deltas to the counters."""
+        for name, count in zip(self.__slots__, counts):
+            setattr(self, name, getattr(self, name) + count)
+
     def __repr__(self):
         return (f"CacheStats(hits={self.hits}, misses={self.misses}, "
                 f"records={self.records}, "

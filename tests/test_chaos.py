@@ -10,6 +10,7 @@ campaign's own invariants at a small operating point.
 import builtins
 import errno
 import os
+import re
 import time
 
 import pytest
@@ -20,13 +21,14 @@ from repro.chaos.__main__ import main as chaos_cli
 from repro.chaos.plane import (ChaosError, FaultPlane, corrupt_bytes,
                                oserror)
 from repro.errors import ReproError
-from repro.evalx import chaos as campaign
+from repro.evalx import chaos as campaign, common
 from repro.evalx.common import make_nsf, run_workload
 from repro.evalx.journal import Journal
 from repro.ioutil import atomic_write_bytes
 from repro.trace import cache as trace_cache
 from repro.trace import events
 from repro.workloads import get_workload
+from tests.test_fanout import _fresh, needs_fork
 
 
 @pytest.fixture(autouse=True)
@@ -340,6 +342,98 @@ class TestCampaign:
         assert len(cells) == 2 * len(campaign.campaign_pairs())
 
 
+# -- the campaign fanned out over forked workers -------------------------------
+
+#: the campaign at the golden point, served with the fork guard as
+#: ``MODE`` says; ``TMPDIR`` keeps a killed worker's debris in the test's
+#: own directory
+FANNED = """
+from repro.evalx import chaos
+ROOT = {root!r}
+os.environ["TMPDIR"] = os.path.join(ROOT, "tmp")
+os.makedirs(os.environ["TMPDIR"])
+os.environ[trace_cache.ENV_DIR] = os.path.join(ROOT, "cache")
+guard = common.fork_unavailable
+
+def serve(mode):
+    common.fork_unavailable = (guard if mode == "fanout"
+                               else lambda: "refused")
+    log = os.path.join(ROOT, mode + ".log")
+    os.environ[trace_cache.ENV_LOG] = log
+    trace_cache.STATS.reset()
+    chaos._reference.clear()
+    before = forks
+    cells, reports, served = chaos._serve_campaign(0.35, 11)
+    with open(log) as handle:
+        lines = sorted(handle.read().splitlines())
+    out[mode] = {{"cells": cells, "reports": reports, "served": served,
+                 "stats": repr(trace_cache.STATS), "log": lines,
+                 "forks": forks - before}}
+"""
+
+
+@needs_fork
+class TestFannedOutCampaign:
+    def test_fanned_out_campaign_matches_a_refused_fork(self, tmp_path):
+        out = _fresh(FANNED.format(root=str(tmp_path)), """
+            serve("fanout")
+            serve("refused")
+        """)
+        fanned, refused = out["fanout"], out["refused"]
+        assert fanned["forks"] > 0
+        assert refused["forks"] == 0
+        assert re.fullmatch(r"[1-9][0-9]* of 30 cells forked, [0-9]+ run "
+                            r"in this process", fanned["served"])
+        assert refused["served"] == "0 of 30 cells forked: serial (refused)"
+        # records, plane reports and cache counters as a serial pass's;
+        # the cache log holds the same lines, maybe in another order
+        for field in ("cells", "reports", "stats", "log"):
+            assert fanned[field] == refused[field], field
+        assert sum(report["injected"] for report in fanned["reports"]) \
+            == sum(cell["injected"] for cell in fanned["cells"]) > 0
+        assert all(cell["exact"] == 1 for cell in fanned["cells"])
+
+    def test_a_killed_worker_leaves_its_cells_to_this_process(self,
+                                                              tmp_path):
+        out = _fresh(FANNED.format(root=str(tmp_path)), """
+            import ast, signal
+            common._cpus = lambda: 2
+            serve("refused")
+            run_cell = chaos._run_cell
+            taken = []
+
+            def dying(*args):
+                if os.getpid() != MAIN:
+                    taken.append(args)
+                    if len(taken) == 2:  # mid-campaign, one cell done
+                        with open(os.path.join(ROOT, "done"), "w") as handle:
+                            handle.write(repr(taken[0]))
+                        os.kill(os.getpid(), signal.SIGKILL)
+                return run_cell(*args)
+
+            chaos._run_cell = dying
+            serve("fanout")
+            # the lines of the cell the worker finished, logged alone
+            with open(os.path.join(ROOT, "done")) as handle:
+                done = ast.literal_eval(handle.read())
+            log = os.path.join(ROOT, "done.log")
+            os.environ[trace_cache.ENV_LOG] = log
+            run_cell(*done)
+            with open(log) as handle:
+                out["done"] = handle.read().splitlines()
+        """)
+        fanned, refused = out["fanout"], out["refused"]
+        assert fanned["forks"] == 1
+        assert fanned["served"] == "0 of 30 cells forked, 30 run in this " \
+                                   "process"
+        for field in ("cells", "reports", "stats"):
+            assert fanned[field] == refused[field], field
+        # the worker logged the cell it finished before it died, and
+        # this process ran that cell again: its lines appear twice
+        assert out["done"]
+        assert fanned["log"] == sorted(refused["log"] + out["done"])
+
+
 # -- backoff after injected faults -------------------------------------------
 
 
@@ -370,7 +464,8 @@ class TestInjectedBackoff:
 
     def _campaign(self, monkeypatch, sleep):
         """The chaos campaign with ``time.sleep`` replaced by ``sleep``;
-        returns its cells and the plane each cell ran under."""
+        returns its cells, the plane of each cell that ran in this
+        process and every cell's plane report."""
         planes = []
         cell_plane = campaign._cell_plane
 
@@ -380,31 +475,39 @@ class TestInjectedBackoff:
 
         monkeypatch.setattr(campaign, "_cell_plane", capture)
         monkeypatch.setattr(time, "sleep", sleep)
-        return campaign.run_campaign(scale=0.35, seed=11), planes
+        cells, reports, _ = campaign._serve_campaign(0.35, 11)
+        return cells, planes, reports
 
     def test_campaign_counts_what_it_would_have_slept(self, monkeypatch):
-        # reference: no error marked injected, so every backoff sleeps
+        # reference: no error marked injected, so every backoff sleeps;
+        # served serially, so every sleep happens in this process
         slept = []
         with monkeypatch.context() as patch:
             patch.setattr(plane_mod, "mark_injected", lambda exc: exc)
-            reference, reference_planes = self._campaign(
+            patch.setattr(common, "fork_unavailable", lambda: "refused")
+            reference, reference_planes, _ = self._campaign(
                 patch, lambda seconds: slept.append(
                     (plane_mod.ACTIVE, seconds)))
         would_sleep = [sum(seconds for active, seconds in slept
                            if active is plane)
                        for plane in reference_planes]
-        cells, planes = self._campaign(monkeypatch, _no_sleep)
+        # a worker that sleeps raises Slept, gives up its cells, and the
+        # rerun here raises it again
+        cells, planes, reports = self._campaign(monkeypatch, _no_sleep)
         assert cells == reference
         assert all(cell["exact"] == 1 for cell in cells)
         assert sum(would_sleep) > 0
-        assert [plane.backoff_s for plane in planes] == would_sleep
+        assert [report["backoff_s"] for report in reports] == would_sleep
         assert all(plane.report()["backoff_s"] == plane.backoff_s
+                   for plane in planes)
+        by_seed = {report["seed"]: report for report in reports}
+        assert all(plane.report() == by_seed[plane.seed]
                    for plane in planes)
         # every retry loop backed off from an injected fault, including
         # after a corrupt results write that only read-back exposes
         backed_off = {(cell["kind"], cell["site"])
-                      for cell, plane in zip(cells, planes)
-                      if plane.backoff_s}
+                      for cell, report in zip(cells, reports)
+                      if report["backoff_s"]}
         assert {"cache.load", "cache.publish", "journal.append",
                 "results.write"} <= {site for _, site in backed_off}
         assert backed_off & {("bitflip", "results.write"),

@@ -26,7 +26,7 @@ from repro.core import (
     compress_spills,
     make_codec,
 )
-from repro.core.compress import WORD_BITS, ZeroElisionCodec
+from repro.core.compress import CodecStats, WORD_BITS, ZeroElisionCodec
 from repro.errors import BackingStoreFaultError, CompressionIntegrityError
 from repro.workloads import get_workload
 from repro.workloads.zipfile_bench import ZipFile, _reference_tokens
@@ -191,6 +191,58 @@ def test_port_verify_catches_corruption():
     port = CompressedSpillPort(codec=BrokenCodec(), verify=False)
     port.transmit(unit, spill=True)
     assert port.stats_for("broken").spill_units == 1
+
+
+class _FlipFirstWord(ZeroElisionCodec):
+    """Zero elision whose decoder corrupts the first in-word integer."""
+
+    name = "flipfirst"
+
+    def _decode_words(self, state, count):
+        out = super()._decode_words(state, count)
+        if out:
+            out[0] ^= 1
+        return out
+
+
+@given(batch=st.lists(units, max_size=10), spill=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_transmit_counts_what_each_codec_compresses_alone(batch, spill):
+    # the port frames each unit once for all its codecs; every codec
+    # must still see the unit its own compress() sees
+    port = CompressedSpillPort(codec="raw", shadow_codecs=CODEC_NAMES)
+    for unit in batch:
+        port.transmit(unit, spill=spill)
+    for name in CODEC_NAMES:
+        codec = make_codec(name)
+        blocks = [codec.compress(unit) for unit in batch]
+        units_moved = len(blocks)
+        words = sum(block.count for block in blocks)
+        raw = sum(block.raw_bytes for block in blocks)
+        wire = sum(block.wire_bytes for block in blocks)
+        expected = (CodecStats(spill_units=units_moved, words_spilled=words,
+                               raw_spill_bytes=raw, wire_spill_bytes=wire)
+                    if spill else
+                    CodecStats(reload_units=units_moved,
+                               words_reloaded=words, raw_reload_bytes=raw,
+                               wire_reload_bytes=wire))
+        assert port.stats_for(name) == expected, name
+        for unit, block in zip(batch, blocks):
+            # escapes, dead slots and words keep their types
+            assert [type(v) for v in codec.decompress(block)] == \
+                [type(v) for v in unit], name
+    # a shadow whose decoder lies still fails the unit it garbles
+    broken = CompressedSpillPort(codec="raw",
+                                 shadow_codecs=["narrow", _FlipFirstWord()])
+    for unit in batch:
+        block = _FlipFirstWord().compress(unit)
+        if block.mode == "packed" and len(unit) > len(block.state[0]) \
+                + len(block.state[1]):
+            with pytest.raises(CompressionIntegrityError) as info:
+                broken.transmit(unit, spill=spill)
+            assert info.value.codec == "flipfirst"
+        else:
+            broken.transmit(unit, spill=spill)
 
 
 # -- backing-store wrapper ----------------------------------------------------

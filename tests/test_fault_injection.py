@@ -9,9 +9,10 @@ value was never consumed) and the final answer is still correct.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.activation.machine import GuestFault
-from repro.core import NamedStateRegisterFile
+from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.core.faults import FAULT_KINDS, FaultConfigError, FaultyRegisterFile
 from repro.errors import ReproError
 from repro.workloads import get_workload
@@ -153,3 +154,89 @@ class TestFaultsAreActuallyCaught:
         result = workload.run(model, scale=0.3, seed=3)
         assert result.verified
         assert not model.injected
+
+
+# -- the one guard: a pass-through until the fault lands ----------------------
+
+#: ``(operation, register, value)`` over three 4-register contexts on
+#: a file too small for them, so spills and reloads (clean copies) are
+#: plentiful; reads and frees pick among the registers written so far
+wrapped_ops = st.lists(
+    st.tuples(st.sampled_from(["write", "write", "read", "read", "read",
+                               "switch", "free", "tick"]),
+              st.integers(0, 11), st.integers(-40, 40)),
+    min_size=20, max_size=150)
+
+TWIN_MODELS = {
+    "nsf": lambda: NamedStateRegisterFile(num_registers=4, context_size=4),
+    "segmented": lambda: SegmentedRegisterFile(num_registers=8,
+                                               context_size=4),
+}
+
+
+def _apply(model, op, cids, live):
+    """One operation's outcome: its return value, or the name of the
+    error it raised (a register a fault killed raises on both sides)."""
+    kind, register, value = op
+    if kind in ("read", "free"):
+        if not live:
+            return None
+        register = live[register % len(live)]
+    cid, offset = cids[register // 4], register % 4
+    try:
+        if kind == "write":
+            return model.write(offset, value, cid=cid)
+        if kind == "read":
+            return model.read(offset, cid=cid)
+        if kind == "switch":
+            return model.switch_to(cid)
+        if kind == "free":
+            return model.free_register(offset, cid=cid)
+        return model.tick(value % 3 + 1)
+    except ReproError as exc:
+        return type(exc).__name__
+
+
+def _track(op, live):
+    """Keep ``live`` (the registers written and not freed) current."""
+    kind, register, _ = op
+    if kind == "write" and register not in live:
+        live.append(register)
+        live.sort()
+    elif kind == "free" and live:
+        live.remove(live[register % len(live)])
+
+
+class TestOneGuard:
+    """Driven beside a bare twin, the wrapper changes nothing before its
+    fault lands, and nothing after it either (bar the hard fault that
+    ``stuck_line`` keeps replaying): the fault lands exactly once."""
+
+    @pytest.mark.parametrize("model_kind", sorted(TWIN_MODELS))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(ops=wrapped_ops, trigger=st.integers(1, 40))
+    def test_wrapper_matches_a_bare_twin(self, model_kind, kind, ops,
+                                         trigger):
+        build = TWIN_MODELS[model_kind]
+        model = FaultyRegisterFile(build(), kind, trigger_at=trigger)
+        twin = build()
+        cids = [model.begin_context() for _ in range(3)]
+        assert cids == [twin.begin_context() for _ in range(3)]
+        live = []
+        landed = False
+        for op in ops:
+            before = model.injected
+            got = _apply(model, op, cids, live)
+            expected = _apply(twin, op, cids, live)
+            _track(op, live)
+            if model.injected and not before:
+                # the landing operation: take the twin to the faulted
+                # state, which from here it must track exactly
+                landed = True
+                twin.restore(model.inner.capture())
+                continue
+            if landed and kind == "stuck_line":
+                continue
+            assert got == expected, (op, model.operations)
+            assert model.stats == twin.stats, (op, model.operations)

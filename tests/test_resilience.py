@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from repro.core import (
     secded_encode,
 )
 from repro.core.faults import FAULT_KINDS, FaultyRegisterFile
+from repro.core import resilience
 from repro.cpu.traps import MachineCheckTrapUnit
 from repro.errors import (
     BackingStoreFaultError,
@@ -91,6 +93,75 @@ class TestSecded:
         else:
             assert status == "corrected"
             assert fixed == value
+
+
+class _Int(int):
+    """An int subclass: codeable, but never served from the memo."""
+
+
+def _fresh_code(value):
+    """The check word by the codec's definition, bit by bit."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and -2 ** 63 <= value < 2 ** 63):
+        x = value & (2 ** 64 - 1)
+        syndrome = 0
+        for index in range(64):
+            if x >> index & 1:
+                syndrome ^= index + 1
+        return ("ecc", syndrome, bin(x).count("1") & 1,
+                zlib.crc32(x.to_bytes(8, "little")))
+    return ("crc", zlib.crc32(repr(value).encode("utf-8", "replace")),
+            type(value).__name__)
+
+
+class TestSecdedMemo:
+    """``secded_encode`` memoizes plain ints; nothing else may share an
+    entry, and the memo never changes a code or skips a check."""
+
+    def test_equal_values_of_other_types_keep_their_codes(self):
+        for value in (True, 1, 1.0, _Int(1), False, 0, 0.0, _Int(0), -1):
+            for warm in (0, 1, -1):
+                secded_encode(warm)
+            assert secded_encode(value) == _fresh_code(value), value
+        assert secded_encode(True) != secded_encode(1)
+        assert secded_encode(1.0) != secded_encode(1)
+        assert secded_encode(_Int(1)) == secded_encode(1)
+
+    @given(values=st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_codes_survive_a_memo_clear(self, values):
+        warm = [secded_encode(value) for value in values]
+        resilience._ECC_MEMO.clear()
+        assert [secded_encode(value) for value in values] == warm
+        assert warm == [_fresh_code(value) for value in values]
+
+    def test_the_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(resilience, "_ECC_MEMO", {})
+        monkeypatch.setattr(resilience, "_ECC_MEMO_LIMIT", 4)
+        for value in range(11):
+            assert secded_encode(value) == _fresh_code(value)
+            assert len(resilience._ECC_MEMO) <= 4
+
+    def test_a_corrupted_memoized_value_is_still_caught(self):
+        inner = NamedStateRegisterFile(num_registers=8, context_size=8)
+        model = ProtectedRegisterFile(inner)
+        cid = model.begin_context()
+        model.switch_to(cid)
+        for offset, value in enumerate((42, 42, 43, 43, 7)):
+            model.write(offset, value)
+        # upsets behind the wrapper, each into another memoized word
+        inner.write(0, 43)
+        inner.write(2, 42)
+        inner.write(1, 42 ^ 0b101)
+        assert model.read(0)[0] == 42
+        assert model.read(2)[0] == 43
+        assert model.read(4)[0] == 7
+        assert model.rstats.corrected == 2
+        with pytest.raises(MachineCheckError):
+            model.read(1)
+        # every read of a coded register was checked
+        assert model.rstats.checks == 4
+        assert model.rstats.detected == 3
 
 
 # -- the recovery ladder, rung by rung --------------------------------------
@@ -636,15 +707,18 @@ class TestForkedCampaign:
             import signal
             from repro.core.faults import FaultyRegisterFile
 
-            fires = FaultyRegisterFile._fires
+            def failing(operation):
+                # fails the first read or write a corrupt_write run
+                # counts at or after its trigger
+                def wrapped(self, *args, **kwargs):
+                    if (self.kind == "corrupt_write"
+                            and self.operations + 1 >= self.trigger_at):
+                        {failure}
+                    return operation(self, *args, **kwargs)
+                return wrapped
 
-            def failing(self, kind):
-                if (self.kind == "corrupt_write"
-                        and self.operations >= self.trigger_at):
-                    {failure}
-                return fires(self, kind)
-
-            FaultyRegisterFile._fires = failing
+            FaultyRegisterFile.read = failing(FaultyRegisterFile.read)
+            FaultyRegisterFile.write = failing(FaultyRegisterFile.write)
             try:
                 r.run_campaign(0.3, 7, kinds=("drop_write", "corrupt_write"),
                                models=("segmented",), protection=("off",))

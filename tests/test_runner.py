@@ -418,24 +418,7 @@ class TestWatchedRun:
         # the grandchild ignored SIGTERM; only a group SIGKILL can
         # have removed it.  It may linger briefly as an unreaped
         # zombie after reparenting, so poll for dead-or-zombie.
-        assert self._dead_or_zombie(pid, within=5.0)
-
-    @staticmethod
-    def _dead_or_zombie(pid, within):
-        deadline = time.monotonic() + within
-        while time.monotonic() < deadline:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            try:
-                with open(f"/proc/{pid}/stat", "r") as handle:
-                    if handle.read().rsplit(")", 1)[1].split()[0] == "Z":
-                        return True
-            except (OSError, IndexError):
-                return True
-            time.sleep(0.05)
-        return False
+        assert _gone(pid, within=5.0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="warm cells fork")
     def test_group_kill_reaches_a_warm_cells_grandchildren(
@@ -470,7 +453,7 @@ class TestWatchedRun:
         assert launches.forked == 1
         assert timed_out
         assert returncode != 0
-        assert self._dead_or_zombie(int(pidfile.read_text()), within=5.0)
+        assert _gone(int(pidfile.read_text()), within=5.0)
 
     def test_fast_exit_is_not_timed_out(self):
         returncode, stdout, _, timed_out = runner_mod.watched_run(
