@@ -46,13 +46,26 @@ bench:
 # Gates on machine-independent ratios (fast vs legacy on the same box),
 # so it is safe to run in CI.  bench_e2e gates the fig09-fig14 sweeps
 # end to end (result memo and oracle vs per-figure event replay).
+# Every gate runs, in order, even after one fails; the target prints
+# each gate's PASS or FAIL and fails if any gate did.
+BENCH_GATES = \
+	"benchmarks/bench_hot_path.py --check" \
+	"benchmarks/bench_trace_replay.py --check" \
+	"benchmarks/bench_chaos_overhead.py --check" \
+	"benchmarks/bench_oracle_grid.py --check" \
+	"benchmarks/bench_e2e.py --check" \
+	"-m pytest benchmarks/bench_core_ops.py --benchmark-only -q"
+
 bench-check:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hot_path.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_trace_replay.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos_overhead.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_oracle_grid.py --check
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_e2e.py --check
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_core_ops.py --benchmark-only -q
+	@status=0; results=""; \
+	for gate in $(BENCH_GATES); do \
+		echo "== $$gate"; \
+		if PYTHONPATH=src $(PYTHON) $$gate; then result=PASS; \
+		else result=FAIL; status=1; fi; \
+		results="$$results$$result  $$gate\n"; \
+	done; \
+	printf '%b' "bench-check gates:\n$$results"; \
+	exit $$status
 
 # Refresh the committed baseline after an intentional perf change.
 bench-baseline:

@@ -606,6 +606,9 @@ class CompressingBackingStore:
     # -- drop-in plumbing ----------------------------------------------------
 
     def __getattr__(self, name):
+        if name == "inner":
+            # a copy under construction has no store to forward to yet
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
     def __len__(self):

@@ -28,14 +28,18 @@ are served from the oracle's closed form and design-space tables where
 they can be, and every other cell takes that same memoized replay.
 
 An experiment that drives many models hands them to :func:`run_cells`
-in one batch, which computes the replays and oracle scans its memos
-lack in forked children on every CPU the process may use, then serves
-each cell in-process exactly as :func:`run_workload` would have.
+in one batch.  It first runs the front-ends of the traces the batch
+lacks (each on a copy of its model where the trace is model-keyed),
+then computes the replays and oracle scans its memos lack, both in
+forked children on every CPU the process may use, and serves each cell
+in-process exactly as :func:`run_workload` would have: every cache
+lookup, lock, publish and fault draw stays here, in cell order.
 :func:`fan_out` is the one fork-worker loop behind it; the storage-
 fault chaos campaign spreads its cells with it too.
 """
 
 import collections
+import copy
 import hashlib
 import marshal
 import os
@@ -177,15 +181,23 @@ def _start_state(model):
                            digest_size=16).digest()
 
 
-def _result_key(trace, model):
-    """Memo key of replaying ``trace`` onto ``model``, or ``None`` when
-    the pair is outside the memo (a non-``Trace`` iterable, a model
-    class off the allowlist, or a wrapped backing store)."""
-    if (not isinstance(trace, Trace) or type(model) not in _MEMO_MODELS
+def _model_key(model):
+    """The model's part of a memo key, or ``None`` for a model outside
+    the memo (a class off the allowlist, or a wrapped backing store)."""
+    if (type(model) not in _MEMO_MODELS
             or type(model.backing) is not BackingStore):
         return None
-    return (trace.digest(), type(model), model._fast_path,
-            _start_state(model))
+    return (type(model), model._fast_path, _start_state(model))
+
+
+def _result_key(trace, model):
+    """Memo key of replaying ``trace`` onto ``model``, or ``None`` when
+    the pair is outside the memo (a non-``Trace`` iterable, or a model
+    :func:`_model_key` leaves out)."""
+    if not isinstance(trace, Trace):
+        return None
+    start = _model_key(model)
+    return None if start is None else (trace.digest(),) + start
 
 
 def _travels(model):
@@ -319,7 +331,10 @@ def run_workload(workload, model, scale=1.0, seed=1):
     Workloads whose stream is timing-sensitive (``trace_stable`` is
     False) get memoized execution instead of a shared trace: the cold
     run executes directly through a recorder, and only models with the
-    identical configuration replay the cached stream.
+    identical configuration replay the cached stream.  A cold run over
+    a model the result memo holds, never driven before, leaves its end
+    state in the memo, under the key a replay of its recording would
+    have: a direct run ends exactly where that replay ends.
 
     Degradation ladder: warm cache -> quarantine + re-record (inside
     the cache) -> on persistent storage failure, **direct execution**
@@ -342,8 +357,13 @@ def run_workload(workload, model, scale=1.0, seed=1):
             trace = trace_cache.load_for_model(workload, model,
                                                scale=scale, seed=seed)
             if trace is None:
-                trace_cache.record_through(workload, model, scale=scale,
-                                           seed=seed)
+                start = (_model_key(model) if type(model) in _MEMO_MODELS
+                         and not model._driven else None)
+                trace = trace_cache.record_through(workload, model,
+                                                   scale=scale, seed=seed)
+                if start is not None:
+                    _remember((trace.digest(),) + start,
+                              marshal.dumps(model.capture()))
                 return model
     except OSError:
         # the cache's own retries/quarantine already failed: last rung
@@ -367,22 +387,31 @@ class FanoutStats:
 
     ``forked`` counts jobs a child computed and the parent merged,
     ``parent`` the jobs the parent computed itself, and ``refused``
-    maps each reason a batch with jobs did not fork to its count.  A
+    maps each reason a step with jobs did not fork to its count.  A
     job whose child failed is neither: its cell replays in-process.
+    ``recordings`` counts the recordings batches tried to make ahead
+    of their lookups (a batch's lone recording is made at its cell
+    and not counted) and ``recorded`` those a child made; every other
+    one is made in this process.
     """
 
-    __slots__ = ("batches", "forked", "parent", "refused")
+    __slots__ = ("batches", "forked", "parent", "refused", "recordings",
+                 "recorded")
 
     def __init__(self):
         self.reset()
 
     def reset(self):
         self.batches = self.forked = self.parent = 0
+        self.recordings = self.recorded = 0
         self.refused = {}
 
     def summary(self):
         line = (f"{self.forked} of {self.forked + self.parent} cell "
                 f"job(s) forked in {self.batches} batch(es)")
+        if self.recordings:
+            line += (f"; {self.recorded} of {self.recordings} "
+                     "recording(s) forked")
         if self.refused:
             line += "; not forked: " + ", ".join(
                 f"{reason} ({count}x)"
@@ -401,38 +430,51 @@ def run_cells(cells, scale=1.0, seed=1):
     """Drive every ``(workload, model)`` cell of one experiment.
 
     Leaves each model exactly as :func:`run_workload` on each cell in
-    order would, in four steps:
+    order would, in five steps:
 
-    1. resolve every cell's trace in order, in this process, through
-       :func:`run_workload` itself, so recording, publishing,
-       quarantine, the chaos plane's draws and the cache log happen
-       once and in the serial order;
-    2. ask the selected engine what the cells lack: a table scan for
+    1. plan, without side effects, the traces the cells would record
+       (:func:`_recordings`) and run those front-ends in forked
+       children on every CPU this process may use, the parent taking
+       jobs too; a model-keyed trace is recorded through a copy of its
+       model, whose end state comes back with the recording;
+    2. resolve every cell's trace in order, in this process, through
+       :func:`run_workload` itself, so every lookup, lock, publish,
+       quarantine, chaos draw, cache count and log line happens once
+       and in the serial order; a recording step 1 made is handed to
+       the recorder (:func:`repro.trace.cache.handoff`) instead of
+       executing the front-end again;
+    3. ask the selected engine what the cells lack: a table scan for
        a cell the oracle's tables will serve, a result-memo entry for
        every other cell;
-    3. compute those jobs in forked children on every CPU this process
-       may use, the parent taking jobs too, and merge the end states
-       and tables they send back into the memos;
-    4. serve every cell in order: a memo hit or a table hit, or the
+    4. compute those jobs the same way as step 1's, and merge the end
+       states and tables they send back into the memos;
+    5. serve every cell in order: a memo hit or a table hit, or the
        plain serial path for anything no job covered.
 
-    Where forking is refused (a second thread, one CPU) step 3 is
-    skipped and step 4 is the serial pass itself.  A job a child could
-    not finish (it died, was killed or raised) is left to step 4,
-    which runs it here, so a failure never changes a number or an
-    error.  If resolving a cell raises, the cells before it are driven
-    first, as a serial pass would have, and nothing forks.
+    Where forking is refused (a second thread, one CPU) steps 1 and 4
+    compute nothing ahead, and steps 2 and 5 are the serial pass
+    itself.  A job a child could not finish (it died, was killed or
+    raised) is left to the serial path, which runs it here, so a
+    failure never changes a number or an error; a recording that
+    raised in this process raises again at its cell.  If resolving a
+    cell raises, the cells before it are driven first, as a serial
+    pass would have, and no replay forks.  A recording no lookup took
+    is dropped with the batch.
     """
     FANOUT.batches += 1
+    cells = list(cells)
     outer = getattr(_BATCH, "cells", None)
     _BATCH.cells = pending = []
     try:
-        for workload, model in cells:
-            run_workload(workload, model, scale=scale, seed=seed)
-    except Exception:
-        for cell in pending:
-            cell.drive()
-        raise
+        with trace_cache.handoff():
+            _record_ahead(_recordings(cells, scale, seed))
+            try:
+                for workload, model in cells:
+                    run_workload(workload, model, scale=scale, seed=seed)
+            except Exception:
+                for cell in pending:
+                    cell.drive()
+                raise
     finally:
         _BATCH.cells = outer
     _fan_out_jobs(_jobs(pending))
@@ -471,6 +513,106 @@ def run_pair_totals(groups, scale=1.0, seed=1):
             seg_total = seg if seg_total is None else seg_total + seg
         totals.append((nsf_total, seg_total))
     return totals
+
+
+class _Recording:
+    """One front-end a batch runs ahead of its lookups (step 1 of
+    :func:`run_cells`), into the hand-off ``entry`` of its lookup.
+
+    ``model`` is ``None`` for a ``trace_stable`` trace, which records
+    over the cache's own model; otherwise the trace is recorded through
+    a copy of the cell's model, never driven, so the model itself stays
+    untouched until its cell ``restore()``s the copy's end state.
+    """
+
+    __slots__ = ("workload", "model", "scale", "seed", "entry")
+
+    def __init__(self, workload, model, scale, seed, entry):
+        self.workload = workload
+        self.model = model
+        self.scale = scale
+        self.seed = seed
+        self.entry = entry
+
+    def _run(self, model):
+        return trace_cache.run_traced(self.workload, model,
+                                      scale=self.scale, seed=self.seed)
+
+    def reply(self):
+        """What a worker sends back: the packed trace and, for a
+        model-keyed one, the model's marshalled end-state capture (the
+        worker's model is its own copy)."""
+        trace = self._run(self.model)
+        return (trace.dumps_binary(), None if self.model is None
+                else marshal.dumps(self.model.capture()))
+
+    def here(self):
+        """Make the recording in this process, on a copy of the model;
+        what it raises is raised again at its cell."""
+        entry = self.entry
+        model = None if self.model is None else copy.deepcopy(self.model)
+        try:
+            entry.trace = self._run(model)
+        except Exception as exc:
+            entry.error = exc
+            return
+        if model is not None:
+            entry.end = model.capture()
+
+    def merge(self, reply):
+        """Keep what a worker made."""
+        data, end = reply
+        self.entry.trace = Trace.loads_binary(data)
+        if end is not None:
+            self.entry.end = marshal.loads(end)
+
+
+def _recordings(cells, scale, seed):
+    """The recordings the cells' lookups will miss, one per distinct
+    trace, planned without side effects (:func:`trace_cache.plan_lookup`).
+
+    A trace is planned at its first cell, and only when it is neither
+    memoized nor on disk.  A model-keyed trace is planned only for a
+    model never driven that no other cell drives and whose end state
+    travels (:func:`_travels`): any other model records inline, as a
+    serial pass would, since its stream may differ from a copy's.
+    """
+    if not trace_cache.enabled():
+        return []
+    drives = collections.Counter(id(model) for _, model in cells)
+    jobs = []
+    paths = set()
+    for workload, model in cells:
+        if workload.trace_stable:
+            model = None
+        planned = trace_cache.plan_lookup(workload, model, scale, seed)
+        if planned is None or planned[0] in paths:
+            continue
+        path, entry = planned
+        paths.add(path)
+        if model is None or (_travels(model) and not model._driven
+                             and drives[id(model)] == 1):
+            jobs.append(_Recording(workload, model, scale, seed, entry))
+    return jobs
+
+
+def _record_ahead(jobs):
+    """Make ``jobs`` on every CPU this process may use
+    (:func:`fan_out`), leaving each recording in its hand-off entry.
+    Fewer than two jobs are left to their cells, like :func:`fan_out`
+    leaves them, and are not counted."""
+    if len(jobs) < 2:
+        return
+    FANOUT.recordings += len(jobs)
+    replies, reason = fan_out(len(jobs), lambda index: jobs[index].reply(),
+                              lambda index: jobs[index].here())
+    if replies is None:
+        if reason is not None:
+            FANOUT.refused[reason] = FANOUT.refused.get(reason, 0) + 1
+        return
+    FANOUT.recorded += len(replies)
+    for index, reply in replies.items():
+        jobs[index].merge(reply)
 
 
 class _Job:

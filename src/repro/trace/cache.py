@@ -23,6 +23,14 @@ model on the cold run (:func:`record_through` — so the cold run IS a
 direct run, exact by construction) and replayed only onto models of
 the identical configuration afterwards.
 
+Inside a :func:`repro.evalx.common.run_cells` batch the front-ends
+of the recordings a batch lacks may already have run on other CPUs
+(:func:`plan_lookup`, :func:`run_traced`): the batch hands each
+recording over through :func:`handoff`, and :func:`record_trace` and
+:func:`record_through` take it instead of executing the front-end
+again.  Every lookup, lock, publish, fault draw, :data:`STATS` count and
+log line still happens here, at the cell that needs the trace.
+
 Keying is content-addressed: ``(workload name, context size, scale,
 seed)`` plus a fingerprint of the recorder/format implementation
 (sha256 of this package's sources and a schema version), so any change
@@ -71,7 +79,9 @@ import hashlib
 import os
 import pathlib
 import sys
+import threading
 import time
+from contextlib import contextmanager
 
 from repro.chaos import plane as _chaos
 from repro.ioutil import TRANSIENT_ERRNOS, atomic_write_bytes
@@ -178,16 +188,20 @@ def model_fingerprint(model):
     Derived from the snapshot protocol's ``kind`` and ``config``
     (construction parameters only, no mutable state), so two freshly
     built models compare equal exactly when direct execution over them
-    is guaranteed to produce the same event stream.  Returns ``None``
-    for objects outside the snapshot protocol.
+    is guaranteed to produce the same event stream.  A model whose class
+    defines ``_config()`` (the one ``capture()`` files under
+    ``config``) is read without a capture; a wrapper, whose attribute
+    forwarding could answer for the model inside it, is captured.
+    Returns ``None`` for objects outside the snapshot protocol.
     """
-    capture = getattr(model, "capture", None)
-    if capture is None:
-        return None
+    config = getattr(type(model), "_config", None)
     try:
-        state = capture()
-        kind = state["kind"]
-        config = sorted(state["config"].items())
+        if config is not None:
+            kind, config = model.kind, config(model)
+        else:
+            state = model.capture()
+            kind, config = state["kind"], state["config"]
+        config = sorted(config.items())
     except (TypeError, KeyError, AttributeError):
         return None
     digest = hashlib.sha256(repr((kind, config)).encode())
@@ -222,21 +236,120 @@ def _log(outcome, workload, path):
         pass
 
 
-def record_trace(workload, scale=1.0, seed=1):
-    """Execute ``workload`` once over a recording register file.
+def run_traced(workload, model=None, scale=1.0, seed=1):
+    """Execute ``workload`` over ``model`` through a recorder; returns
+    the trace.  ``None`` records over a generously-sized NSF, which
+    keeps recording fast by avoiding spills (a ``trace_stable`` stream
+    is model-independent).  Touches no cache state or counter."""
+    if model is None:
+        from repro.core import NamedStateRegisterFile
 
-    The inner model is immaterial (the stream is model-independent);
-    a generously-sized NSF keeps recording fast by avoiding spills.
-    """
-    from repro.core import NamedStateRegisterFile
-
-    tracer = TracingRegisterFile(NamedStateRegisterFile(
-        num_registers=4 * workload.context_size,
-        context_size=workload.context_size,
-    ))
+        model = NamedStateRegisterFile(
+            num_registers=4 * workload.context_size,
+            context_size=workload.context_size,
+        )
+    tracer = TracingRegisterFile(model)
     workload.run(tracer, scale=scale, seed=seed)
-    STATS.records += 1
     return tracer.trace
+
+
+def record_trace(workload, scale=1.0, seed=1):
+    """Execute ``workload`` once over a recording register file
+    (:func:`run_traced`), or take the recording its batch made ahead."""
+    handed = _handed(_planned(workload, None, scale, seed))
+    trace = (run_traced(workload, scale=scale, seed=seed)
+             if handed is None else handed[0])
+    STATS.records += 1
+    return trace
+
+
+# -- a batch's hand-off ------------------------------------------------------
+
+
+class _Planned:
+    """One planned lookup of a batch: once a recording was made ahead
+    of it, that recording (and, for a model-keyed trace, the model's
+    end state) or what making it raised."""
+
+    __slots__ = ("trace", "end", "error")
+
+    def __init__(self):
+        self.trace = self.end = self.error = None
+
+
+#: per thread, the :class:`_Planned` lookups of the innermost open
+#: :func:`handoff` block, by :func:`_plan_key` (absent outside one)
+_HANDOFF = threading.local()
+
+
+@contextmanager
+def handoff():
+    """Open a batch's hand-off for this thread for the block.
+
+    :func:`plan_lookup` fills it, the batch stores each recording it
+    made ahead in its entry, and the recorders of this thread take
+    those recordings from it.  It is dropped when the block ends,
+    however it ends, with whatever no recorder consumed.
+    """
+    outer = getattr(_HANDOFF, "plan", None)
+    _HANDOFF.plan = {}
+    try:
+        yield
+    finally:
+        _HANDOFF.plan = outer
+
+
+def _plan_key(workload, model, scale, seed):
+    """Hand-off key of one lookup: a model-keyed one names its model."""
+    key = (workload.name, workload.context_size, scale, seed)
+    return key if model is None else key + (id(model),)
+
+
+def _planned(workload, model, scale, seed, directory=None):
+    """The open hand-off's entry for one lookup (in the default
+    directory only), or ``None``."""
+    plan = getattr(_HANDOFF, "plan", None)
+    if plan is None or directory is not None:
+        return None
+    return plan.get(_plan_key(workload, model, scale, seed))
+
+
+def _handed(entry):
+    """``(trace, end state)`` made ahead for a planned lookup, once, or
+    ``None`` when nothing was; raises what making it raised."""
+    if entry is None or (entry.trace is None and entry.error is None):
+        return None
+    handed, error = (entry.trace, entry.end), entry.error
+    entry.trace = entry.end = entry.error = None
+    if error is not None:
+        raise error
+    return handed
+
+
+def plan_lookup(workload, model, scale, seed):
+    """Plan one lookup of the open hand-off, without side effects.
+
+    ``model`` is ``None`` for a ``trace_stable`` workload.  Returns
+    ``(path, entry)`` when the trace at ``path`` is neither memoized
+    nor on disk (a recording would be made), ``entry`` being where the
+    batch leaves a recording it makes ahead; ``None`` for a lookup
+    planned before, a cached trace or a model outside the snapshot
+    protocol.
+    """
+    plan = _HANDOFF.plan
+    key = _plan_key(workload, model, scale, seed)
+    if key in plan:
+        return None
+    fp = None
+    if model is not None:
+        fp = model_fingerprint(model)
+        if fp is None:
+            return None
+    path = trace_path(workload, scale, seed, model_fp=fp)
+    plan[key] = entry = _Planned()
+    if (str(path.parent), path.name) in _memo or path.exists():
+        return None
+    return path, entry
 
 
 # -- degradation ladder ------------------------------------------------------
@@ -557,17 +670,24 @@ def record_through(workload, model, scale=1.0, seed=1, directory=None):
     The cold-run path for timing-sensitive workloads: the model ends up
     with genuine direct-execution statistics (no replay involved), and
     the recorded stream is published under the model-keyed entry so
-    future runs on the same configuration replay instead.
+    future runs on the same configuration replay instead.  The key is
+    taken from the model before the run.  A recording its batch made
+    ahead on a copy of the model arrives with that copy's end state,
+    which the model ``restore()``s.
     """
-    tracer = TracingRegisterFile(model)
-    workload.run(tracer, scale=scale, seed=seed)
-    STATS.records += 1
     fp = model_fingerprint(model)
+    handed = _handed(_planned(workload, model, scale, seed, directory))
+    if handed is None:
+        trace = run_traced(workload, model, scale=scale, seed=seed)
+    else:
+        trace, end = handed
+        model.restore(end)
+    STATS.records += 1
     if fp is not None:
         path = trace_path(workload, scale, seed, directory=directory,
                           model_fp=fp)
-        _publish(workload, path, tracer.trace)
-    return tracer.trace
+        _publish(workload, path, trace)
+    return trace
 
 
 def clear(directory=None):

@@ -5,20 +5,27 @@ a batch's memos lack in forked children, then serves every cell in
 this process.  Evidence that this never changes a number:
 
 * **Differential.** Every batched experiment (fig09-fig14, claims,
-  compression, table1) at two operating points, under ``event`` and
-  ``oracle``, prints the same tables, result-memo counters, cache
-  counters and cache log with the fan-out as with a fork guard that
-  refuses; the fanned-out run really forks, and each cell's trace is
-  looked up once.  These run in a fresh interpreter, as do the other
-  fork tests, so no thread another test left behind refuses the fork.
+  compression, table1) at two operating points, on an empty cache and
+  then warm under ``event`` and ``oracle``, prints the same tables,
+  result-memo counters, cache counters and cache log, and leaves the
+  same cache entry bytes, with the fan-out as with a fork guard that
+  refuses; the fanned-out run really forks its recordings and replays,
+  and each cell's trace is looked up once.  Every result-memo entry a
+  cold recording leaves is the end state a replay of its trace leaves.
+  These run in a fresh interpreter, as do the other fork tests, so no
+  thread another test left behind refuses the fork.
 * **Dedupe.** Identical cells in one batch replay once.
-* **Failures.** A SIGKILLed child's job reruns in the parent; a job
-  raising in a child raises the serial error in the parent; a parent
-  whose own share raises leaves no child behind.
+* **Failures.** A SIGKILLed child's job reruns in the parent, and so
+  do the recordings of a child SIGKILLed mid-recording; a job or a
+  recording raising in a child raises the serial error in the parent,
+  and so does a recording raising in the parent's own share; a parent
+  whose own share raises leaves no child behind.  A model driven
+  before its batch, or by two of its cells, records inline.
 * **Guard timing.** Under ``oracle`` planning loads NumPy; with a
   multi-threaded BLAS pool nothing forks after that, and NumPy's one
   import site keeps the pool at one thread however it is first used.
-* **Chaos.** An armed fault plane sees the same draws either way.
+* **Chaos.** An armed fault plane sees the same draws either way, on
+  an empty cache as well.
 """
 
 import json
@@ -96,86 +103,184 @@ def _fresh(*parts, env=None):
 
 # -- differential --------------------------------------------------------------
 
+#: the differential's two operating points
+POINTS = ((0.35, 11), (0.2, 7))
+
+#: primes two empty caches with every batched experiment at every point,
+#: fanned out and then fork-refused, then runs both warm from the
+#: fanned-out one under either engine; every cold recording of a fresh
+#: model the memo holds is checked against a replay of its trace
+DIFFERENTIAL = """
+import copy, hashlib, marshal
+from repro.core import BackingStore
+from repro.trace.replay import replay
+
+guard = common.fork_unavailable
+lookups = 0
+seeded = []
+resolve = common.run_workload
+
+
+def memoized_and_fresh(workload, model):
+    return (not workload.trace_stable
+            and type(model) in common._MEMO_MODELS
+            and type(model.backing) is BackingStore and not model._driven)
+
+
+def counted(workload, model, scale=1.0, seed=1):
+    global lookups
+    lookups += 1
+    twin = (copy.deepcopy(model) if memoized_and_fresh(workload, model)
+            else None)
+    records = trace_cache.STATS.records
+    result = resolve(workload, model, scale=scale, seed=seed)
+    if twin is not None and trace_cache.STATS.records > records:
+        # read without a lookup, a count or a memo reorder
+        path = trace_cache.trace_path(
+            workload, scale, seed,
+            model_fp=trace_cache.model_fingerprint(twin))
+        trace = trace_cache._memo[(str(path.parent), path.name)][0]
+        end = common._RESULT_MEMO.get(common._result_key(trace, twin))
+        replay(trace, twin, verify=False)
+        seeded.append([f"{workload.name} {twin._config()}",
+                       end is not None
+                       and marshal.loads(end) == twin.capture()])
+    return result
+
+
+common.run_workload = counted
+
+
+def run(mode, cache, fresh):
+    global lookups
+    log = cache + ".log"
+    os.environ[trace_cache.ENV_DIR] = cache
+    os.environ[trace_cache.ENV_LOG] = log
+    if fresh:
+        os.makedirs(cache)
+    trace_cache._memo.clear()
+    trace_cache.STATS.reset()
+    common.RESULT_STATS.reset()
+    common.FANOUT.reset()
+    columnar._ANALYSES.clear()
+    common.fork_unavailable = (
+        guard if mode == "fanout" else lambda: "refused")
+    before, lookups = forks, 0
+    del seeded[:]
+    tables, compression = {}, None
+    for scale, seed in POINTS:
+        # within the memos' bounds, so no eviction order can change a
+        # hit count
+        common.clear_result_memo()
+        oracle._TABLE_MEMO.clear()
+        for name in BATCHED:
+            memo = repr(common.RESULT_STATS)
+            tables[f"{name} {scale} {seed}"] = run_experiment(
+                name, scale=scale, seed=seed).to_dict()
+            if name == "compression":
+                compression = (memo, repr(common.RESULT_STATS))
+    with open(log) as handle:
+        lines = handle.read().splitlines()
+    entries = {}
+    for entry in sorted(os.listdir(cache)):
+        with open(os.path.join(cache, entry), "rb") as handle:
+            entries[entry] = hashlib.sha256(handle.read()).hexdigest()
+    return {
+        "tables": tables,
+        "results": repr(common.RESULT_STATS),
+        "cache": repr(trace_cache.STATS),
+        "log": lines,
+        "lookups": lookups,
+        "forks": forks - before,
+        "compression": compression,
+        "entries": entries,
+        "recorded": [common.FANOUT.recorded, common.FANOUT.recordings],
+        "seeded": list(seeded),
+    }
+
+
+for mode in ("fanout", "refused"):
+    out["cold " + mode] = run(mode, os.path.join(ROOT, "cold-" + mode),
+                              fresh=True)
+for engine in ("event", "oracle"):
+    os.environ[columnar.ENV_ENGINE] = engine
+    for mode in ("fanout", "refused"):
+        cache = os.path.join(ROOT, engine + mode)
+        shutil.copytree(os.path.join(ROOT, "cold-fanout"), cache)
+        out[engine + " " + mode] = run(mode, cache, fresh=False)
+"""
+
+
+@pytest.fixture(scope="module")
+def differential(tmp_path_factory):
+    """What :data:`DIFFERENTIAL` reports, run once for the module."""
+    root = tmp_path_factory.mktemp("differential")
+    return _fresh(f"""
+        ROOT = {str(root)!r}
+        BATCHED = {BATCHED!r}
+        POINTS = {POINTS!r}
+    """, DIFFERENTIAL, env={columnar.ENV_ENGINE: "event"})
+
 
 @needs_fork
-def test_fanout_matches_a_refused_fork(tmp_path):
-    out = _fresh(f"""
-        ROOT = {str(tmp_path)!r}
-        BATCHED = {BATCHED!r}
-        POINTS = ((0.35, 11), (0.2, 7))
-        primed = os.path.join(ROOT, "primed")
-        os.environ[trace_cache.ENV_DIR] = primed
-        for scale, seed in POINTS:
-            for name in BATCHED:
-                run_experiment(name, scale=scale, seed=seed)
-        guard = common.fork_unavailable
-        lookups = 0
-        resolve = common.run_workload
-
-        def counted(*args, **kwargs):
-            global lookups
-            lookups += 1
-            return resolve(*args, **kwargs)
-
-        common.run_workload = counted
-        for engine in ("event", "oracle"):
-            os.environ[columnar.ENV_ENGINE] = engine
-            for mode in ("fanout", "refused"):
-                cache = os.path.join(ROOT, engine + mode)
-                shutil.copytree(primed, cache)
-                log = cache + ".log"
-                os.environ[trace_cache.ENV_DIR] = cache
-                os.environ[trace_cache.ENV_LOG] = log
-                trace_cache._memo.clear()
-                trace_cache.STATS.reset()
-                common.clear_result_memo()
-                common.RESULT_STATS.reset()
-                oracle._TABLE_MEMO.clear()
-                columnar._ANALYSES.clear()
-                common.fork_unavailable = (
-                    guard if mode == "fanout" else lambda: "refused")
-                before, lookups = forks, 0
-                tables, compression = {{}}, None
-                for scale, seed in POINTS:
-                    # within the memos' bounds, so no eviction order
-                    # can change a hit count
-                    common.clear_result_memo()
-                    oracle._TABLE_MEMO.clear()
-                    for name in BATCHED:
-                        memo = repr(common.RESULT_STATS)
-                        tables[f"{{name}} {{scale}} {{seed}}"] = (
-                            run_experiment(name, scale=scale,
-                                           seed=seed).to_dict())
-                        if name == "compression":
-                            compression = (memo,
-                                           repr(common.RESULT_STATS))
-                with open(log) as handle:
-                    lines = handle.read().splitlines()
-                out[engine + " " + mode] = {{
-                    "tables": tables,
-                    "results": repr(common.RESULT_STATS),
-                    "cache": repr(trace_cache.STATS),
-                    "log": lines,
-                    "lookups": lookups,
-                    "forks": forks - before,
-                    "compression": compression,
-                }}
-    """)
+def test_fanout_matches_a_refused_fork(differential):
+    out = differential
+    # cold: the recordings fork, and every count, log line and entry
+    # byte is the serial pass's
+    fanned, refused = out["cold fanout"], out["cold refused"]
+    assert fanned["forks"] > 0 and refused["forks"] == 0
+    recorded, planned = fanned["recorded"]
+    assert 0 < recorded <= planned
+    assert refused["recorded"] == [0, planned]
+    for field in ("tables", "results", "cache", "log", "lookups",
+                  "entries"):
+        assert fanned[field] == refused[field], ("cold", field)
+    assert fanned["entries"] and all(
+        name.endswith(".trace") for name in fanned["entries"])
+    # planning looked nothing up: each cell's trace is looked up once,
+    # and each miss is recorded and published once
+    looked = [line.split()[0] for line in fanned["log"]
+              if line.startswith(("HIT ", "MISS "))]
+    misses = looked.count("MISS")
+    assert len(looked) == fanned["lookups"]
+    assert fanned["cache"] == (
+        f"CacheStats(hits={len(looked) - misses}, misses={misses}, "
+        f"records={misses}, quarantined=0)")
+    assert misses == len(fanned["entries"]) == sum(
+        line.startswith("RECORD ") for line in fanned["log"])
     for engine in ("event", "oracle"):
         fanned, refused = out[f"{engine} fanout"], out[f"{engine} refused"]
         assert fanned["forks"] > 0, engine
         assert refused["forks"] == 0, engine
         for field in ("tables", "results", "cache", "log", "lookups"):
             assert fanned[field] == refused[field], (engine, field)
+        assert fanned["tables"] == out["cold fanout"]["tables"], engine
         # a warm cache: each cell's trace is looked up once, a hit
         assert len(fanned["log"]) == fanned["lookups"] > 0
         assert all(line.startswith("HIT ") for line in fanned["log"])
         assert fanned["cache"] == (
             f"CacheStats(hits={fanned['lookups']}, misses=0, records=0, "
             "quarantined=0)")
+        assert fanned["recorded"] == [0, 0], engine
         # compressing models travel but never enter the result memo
         before, after = fanned["compression"]
         assert before == after, engine
+
+
+@needs_fork
+def test_a_seeded_memo_entry_equals_a_replay_of_its_trace(differential):
+    """A cold recording through a fresh model the result memo holds
+    leaves its end state in the memo: for every such cell of every
+    batched experiment, at both points and in both modes, that entry
+    is the end state a replay of the recorded trace leaves."""
+    for mode in ("fanout", "refused"):
+        seeded = differential["cold " + mode]["seeded"]
+        # fig11 alone records 16 Gamteb traces of its own per point
+        assert len(seeded) >= 2 * 16, mode
+        wrong = [label for label, same in seeded if not same]
+        assert not wrong, (mode, wrong)
+    # no warm pass records, so none seeds
+    assert not differential["event fanout"]["seeded"]
 
 
 # -- dedupe --------------------------------------------------------------------
@@ -209,10 +314,14 @@ def test_identical_cells_in_one_batch_replay_once(cache_env, monkeypatch,
 
 
 def test_empty_and_one_cell_batches(cache_env):
+    common.FANOUT.reset()
     common.run_cells([], scale=0.2, seed=3)
     workload = get_workload("GateSim")
     batched, alone = make_nsf(workload), make_nsf(workload)
     common.run_cells([(workload, batched)], scale=0.2, seed=3)
+    # its one recording is made at its cell, not counted as made ahead
+    assert common.FANOUT.recordings == 0
+    assert "recording" not in common.FANOUT.summary()
     common.clear_result_memo()
     common.run_workload(workload, alone, scale=0.2, seed=3)
     assert batched.stats != RegFileStats(capacity=batched.num_registers)
@@ -377,6 +486,191 @@ def test_an_interrupted_parent_kills_its_children(tmp_path):
     assert out["seconds"] < 30
 
 
+#: ``cold(mode)`` runs fig09 on an empty cache of its own, fanned out
+#: or fork-refused, and reports what a serial pass would print; the
+#: script sets ``ROOT`` and may patch the recorder first
+COLD = """
+import hashlib
+guard = common.fork_unavailable
+os.environ[columnar.ENV_ENGINE] = "event"
+
+
+def cold(mode):
+    cache = os.path.join(ROOT, mode)
+    os.environ[trace_cache.ENV_DIR] = cache
+    os.environ[trace_cache.ENV_LOG] = cache + ".log"
+    trace_cache._memo.clear()
+    trace_cache.STATS.reset()
+    common.clear_result_memo()
+    common.RESULT_STATS.reset()
+    common.FANOUT.reset()
+    common.fork_unavailable = (
+        guard if mode != "refused" else lambda: "refused")
+    before = forks
+    try:
+        report = {"table": run_experiment("fig09", scale=0.2,
+                                          seed=7).to_dict()}
+    except Exception as exc:
+        report = {"error": [type(exc).__name__, str(exc)]}
+    with open(cache + ".log") as handle:
+        report["log"] = handle.read().splitlines()
+    report["entries"] = {}
+    for name in sorted(os.listdir(cache)):
+        with open(os.path.join(cache, name), "rb") as handle:
+            report["entries"][name] = hashlib.sha256(
+                handle.read()).hexdigest()
+    report.update(cache=repr(trace_cache.STATS),
+                  results=repr(common.RESULT_STATS),
+                  recorded=[common.FANOUT.recorded,
+                            common.FANOUT.recordings],
+                  forks=forks - before,
+                  # the batch's hand-off ends with it, raising or not
+                  handoff=getattr(trace_cache._HANDOFF, "plan", None))
+    return report
+"""
+
+
+@needs_fork
+def test_a_killed_workers_recordings_are_made_in_the_parent(tmp_path):
+    out = _fresh(STEER, f"""
+        import signal
+        ROOT = {str(tmp_path)!r}
+    """, COLD, """
+        begin = trace_cache.TracingRegisterFile.begin_context
+        begun = 0
+
+        def dying(self, cid=None, base_address=None):
+            global begun
+            begun += 1
+            if os.getpid() != MAIN and begun > 3:  # mid-recording
+                os.kill(os.getpid(), signal.SIGKILL)
+            return begin(self, cid=cid, base_address=base_address)
+
+        trace_cache.TracingRegisterFile.begin_context = dying
+        out["fanout"] = cold("fanout")
+        out["refused"] = cold("refused")
+    """)
+    fanned, refused = out["fanout"], out["refused"]
+    assert "table" in fanned
+    for field in ("table", "log", "entries", "cache", "results",
+                  "handoff"):
+        assert fanned[field] == refused[field], field
+    # the recording step forked its one worker, which died: every
+    # recording was made here, at its cell
+    recorded, planned = fanned["recorded"]
+    assert recorded == 0 and planned > 2
+    assert fanned["forks"] == 2 and refused["forks"] == 0
+
+
+#: the recorder raising for one kind of recording, wherever it runs
+PLANTED = """
+inner = trace_cache.run_traced
+raisers = os.path.join(ROOT, "raisers")
+
+
+def failing(workload, model=None, scale=1.0, seed=1):
+    planted = (type(model).__name__ == "SegmentedRegisterFile"
+               if PLANT == "model-keyed"
+               else model is None and workload.name == "ZipFile")
+    if planted:
+        with open(raisers, "a") as handle:
+            handle.write(f"{os.getpid() == MAIN}\\n")
+        raise LookupError(f"planted {workload.name}")
+    return inner(workload, model, scale=scale, seed=seed)
+
+
+trace_cache.run_traced = failing
+take = common._take
+common._cpus = lambda: 2
+for mode in ("refused", "worker", "parent"):
+    # "worker": the parent takes no job; "parent": the worker none
+    common._take = lambda queue, mode=mode: (
+        take(queue) if (os.getpid() == MAIN) == (mode != "worker")
+        else iter(()))
+    out[mode] = cold(mode)
+    with open(raisers) as handle:
+        out[mode]["raisers"] = handle.read().split()
+    os.unlink(raisers)
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("plant", ["model-keyed", "shared"])
+def test_a_recording_that_raises_raises_its_serial_error(tmp_path, plant):
+    out = _fresh(f"""
+        ROOT = {str(tmp_path)!r}
+        PLANT = {plant!r}
+    """, COLD, PLANTED)
+    workload = "Gamteb" if plant == "model-keyed" else "ZipFile"
+    serial = out["refused"]
+    assert serial["error"] == ["LookupError", f"planted {workload}"]
+    assert serial["raisers"] == ["True"]
+    assert serial["handoff"] is None
+    for mode in ("worker", "parent"):
+        for field in ("error", "log", "entries", "cache", "results",
+                      "handoff"):
+            assert out[mode][field] == serial[field], (mode, field)
+        assert out[mode]["forks"] == 1, mode
+    # made ahead in a worker, it raised there and again at its cell;
+    # made ahead in the parent, it raised there and was raised again
+    # at its cell without a second run
+    assert out["worker"]["raisers"] == ["False", "True"]
+    assert out["parent"]["raisers"] == ["True"]
+
+
+@needs_fork
+def test_models_that_may_not_start_as_a_copy_record_inline(tmp_path):
+    out = _fresh(STEER, f"""
+        from repro.evalx.common import make_nsf, make_segmented
+        from repro.workloads import get_workload
+        os.environ[columnar.ENV_ENGINE] = "event"
+        workload = get_workload("Gamteb")
+        inner = trace_cache.run_traced
+
+        def logged(workload, model=None, scale=1.0, seed=1):
+            if LOG:
+                with open({str(tmp_path / "made")!r}, "a") as handle:
+                    handle.write(f"{{os.getpid() == MAIN}} "
+                                 f"{{model.num_registers}}\\n")
+            return inner(workload, model, scale=scale, seed=seed)
+
+        trace_cache.run_traced = logged
+
+        def batch(cache, refuse):
+            global LOG
+            LOG = False
+            os.environ[trace_cache.ENV_DIR] = cache
+            trace_cache._memo.clear()
+            common.clear_result_memo()
+            common.FANOUT.reset()
+            if refuse:
+                common.fork_unavailable = lambda: "refused"
+            driven = make_nsf(workload, num_registers=96)
+            common.run_workload(workload, driven, scale=0.2, seed=5)
+            twice = make_nsf(workload, num_registers=64)
+            fresh = [make_nsf(workload, num_registers=128),
+                     make_segmented(workload, num_registers=96)]
+            LOG = True
+            common.run_cells([(workload, twice), (workload, driven),
+                              (workload, fresh[0]), (workload, twice),
+                              (workload, fresh[1])], scale=0.2, seed=7)
+            return ([model.capture() for model in [twice, driven] + fresh],
+                    common.FANOUT.recordings)
+
+        fanned, out["planned"] = batch({str(tmp_path / "fanout")!r}, False)
+        with open({str(tmp_path / "made")!r}) as handle:
+            out["made"] = sorted(handle.read().splitlines())
+        serial, _ = batch({str(tmp_path / "refused")!r}, True)
+        out["same"] = fanned == serial
+    """)
+    assert out["same"] is True
+    # only the two fresh models were recorded ahead, in the worker; the
+    # model driven before the batch and the one two cells drive were
+    # recorded through themselves, here, at their cells
+    assert out["planned"] == 2
+    assert out["made"] == ["False 128", "False 96", "True 64", "True 96"]
+
+
 # -- guard timing --------------------------------------------------------------
 
 
@@ -389,6 +683,9 @@ def test_nothing_forks_after_planning_loads_a_threaded_numpy(tmp_path):
         out["numpy_after"] = "numpy" in sys.modules
         out["summary"] = common.FANOUT.summary()
     """
+    # record the traces first, in an interpreter of their own: a cold
+    # batch forks its recordings before planning has loaded NumPy
+    _fresh(script, env={columnar.ENV_ENGINE: "oracle"})
     threaded = _fresh(script, env={columnar.ENV_ENGINE: "oracle",
                                    "OPENBLAS_NUM_THREADS": "2",
                                    "OMP_NUM_THREADS": "2"})
@@ -469,6 +766,8 @@ def test_an_armed_fault_plane_draws_the_same_faults(tmp_path):
             common.fork_unavailable = lambda: "refused"
         out["table"] = run_experiment("fig11", scale=0.2, seed=7).to_dict()
         out["report"] = plane.ACTIVE.report()
+        out["cache"] = repr(trace_cache.STATS)
+        out["recorded"] = common.FANOUT.recorded
     """
     runs = {}
     for mode in ("fanout", "refused"):
@@ -479,8 +778,10 @@ def test_an_armed_fault_plane_draws_the_same_faults(tmp_path):
             env["REFUSE"] = "1"
         runs[mode] = _fresh(script, env=env)
     assert runs["fanout"]["forks"] > 0 and runs["refused"]["forks"] == 0
-    assert runs["fanout"]["table"] == runs["refused"]["table"]
-    assert runs["fanout"]["report"] == runs["refused"]["report"]
+    # the cache starts empty: the batch's recordings were made ahead
+    assert runs["fanout"]["recorded"] > 0 == runs["refused"]["recorded"]
+    for field in ("table", "report", "cache"):
+        assert runs["fanout"][field] == runs["refused"][field], field
     # a schedule that injects nothing would make this test vacuous
     assert runs["fanout"]["report"]["injected"] > 0
 

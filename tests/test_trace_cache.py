@@ -174,6 +174,61 @@ def test_model_fingerprint_separates_configs():
     assert trace_cache.model_fingerprint(object()) is None
 
 
+def _captured_fingerprint(model):
+    """The fingerprint as a whole ``capture()`` names it."""
+    import hashlib
+
+    state = model.capture()
+    config = sorted(state["config"].items())
+    return hashlib.sha256(
+        repr((state["kind"], config)).encode()).hexdigest()[:16]
+
+
+def test_fingerprint_without_a_capture_keeps_every_key():
+    """Models whose class defines ``_config()`` are fingerprinted
+    without a capture, and wrappers (whose attribute forwarding would
+    answer ``kind`` and ``_config`` for the model inside) through one:
+    either way the digest, and so every cache key, is the capture's."""
+    from repro.core import (
+        ConventionalRegisterFile,
+        ProtectedRegisterFile,
+        SegmentedRegisterFile,
+        compress_spills,
+    )
+    from repro.core.compress import CompressingBackingStore
+    from repro.core.faults import FaultyRegisterFile
+    from repro.trace.recorder import TracingRegisterFile
+
+    workload = get_workload("Gamteb")
+
+    def compressed():
+        model = make_nsf(workload, line_size=2)
+        compress_spills(model, codec="raw", shadow_codecs=["zero"])
+        return model
+
+    models = {
+        "nsf": make_nsf(workload, policy="nmru", policy_seed=5),
+        "segmented": SegmentedRegisterFile(num_registers=64,
+                                           context_size=32,
+                                           spill_mode="live"),
+        "conventional": ConventionalRegisterFile(context_size=32),
+        "nsf over a compressing store": compressed(),
+        "compressing store": CompressingBackingStore(codec="zero"),
+        "faulty": FaultyRegisterFile(make_nsf(workload), "drop_write"),
+        "protected": ProtectedRegisterFile(make_nsf(workload)),
+        "traced": TracingRegisterFile(make_nsf(workload, line_size=4)),
+    }
+    fingerprints = {}
+    for name, model in models.items():
+        fingerprint = trace_cache.model_fingerprint(model)
+        assert fingerprint == _captured_fingerprint(model), name
+        fingerprints[name] = fingerprint
+    assert len(set(fingerprints.values())) == len(fingerprints)
+    # a wrapper is named by its own capture, not the model inside it
+    assert fingerprints["faulty"] != trace_cache.model_fingerprint(
+        make_nsf(workload))
+
+
 def test_unstable_workload_memoizes_per_model():
     workload = get_workload("Gamteb")
     cold = make_nsf(workload)
