@@ -42,10 +42,19 @@ resume-smoke:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Perf-regression gate: fast-path speedup ratios vs BENCH_baseline.json.
-# Gates on machine-independent ratios (fast vs legacy on the same box),
-# so it is safe to run in CI.  bench_e2e gates the fig09-fig14 sweeps
-# end to end (result memo and oracle vs per-figure event replay).
+# Perf-regression gates, six of them:
+#   bench_hot_path        fast path vs tracked path, in-process ratios
+#                         against BENCH_baseline.json;
+#   bench_trace_replay    record / replay / sweep ratios, in-process;
+#   bench_chaos_overhead  disarmed chaos-plane cost of a warm cell, <= 2%;
+#   bench_oracle_grid     the oracle's design-space grid vs per-cell replay;
+#   bench_e2e             the fig09-fig14 sweeps end to end (result memo
+#                         and oracle vs per-figure event replay);
+#   bench_core_ops        pytest-benchmark microbenchmarks of model ops.
+# Same-box ratios cancel machine speed, not host noise: the 2% overhead
+# bound of bench_chaos_overhead and the record/run overhead ceiling of
+# bench_trace_replay are small absolute differences that a noisy host
+# can exceed on an unchanged tree (ROADMAP item 5).
 # Every gate runs, in order, even after one fails; the target prints
 # each gate's PASS or FAIL and fails if any gate did.
 BENCH_GATES = \

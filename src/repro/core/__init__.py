@@ -24,7 +24,7 @@ Public API
 """
 
 from repro.core.backing import BackingStore, Ctable
-from repro.core.base import FAST_PATH_DEFAULT, MISS, RegisterFile
+from repro.core.base import MISS, RegisterFile
 from repro.core.compress import (
     CODEC_NAMES,
     CODECS,
@@ -86,7 +86,6 @@ from repro.core.stats import (
 
 __all__ = [
     "AccessResult",
-    "FAST_PATH_DEFAULT",
     "HIT_READ",
     "HIT_SWITCH",
     "HIT_WRITE",

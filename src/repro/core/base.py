@@ -30,11 +30,6 @@ from repro.errors import (
     UnknownContextError,
 )
 
-#: process-wide default for the allocation-free hit fast path; the
-#: differential harness flips this to drive whole experiments through
-#: the legacy tracked path and prove the two are bit-identical
-FAST_PATH_DEFAULT = True
-
 #: sentinel a ``_read_fast`` hook returns when it cannot service the
 #: access (distinct from every storable register value, None included)
 MISS = object()
@@ -59,7 +54,7 @@ class RegisterFile:
     kind = "abstract"
 
     def __init__(self, num_registers, context_size, strict=True,
-                 track_moves=False, fast_path=None):
+                 track_moves=False):
         if num_registers <= 0:
             raise ValueError("num_registers must be positive")
         if context_size <= 0:
@@ -71,9 +66,11 @@ class RegisterFile:
         #: moved, so callers can price traffic at real addresses
         self.track_moves = track_moves
         #: hits return a shared flyweight result instead of allocating;
-        #: semantics (stats, victims, snapshots) are identical either way
-        self._fast_path = (FAST_PATH_DEFAULT if fast_path is None
-                           else bool(fast_path))
+        #: semantics (stats, victims, snapshots) are identical either
+        #: way.  Cleared only for a subclass that overrides the tracked
+        #: access path (see the models' constructors), which the inlined
+        #: hit path would bypass.
+        self._fast_path = True
         self.backing = BackingStore()
         self.stats = RegFileStats(capacity=num_registers)
         self.current_cid = None

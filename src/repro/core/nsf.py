@@ -81,9 +81,9 @@ class NamedStateRegisterFile(RegisterFile):
     def __init__(self, num_registers=128, context_size=32, line_size=1,
                  policy="lru", reload_scope="register",
                  fetch_on_write=False, spill_watermark=0, strict=True,
-                 policy_seed=0, track_moves=False, fast_path=None):
+                 policy_seed=0, track_moves=False):
         super().__init__(num_registers, context_size, strict=strict,
-                         track_moves=track_moves, fast_path=fast_path)
+                         track_moves=track_moves)
         if line_size <= 0:
             raise ValueError("line_size must be positive")
         if num_registers % line_size:

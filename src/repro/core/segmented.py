@@ -69,9 +69,9 @@ class SegmentedRegisterFile(RegisterFile):
 
     def __init__(self, num_registers=128, context_size=32, policy="lru",
                  spill_mode="frame", strict=True, policy_seed=0,
-                 track_moves=False, fast_path=None):
+                 track_moves=False):
         super().__init__(num_registers, context_size, strict=strict,
-                         track_moves=track_moves, fast_path=fast_path)
+                         track_moves=track_moves)
         if spill_mode not in ("frame", "live"):
             raise ValueError("spill_mode must be 'frame' or 'live'")
         self.frame_size = context_size
@@ -497,8 +497,7 @@ class ConventionalRegisterFile(SegmentedRegisterFile):
     kind = "conventional"
 
     def __init__(self, num_registers=32, context_size=None, policy="lru",
-                 spill_mode="frame", strict=True, track_moves=False,
-                 fast_path=None):
+                 spill_mode="frame", strict=True, track_moves=False):
         if context_size is None:
             context_size = num_registers
         # A conventional file holds exactly one context: its capacity IS
@@ -506,4 +505,4 @@ class ConventionalRegisterFile(SegmentedRegisterFile):
         super().__init__(num_registers=context_size,
                          context_size=context_size, policy=policy,
                          spill_mode=spill_mode, strict=strict,
-                         track_moves=track_moves, fast_path=fast_path)
+                         track_moves=track_moves)

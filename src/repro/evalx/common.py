@@ -46,18 +46,7 @@ import os
 import threading
 from contextlib import contextmanager
 
-from repro.core import (
-    BackingStore,
-    ConventionalRegisterFile,
-    NamedStateRegisterFile,
-    RegFileStats,
-    SegmentedRegisterFile,
-)
-from repro.core.compress import (
-    CODECS,
-    CompressedSpillPort,
-    CompressingBackingStore,
-)
+from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.ioutil import (
     fork_unavailable,
     kill_and_reap,
@@ -65,10 +54,11 @@ from repro.ioutil import (
     reply_and_exit,
 )
 from repro.trace import cache as trace_cache, lru
+from repro.trace.admit import admit
 from repro.trace.columnar import selected_engine
 from repro.trace.events import Trace
 from repro.trace.oracle import (
-    closed_form_serves,
+    closed_form,
     merge_tables,
     scan_siblings,
     scan_tables,
@@ -142,20 +132,11 @@ def capacity_plan(register_budgets):
 #: process-local hit/miss counters of the replay-result memo
 RESULT_STATS = lru.MemoStats()
 
-#: the exact model classes whose ``capture()``/``restore()`` round trip
-#: everything a replay changes; subclasses and wrappers (faults,
-#: protection, tracing) are always replayed
-_MEMO_MODELS = (NamedStateRegisterFile, SegmentedRegisterFile,
-                ConventionalRegisterFile)
-
-#: (trace digest, model class, fast-path flag, start state) -> the
-#: marshalled end-state ``capture()``, in least-recently-used order
-#: (:mod:`repro.trace.lru`); one fig09-fig14 pass needs 68 entries
+#: (trace digest, model class, start state) -> the marshalled end-state
+#: ``capture()``, in least-recently-used order (:mod:`repro.trace.lru`);
+#: one fig09-fig14 pass needs 68 entries
 _RESULT_MEMO = {}
 _RESULT_MEMO_LIMIT = 128
-
-#: the capture of a backing store nothing has spilled to
-_FRESH_BACKING = BackingStore().capture()
 
 
 def clear_result_memo():
@@ -163,60 +144,31 @@ def clear_result_memo():
     _RESULT_MEMO.clear()
 
 
-def _start_state(model):
-    """The start-state part of a memo key.
+def _model_key(model, verdict):
+    """The model's part of a memo key, or ``None`` for a model the memo
+    does not admit (:func:`~repro.trace.admit.admit`).
 
-    A model that was never driven is exactly what its constructor
-    built (see ``RegisterFile._driven``), so its configuration names
-    its whole state without a capture; the config carries the policy
-    seed, and so every RNG state.  Any other model is named by a
-    16-byte blake2b of its whole ``capture()``; equal bytes mean equal
-    captures, and an equal capture encoded differently only misses.
+    A fresh model is exactly what its constructor built, so its
+    configuration names its whole state without a capture; the config
+    carries the policy seed, and so every RNG state.  Any other model
+    is named by a 16-byte blake2b of its whole ``capture()``; equal
+    bytes mean equal captures, and an equal capture encoded differently
+    only misses.
     """
-    if (not model._driven
-            and model.stats == RegFileStats(capacity=model.num_registers)
-            and model.backing.capture() == _FRESH_BACKING):
-        return tuple(model._config().items())
-    return hashlib.blake2b(marshal.dumps(model.capture()),
-                           digest_size=16).digest()
-
-
-def _model_key(model):
-    """The model's part of a memo key, or ``None`` for a model outside
-    the memo (a class off the allowlist, or a wrapped backing store)."""
-    if (type(model) not in _MEMO_MODELS
-            or type(model.backing) is not BackingStore):
+    if not verdict.memo:
         return None
-    return (type(model), model._fast_path, _start_state(model))
+    if verdict.fresh:
+        return type(model), tuple(verdict.config.items())
+    return type(model), hashlib.blake2b(marshal.dumps(model.capture()),
+                                        digest_size=16).digest()
 
 
-def _result_key(trace, model):
+def _result_key(trace, model, verdict=None):
     """Memo key of replaying ``trace`` onto ``model``, or ``None`` when
-    the pair is outside the memo (a non-``Trace`` iterable, or a model
-    :func:`_model_key` leaves out)."""
-    if not isinstance(trace, Trace):
-        return None
-    start = _model_key(model)
+    the memo does not admit the model; ``verdict`` is its
+    :func:`~repro.trace.admit.admit`, when the caller has it."""
+    start = _model_key(model, verdict or admit(model))
     return None if start is None else (trace.digest(),) + start
-
-
-def _travels(model):
-    """True when ``model.capture()`` round-trips everything a replay
-    changes, so a forked child may drive it and ship its end state
-    back: an exact class of the memo's allowlist over a plain backing
-    store, or over a compressing store whose codecs are all built in
-    and whose own backing is plain."""
-    if type(model) not in _MEMO_MODELS:
-        return False
-    backing = model.backing
-    if type(backing) is BackingStore:
-        return True
-    return (type(backing) is CompressingBackingStore
-            and type(backing.inner) is BackingStore
-            and type(backing.port) is CompressedSpillPort
-            and all(type(codec) in CODECS
-                    for codec in (backing.port.codec,)
-                    + backing.port.shadows))
 
 
 def _remember(key, end):
@@ -357,8 +309,8 @@ def run_workload(workload, model, scale=1.0, seed=1):
             trace = trace_cache.load_for_model(workload, model,
                                                scale=scale, seed=seed)
             if trace is None:
-                start = (_model_key(model) if type(model) in _MEMO_MODELS
-                         and not model._driven else None)
+                verdict = admit(model)
+                start = _model_key(model, verdict) if verdict.fresh else None
                 trace = trace_cache.record_through(workload, model,
                                                    scale=scale, seed=seed)
                 if start is not None:
@@ -573,9 +525,9 @@ def _recordings(cells, scale, seed):
 
     A trace is planned at its first cell, and only when it is neither
     memoized nor on disk.  A model-keyed trace is planned only for a
-    model never driven that no other cell drives and whose end state
-    travels (:func:`_travels`): any other model records inline, as a
-    serial pass would, since its stream may differ from a copy's.
+    fresh model that no other cell drives and whose end state travels
+    (:func:`~repro.trace.admit.admit`): any other model records inline,
+    as a serial pass would, since its stream may differ from a copy's.
     """
     if not trace_cache.enabled():
         return []
@@ -590,8 +542,8 @@ def _recordings(cells, scale, seed):
             continue
         path, entry = planned
         paths.add(path)
-        if model is None or (_travels(model) and not model._driven
-                             and drives[id(model)] == 1):
+        if model is None or (drives[id(model)] == 1
+                             and admit(model).fresh):
             jobs.append(_Recording(workload, model, scale, seed, entry))
     return jobs
 
@@ -654,11 +606,12 @@ def _jobs(cells):
     scans = {}
     for cell in cells:
         trace, model = cell.trace, cell.model
+        verdict = admit(model)
         capacities = _plan_for(cell.shared) if oracle else None
         if capacities is not None:
-            if closed_form_serves(trace, model):
+            if closed_form(trace, verdict) is not None:
                 continue
-            request = table_request(trace, model, capacities)
+            request = table_request(trace, verdict, capacities)
             if request is not None:
                 key, family, _, missing = request
                 if missing:
@@ -674,9 +627,9 @@ def _jobs(cells):
                         jobs.append(scans[group])
                     scans[group].units.update(missing)
                 continue
-        key = _result_key(trace, model)
+        key = _result_key(trace, model, verdict)
         if key is None:
-            if _travels(model):
+            if verdict.travels:
                 jobs.append(_Job("event", cell, None, trace))
         elif key not in _RESULT_MEMO and key not in keys:
             keys.add(key)

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 
 from repro.trace.events import (
     OP_BEGIN,
-    OP_CODES,
     OP_END,
     OP_FREE,
     OP_READ,
     OP_SWITCH,
     OP_TICK,
     OP_WRITE,
-    Trace,
 )
 
 
@@ -92,24 +90,12 @@ class TraceProfile:
 
 
 def _flat_events(trace):
-    """The trace as one flat int-opcode list, wide values resolved.
-
-    Packed traces hand over their int64 buffer directly (``tolist``
-    pre-boxes every int once); legacy iterables of classic
-    ``(str_op, cid, offset, value)`` tuples are flattened through the
-    opcode map so the profiling loop below only ever dispatches on
-    ints.
-    """
-    if isinstance(trace, Trace):
-        data, wide = trace.packed()
-        flat = data.tolist()
-        for index, value in wide.items():
-            flat[4 * index + 3] = value
-        return flat
-    flat = []
-    extend = flat.extend
-    for op, cid, offset, value in trace:
-        extend((OP_CODES[op], cid, offset, value))
+    """The packed trace as one flat int-opcode list, wide values
+    resolved (``tolist`` pre-boxes every int once)."""
+    data, wide = trace.packed()
+    flat = data.tolist()
+    for index, value in wide.items():
+        flat[4 * index + 3] = value
     return flat
 
 

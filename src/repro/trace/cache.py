@@ -468,16 +468,12 @@ def _read_bytes(path, attempts=3, backoff=0.005):
 
 
 def _parse_entry(blob):
-    """Decode one on-disk entry (framed, bare binary, or legacy text)."""
-    if blob.startswith(_events.FRAME_MAGIC):
-        blob = _events.unframe(blob)
-    if blob.startswith(b"NSFT"):
-        return Trace.loads_binary(blob)
-    try:
-        return Trace.loads(blob.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise TraceFormatError(
-            "neither a framed, binary nor text nsf-trace") from None
+    """Decode one on-disk entry: a binary trace in the CRC frame
+    :func:`_publish` writes.  Anything else (a bare binary or text
+    trace carries no CRC to check) raises :class:`TraceFormatError`."""
+    payload = _events.unframe(blob)
+    del blob  # the framed copy goes before the decode allocates
+    return Trace.loads_binary(payload)
 
 
 def _lookup(workload, path):

@@ -29,16 +29,17 @@ Exactness boundary
 The closed form reproduces event replay's statistics only in the regime
 the analysis can prove from the trace alone:
 
-* the model is a pristine (freshly built) ``NamedStateRegisterFile``
-  with ``line_size=1``, an LRU-family policy (``lru``/``fifo``),
-  write-allocate misses (``fetch_on_write=False``) and no dribble-back
-  watermark (:func:`supported_model`);
+* :func:`repro.trace.admit.admit` admits the model to the tables'
+  NSF family at ``line_size=1``: a fresh exact
+  ``NamedStateRegisterFile`` with an LRU-family policy
+  (``lru``/``fifo``), write-allocate misses (``fetch_on_write=False``)
+  and no dribble-back watermark, over a plain backing store;
 * the trace never calls ``free_register``, carries no wide values,
   accesses contexts only between their ``BEGIN`` and ``END``, and every
   register's first access is a write (true of every recorder-produced
   trace whose workload ran strict);
 * the peak number of simultaneously live registers fits in the file —
-  i.e. **no eviction ever happens** (:func:`synthesizable`).
+  i.e. **no eviction ever happens** (:func:`repro.trace.oracle.closed_form`).
 
 NumPy is imported on first use, by the ``oracle`` engine only:
 importing this module (which ``repro.trace`` does) costs a process on
@@ -48,8 +49,6 @@ the default ``event`` engine nothing.
 import os
 import sys
 
-from repro.core.backing import BackingStore
-from repro.core.nsf import NamedStateRegisterFile
 from repro.trace import lru
 from repro.trace.events import (
     OP_BEGIN,
@@ -58,7 +57,6 @@ from repro.trace.events import (
     OP_SWITCH,
     OP_TICK,
     OP_WRITE,
-    Trace,
 )
 
 #: env var selecting the replay engine used by the experiment harness
@@ -139,8 +137,6 @@ def analyze(trace):
     The result is memoized by trace content: a capacity sweep serves
     one trace to many models.
     """
-    if not isinstance(trace, Trace):
-        return None
     key = trace.digest()
     if key in _ANALYSES:  # an out-of-regime ``None`` is memoized too
         return lru.get(_ANALYSES, key)
@@ -306,44 +302,16 @@ def _analyze_uncached(trace):
     return a
 
 
-def supported_model(model):
-    """True when ``model`` is a pristine NSF the closed form can target."""
-    return (
-        type(model) is NamedStateRegisterFile
-        and model.line_size == 1
-        and model._policy.name in ("lru", "fifo")
-        and not model.fetch_on_write
-        and not model.spill_watermark
-        and not model._retired
-        and not model._cam
-        and not model._known_cids
-        and model._active == 0
-        and len(model._free) == model.num_lines
-        and model.current_cid is None
-        and type(model.backing) is BackingStore
-        and not model.backing.ctable._entries
-    )
-
-
-def synthesizable(analysis, model):
-    """True when ``analysis`` serves ``model`` exactly: a supported
-    model whose capacity holds the trace's peak demand, so it never
-    evicts."""
-    return (analysis is not None and supported_model(model)
-            and analysis.peak_lines <= model.num_lines)
-
-
 def apply_stats(analysis, model):
     """Accumulate the synthesized statistics onto ``model.stats``.
 
-    Returns False, leaving the model untouched, unless
-    :func:`synthesizable`; True when ``model.stats`` now equals what
-    ``replay(trace, model, verify=False)`` would leave.  The model's
-    internal state is not rebuilt: O(1) per model, for sweeps that keep
-    ``model.stats`` and discard the model itself.
+    Only for a model the closed form serves
+    (:func:`repro.trace.oracle.closed_form`): ``model.stats`` then
+    equals what ``replay(trace, model, verify=False)`` would leave.
+    The model's internal state is not rebuilt: O(1) per model, for
+    sweeps that keep ``model.stats`` and discard the model itself.
+    Returns the model.
     """
-    if not synthesizable(analysis, model):
-        return False  # evictions: per-access stack depth territory
     stats = model.stats
     stats.reads += analysis.n_reads
     stats.writes += analysis.n_writes
@@ -360,4 +328,4 @@ def apply_stats(analysis, model):
     stats.contexts_created += analysis.contexts_created
     stats.contexts_ended += analysis.contexts_ended
     stats.context_switches += analysis.context_switches
-    return True
+    return model

@@ -59,14 +59,16 @@ lookup after one shared scan (:func:`serve_from_tables`).  At or above
 the trace's peak demand a line-size-1 NSF never evicts, and the closed
 form of :mod:`repro.trace.columnar` serves it without a scan.
 
-Exactness boundary (checked, ``OracleUnsupported`` otherwise): NSF
-semantics with ``reload_scope="register"`` + ``fetch_on_write=False``,
-LRU or FIFO, any ``line_size`` (``FREE`` ops only at ``line_size=1`` —
-per-capacity partial-line divergence breaks the shared stack
-otherwise), traces with no wide values and no cold reads; segmented
-files with LRU or FIFO.  Everything else — NMRU's RNG draws,
-``reload_scope="line"``, ``fetch_on_write=True`` (fig13's regime) —
-falls back to event-exact replay per cell.
+Exactness boundary: :func:`repro.trace.admit.admit` admits a fresh
+exact NSF with ``reload_scope="register"`` + ``fetch_on_write=False``,
+no watermark, LRU or FIFO and any ``line_size``, or a fresh exact
+segmented file with LRU or FIFO, each over a plain backing store; the
+scans refuse (``OracleUnsupported``) traces with wide values or cold
+reads, and ``FREE`` ops at ``line_size > 1`` (per-capacity
+partial-line divergence breaks the shared stack).  Everything else —
+NMRU's RNG draws, ``reload_scope="line"``, ``fetch_on_write=True``
+(fig13's regime), a driven model, a config key the allowlist does not
+name — falls back to event-exact replay per cell.
 
 Positions are 0-based depths: the most recent entry is at depth 0, a
 re-reference at depth ``p`` hits every file with ``C > p``.
@@ -80,16 +82,9 @@ table is tested against.
 
 from collections import OrderedDict, deque
 
-from repro.core.backing import BackingStore
-from repro.core.nsf import NamedStateRegisterFile
-from repro.core.segmented import SegmentedRegisterFile
 from repro.trace import lru
-from repro.trace.columnar import (
-    analyze,
-    apply_stats,
-    supported_model,
-    synthesizable,
-)
+from repro.trace.admit import admit
+from repro.trace.columnar import analyze, apply_stats
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -98,16 +93,13 @@ from repro.trace.events import (
     OP_SWITCH,
     OP_TICK,
     OP_WRITE,
-    Trace,
 )
 
 __all__ = [
     "OracleUnsupported",
     "capacity_tables",
     "segmented_tables",
-    "classify_model",
     "apply_table",
-    "tables_for_model",
     "serve_from_tables",
 ]
 
@@ -210,8 +202,6 @@ class _PerCap:
 
 
 def _check_trace(trace, capacities):
-    if not isinstance(trace, Trace):
-        raise OracleUnsupported("oracle needs a packed Trace")
     data, wide = trace.packed()
     if wide:
         raise OracleUnsupported("trace carries wide values")
@@ -693,7 +683,7 @@ def capacity_tables(trace, capacities, word_bytes=4, line_size=1,
     Walks ``trace`` once and returns ``{capacity: patch}`` for every
     capacity (in *lines*) in ``capacities``: *every*
     :class:`~repro.core.stats.RegFileStats` field an event replay
-    would leave on a pristine ``NamedStateRegisterFile(num_registers=C
+    would leave on a fresh ``NamedStateRegisterFile(num_registers=C
     * line_size, line_size=line_size, policy=policy)`` with
     register-scope reloads and write-allocate misses (hit and miss
     counts, spill and reload traffic, tick-integrated occupancy and
@@ -769,55 +759,7 @@ def segmented_tables(trace, frame_counts, word_bytes=4,
                             policy)[spill_mode]
 
 
-# -- model classification and table application -----------------------------
-
-
-def _pristine(model):
-    s = model.stats
-    return (s.reads == 0 and s.writes == 0 and s.instructions == 0
-            and s.contexts_created == 0
-            and not model._known_cids
-            and model.current_cid is None
-            and type(model.backing) is BackingStore
-            and not model.backing.ctable._entries)
-
-
-def classify_model(model):
-    """Map ``model`` to its oracle family, or ``None`` if unsupported.
-
-    Returns ``(family, capacity_units)`` where ``family`` is a
-    hashable scan descriptor shared by every capacity point of the
-    same design (used to group sweep cells onto one scan) and
-    ``capacity_units`` is the model's capacity in that family's units
-    (lines for the NSF, frames for the segmented file).
-    """
-    if type(model) is NamedStateRegisterFile:
-        if (model._policy.name in ("lru", "fifo")
-                and model.reload_scope == "register"
-                and not model.fetch_on_write
-                and not model.spill_watermark
-                and not model._retired
-                and not model._cam
-                and model._active == 0
-                and len(model._free) == model.num_lines
-                and _pristine(model)):
-            family = ("nsf", model.line_size, model._policy.name,
-                      model.backing.word_bytes)
-            return family, model.num_lines
-        return None
-    if type(model) is SegmentedRegisterFile:
-        if (model._policy.name in ("lru", "fifo")
-                and not model._retired
-                and not model._resident
-                and model._active == 0
-                and len(model._free) == model.num_frames
-                and not model._ever_spilled
-                and _pristine(model)):
-            family = ("seg", model.spill_mode, model._policy.name,
-                      model.backing.word_bytes)
-            return family, model.num_frames
-        return None
-    return None
+# -- table application -------------------------------------------------------
 
 
 def scan_siblings(family):
@@ -882,51 +824,65 @@ _TABLE_MEMO = {}
 _MEMO_LIMIT = 64
 
 
-def _closed_form(trace, model):
-    """The trace's columnar analysis when ``model`` is a design whose
-    no-eviction closed form (:func:`apply_stats`) applies, else None."""
-    return analyze(trace) if supported_model(model) else None
+def _fits(trace, verdict):
+    """True when the tables admit the model and ``trace`` was recorded
+    at its context size: a scan prices the trace's contexts (a
+    segmented frame is one), and replay refuses a model whose contexts
+    are smaller."""
+    return (verdict.family is not None
+            and verdict.config["context_size"] == trace.context_size)
 
 
-def closed_form_serves(trace, model):
-    """True when the O(1) closed form serves ``model``: the first thing
+def _closed_form(trace, verdict):
+    """The trace's columnar analysis when the admitted model is a design
+    the no-eviction closed form (:func:`apply_stats`) targets, else
+    None."""
+    if verdict.closed_form and _fits(trace, verdict):
+        return analyze(trace)
+    return None
+
+
+def closed_form(trace, verdict):
+    """The analysis :func:`apply_stats` serves the admitted model from,
+    or None: the closed form targets the model and the trace's peak
+    fits in it, so it never evicts.  The first thing
     :func:`serve_from_tables` tries."""
-    return synthesizable(_closed_form(trace, model), model)
+    analysis = _closed_form(trace, verdict)
+    if analysis is None or analysis.peak_lines > verdict.units:
+        return None
+    return analysis
 
 
-def table_request(trace, model, capacities):
-    """What serving ``model`` from its design family's table needs.
+def table_request(trace, verdict, capacities):
+    """What serving an admitted model from its design family's table
+    needs.
 
     Returns ``(key, family, units, missing)``: the memo key (the trace
     digest), the family and the model's capacity in its units, and the
     sorted units one scan must still compute (empty when the table
-    already holds ``units``); ``None`` when the model is out of regime
-    or the family's scan refused the trace.  The one home of the grid,
-    peak and missing-units rules: :func:`tables_for_model` and the
-    experiments' batch planner (:func:`repro.evalx.common.run_cells`)
-    both call it.
+    already holds ``units``); ``None`` when :func:`admit` refused the
+    model, the trace was recorded at another context size, or the
+    family's scan refused the trace.  The one home of the
+    grid, peak and missing-units rules: :func:`serve_from_tables` and
+    the experiments' batch planner
+    (:func:`repro.evalx.common.run_cells`) both call it.
 
     ``capacities`` is in register budget units (the numbers experiment
     modules know) and is converted to the family's units.  Capacities
     at or above the trace's ``peak_lines`` never enter a scan where the
-    columnar closed form serves them instead (see
-    :func:`serve_from_tables`).
+    columnar closed form serves them instead.
     """
-    if not isinstance(trace, Trace):
+    if not _fits(trace, verdict):
         return None
-    classified = classify_model(model)
-    if classified is None:
-        return None
-    family, units = classified
+    family, units = verdict.family, verdict.units
     key = trace.digest()
     table = _families(key).get(family, {})
     if table is None:
         return None
     if units in table:
         return key, family, units, ()
-    per_unit = model.line_size if family[0] == "nsf" else model.frame_size
-    grid = {int(regs) // per_unit for regs in capacities}
-    analysis = _closed_form(trace, model)
+    grid = {int(regs) // verdict.unit for regs in capacities}
+    analysis = _closed_form(trace, verdict)
     if analysis is not None:
         grid = {u for u in grid if u < analysis.peak_lines}
     grid.add(units)
@@ -965,49 +921,34 @@ def merge_tables(key, family, computed):
         families.setdefault(sibling, {}).update(sibling_table)
 
 
-def tables_for_model(trace, model, capacities):
-    """Memoized full tables covering ``model``'s design family.
+def serve_from_tables(trace, model, capacities):
+    """Serve one replay from the cheapest exact answer, or decline.
 
-    Returns ``(table, units)``, where ``table`` is the family's
-    ``{units: patch}`` and holds ``units``, or ``None`` when the model
-    is out of regime or the scan refuses the trace.
-
-    The memo is keyed by trace *content* and keeps one merged table
-    per design family for the life of the process, across experiments.
-    A capacity already in the table costs a lookup; on a miss one scan
-    computes every announced capacity the table still lacks
-    (:func:`table_request`).
+    :func:`admit` decides, once, whether a shortcut may serve
+    ``model``.  At or above the trace's ``peak_lines`` a line-size-1
+    NSF never evicts, and the columnar closed form
+    (:func:`~repro.trace.columnar.apply_stats`) serves the cell in
+    O(1).  Any other admitted cell is served from its design family's
+    table, memoized by trace content for the life of the process:
+    ``capacities`` announces the register budgets the surrounding
+    sweep will visit, so on a miss one scan computes every one of them
+    the table still lacks (:func:`table_request`).  Returns True and
+    patches ``model.stats`` when the cell is served; False leaves the
+    model untouched for the caller's event replay.
     """
-    request = table_request(trace, model, capacities)
+    verdict = admit(model)
+    analysis = closed_form(trace, verdict)
+    if analysis is not None:
+        apply_stats(analysis, model)
+        return True
+    request = table_request(trace, verdict, capacities)
     if request is None:
-        return None
+        return False
     key, family, units, missing = request
     if missing:
         merge_tables(key, family, scan_tables(trace, family, missing))
     table = _families(key).get(family)
     if table is None:
-        return None
-    return table, units
-
-
-def serve_from_tables(trace, model, capacities):
-    """Serve one replay from the cheapest exact answer, or decline.
-
-    At or above the trace's ``peak_lines`` a line-size-1 NSF never
-    evicts, and the columnar closed form
-    (:func:`~repro.trace.columnar.apply_stats`) serves the cell in
-    O(1).  Any other in-regime cell is served from its design family's
-    memoized table (:func:`tables_for_model`); ``capacities``
-    announces the register budgets the surrounding sweep will visit,
-    so one scan covers them all.  Returns True and patches
-    ``model.stats`` when the cell is served; False leaves the model
-    untouched for the caller's event replay.
-    """
-    if apply_stats(_closed_form(trace, model), model):
-        return True
-    served = tables_for_model(trace, model, capacities)
-    if served is None:
         return False
-    table, units = served
     apply_table(table[units], model)
     return True

@@ -26,7 +26,6 @@ from repro.trace.events import (
     OP_SWITCH,
     OP_TICK,
     OP_WRITE,
-    Trace,
     WIDE_VALUE,
 )
 
@@ -42,7 +41,8 @@ class ReplayDivergenceError(ReproError):
 
 
 def replay(trace, model, verify=True):
-    """Drive ``model`` with ``trace``; returns the model (stats filled).
+    """Drive ``model`` with the packed ``trace``; returns the model
+    (stats filled).
 
     ``model.context_size`` must be at least the trace's recorded
     context size, or offsets will fault.
@@ -52,8 +52,6 @@ def replay(trace, model, verify=True):
             f"model context_size {model.context_size} smaller than the "
             f"trace's {trace.context_size}"
         )
-    if not isinstance(trace, Trace):  # legacy iterable of 4-tuples
-        trace = Trace(events=trace, context_size=trace.context_size)
     if verify:
         _replay_verified(trace, model)
     else:

@@ -3,9 +3,9 @@
 Inside its exactness boundary :func:`columnar.apply_stats` must leave
 the *same statistics* on a fresh model as ``replay(trace, model,
 verify=False)``; outside it (a used model, another design, a trace
-that would evict) it must refuse and leave the model untouched, and
-the oracle engine must then serve the cell from its tables or by
-event replay, with the same result.
+that would evict) :func:`oracle.closed_form` must refuse, and the
+oracle engine must then serve the cell from its tables or by event
+replay, with the same result.
 """
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from repro.evalx import common
 from repro.evalx.common import make_nsf, run_workload
 from repro.trace import cache as trace_cache, columnar, oracle
+from repro.trace.admit import admit
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -77,11 +78,12 @@ def test_peak_boundary_is_exact(recorded):
     assert columnar.apply_stats(analysis, at_peak)
     assert at_peak.stats.snapshot() == _replayed(
         workload, trace, num_registers=peak).stats.snapshot()
-    # ...one below, an eviction would happen: refuse, model untouched
+    assert oracle.closed_form(trace, admit(at_peak)) is None  # used now
+    assert oracle.closed_form(
+        trace, admit(make_nsf(workload, num_registers=peak))) is analysis
+    # ...one below, an eviction would happen: refuse
     below = make_nsf(workload, num_registers=peak - 1)
-    assert not columnar.apply_stats(analysis, below)
-    assert below.stats.snapshot() == make_nsf(
-        workload, num_registers=peak - 1).stats.snapshot()
+    assert oracle.closed_form(trace, admit(below)) is None
     # and the oracle prices that cell from its tables instead
     assert oracle.serve_from_tables(trace, below, (peak - 1,))
     assert below.stats.snapshot() == _replayed(
@@ -98,8 +100,10 @@ def _used(workload):
 def test_used_model_falls_back(recorded, monkeypatch):
     workload, trace = recorded
     model = _used(workload)
-    assert not columnar.supported_model(model)
-    assert not columnar.apply_stats(columnar.analyze(trace), model)
+    verdict = admit(model)
+    assert verdict.reason == "driven" and verdict.memo
+    assert not verdict.closed_form and verdict.family is None
+    assert oracle.closed_form(trace, verdict) is None
     assert not oracle.serve_from_tables(trace, model, ())
     _oracle_cell(monkeypatch, trace, model)
     twin = replay(trace, _used(workload), verify=False)
@@ -110,8 +114,8 @@ def test_out_of_regime_models_fall_back(recorded, monkeypatch):
     workload, trace = recorded
     for kw in ({"line_size": 2}, {"policy": "nmru"},
                {"fetch_on_write": True}, {"spill_watermark": 4}):
-        assert not columnar.apply_stats(
-            columnar.analyze(trace), make_nsf(workload, **kw))
+        assert oracle.closed_form(
+            trace, admit(make_nsf(workload, **kw))) is None, kw
         model = _oracle_cell(monkeypatch, trace, make_nsf(workload, **kw))
         assert model.stats.snapshot() == _replayed(
             workload, trace, **kw).stats.snapshot(), kw

@@ -112,7 +112,7 @@ POINTS = ((0.35, 11), (0.2, 7))
 #: model the memo holds is checked against a replay of its trace
 DIFFERENTIAL = """
 import copy, hashlib, marshal
-from repro.core import BackingStore
+from repro.trace.admit import admit
 from repro.trace.replay import replay
 
 guard = common.fork_unavailable
@@ -122,9 +122,8 @@ resolve = common.run_workload
 
 
 def memoized_and_fresh(workload, model):
-    return (not workload.trace_stable
-            and type(model) in common._MEMO_MODELS
-            and type(model.backing) is BackingStore and not model._driven)
+    verdict = admit(model)
+    return not workload.trace_stable and verdict.memo and verdict.fresh
 
 
 def counted(workload, model, scale=1.0, seed=1):

@@ -2,7 +2,11 @@
 
 The allocation-free fast path must be *semantically invisible*: every
 counter, every victim choice, every snapshot byte must come out exactly
-as the legacy tracked path produces them.  Three layers of evidence:
+as the tracked path produces them.  The tracked path still serves every
+miss and every subclass that overrides ``_do_read``/``_do_write``; its
+twin here is built the way the models' override guard builds it, by
+clearing ``_fast_path`` on the instance (:func:`tracked`).  Three
+layers of evidence:
 
 * whole workloads run through fast and tracked twins, compared on raw
   stats and on ``integrity_hash(capture())`` — the snapshot hash pins
@@ -33,6 +37,17 @@ from repro.workloads import ALL_WORKLOADS, get_workload
 SCALE = 0.05
 
 
+def tracked(model):
+    """``model`` switched to the tracked access path, as the override
+    guard in the models' constructors switches a subclass."""
+    model._fast_path = False
+    return model
+
+
+def _twin(model, fast):
+    return model if fast else tracked(model)
+
+
 def _twin_state(model):
     return model.stats.snapshot(), integrity_hash(model.capture())
 
@@ -60,11 +75,10 @@ NSF_CONFIGS = [
                          NSF_CONFIGS, ids=[c[0] for c in NSF_CONFIGS])
 def test_nsf_workload_equivalence(workload_cls, config_name, config):
     twins = []
-    for fast_path in (True, False):
+    for fast in (True, False):
         workload = get_workload(workload_cls.name)
-        model = NamedStateRegisterFile(
-            context_size=workload.context_size, fast_path=fast_path,
-            **config)
+        model = _twin(NamedStateRegisterFile(
+            context_size=workload.context_size, **config), fast)
         workload.run(model, scale=SCALE, seed=1)
         twins.append(model)
     _assert_twins_match(*twins, label=f"{workload_cls.name}/{config_name}")
@@ -74,30 +88,33 @@ def test_nsf_workload_equivalence(workload_cls, config_name, config):
                          ids=[w.name for w in ALL_WORKLOADS])
 def test_segmented_workload_equivalence(workload_cls):
     twins = []
-    for fast_path in (True, False):
+    for fast in (True, False):
         workload = get_workload(workload_cls.name)
-        model = SegmentedRegisterFile(
+        model = _twin(SegmentedRegisterFile(
             num_registers=4 * workload.context_size,
-            context_size=workload.context_size, fast_path=fast_path)
+            context_size=workload.context_size), fast)
         workload.run(model, scale=SCALE, seed=1)
         twins.append(model)
     _assert_twins_match(*twins, label=workload_cls.name)
 
 
-def test_golden_table_equivalence():
+def test_golden_table_equivalence(monkeypatch):
     """A whole experiment table renders identically under both modes."""
-    from repro.core import base
-    from repro.evalx import table1
+    from repro.core.base import RegisterFile
+    from repro.evalx import common, table1
 
-    rendered = {}
-    saved = base.FAST_PATH_DEFAULT
-    try:
-        for fast in (True, False):
-            base.FAST_PATH_DEFAULT = fast
-            rendered[fast] = table1.run(scale=0.1, seed=1).rows
-    finally:
-        base.FAST_PATH_DEFAULT = saved
-    assert rendered[True] == rendered[False]
+    fast = table1.run(scale=0.1, seed=1).rows
+    built = RegisterFile.__init__
+
+    def build_tracked(self, *args, **kwargs):
+        built(self, *args, **kwargs)
+        tracked(self)
+
+    monkeypatch.setattr(RegisterFile, "__init__", build_tracked)
+    # the memo key does not tell the two paths apart: forget the fast
+    # side's results so that the tracked side replays every cell
+    common.clear_result_memo()
+    assert table1.run(scale=0.1, seed=1).rows == fast
 
 
 # -- flyweight contract -----------------------------------------------------
@@ -125,7 +142,7 @@ def test_flyweights_are_sealed():
 
 def test_write_allocate_miss_result():
     model = NamedStateRegisterFile(num_registers=8, context_size=8,
-                                   line_size=1, fast_path=True)
+                                   line_size=1)
     cid = model.begin_context()
     result = model.write(0, 42, cid=cid)
     assert result.hit is False
@@ -168,20 +185,17 @@ op_strategy = st.lists(
 )
 
 MODEL_FACTORIES = [
-    ("nsf-line1", lambda fp: NamedStateRegisterFile(
-        num_registers=8, context_size=CONTEXT_SIZE, line_size=1,
-        fast_path=fp)),
-    ("nsf-line2", lambda fp: NamedStateRegisterFile(
+    ("nsf-line1", lambda fp: _twin(NamedStateRegisterFile(
+        num_registers=8, context_size=CONTEXT_SIZE, line_size=1), fp)),
+    ("nsf-line2", lambda fp: _twin(NamedStateRegisterFile(
+        num_registers=8, context_size=CONTEXT_SIZE, line_size=2), fp)),
+    ("nsf-nmru", lambda fp: _twin(NamedStateRegisterFile(
         num_registers=8, context_size=CONTEXT_SIZE, line_size=2,
-        fast_path=fp)),
-    ("nsf-nmru", lambda fp: NamedStateRegisterFile(
-        num_registers=8, context_size=CONTEXT_SIZE, line_size=2,
-        policy="nmru", fast_path=fp)),
-    ("segmented", lambda fp: SegmentedRegisterFile(
-        num_registers=2 * CONTEXT_SIZE, context_size=CONTEXT_SIZE,
-        fast_path=fp)),
-    ("conventional", lambda fp: ConventionalRegisterFile(
-        num_registers=CONTEXT_SIZE, fast_path=fp)),
+        policy="nmru"), fp)),
+    ("segmented", lambda fp: _twin(SegmentedRegisterFile(
+        num_registers=2 * CONTEXT_SIZE, context_size=CONTEXT_SIZE), fp)),
+    ("conventional", lambda fp: _twin(ConventionalRegisterFile(
+        num_registers=CONTEXT_SIZE), fp)),
 ]
 
 

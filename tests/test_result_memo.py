@@ -7,14 +7,15 @@ Four rings of evidence:
   and of the ``oracle`` engine; fig10 and fig12 replay nothing, and no
   (trace content, start state) key is replayed twice.  Under
   ``oracle`` the cells its closed form and tables serve never touch
-  the memo, and fig13's cells, which neither prices, are memo hits.
+  the memo, and fig13's cells, which neither prices, are memo hits;
+  every planned cell takes the same route, fanned out or not.
 * **Exact end state.** A served model's whole ``capture()`` equals that
   of a twin replayed independently, for every design the sweeps use,
   and stays equal while both are driven further; a served model that
   is driven on does not change what the next hit receives.
 * **No cross-serving.** Models that would replay differently (another
-  policy seed, the legacy access path, a driven start state that only
-  looks fresh) never share an entry; the oracle's served cells,
+  policy seed, a driven start state that only looks fresh) never
+  share an entry; the oracle's served cells,
   wrappers and a compressing backing store never read or fill the
   memo, while the oracle's fallback cells go through it.  A model that
   was never driven is keyed without capturing its start state.
@@ -62,6 +63,13 @@ BUDGET = 40
 #: cid offset of the continuation trace (clear of every recorded cid)
 SHIFT = 1 << 20
 
+#: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED),
+#: warm: every planned cell by the closed form or a table, after one
+#: scan per trace and design family, and fig13's cells, which neither
+#: prices, by the memoized event replay
+ORACLE_ROUTES = {"closed form": 40, "table": 86, "scan": 28,
+                 "replay": FIG13_CELLS}
+
 
 @pytest.fixture(scope="module")
 def gatesim():
@@ -102,6 +110,34 @@ class ReplayLog:
     @property
     def keys(self):
         return [tuple(record) for record in self.log.records()]
+
+
+class RouteLog:
+    """Records how the oracle engine serves each cell, in this process
+    or a forked child: ``routes(label)`` counts each route (``closed
+    form``, ``table``, ``replay``) and each family ``scan``."""
+
+    def __init__(self, monkeypatch, path):
+        self.label = None
+        self.log = FileLog(path)
+        for module, name, route in (
+                (oracle, "apply_stats", "closed form"),
+                (oracle, "apply_table", "table"),
+                (oracle, "_family_tables", "scan"),
+                (common, "replay_oracle", "replay")):
+            monkeypatch.setattr(module, name,
+                                self._logged(getattr(module, name), route))
+
+    def _logged(self, inner, route):
+        def logged(*args):
+            self.log.append([self.label, route])
+            return inner(*args)
+
+        return logged
+
+    def routes(self, label):
+        return dict(collections.Counter(
+            route for at, route in self.log.records() if at == label))
 
 
 def _nsf(ctx=20, budget=BUDGET, **kw):
@@ -154,19 +190,25 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
     assert collections.Counter(label for label, _ in log.keys) == {
         name: count for name, count in replays.items() if count}
 
-    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
-    monkeypatch.setattr(columnar, "_ANALYSES", {})
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     log.label = "oracle"
-    hits, misses = common.RESULT_STATS.hits, common.RESULT_STATS.misses
-    for name in SWEEPS:
-        table = run_experiment(name, scale=SCALE, seed=SEED)
-        assert table.to_dict() == expected[name], name
-    # the closed form and the tables serve every planned cell without
-    # the memo; fig13's cells, which neither prices, take the memoized
-    # replay and find the entries the event passes left
-    assert common.RESULT_STATS.misses == misses
-    assert common.RESULT_STATS.hits - hits == FIG13_CELLS
+    routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
+    for routes.label in ("fanned out", "serial"):
+        if routes.label == "serial":
+            monkeypatch.setattr(common, "_cpus", lambda: 1)
+        monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
+        monkeypatch.setattr(columnar, "_ANALYSES", {})
+        hits = common.RESULT_STATS.hits
+        misses = common.RESULT_STATS.misses
+        for name in SWEEPS:
+            table = run_experiment(name, scale=SCALE, seed=SEED)
+            assert table.to_dict() == expected[name], name
+        # the closed form and the tables serve every planned cell
+        # without the memo; fig13's cells, which neither prices, take
+        # the memoized replay and find the entries the event passes left
+        assert common.RESULT_STATS.misses == misses
+        assert common.RESULT_STATS.hits - hits == FIG13_CELLS
+        assert routes.routes(routes.label) == ORACLE_ROUTES, routes.label
     assert "oracle" not in {label for label, _ in log.keys}
 
 
@@ -227,14 +269,6 @@ def test_policy_seeds_get_separate_entries(gatesim):
                     verify=False) for seed in (1, 2)]
     assert [m.capture() for m in models] == [t.capture() for t in twins]
     assert models[0].stats.snapshot() != models[1].stats.snapshot()
-
-
-def test_fast_path_and_legacy_path_get_separate_entries(gatesim):
-    fast = common._replay_event(gatesim, _nsf(fast_path=True))
-    legacy = common._replay_event(gatesim, _nsf(fast_path=False))
-    assert common.RESULT_STATS.misses == 2
-    assert common.RESULT_STATS.hits == 0
-    assert fast.capture() == legacy.capture()
 
 
 def _driven_nmru():
@@ -378,14 +412,6 @@ def test_wrapped_models_are_always_replayed(gatesim, monkeypatch, kind,
     assert log.keys == [(None, None)] * 2
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 0)
     assert not common._RESULT_MEMO
-
-
-def test_plain_iterables_are_always_replayed():
-    events = list(_contexts_trace(3))
-    legacy = type("Legacy", (list,), {"context_size": CTX})(events)
-    for _ in range(2):
-        common._replay_event(legacy, _nsf(ctx=CTX, budget=4))
-    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 0)
 
 
 # -- memo mechanics -----------------------------------------------------------

@@ -70,6 +70,38 @@ def test_corrupt_cache_file_re_records():
     assert recovered.counts()["R"] > 0
 
 
+def _text_prefix(trace):
+    """The first half of ``trace``'s text form, cut at a line boundary:
+    itself a well-formed text trace, with half the events."""
+    text = trace.dumps()
+    return text[:text.index("\n", len(text) // 2) + 1].encode()
+
+
+#: entry shapes the cache never publishes: neither carries the CRC frame
+UNFRAMED = {
+    "bare binary": lambda trace: trace.dumps_binary(),
+    "text prefix": _text_prefix,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNFRAMED))
+def test_unframed_entries_are_quarantined_and_recorded_again(shape):
+    workload = get_workload("Quicksort")
+    recorded = trace_cache.load_or_record(workload, scale=0.05, seed=1)
+    path = trace_cache.trace_path(workload, 0.05, 1)
+    path.write_bytes(UNFRAMED[shape](recorded))
+    trace_cache._memo.clear()
+    trace_cache.STATS.reset()
+    model = run_workload(workload, make_nsf(workload), scale=0.05, seed=1)
+    assert (trace_cache.STATS.hits, trace_cache.STATS.quarantined,
+            trace_cache.STATS.records) == (0, 1, 1)
+    assert trace_cache.load_or_record(workload, scale=0.05,
+                                      seed=1) == recorded
+    assert trace_cache.STATS.quarantined == 1
+    fresh = replay(recorded, make_nsf(workload), verify=False)
+    assert model.stats.snapshot() == fresh.stats.snapshot()
+
+
 def test_memo_invalidated_when_disk_entry_changes():
     """Regression: the in-process memo must not outlive the disk entry.
 

@@ -227,18 +227,6 @@ def test_replay_fast_and_verified_same_stats():
     assert fast.stats.snapshot() == checked.stats.snapshot()
 
 
-def test_replay_accepts_legacy_event_iterable():
-    trace = _recorded(_exercise)
-
-    class LegacyTrace(list):
-        context_size = 4
-
-    legacy = LegacyTrace(trace.events)
-    model = NamedStateRegisterFile(num_registers=16, context_size=4)
-    replay(legacy, model, verify=True)
-    assert model.stats.reads == trace.counts()["R"]
-
-
 def test_replay_wide_values():
     trace = Trace(context_size=4)
     big = 1 << 90
