@@ -4,10 +4,11 @@ One committed contract under the ``oracle_grid`` key of
 BENCH_baseline.json, a same-box ratio (machine-independent, safe to
 gate in CI):
 
-* ``grid_speedup`` — a fig09..fig14-style design-space grid (NSF line
-  sizes 1/2/4 x {LRU, FIFO} plus segmented {frame, live} x {LRU,
-  FIFO}, each over a capacity sweep straddling the trace's peak
-  demand) evaluated end to end two ways: every cell through
+* ``grid_speedup`` — a fig09..fig14-style design-space grid (the
+  families the tables serve: NSF with one-register lines plus
+  segmented {frame, live}, all with LRU victims, each over a capacity
+  sweep straddling the trace's peak demand) evaluated end to end two
+  ways: every cell through
   :func:`repro.trace.oracle.serve_from_tables` (the closed form at or
   above the peak, one shared scan per design family and an O(1) table
   apply per cell below it) vs every cell through event replay
@@ -56,8 +57,6 @@ MIN_GRID_SPEEDUP = 5.0
 #: frames of context per capacity point (registers = frames x context
 #: size), straddling the compiled trace's peak demand
 FRAME_SWEEP = (1, 2, 3, 4, 6, 8)
-NSF_LINE_SIZES = (1, 2, 4)
-POLICIES = ("lru", "fifo")
 SEG_MODES = ("frame", "live")
 
 
@@ -83,27 +82,19 @@ def _record():
 def _grid(ctx):
     """(register budgets, cell descriptors) for the design-space grid."""
     budgets = tuple(frames * ctx for frames in FRAME_SWEEP)
-    cells = []
-    for line_size in NSF_LINE_SIZES:
-        for policy in POLICIES:
-            cells.extend(("nsf", line_size, policy, budget)
-                         for budget in budgets)
+    cells = [("nsf", None, budget) for budget in budgets]
     for spill_mode in SEG_MODES:
-        for policy in POLICIES:
-            cells.extend(("seg", spill_mode, policy, budget)
-                         for budget in budgets)
+        cells.extend(("seg", spill_mode, budget) for budget in budgets)
     return budgets, cells
 
 
 def _build(cell, ctx):
-    kind, variant, policy, budget = cell
+    kind, spill_mode, budget = cell
     if kind == "nsf":
-        return NamedStateRegisterFile(
-            num_registers=budget, context_size=ctx,
-            line_size=variant, policy=policy)
-    return SegmentedRegisterFile(
-        num_registers=budget, context_size=ctx,
-        policy=policy, spill_mode=variant)
+        return NamedStateRegisterFile(num_registers=budget,
+                                      context_size=ctx)
+    return SegmentedRegisterFile(num_registers=budget, context_size=ctx,
+                                 spill_mode=spill_mode)
 
 
 def _snapshot(model):
@@ -144,8 +135,7 @@ def run_grid(trace):
         "workload": "CompiledSuite",
         "events": len(trace),
         "cells": len(cells),
-        "families": len(NSF_LINE_SIZES) * len(POLICIES)
-                    + len(SEG_MODES) * len(POLICIES),
+        "families": 1 + len(SEG_MODES),
         "budgets": list(budgets),
         "oracle_grid_ms": round(oracle_t * 1e3, 3),
         "per_cell_replay_ms": round(replay_t * 1e3, 3),

@@ -621,10 +621,16 @@ class NamedStateRegisterFile(RegisterFile):
         line.clear()
 
     def _fill_line(self, line, cid, tag, miss_offset, result):
-        """Reload a freshly-allocated line according to ``reload_scope``."""
+        """Reload a freshly-allocated line according to ``reload_scope``.
+
+        A read miss (``miss_offset`` set) under register scope reloads
+        the missing register only; line scope, and a fetch-on-write
+        write miss (``miss_offset`` None), reload the line's saved
+        registers.
+        """
         line_no = tag & self._tag_mask
         base_offset = line_no * self.line_size
-        if self.reload_scope == "line" or self.fetch_on_write:
+        if self.reload_scope == "line" or miss_offset is None:
             offsets = [base_offset + slot
                        for slot in range(self.line_size)
                        if self.backing.contains(cid, base_offset + slot)]

@@ -506,3 +506,11 @@ class ConventionalRegisterFile(SegmentedRegisterFile):
                          context_size=context_size, policy=policy,
                          spill_mode=spill_mode, strict=strict,
                          track_moves=track_moves)
+
+    def _config(self):
+        """Construction parameters: ``capture()["config"]``.  The
+        constructor takes no policy seed (it is always 0), so the config
+        names none: ``type(model)(**model._config())`` builds a twin."""
+        config = super()._config()
+        del config["policy_seed"]
+        return config

@@ -116,9 +116,10 @@ def capacity_plan(register_budgets):
     each further capacity point costs an O(1) table application.  A
     per-model trace (``trace_stable=False``) only ever meets one model
     configuration, so it is scanned at that cell's capacity alone.
-    Cells outside the oracle's exactness boundary (NMRU, line-scope
-    reloads, wide-value traces) transparently fall back to the
-    memoized event replay, and the ``event`` engine ignores the plan
+    Cells outside the oracle's exactness boundary (FIFO or NMRU
+    victims, lines of more than one register, line-scope reloads,
+    wide-value traces) transparently fall back to the memoized event
+    replay, and the ``event`` engine ignores the plan
     entirely — results are byte-identical across engines by
     construction.
     """

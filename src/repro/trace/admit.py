@@ -35,18 +35,20 @@ EXACT_MODELS = (NamedStateRegisterFile, SegmentedRegisterFile,
 #: per table family's class, every ``_config()`` key it serves, with its
 #: allowed values or ``None`` for any value: the shape keys its family
 #: and units come from, the keys that cannot change stats on an
-#: in-regime trace (no cold reads), and the regime keys
+#: in-regime trace (no cold reads), and the regime keys.  The scans
+#: price the designs the paper simulates: one-register NSF lines and
+#: segmented frames, both with LRU victims
 TABLE_CONFIG = {
     NamedStateRegisterFile: {
-        "num_registers": None, "context_size": None, "line_size": None,
+        "num_registers": None, "context_size": None, "line_size": (1,),
         "strict": None, "track_moves": None, "policy_seed": None,
-        "policy": ("lru", "fifo"), "reload_scope": ("register",),
+        "policy": ("lru",), "reload_scope": ("register",),
         "fetch_on_write": (False,), "spill_watermark": (0,),
     },
     SegmentedRegisterFile: {
         "num_registers": None, "context_size": None,
         "strict": None, "track_moves": None, "policy_seed": None,
-        "policy": ("lru", "fifo"), "spill_mode": ("frame", "live"),
+        "policy": ("lru",), "spill_mode": ("frame", "live"),
     },
 }
 

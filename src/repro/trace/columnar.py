@@ -30,14 +30,15 @@ The closed form reproduces event replay's statistics only in the regime
 the analysis can prove from the trace alone:
 
 * :func:`repro.trace.admit.admit` admits the model to the tables'
-  NSF family at ``line_size=1``: a fresh exact
-  ``NamedStateRegisterFile`` with an LRU-family policy
-  (``lru``/``fifo``), write-allocate misses (``fetch_on_write=False``)
-  and no dribble-back watermark, over a plain backing store;
-* the trace never calls ``free_register``, carries no wide values,
-  accesses contexts only between their ``BEGIN`` and ``END``, and every
-  register's first access is a write (true of every recorder-produced
-  trace whose workload ran strict);
+  NSF family: a fresh exact ``NamedStateRegisterFile`` with one
+  register per line, LRU victims, write-allocate misses
+  (``fetch_on_write=False``) and no dribble-back watermark, over a
+  plain backing store;
+* the trace passes :func:`attribute`, the one trace check the closed
+  form shares with the oracle's scans (no wide values, contexts
+  accessed only between their ``BEGIN`` and ``END``, every register's
+  first access a write: true of every recorder-produced trace whose
+  workload ran strict), and never calls ``free_register``;
 * the peak number of simultaneously live registers fits in the file —
   i.e. **no eviction ever happens** (:func:`repro.trace.oracle.closed_form`).
 
@@ -54,6 +55,7 @@ from repro.trace.events import (
     OP_BEGIN,
     OP_END,
     OP_FREE,
+    OP_READ,
     OP_SWITCH,
     OP_TICK,
     OP_WRITE,
@@ -131,6 +133,139 @@ def _column_view(trace):
     return np.frombuffer(data, dtype=np.int64).reshape(-1, 4)
 
 
+class OracleUnsupported(ValueError):
+    """The trace or model is outside the oracle's exactness boundary."""
+
+
+class Attribution:
+    """One trace's columns, its register events attributed to context
+    instances (:func:`attribute`); ``frees`` is True when the trace
+    holds ``FREE`` ops, which the tables price and the closed form
+    refuses."""
+
+    __slots__ = ("ops", "cids", "offs", "vals", "kpos", "keys", "used",
+                 "key_first", "n_inst", "end_pos", "end_inst",
+                 "context_switches", "frees")
+
+
+def attribute(trace):
+    """Validate ``trace`` for the oracle and attribute its register
+    events to context instances; the one trace check of the closed
+    form, the LRU kernel and the segmented walk.
+
+    Front-ends recycle context ids heavily (a call-depth-indexed cid is
+    begun and ended hundreds of times), so register lifetimes are keyed
+    by the *begin instance*, not the cid: instance i is the i-th
+    ``BEGIN`` event, and each register event and ``END`` belongs to the
+    latest prior ``BEGIN`` of its cid.  The register events are the
+    reads, writes and ``FREE`` ops, and each one's key is
+    ``instance * context_size + offset``.
+
+    Raises :class:`OracleUnsupported` for wide values, offsets outside
+    the context, negative context ids, a composite key that would
+    overflow int64, a key space above ``_MAX_KEY_SPACE``, a register
+    event or ``END`` outside its context's ``BEGIN``/``END`` (before
+    its ``BEGIN`` or after its ``END``), a second ``END`` of one
+    instance, a ``BEGIN`` of a context that is still live, and a
+    register whose first event is a read (a cold read: demand
+    reload).
+    """
+    np = _numpy()
+    arr = _column_view(trace)
+    if arr is None:
+        raise OracleUnsupported("trace carries wide values")
+    ops = arr[:, 0]
+    cids = arr[:, 1]
+    offs = arr[:, 2]
+    n = len(ops)
+    ctx = trace.context_size
+    free_mask = ops == OP_FREE
+    kpos = np.flatnonzero((ops <= OP_WRITE) | free_mask)
+    koffs = offs[kpos]
+    if len(kpos) and (int(koffs.min()) < 0 or int(koffs.max()) >= ctx):
+        raise OracleUnsupported("register offset outside the context")
+    if n and int(cids.min()) < 0:
+        raise OracleUnsupported("negative context id")
+    bg_pos = np.flatnonzero(ops == OP_BEGIN)
+    bg_cids = cids[bg_pos]
+    n_inst = len(bg_pos)
+    if n_inst * ctx > _MAX_KEY_SPACE:
+        raise OracleUnsupported("too many registers to key densely")
+    # One searchsorted over composite (cid, position) keys attributes
+    # every event to the latest prior BEGIN of its cid: begins sorted
+    # by (cid, pos) give strictly increasing keys, the query's
+    # predecessor is the right instance iff its cid matches.
+    stride = n + 1
+    if n_inst and int(bg_cids.max()) >= (1 << 62) // stride:
+        raise OracleUnsupported("context id overflows the composite key")
+    border = np.argsort(bg_cids, kind="stable")
+    bkeys = bg_cids[border] * stride + bg_pos[border]
+
+    def _instances(pos, what):
+        q_cids = cids[pos]
+        g = np.searchsorted(bkeys, q_cids * stride + pos) - 1
+        if len(g) and (int(g.min()) < 0
+                       or not bool((bg_cids[border[g]] == q_cids).all())):
+            raise OracleUnsupported(f"{what} outside BEGIN/END")
+        return border[g]
+
+    end_pos = np.flatnonzero(ops == OP_END)
+    kinst = _instances(kpos, "register access")
+    end_inst = _instances(end_pos, "END")
+    if len(end_inst) != len(np.unique(end_inst)):
+        raise OracleUnsupported("a second END of one context")
+    inst_end = np.full(max(n_inst, 1), n, dtype=np.int64)
+    inst_end[end_inst] = end_pos
+    if len(kpos) and not bool((kpos < inst_end[kinst]).all()):
+        raise OracleUnsupported("register access after its context's END")
+    # begins sorted by (cid, pos): each instance must end before the
+    # next BEGIN of its cid
+    later = border[1:]
+    if bool(((bg_cids[later] == bg_cids[border[:-1]])
+             & (inst_end[border[:-1]] > bg_pos[later])).any()):
+        raise OracleUnsupported("BEGIN of a context that is still live")
+
+    # each register's first event: scatter stores keep the *last* of
+    # duplicate indices, so a reversed scatter yields first occurrences
+    keys = kinst * ctx + koffs
+    first = np.full(n_inst * ctx, -1, dtype=np.int64)
+    first[keys[::-1]] = kpos[::-1]
+    used = np.flatnonzero(first >= 0)
+    key_first = first[used]
+    cold = key_first[ops[key_first] == OP_READ]
+    if len(cold):
+        bad = int(cold.min())
+        raise OracleUnsupported(
+            f"cold read of ({int(cids[bad])}, {int(offs[bad])})")
+
+    # switch_to counts only actual changes; END of the current context
+    # clears it.  Sparse walk over the few hundred S/E events.
+    switches = 0
+    sw_pos = np.flatnonzero(ops == OP_SWITCH)
+    if len(sw_pos):
+        at = np.concatenate([sw_pos, end_pos])
+        order = np.argsort(at, kind="stable")
+        ended = (order >= len(sw_pos)).tolist()
+        current = None
+        for cid, is_end in zip(cids[at[order]].tolist(), ended):
+            if is_end:
+                if current == cid:
+                    current = None
+            elif cid != current:
+                switches += 1
+                current = cid
+
+    events = Attribution()
+    events.ops, events.cids, events.offs = ops, cids, offs
+    events.vals = arr[:, 3]
+    events.kpos, events.keys, events.used = kpos, keys, used
+    events.key_first, events.n_inst = key_first, n_inst
+    events.end_pos, events.end_inst = end_pos, end_inst
+    events.context_switches = switches
+    events.frees = bool(free_mask.any())
+    return events
+
+
 def analyze(trace):
     """Columnar analysis of ``trace``; ``None`` when out of regime.
 
@@ -144,95 +279,24 @@ def analyze(trace):
 
 
 def _analyze_uncached(trace):
+    try:
+        events = attribute(trace)
+    except OracleUnsupported:
+        return None
+    if events.frees:
+        return None
     np = _numpy()
-    arr = _column_view(trace)
-    if arr is None:
-        return None
-    ops = arr[:, 0]
-    cids = arr[:, 1]
-    offs = arr[:, 2]
-    vals = arr[:, 3]
-
-    if bool((ops == OP_FREE).any()):
-        return None
-
+    ops = events.ops
     n_events = len(ops)
-    ctx = trace.context_size
-    acc_pos = np.flatnonzero(ops <= OP_WRITE)
+    n_inst = events.n_inst
+    end_pos = events.end_pos
+    end_inst = events.end_inst
+    key_first = events.key_first
+    key_inst = events.used // trace.context_size
     a = TraceAnalysis()
-
-    # -- context instances --------------------------------------------------
-    # Front-ends recycle context ids heavily (a call-depth-indexed cid
-    # is begun and ended hundreds of times), so register lifetimes are
-    # keyed by the *begin instance*, not the cid: instance i is the
-    # i-th BEGIN event, and each access/END is attributed to the most
-    # recent instance of its cid (vectorized searchsorted per cid).
-    bg_pos = np.flatnonzero(ops == OP_BEGIN)
-    bg_cids = cids[bg_pos]
-    end_pos = np.flatnonzero(ops == OP_END)
-    end_cids = cids[end_pos]
-    n_inst = len(bg_pos)
-    if n_inst * ctx > _MAX_KEY_SPACE:
-        return None
-    acc_cids = cids[acc_pos]
-    acc_offs = offs[acc_pos]
-    if len(acc_pos) and (int(acc_offs.min()) < 0
-                         or int(acc_offs.max()) >= ctx):
-        return None
-    # One searchsorted over composite (cid, position) keys attributes
-    # every access/END to the latest prior BEGIN of its cid: begins
-    # sorted by (cid, pos) give strictly increasing keys, the query's
-    # predecessor is the right instance iff its cid matches.
-    if len(cids) and int(cids.min()) < 0:
-        return None
-    stride = n_events + 1
-    max_cid = int(bg_cids.max()) if n_inst else 0
-    if max_cid >= (1 << 62) // stride:
-        return None  # composite key would overflow int64
-    border = np.argsort(bg_cids, kind="stable")
-    bkeys = bg_cids[border] * stride + bg_pos[border]
-
-    def _attribute(q_cids, q_pos):
-        g = np.searchsorted(bkeys, q_cids * stride + q_pos) - 1
-        if not len(g):
-            return g
-        if int(g.min()) < 0:
-            return None  # before the very first BEGIN in the trace
-        inst = border[g]
-        if not bool((bg_cids[inst] == q_cids).all()):
-            return None  # access/END of a not-currently-begun context
-        return inst
-
-    acc_inst = _attribute(acc_cids, acc_pos)
-    end_inst = _attribute(end_cids, end_pos)
-    if acc_inst is None or end_inst is None:
-        return None
-    if len(end_inst) != len(np.unique(end_inst)):
-        return None  # a second END of one instance
-    inst_end = np.full(max(n_inst, 1), n_events, dtype=np.int64)
-    inst_end[end_inst] = end_pos
-    if len(acc_pos) and not bool((acc_pos < inst_end[acc_inst]).all()):
-        return None  # an access after its context's END
-
-    # -- per-register first access ------------------------------------------
-    if len(acc_pos):
-        acc_keys = acc_inst * ctx + acc_offs
-        first = np.full(n_inst * ctx, -1, dtype=np.int64)
-        # scatter stores: duplicate indices keep the *last* write, so a
-        # reversed scatter yields first occurrences
-        first[acc_keys[::-1]] = acc_pos[::-1]
-        used = np.flatnonzero(first >= 0)
-        key_first = first[used]
-        if not bool((ops[key_first] == OP_WRITE).all()):
-            return None  # a cold read: demand reload, out of regime
-        n_writes = int((ops[acc_pos] == OP_WRITE).sum())
-        a.n_reads = len(acc_pos) - n_writes
-        a.n_writes = n_writes
-        a.n_keys = len(used)
-        key_inst = used // ctx
-    else:
-        key_first = key_inst = np.empty(0, dtype=np.int64)
-        a.n_reads = a.n_writes = a.n_keys = 0
+    a.n_writes = int((ops[events.kpos] == OP_WRITE).sum())
+    a.n_reads = len(events.kpos) - a.n_writes
+    a.n_keys = len(events.used)
 
     # -- line-usage timeline ------------------------------------------------
     # +1 line at each first write, -k at each END freeing its context
@@ -248,7 +312,7 @@ def _analyze_uncached(trace):
 
     # -- tick integrals -----------------------------------------------------
     tick_pos = np.flatnonzero(ops == OP_TICK)
-    tick_ns = vals[tick_pos]
+    tick_ns = events.vals[tick_pos]
     a.instructions = int(tick_ns.sum()) if len(tick_pos) else 0
     if len(tick_pos):
         allocs_before = np.searchsorted(alloc_sorted, tick_pos)
@@ -277,27 +341,8 @@ def _analyze_uncached(trace):
         a.occupancy_weighted = a.resident_contexts_weighted = 0
         a.max_active = a.max_resident = 0
 
-    # -- switches -----------------------------------------------------------
-    # switch_to counts only actual changes; END of the current context
-    # clears it.  Sparse walk over the few hundred S/E events.
-    sw_pos = np.flatnonzero(ops == OP_SWITCH)
-    merged = np.concatenate([sw_pos, end_pos])
-    morder = np.argsort(merged, kind="stable")
-    mcids = np.concatenate([cids[sw_pos], end_cids])[morder].tolist()
-    mis_end = ([False] * len(sw_pos) + [True] * len(end_pos))
-    mis_end = [mis_end[i] for i in morder.tolist()]
-    current = None
-    switches = 0
-    for cid, is_end in zip(mcids, mis_end):
-        if is_end:
-            if current == cid:
-                current = None
-        elif cid != current:
-            switches += 1
-            current = cid
-    a.context_switches = switches
-
-    a.contexts_created = int(len(bg_pos))
+    a.context_switches = events.context_switches
+    a.contexts_created = n_inst
     a.contexts_ended = int(len(end_pos))
     return a
 

@@ -8,83 +8,72 @@ references on a recency stack, record each re-reference's stack depth
 in a histogram, and ``misses(C)`` is the histogram's suffix sum from
 depth ``C``.
 
-This module generalizes that pass into a full design-space oracle:
+This module turns that pass into the tables of the designs the paper
+simulates — one-register NSF lines and segmented frames, both with LRU
+victims:
 
-* **Deletions as holes.**  ``END`` (and, at ``line_size=1``, ``FREE``)
-  frees registers with no spill traffic; in a capacity-``C`` file
-  those lines enter the free list.  The oracle models each freed line
-  as a *hole* left in place on the recency stack (same timestamp).  A
-  hole above a re-referenced item is a free line in every file small
-  enough to matter, so the re-reference consumes the topmost hole and
-  leaves a new hole at its own old depth; a write-allocate of a fresh
-  line likewise consumes the topmost hole.  An allocation evicts in
-  file ``C`` only when ``C <= min(depth of topmost hole, stack size)``
-  — i.e. when file ``C`` is full *and* has no free line.
-* **Line granularity.**  For ``line_size`` L > 1 the stack keys are
-  ``(context instance, line_no)`` and each line slot carries a
-  *validity threshold*: the maximum stack depth the line has been
-  re-referenced at since the slot was last touched.  Slot ``o`` of a
-  line currently at depth ``p`` is valid exactly in files with
-  ``C > max(threshold[o], p)`` — files small enough to have evicted
-  the line since ``o``'s last touch hold a partially-valid reinstall.
-  This yields, still in one walk, the exact per-capacity split between
-  full-line read misses (line absent: fill + one-register demand
-  reload) and replaced-slot misses (line resident, slot invalid:
-  single-register reload, no fill), write-allocate partial lines
-  (a write to any slot of an absent line rebinds the line with only
-  that slot valid), and per-eviction live-register spill counts (a
-  slot is spilled live in every file ``C <= max(threshold, depth)``,
-  exactly once per validity span — a histogram, not a per-capacity
-  walk).
+* **Deletions as holes.**  ``END`` and ``FREE`` free registers with no
+  spill traffic; in a capacity-``C`` file those lines enter the free
+  list.  The oracle models each freed line as a *hole* left in place
+  on the recency stack (same timestamp).  A hole above a re-referenced
+  item is a free line in every file small enough to matter, so the
+  re-reference consumes the topmost hole and leaves a new hole at its
+  own old depth; a write-allocate of a fresh line likewise consumes
+  the topmost hole.  An allocation evicts in file ``C`` only when
+  ``C <= min(depth of topmost hole, stack size)`` — i.e. when file
+  ``C`` is full *and* has no free line.
 * **Write-allocate.**  A write to a resident line always hits; a write
   to an absent line misses at every ``C <= depth`` and binds the line
   without a reload (``fetch_on_write=False``); only read misses fetch.
-* **FIFO.**  FIFO lacks the stack inclusion property, so
-  ``policy="fifo"`` runs a direct capacity-synchronized simulation:
-  per-line residency bitmasks over the capacity grid and one lazy
-  FIFO queue per capacity.  Hits cost O(1) (FIFO never reorders on a
-  hit); per-capacity work is paid only on misses.
 * **Segmented frames.**  :func:`segmented_tables` treats frames as
   lines of size ``frame_size`` with whole-frame or live-only spill
   costing (the shared :func:`repro.core.segmented.frame_transfer_cost`
   rule) and the segmented file's window-underflow reload semantics
   (only contexts that were ever evicted pay restore traffic).  One
-  synchronized walk produces the exact snapshot for every frame count.
+  synchronized walk produces the exact snapshot for every frame count
+  and both spill modes.
 
 :func:`capacity_tables` / :func:`segmented_tables` return the *full*
 :class:`~repro.core.stats.RegFileStats` snapshot per capacity —
 occupancy and residency tick-integrals, tick-sampled maxima, context
 lifecycle counts — so an in-regime sweep cell is an O(1) dictionary
 lookup after one shared scan (:func:`serve_from_tables`).  At or above
-the trace's peak demand a line-size-1 NSF never evicts, and the closed
-form of :mod:`repro.trace.columnar` serves it without a scan.
+the trace's peak demand an NSF never evicts, and the closed form of
+:mod:`repro.trace.columnar` serves it without a scan.
 
 Exactness boundary: :func:`repro.trace.admit.admit` admits a fresh
-exact NSF with ``reload_scope="register"`` + ``fetch_on_write=False``,
-no watermark, LRU or FIFO and any ``line_size``, or a fresh exact
-segmented file with LRU or FIFO, each over a plain backing store; the
-scans refuse (``OracleUnsupported``) traces with wide values or cold
-reads, and ``FREE`` ops at ``line_size > 1`` (per-capacity
-partial-line divergence breaks the shared stack).  Everything else —
-NMRU's RNG draws, ``reload_scope="line"``, ``fetch_on_write=True``
-(fig13's regime), a driven model, a config key the allowlist does not
-name — falls back to event-exact replay per cell.
+exact NSF with one register per line, LRU victims,
+``reload_scope="register"``, ``fetch_on_write=False`` and no
+watermark, or a fresh exact LRU segmented file, each over a plain
+backing store; every scan and the closed form refuse
+(``OracleUnsupported``) the traces
+:func:`repro.trace.columnar.attribute` refuses: wide values, cold
+reads, accesses outside ``BEGIN``/``END`` and the shapes its keying
+cannot represent.  Everything else — FIFO, NMRU's RNG draws, lines of
+more than one register (fig13), ``reload_scope="line"``,
+``fetch_on_write=True``, a driven model, a config key the allowlist
+does not name — is served by event-exact replay per cell.
 
 Positions are 0-based depths: the most recent entry is at depth 0, a
 re-reference at depth ``p`` hits every file with ``C > p``.
 
-The LRU pass runs on the NumPy kernel of :mod:`repro.trace.vector`
+The NSF pass runs on the NumPy kernel of :mod:`repro.trace.vector`
 (batched composite-key preprocessing feeding a windowed recency
-stack); the FIFO and segmented walks below are plain Python.  Event
-replay (:func:`repro.trace.replay.replay`) is the reference every
-table is tested against.
+stack); the segmented walk below is plain Python.  Event replay
+(:func:`repro.trace.replay.replay`) is the reference every table is
+tested against.
 """
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 from repro.trace import lru
 from repro.trace.admit import admit
-from repro.trace.columnar import analyze, apply_stats
+from repro.trace.columnar import (
+    OracleUnsupported,
+    analyze,
+    apply_stats,
+    attribute,
+)
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -102,10 +91,6 @@ __all__ = [
     "apply_table",
     "serve_from_tables",
 ]
-
-
-class OracleUnsupported(ValueError):
-    """The trace or model is outside the oracle's exactness boundary."""
 
 
 class _PerCap:
@@ -201,14 +186,12 @@ class _PerCap:
                 self.rc_mark[ci] = gt
 
 
-def _check_trace(trace, capacities):
-    data, wide = trace.packed()
-    if wide:
-        raise OracleUnsupported("trace carries wide values")
+def _grid(capacities):
+    """``capacities`` as a sorted list of distinct positive integers."""
     capacities = sorted(set(int(c) for c in capacities))
     if not capacities or capacities[0] < 1:
         raise OracleUnsupported("capacities must be positive integers")
-    return data, capacities
+    return capacities
 
 
 def _bits(mask):
@@ -218,231 +201,30 @@ def _bits(mask):
         yield b.bit_length() - 1
 
 
-def _scan_fifo(trace, capacities, word_bytes, line_size):
-    """Capacity-synchronized FIFO simulation at line granularity.
-
-    FIFO has no stack inclusion property, so every capacity is
-    simulated directly — but synchronized on one walk, with per-line
-    residency and per-slot validity as bitmasks over the capacity
-    grid.  A hit changes no FIFO state, so the (dominant) all-valid
-    case costs O(1); per-capacity work is paid only on misses.
-    """
-    data, caps = _check_trace(trace, capacities)
-    L = line_size
-    ctx = trace.context_size
-    nlpc = (ctx - 1) // L + 1
-    K = len(caps)
-    full = (1 << K) - 1
-
-    res = {}        # line key -> residency mask over the grid
-    val = {}        # slot key -> validity mask (presence == written)
-    gen = {}        # line key -> per-capacity install generation
-    queues = [deque() for _ in range(K)]
-    used = [0] * K
-    cur_inst = {}
-    inst_live = {}
-    next_inst = 0
-    reads = writes = 0
-    n_begin = n_end = n_switch = 0
-    cur_cid = None
-    rm = [0] * K
-    wm = [0] * K
-    fills = [0] * K
-    evs = [0] * K
-    lvs = [0] * K
-    per = _PerCap(caps)
-
-    def evict_into(ci):
-        """Free one line in file ``ci`` by FIFO eviction."""
-        q = queues[ci]
-        while True:
-            vkey, g = q.popleft()
-            glist = gen.get(vkey)
-            if (glist is not None and glist[ci] == g
-                    and (res.get(vkey, 0) >> ci) & 1):
-                break
-        evs[ci] += 1
-        live = 0
-        base = vkey * L
-        bit = 1 << ci
-        for s in range(L):
-            okey = base + s
-            v = val.get(okey)
-            if v is not None and v & bit:
-                val[okey] = v & ~bit
-                live += 1
-        lvs[ci] += live
-        res[vkey] &= ~bit
-        if live:
-            per.add_active(ci, -live)
-        per.line_out(vkey // nlpc, ci)
-
-    def install(ci, lkey, inst):
-        if used[ci] == caps[ci]:
-            evict_into(ci)
-        else:
-            used[ci] += 1
-        glist = gen.get(lkey)
-        if glist is None:
-            glist = gen[lkey] = [0] * K
-        glist[ci] += 1
-        queues[ci].append((lkey, glist[ci]))
-        per.line_in(inst, ci)
-
-    it = iter(data.tolist())
-    for op, cid, offset, value in zip(it, it, it, it):
-        if op <= OP_WRITE:
-            inst = cur_inst.get(cid)
-            if inst is None:
-                raise OracleUnsupported(
-                    f"access to context {cid} outside BEGIN/END")
-            if L == 1:
-                lkey = inst * nlpc + offset
-                okey = lkey
-            else:
-                line_no, slot = divmod(offset, L)
-                lkey = inst * nlpc + line_no
-                okey = lkey * L + slot
-            if op == OP_READ:
-                reads += 1
-                vmask = val.get(okey)
-                if vmask is None:
-                    raise OracleUnsupported(
-                        f"cold read of ({cid}, {offset})")
-                miss = full & ~vmask
-                if not miss:
-                    continue
-                rmask = res.get(lkey, 0)
-                for ci in _bits(miss):
-                    rm[ci] += 1
-                    if not (rmask >> ci) & 1:
-                        fills[ci] += 1
-                        install(ci, lkey, inst)
-                    per.add_active(ci, 1)
-                val[okey] = full
-                res[lkey] = rmask | miss
-            else:
-                writes += 1
-                rmask = res.get(lkey, 0)
-                miss = full & ~rmask
-                vmask = val.get(okey, 0)
-                if miss:
-                    for ci in _bits(miss):
-                        wm[ci] += 1
-                        install(ci, lkey, inst)
-                    res[lkey] = full
-                    inst_live[inst].add(lkey)
-                newly = full & ~vmask
-                if newly:
-                    for ci in _bits(newly):
-                        per.add_active(ci, 1)
-                    val[okey] = full
-        elif op == OP_TICK:
-            per.tick(value)
-        elif op == OP_SWITCH:
-            if cid != cur_cid:
-                n_switch += 1
-                cur_cid = cid
-        elif op == OP_BEGIN:
-            cur_inst[cid] = next_inst
-            inst_live[next_inst] = set()
-            per.begin(next_inst)
-            next_inst += 1
-            n_begin += 1
-        elif op == OP_END:
-            inst = cur_inst.pop(cid, None)
-            if inst is None:
-                raise OracleUnsupported(f"END of unknown context {cid}")
-            n_end += 1
-            for lkey in inst_live.pop(inst):
-                rmask = res.pop(lkey, 0)
-                for ci in _bits(rmask):
-                    used[ci] -= 1
-                    per.line_out(inst, ci)
-                gen.pop(lkey, None)
-                base = lkey * L
-                for s in range(L):
-                    vmask = val.pop(base + s, None)
-                    if vmask:
-                        for ci in _bits(vmask):
-                            per.add_active(ci, -1)
-            per.end(inst)
-            if cur_cid == cid:
-                cur_cid = None
-        elif op == OP_FREE:
-            if L > 1:
-                raise OracleUnsupported(
-                    "FREE ops at line_size > 1 diverge per capacity")
-            inst = cur_inst.get(cid)
-            if inst is None:
-                raise OracleUnsupported(
-                    f"FREE in context {cid} outside BEGIN/END")
-            lkey = inst * nlpc + offset
-            vmask = val.pop(lkey, None)
-            if vmask is None:
-                continue  # never written / already freed: no traffic
-            rmask = res.pop(lkey, 0)
-            for ci in _bits(vmask):
-                per.add_active(ci, -1)
-            for ci in _bits(rmask):
-                used[ci] -= 1
-                per.line_out(inst, ci)
-            # gen deliberately kept: a rewrite of this key must get a
-            # fresh generation, or its queue entry would collide with
-            # the stale one left by this free
-            inst_live[inst].discard(lkey)
-
-    per.finalize()
-    shared = {
-        "reads": reads, "writes": writes, "instructions": per.gt,
-        "contexts_created": n_begin, "contexts_ended": n_end,
-        "context_switches": n_switch,
-    }
-    percap = {}
-    for ci, cap in enumerate(caps):
-        percap[cap] = {
-            "read_misses": rm[ci], "write_misses": wm[ci],
-            "lines_reloaded": fills[ci], "lines_spilled": evs[ci],
-            "registers_reloaded": rm[ci],
-            "live_registers_reloaded": rm[ci],
-            "active_registers_reloaded": rm[ci],
-            "registers_spilled": lvs[ci],
-            "live_registers_spilled": lvs[ci],
-            "words_loaded": rm[ci], "words_stored": lvs[ci],
-            "raw_bytes_reloaded": rm[ci] * word_bytes,
-            "wire_bytes_reloaded": rm[ci] * word_bytes,
-            "raw_bytes_spilled": lvs[ci] * word_bytes,
-            "wire_bytes_spilled": lvs[ci] * word_bytes,
-            "switch_misses": 0,
-            "occupancy_weighted": per.occ[ci],
-            "resident_contexts_weighted": per.rcw[ci],
-            "max_active_registers": per.max_active[ci],
-            "max_resident_contexts": per.max_rc[ci],
-        }
-    return shared, percap
-
-
-def _scan_segmented(trace, frame_counts, policy):
+def _scan_segmented(trace, frame_counts):
     """Synchronized segmented-file walk over every frame count.
 
     Frames are lines of size ``frame_size`` whose valid set, for a
     resident frame, always equals the context's global written-set
     (writes install the frame first in *every* file, and restores
     reload exactly the backed offsets — which frees also discard), so
-    one shared valid set serves all frame counts.  The spill mode
-    does not enter the walk at all: it only prices each transfer
-    (whole frame vs live registers), so the returned per-capacity
-    entries carry the mode-independent transfer counts and
-    :func:`_seg_tables_pair` derives both costings from one scan via
-    the model's own :func:`~repro.core.segmented.frame_transfer_cost`
-    rule.  Only contexts that were ever evicted pay restore traffic
-    (window-underflow semantics).
+    one shared valid set serves all frame counts, and one LRU recency
+    order over cids names every file's victim: the least recently used
+    cid resident in it.  The spill mode does not enter the walk at
+    all: it only prices each transfer (whole frame vs live registers),
+    so the returned per-capacity entries carry the mode-independent
+    transfer counts and :func:`_seg_tables_pair` derives both costings
+    from one scan via the model's own
+    :func:`~repro.core.segmented.frame_transfer_cost` rule.  Only
+    contexts that were ever evicted pay restore traffic
+    (window-underflow semantics).  The trace passes
+    :func:`~repro.trace.columnar.attribute` first.
     """
-    data, caps = _check_trace(trace, frame_counts)
-    fsize = trace.context_size
+    caps = _grid(frame_counts)
+    attribute(trace)
+    data, _ = trace.packed()
     K = len(caps)
     full = (1 << K) - 1
-    fifo = policy == "fifo"
 
     lives = set()
     vset = {}       # cid -> set of written (valid) offsets
@@ -451,8 +233,6 @@ def _scan_segmented(trace, frame_counts, policy):
     pend = {}       # cid -> {offset: pending mask}
     used = [0] * K
     order = OrderedDict()           # shared LRU recency over cids
-    queues = [deque() for _ in range(K)] if fifo else None
-    gen = {} if fifo else None
     reads = writes = 0
     n_begin = n_end = n_switch = 0
     cur_cid = None
@@ -468,16 +248,7 @@ def _scan_segmented(trace, frame_counts, policy):
 
     def evict_into(ci):
         bit = 1 << ci
-        if fifo:
-            q = queues[ci]
-            while True:
-                vcid, g = q.popleft()
-                glist = gen.get(vcid)
-                if (glist is not None and glist[ci] == g
-                        and res.get(vcid, 0) & bit):
-                    break
-        else:
-            vcid = next(c for c in order if res.get(c, 0) & bit)
+        vcid = next(c for c in order if res.get(c, 0) & bit)
         valid = vset[vcid]
         live = len(valid)
         evs[ci] += 1
@@ -504,12 +275,6 @@ def _scan_segmented(trace, frame_counts, policy):
             used[ci] += 1
         bit = 1 << ci
         res[cid] = res.get(cid, 0) | bit
-        if fifo:
-            glist = gen.get(cid)
-            if glist is None:
-                glist = gen[cid] = [0] * K
-            glist[ci] += 1
-            queues[ci].append((cid, glist[ci]))
         if esp.get(cid, 0) & bit:
             # window underflow: restore the backed image (== the
             # context's current valid set; see the docstring proof)
@@ -535,9 +300,6 @@ def _scan_segmented(trace, frame_counts, policy):
     it = iter(data.tolist())
     for op, cid, offset, value in zip(it, it, it, it):
         if op <= OP_WRITE:
-            if cid not in lives:
-                raise OracleUnsupported(
-                    f"access to context {cid} outside BEGIN/END")
             valid = vset[cid]
             rmask = res.get(cid, 0)
             miss = full & ~rmask
@@ -561,9 +323,8 @@ def _scan_segmented(trace, frame_counts, policy):
                     for ci in range(K):
                         per.add_active(ci, 1)
             flip_pending(cid, offset)
-            if not fifo:
-                order[cid] = True
-                order.move_to_end(cid)
+            order[cid] = True
+            order.move_to_end(cid)
         elif op == OP_TICK:
             per.tick(value)
         elif op == OP_SWITCH:
@@ -576,17 +337,14 @@ def _scan_segmented(trace, frame_counts, policy):
             miss = full & ~res.get(cid, 0)
             for ci in _bits(miss):
                 install(cid, ci)
-            if not fifo:
-                order[cid] = True
-                order.move_to_end(cid)
+            order[cid] = True
+            order.move_to_end(cid)
         elif op == OP_BEGIN:
             lives.add(cid)
             vset[cid] = set()
             per.begin(cid)
             n_begin += 1
         elif op == OP_END:
-            if cid not in lives:
-                raise OracleUnsupported(f"END of unknown context {cid}")
             lives.discard(cid)
             n_end += 1
             valid = vset.pop(cid)
@@ -600,15 +358,10 @@ def _scan_segmented(trace, frame_counts, policy):
             esp.pop(cid, None)
             pend.pop(cid, None)
             order.pop(cid, None)
-            # gen deliberately kept: recycled cids must continue the
-            # generation sequence past their stale queue entries
             per.end(cid)
             if cur_cid == cid:
                 cur_cid = None
         elif op == OP_FREE:
-            if cid not in lives:
-                raise OracleUnsupported(
-                    f"FREE in context {cid} outside BEGIN/END")
             valid = vset[cid]
             if offset not in valid:
                 continue  # no resident copy anywhere: only the
@@ -676,42 +429,29 @@ def _assemble_tables(shared, percap):
     return tables
 
 
-def capacity_tables(trace, capacities, word_bytes=4, line_size=1,
-                    policy="lru"):
-    """Full per-capacity NSF snapshots from one shared scan.
+def capacity_tables(trace, capacities, word_bytes=4):
+    """Full per-capacity NSF snapshots from one shared LRU scan.
 
-    Walks ``trace`` once and returns ``{capacity: patch}`` for every
-    capacity (in *lines*) in ``capacities``: *every*
-    :class:`~repro.core.stats.RegFileStats` field an event replay
-    would leave on a fresh ``NamedStateRegisterFile(num_registers=C
-    * line_size, line_size=line_size, policy=policy)`` with
-    register-scope reloads and write-allocate misses (hit and miss
-    counts, spill and reload traffic, tick-integrated occupancy and
-    residency, tick-sampled maxima, context lifecycle, the
-    zero-by-construction fault and watermark counters), plus the
+    Walks ``trace`` once (the Mattson stack-with-holes pass of
+    :mod:`repro.trace.vector`, one walk however many capacities are
+    asked) and returns ``{capacity: patch}`` for every capacity in
+    ``capacities``: *every* :class:`~repro.core.stats.RegFileStats`
+    field an event replay would leave on a fresh
+    ``NamedStateRegisterFile(num_registers=C)`` with one register per
+    line, LRU victims, register-scope reloads and write-allocate misses
+    (hit and miss counts, spill and reload traffic, tick-integrated
+    occupancy and residency, tick-sampled maxima, context lifecycle,
+    the zero-by-construction fault and watermark counters), plus the
     backing store's word counters.  Feed a patch to
-    :func:`apply_table`.
-
-    ``policy="lru"`` runs the Mattson stack-with-holes pass (one walk
-    regardless of how many capacities are asked); ``policy="fifo"``
-    runs the synchronized direct simulation.  Raises
-    :class:`OracleUnsupported` outside the boundary (wide values, cold
-    reads, ``FREE`` with ``line_size > 1``, unknown policy).
+    :func:`apply_table`.  Raises :class:`OracleUnsupported` outside the
+    boundary (:func:`~repro.trace.columnar.attribute`).
     """
-    if policy == "lru":
-        from repro.trace import vector
+    from repro.trace import vector
 
-        shared, percap = vector.lru_scan(trace, capacities, word_bytes,
-                                         line_size)
-    elif policy == "fifo":
-        shared, percap = _scan_fifo(trace, capacities, word_bytes,
-                                    line_size)
-    else:
-        raise OracleUnsupported(f"no exact pass for policy {policy!r}")
-    return _assemble_tables(shared, percap)
+    return _assemble_tables(*vector.lru_scan(trace, capacities, word_bytes))
 
 
-def _seg_tables_pair(trace, frame_counts, word_bytes, policy):
+def _seg_tables_pair(trace, frame_counts, word_bytes):
     """Both spill-mode segmented tables from **one** shared scan.
 
     The segmented walk's eviction dynamics never depend on the spill
@@ -723,9 +463,7 @@ def _seg_tables_pair(trace, frame_counts, word_bytes, policy):
     design-space sweep.  Returns ``{"frame": tables, "live":
     tables}``.
     """
-    if policy not in ("lru", "fifo"):
-        raise OracleUnsupported(f"no exact pass for policy {policy!r}")
-    shared, percap = _scan_segmented(trace, frame_counts, policy)
+    shared, percap = _scan_segmented(trace, frame_counts)
     fsize = trace.context_size
     pair = {}
     for mode in ("frame", "live"):
@@ -751,12 +489,12 @@ def _seg_tables_pair(trace, frame_counts, word_bytes, policy):
 
 
 def segmented_tables(trace, frame_counts, word_bytes=4,
-                     spill_mode="frame", policy="lru"):
-    """Full per-frame-count segmented-file snapshots from one scan."""
+                     spill_mode="frame"):
+    """Full per-frame-count snapshots of an LRU segmented file from one
+    scan."""
     if spill_mode not in ("frame", "live"):
         raise OracleUnsupported(f"unknown spill mode {spill_mode!r}")
-    return _seg_tables_pair(trace, frame_counts, word_bytes,
-                            policy)[spill_mode]
+    return _seg_tables_pair(trace, frame_counts, word_bytes)[spill_mode]
 
 
 # -- table application -------------------------------------------------------
@@ -778,17 +516,16 @@ def _family_tables(trace, family, caps):
     :func:`scan_siblings`, so callers should keep every returned
     entry, not just the one they asked for.  This is the one scan
     entry point: every table any caller serves was computed here.
+    Only the families :func:`admit` grants have a scan: one-register
+    NSF lines and segmented frames, both with LRU victims.
     """
-    kind = family[0]
+    kind, variant, policy, wb = family
+    if policy != "lru" or variant not in (1, "frame", "live"):
+        raise OracleUnsupported(f"no scan prices family {family!r}")
     if kind == "nsf":
-        _, line_size, policy, wb = family
-        return {family: capacity_tables(trace, caps, word_bytes=wb,
-                                        line_size=line_size,
-                                        policy=policy)}
-    _, _, policy, wb = family
-    pair = _seg_tables_pair(trace, caps, word_bytes=wb, policy=policy)
+        return {family: capacity_tables(trace, caps, word_bytes=wb)}
     return {("seg", mode, policy, wb): table
-            for mode, table in pair.items()}
+            for mode, table in _seg_tables_pair(trace, caps, wb).items()}
 
 
 def apply_table(patch, model):

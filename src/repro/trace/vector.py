@@ -2,17 +2,16 @@
 
 The kernel keeps per-event interpreted work to a minimum in two moves:
 
-1. **Vectorized preprocessing.**  One batched composite-key
-   ``searchsorted`` attributes every access, ``FREE`` and ``END`` to
-   its context *begin instance* (the same idiom as
-   :func:`repro.trace.columnar.analyze`, hardened with
-   access-after-END validation), and a segmented cummax over the
-   reference stream partitioned by register key — sorted once by
-   ``(key, position)`` — classifies every event up front:
-   first-touch vs re-reference, real free vs no-op, cold read
-   (raises), and each instance's live-key set at its ``END``.  The
-   surviving events compile into a compact integer program with
-   switches already stripped and tick runs coalesced.
+1. **Vectorized preprocessing.**  :func:`repro.trace.columnar.attribute`
+   validates the trace and attributes every access, ``FREE`` and
+   ``END`` to its context *begin instance* (the closed form's own
+   check, so the two agree on which traces are in regime), and a
+   segmented cummax over the reference stream partitioned by register
+   key — sorted once by ``(key, position)`` — classifies every event up
+   front: first-touch vs re-reference, real free vs no-op, a read after
+   its register's ``FREE`` (raises), and each instance's live-key set
+   at its ``END``.  The surviving events compile into a compact integer
+   program with switches already stripped and tick runs coalesced.
 
 2. **A windowed recency stack.**  The histograms are clamped at
    ``cmax + 1`` (every deeper reference lands in the overflow bin),
@@ -30,12 +29,10 @@ The kernel keeps per-event interpreted work to a minimum in two moves:
    ``window[C - 1]``, which prices the per-capacity residency
    integrals of the full tables.
 
-``lru_scan`` raises :class:`~repro.trace.oracle.OracleUnsupported` for
-every trace it cannot price exactly: cold reads, wide values, ``FREE``
-at ``line_size > 1``, accesses outside ``BEGIN``/``END``, and the
-shapes the composite keying cannot represent (negative context ids,
-out-of-range offsets, context ids so large the composite key would
-overflow int64).  Such cells fall back to event replay.
+``lru_scan`` raises :class:`~repro.trace.columnar.OracleUnsupported`
+for every trace it cannot price exactly (see
+:func:`~repro.trace.columnar.attribute`); such cells fall back to event
+replay.
 
 NumPy comes from :func:`repro.trace.columnar._numpy`, the program's
 one import site, which keeps the BLAS pool at one thread so the
@@ -44,28 +41,14 @@ process may still fork.
 
 from bisect import bisect_right
 
-from repro.trace.columnar import _column_view, _numpy
-from repro.trace.events import (
-    OP_BEGIN,
-    OP_END,
-    OP_FREE,
-    OP_READ,
-    OP_SWITCH,
-    OP_TICK,
-    OP_WRITE,
-)
+from repro.trace.columnar import OracleUnsupported, _numpy, attribute
+from repro.trace.events import OP_FREE, OP_READ, OP_TICK, OP_WRITE
 
 _HOLE = -1
 
 # program opcodes (what survives preprocessing); ticks stay
 # interleaved, because the occupancy integrals advance on them
 _P_READ, _P_WRITE, _P_FIRST, _P_FREE, _P_END, _P_TICK = range(6)
-
-
-def _unsupported(msg):
-    from repro.trace.oracle import OracleUnsupported
-
-    raise OracleUnsupported(msg)
 
 
 def _suffix_sums(histogram):
@@ -100,87 +83,30 @@ def _segmented_last_before(group, hit_pos, n):
     return out
 
 
-def _compile(trace, line_size):
+def _compile(trace):
     """Validate + compile ``trace`` into the kernel's integer program.
 
-    Returns ``(program_columns, end_lists, n_reads, n_writes,
-    n_keys, p0_reads, p0_writes, extras)``.  The program interleaves
-    coalesced ``TICK`` events (their value in the key column), and
-    ``extras`` carries ``(key_inst, n_inst, n_begin, n_end,
-    n_switch)``.  Raises ``OracleUnsupported`` for traces outside the
-    oracle's boundary and for those the composite keying cannot
-    represent.
+    Returns ``(program_columns, end_lists, key_inst, n_reads,
+    n_writes, p0_reads, p0_writes, events)``.  The program interleaves
+    coalesced ``TICK`` events (their value in the key column),
+    ``key_inst`` maps each dense register key to its context instance,
+    and ``events`` is the trace's
+    :class:`~repro.trace.columnar.Attribution`.  Raises
+    ``OracleUnsupported`` for traces outside the oracle's boundary.
     """
     np = _numpy()
-    arr = _column_view(trace)
-    if arr is None:
-        _unsupported("trace carries wide values")
-    ops = arr[:, 0]
-    cids = arr[:, 1]
-    offs = arr[:, 2]
+    events = attribute(trace)
+    ops = events.ops
     n = len(ops)
     ctx = trace.context_size
-    L = line_size
-
-    free_mask = ops == OP_FREE
-    if L > 1 and bool(free_mask.any()):
-        _unsupported("FREE ops at line_size > 1 diverge per capacity")
-
-    acc_mask = ops <= OP_WRITE
-    key_mask = acc_mask | free_mask
-    kpos = np.flatnonzero(key_mask)
-    koffs = offs[kpos]
-    if len(kpos) and (int(koffs.min()) < 0 or int(koffs.max()) >= ctx):
-        _unsupported("register offset outside the context")
-
-    # -- instance attribution (composite-key searchsorted) ------------------
-    bg_pos = np.flatnonzero(ops == OP_BEGIN)
-    bg_cids = cids[bg_pos]
-    end_pos = np.flatnonzero(ops == OP_END)
-    end_cids = cids[end_pos]
-    n_inst = len(bg_pos)
-    if len(cids) and int(cids.min()) < 0:
-        _unsupported("negative context id")
-    stride = n + 1
-    max_cid = int(bg_cids.max()) if n_inst else 0
-    if max_cid >= (1 << 62) // stride:
-        _unsupported("context id overflows the composite key")
-    border = np.argsort(bg_cids, kind="stable")
-    bkeys = bg_cids[border] * stride + bg_pos[border]
-
-    def _attribute(q_cids, q_pos, what):
-        g = np.searchsorted(bkeys, q_cids * stride + q_pos) - 1
-        if not len(g):
-            return g
-        if int(g.min()) < 0:
-            _unsupported(f"{what} outside BEGIN/END")
-        inst = border[g]
-        if not bool((bg_cids[inst] == q_cids).all()):
-            _unsupported(f"{what} outside BEGIN/END")
-        return inst
-
-    kinst = _attribute(cids[kpos], kpos, "access")
-    einst = _attribute(end_cids, end_pos, "END")
-    if len(einst) != len(np.unique(einst)):
-        _unsupported("END of unknown context")
-    inst_end = np.full(n_inst if n_inst else 1, n, dtype=np.int64)
-    inst_end[einst] = end_pos
-    if len(kpos) and not bool((kpos < inst_end[kinst]).all()):
-        _unsupported("access outside BEGIN/END")
+    used = events.used
+    end_pos = events.end_pos
+    einst = events.end_inst
 
     # -- per-key event classification (segmented cummax) --------------------
-    nlpc = (ctx - 1) // L + 1
-    if L == 1:
-        raw_keys = kinst * nlpc + koffs
-        slots = np.zeros(len(kpos), dtype=np.int64)
-    else:
-        line_no = koffs // L
-        slots = koffs - line_no * L
-        raw_keys = kinst * nlpc + line_no
-    uniq, dense = (np.unique(raw_keys, return_inverse=True)
-                   if len(kpos) else
-                   (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64)))
+    # dense register keys: ``used`` lists every key in ascending order
+    kpos = events.kpos
+    dense = np.searchsorted(used, events.keys)
     order = np.argsort(dense, kind="stable")  # (key, time) partition
     skey = dense[order]
     spos = kpos[order]
@@ -195,8 +121,9 @@ def _compile(trace, line_size):
         present = prev_w > prev_f
         if bool(((sops == OP_READ) & ~present).any()):
             bad = int(spos[(sops == OP_READ) & ~present].min())
-            _unsupported(
-                f"cold read of ({int(cids[bad])}, {int(offs[bad])})")
+            raise OracleUnsupported(
+                f"cold read of ({int(events.cids[bad])}, "
+                f"{int(events.offs[bad])})")
         ptype = np.where(
             is_f, _P_FREE,
             np.where(is_w, np.where(present, _P_WRITE, _P_FIRST),
@@ -213,23 +140,21 @@ def _compile(trace, line_size):
         live_keys = np.empty(0, dtype=np.int64)
 
     # -- per-instance live-key lists at END ---------------------------------
+    # dense keys ascend with their instance, so each instance's live
+    # keys are one contiguous run
     end_lists = {}
     if len(live_keys) and len(end_pos):
-        live_inst = uniq[live_keys] // nlpc
-        ended = np.zeros(n_inst, dtype=bool)
+        live_inst = used[live_keys] // ctx
+        ended = np.zeros(events.n_inst, dtype=bool)
         ended[einst] = True
         sel = ended[live_inst]
         li = live_inst[sel]
-        lk = live_keys[sel]
-        lorder = np.argsort(li, kind="stable")
-        li = li[lorder]
-        lk = lk[lorder]
+        lk = live_keys[sel].tolist()
         bounds = np.searchsorted(li, einst)
         bounds_hi = np.searchsorted(li, einst, side="right")
-        lk_list = lk.tolist()
         for inst, lo, hi in zip(einst.tolist(), bounds.tolist(),
                                 bounds_hi.tolist()):
-            end_lists[inst] = lk_list[lo:hi]
+            end_lists[inst] = lk[lo:hi]
 
     # -- merge into one time-ordered program --------------------------------
     # the occupancy/residency integrals advance on TICK, so ticks join
@@ -240,24 +165,20 @@ def _compile(trace, line_size):
     ev_type = np.concatenate([
         ptype[kept], np.full(len(end_pos), _P_END, dtype=np.int64),
         np.full(len(tick_pos), _P_TICK, dtype=np.int64)])
-    ev_key = np.concatenate([skey[kept], einst, arr[tick_pos, 3]])
-    ev_slot = np.concatenate([
-        slots[order][kept],
-        np.zeros(len(end_pos) + len(tick_pos), dtype=np.int64)])
+    ev_key = np.concatenate([skey[kept], einst, events.vals[tick_pos]])
     morder = np.argsort(ev_pos, kind="stable")
     mtype = ev_type[morder]
     mkey = ev_key[morder]
-    mslot = ev_slot[morder]
 
     # -- strip depth-0 re-references ----------------------------------------
     # An access whose immediately preceding access (any key) touched
-    # the same key *and slot* sits at stack depth 0 with no hole above
-    # it: the MRU move is the identity, its slot threshold is already
-    # 0, and every histogram contribution lands in bin 0.  Intervening
-    # FREE / END events cannot disturb this (a FREE of the key itself
-    # would reclassify the access as a first touch, and deletions of
-    # other keys punch holes in place without reordering the stack).
-    # They are counted here in bulk and dropped from the walk.
+    # the same key sits at stack depth 0 with no hole above it: the MRU
+    # move is the identity and every histogram contribution lands in
+    # bin 0.  Intervening FREE / END events cannot disturb this (a FREE
+    # of the key itself would reclassify the access as a first touch,
+    # and deletions of other keys punch holes in place without
+    # reordering the stack).  They are counted here in bulk and dropped
+    # from the walk.
     p0_reads = p0_writes = 0
     acc = np.flatnonzero(mtype <= _P_FIRST)
     if len(acc) > 1:
@@ -265,9 +186,6 @@ def _compile(trace, line_size):
         at = mtype[acc]
         rem = np.zeros(len(acc), dtype=bool)
         rem[1:] = (ak[1:] == ak[:-1]) & (at[1:] <= _P_WRITE)
-        if L > 1:
-            asl = mslot[acc]
-            rem[1:] &= asl[1:] == asl[:-1]
         p0_reads = int((at[rem] == _P_READ).sum())
         p0_writes = int(rem.sum()) - p0_reads
         if p0_reads or p0_writes:
@@ -275,7 +193,6 @@ def _compile(trace, line_size):
             keepm[acc[rem]] = False
             mtype = mtype[keepm]
             mkey = mkey[keepm]
-            mslot = mslot[keepm]
 
     # coalesce tick runs (stripping depth-0 accesses above leaves many
     # adjacent): only the run head survives, carrying the sum
@@ -294,47 +211,23 @@ def _compile(trace, line_size):
         keepm[starts] = True
         mtype = mtype[keepm]
         mkey = mkey[keepm]
-        mslot = mslot[keepm]
-    # the SWITCH / END automaton: a switch counts when the current
-    # context changes, and an END of the current context clears it
-    n_switch = 0
-    sw_pos = np.flatnonzero(ops == OP_SWITCH)
-    if len(sw_pos):
-        apos = np.concatenate([sw_pos, end_pos])
-        acid = np.concatenate([cids[sw_pos], end_cids])
-        is_sw = np.zeros(len(apos), dtype=bool)
-        is_sw[:len(sw_pos)] = True
-        aorder = np.argsort(apos, kind="stable")
-        cur = None
-        for sw, c in zip(is_sw[aorder].tolist(),
-                         acid[aorder].tolist()):
-            if sw:
-                if c != cur:
-                    n_switch += 1
-                    cur = c
-            elif cur == c:
-                cur = None
-    key_inst = (uniq // nlpc).tolist() if len(uniq) else []
-    extras = (key_inst, n_inst, n_inst, len(end_pos), n_switch)
 
     n_writes = int(is_w.sum()) if len(order) else 0
     n_reads = int((sops == OP_READ).sum()) if len(order) else 0
-    return ((mtype.tolist(), mkey.tolist(), mslot.tolist()),
-            end_lists, n_reads, n_writes, len(uniq),
-            p0_reads, p0_writes, extras)
+    return ((mtype.tolist(), mkey.tolist()), end_lists,
+            (used // ctx).tolist(), n_reads, n_writes, p0_reads, p0_writes,
+            events)
 
 
-def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
-                      kinst):
-    """Windowed-stack walk for ``line_size == 1``, with the
-    per-capacity residency integrals.
+def _walk(program, end_lists, nk, hists, clamp, caps, per, kinst):
+    """The windowed-stack walk, with the per-capacity residency
+    integrals.
 
-    With one register per line the slot validity threshold is always
-    0 for a present register, so read depth, live-span close and
-    stack depth coincide and no per-key threshold table is needed.
-    ``nh`` counts the holes currently inside the window: while it is
-    zero (the common case) the hole scan and its exception are
-    skipped entirely.  While the stack has never exceeded the window
+    With one register per line, read depth, live-span close and stack
+    depth coincide, so no per-key validity table is needed.  ``nh``
+    counts the holes currently inside the window: while it is zero
+    (the common case) the hole scan and its exception are skipped
+    entirely.  While the stack has never exceeded the window
     (``total <= limit``) the window *is* the whole stack, so every
     present key and every hole is in-window and ``total`` is exact.
 
@@ -346,7 +239,7 @@ def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
     (and its register revalidates in) every file with ``C <= depth``.
     """
     read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
-    ev_type, ev_key, _ = program
+    ev_type, ev_key = program
     window = []
     windex = window.index
     winsert = window.insert
@@ -519,220 +412,22 @@ def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
                     live_hist[d if d < clamp else clamp] += 1
 
 
-def _walk_lines_tables(program, end_lists, nk, L, hists, clamp, caps,
-                       per, kinst):
-    """Windowed-stack walk for ``line_size > 1``, with the
-    per-capacity residency integrals.
-
-    Same stack mechanics as :func:`_walk_flat_tables` plus the
-    per-line slot validity thresholds: a slot is valid in file ``C``
-    iff ``C > max(threshold, line depth)``, thresholds are bumped to
-    the line's depth on every non-zero-depth touch and reset to 0 for
-    the touched slot.  Thresholds are clamped like every other depth,
-    which is exact for all clamped outputs.
-
-    Victims come straight off the window like in
-    :func:`_walk_flat_tables`; their live-register count in file ``C``
-    is the number of slots with validity threshold below ``C``.  A
-    slot revalidates in every file with ``C <= max(threshold, depth)``
-    while the line itself re-enters files with ``C <= depth``.
-    """
-    read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
-    ev_type, ev_key, ev_slot = program
-    window = []
-    windex = window.index
-    winsert = window.insert
-    elget = end_lists.get
-    inv = [None] * nk
-    HOLE = _HOLE
-    limit = clamp + 1
-    total = 0
-    frozen = False
-    nh = 0
-    K = len(caps)
-    line_in = per.line_in
-    line_out = per.line_out
-    add_active = per.add_active
-
-    def evict(eb):
-        for ci in range(bisect_right(caps, eb)):
-            cap = caps[ci]
-            vkey = window[cap - 1]
-            lv = 0
-            for v in inv[vkey]:
-                if v is not None and v < cap:
-                    lv += 1
-            if lv:
-                add_active(ci, -lv)
-            line_out(kinst[vkey], ci)
-
-    for op, k, slot in zip(ev_type, ev_key, ev_slot):
-        if op <= _P_WRITE:  # re-reference of a present line
-            invs = inv[k]
-            try:
-                p = windex(k)
-            except ValueError:
-                p = clamp
-                inwin = False
-            else:
-                inwin = True
-            iv = invs[slot]
-            if op:
-                write_hist[p if p < clamp else clamp] += 1
-                T = None if iv is None else (iv if iv > p else p)
-            else:
-                T = iv if iv > p else p
-                read_hist[T if T < clamp else clamp] += 1
-                fill_hist[p if p < clamp else clamp] += 1
-            if iv is not None:
-                M = iv if iv > p else p
-                if M > 0:
-                    live_hist[M if M < clamp else clamp] += 1
-            inst = kinst[k]
-            if inwin:
-                if nh:
-                    try:
-                        h = windex(HOLE, 0, p)
-                    except ValueError:
-                        h = -1
-                else:
-                    h = -1
-                evict(h if h >= 0 else p)
-                for ci in range(bisect_right(caps, p)):
-                    line_in(inst, ci)
-                upto = K if T is None else bisect_right(caps, T)
-                for ci in range(upto):
-                    add_active(ci, 1)
-                if h >= 0:
-                    evict_hist[h] += 1
-                    del window[h]
-                    window[p - 1] = HOLE
-                else:
-                    evict_hist[p if p < clamp else clamp] += 1
-                    if p:
-                        del window[p]
-                if p or h >= 0:
-                    winsert(0, k)
-            else:
-                if nh:
-                    h = windex(HOLE)
-                    evict(h)
-                else:
-                    h = -1
-                    evict(clamp)
-                for ci in range(K):
-                    line_in(inst, ci)
-                    add_active(ci, 1)
-                if h >= 0:
-                    evict_hist[h] += 1
-                    del window[h]
-                    nh -= 1
-                    winsert(0, k)
-                else:
-                    evict_hist[clamp] += 1
-                    winsert(0, k)
-                    if len(window) > limit:
-                        del window[limit:]
-            if p > 0:
-                for s in range(L):
-                    v = invs[s]
-                    if v is not None and v < p:
-                        invs[s] = p
-            invs[slot] = 0
-        elif op == _P_FIRST:
-            write_hist[clamp] += 1
-            if nh:
-                h = windex(HOLE)
-                eb = h
-            elif frozen:
-                h = -1
-                eb = clamp
-            else:
-                h = -1
-                eb = total
-            evict(eb)
-            inst = kinst[k]
-            for ci in range(K):
-                line_in(inst, ci)
-                add_active(ci, 1)
-            if h >= 0:
-                evict_hist[h] += 1
-                del window[h]
-                nh -= 1
-            elif frozen:
-                evict_hist[clamp] += 1
-            else:
-                evict_hist[total if total < clamp else clamp] += 1
-                total += 1
-                if total > limit:
-                    frozen = True
-            winsert(0, k)
-            if len(window) > limit:
-                del window[limit:]
-            invs = [None] * L
-            invs[slot] = 0
-            inv[k] = invs
-        elif op == _P_END:  # FREE raises at L > 1 during compilation
-            for dk in elget(k, ()):
-                try:
-                    d = windex(dk)
-                except ValueError:
-                    d = clamp
-                else:
-                    window[d] = HOLE
-                    nh += 1
-                for v in inv[dk]:
-                    if v is None:
-                        continue
-                    M = v if v > d else d
-                    if M > 0:
-                        live_hist[M if M < clamp else clamp] += 1
-                    for ci in range(bisect_right(caps, M), K):
-                        add_active(ci, -1)
-                for ci in range(bisect_right(caps, d), K):
-                    line_out(k, ci)
-                inv[dk] = None
-            per.end(k)
-        else:  # TICK: value travels in the key column
-            per.tick(k)
-
-    if nk:
-        at = {}
-        for i, k in enumerate(window):
-            if k != HOLE:
-                at[k] = i
-        get = at.get
-        for k in range(nk):
-            invs = inv[k]
-            if invs is None:
-                continue
-            d = get(k, clamp)
-            for v in invs:
-                if v is None:
-                    continue
-                M = v if v > d else d
-                if M > 0:
-                    live_hist[M if M < clamp else clamp] += 1
-
-
-def lru_scan(trace, capacities, word_bytes, line_size):
+def lru_scan(trace, capacities, word_bytes):
     """Windowed-stack LRU pass over ``trace``: ``(shared, percap)``.
 
     ``shared`` holds the capacity-independent counters (accesses, ticks,
-    context lifecycle); ``percap`` maps each capacity in lines to its
-    hit, miss, spill and reload counts, occupancy and residency
+    context lifecycle); ``percap`` maps each capacity in registers to
+    its hit, miss, spill and reload counts, occupancy and residency
     integrals and tick maxima, which
     :func:`repro.trace.oracle.capacity_tables` assembles into full
     snapshot tables.
     """
-    from repro.trace.oracle import _PerCap, _check_trace
+    from repro.trace.oracle import _PerCap, _grid
 
-    _, caps = _check_trace(trace, capacities)
-    (program, end_lists, n_reads, n_writes, nk,
-     p0_reads, p0_writes, extras) = _compile(trace, line_size)
-    key_inst, n_inst, n_begin, n_end, n_switch = extras
+    caps = _grid(capacities)
+    (program, end_lists, key_inst, n_reads, n_writes,
+     p0_reads, p0_writes, events) = _compile(trace)
 
-    L = line_size
     cmax = caps[-1]
     clamp = cmax + 1
     read_hist = [0] * (clamp + 1)
@@ -748,13 +443,9 @@ def lru_scan(trace, capacities, word_bytes, line_size):
     # BEGIN only seeds the per-instance residency vector, so all
     # instances can be registered up front
     K = len(caps)
-    per.inst_lines = {i: [0] * K for i in range(n_inst)}
-    if L == 1:
-        _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
-                          key_inst)
-    else:
-        _walk_lines_tables(program, end_lists, nk, L, hists, clamp, caps,
-                           per, key_inst)
+    per.inst_lines = {i: [0] * K for i in range(events.n_inst)}
+    _walk(program, end_lists, len(key_inst), hists, clamp, caps, per,
+          key_inst)
     per.finalize()
 
     rm = _suffix_sums(read_hist)
@@ -764,8 +455,9 @@ def lru_scan(trace, capacities, word_bytes, line_size):
     lvs = _suffix_sums(live_hist)
     shared = {
         "reads": n_reads, "writes": n_writes, "instructions": per.gt,
-        "contexts_created": n_begin, "contexts_ended": n_end,
-        "context_switches": n_switch,
+        "contexts_created": events.n_inst,
+        "contexts_ended": len(events.end_pos),
+        "context_switches": events.context_switches,
     }
     percap = {}
     for ci, cap in enumerate(caps):

@@ -92,8 +92,12 @@ class _HomeMadeCodec(RawCodec):
 #: model -> (memo, travels, fresh, table family, closed form, reason)
 VERDICTS = {
     "nsf": (_nsf, True, True, True, ("nsf", 1, "lru", 4), True, None),
+    "nsf-fifo": (lambda: _nsf(policy="fifo"), True, True, True, None,
+                 False, "config policy='fifo'"),
+    "nsf-line2": (lambda: _nsf(line_size=2), True, True, True, None, False,
+                  "config line_size=2"),
     "nsf-fifo-line2": (lambda: _nsf(policy="fifo", line_size=2), True,
-                       True, True, ("nsf", 2, "fifo", 4), False, None),
+                       True, True, None, False, "config line_size=2"),
     "nsf-seeded-strict-off-moves": (
         lambda: _nsf(policy_seed=5, strict=False, track_moves=True), True,
         True, True, ("nsf", 1, "lru", 4), True, None),
@@ -103,7 +107,7 @@ VERDICTS = {
                    False, "config policy='random'"),
     "nsf-line-scope": (lambda: _nsf(line_size=2, reload_scope="line"),
                        True, True, True, None, False,
-                       "config reload_scope='line'"),
+                       "config line_size=2"),
     "nsf-fetch-on-write": (lambda: _nsf(fetch_on_write=True), True, True,
                            True, None, False, "config fetch_on_write=True"),
     "nsf-watermark": (lambda: _nsf(spill_watermark=2), True, True, True,
@@ -111,7 +115,7 @@ VERDICTS = {
     "seg-frame": (_seg, True, True, True, ("seg", "frame", "lru", 4),
                   False, None),
     "seg-live-fifo": (lambda: _seg(spill_mode="live", policy="fifo"), True,
-                      True, True, ("seg", "live", "fifo", 4), False, None),
+                      True, True, None, False, "config policy='fifo'"),
     "seg-nmru": (lambda: _seg(policy="nmru"), True, True, True, None,
                  False, "config policy='nmru'"),
     "conventional": (lambda: ConventionalRegisterFile(CTX), True, True,
@@ -150,7 +154,7 @@ def test_each_shortcut_admits_what_the_rule_names(kind):
             verdict.closed_form, verdict.reason) == (
                 memo, travels, fresh, family, closed, reason)
     if family is not None:
-        unit = 2 if family[1] == 2 else CTX if family[0] == "seg" else 1
+        unit = CTX if family[0] == "seg" else 1
         assert (verdict.unit, verdict.units) == (unit, BUDGET // unit)
 
 
@@ -220,3 +224,34 @@ def test_a_trace_of_another_context_size_is_replayed(build, ctx):
     assert admit(model).family is not None
     assert not oracle.serve_from_tables(trace, model, (4 * ctx,))
     assert model.stats.snapshot() == build(4 * ctx, ctx).stats.snapshot()
+
+
+#: the designs the tables refuse by their config, whatever the trace:
+#: FIFO victims and lines of more than one register
+REFUSED = ("nsf-fifo", "nsf-line2", "nsf-fifo-line2", "nsf-line-scope",
+           "seg-live-fifo")
+
+
+@pytest.mark.parametrize("kind", REFUSED)
+def test_a_refused_design_is_replayed_once_and_never_scanned(kind,
+                                                             monkeypatch):
+    """Under the oracle engine, inside a plan, a design the tables refuse
+    makes no scan and takes the memoized event replay once, with event
+    replay's numbers."""
+    trace = _churn()
+    build = VERDICTS[kind][0]
+    replays, scans = [], []
+    fallback = common.replay_oracle
+    monkeypatch.setattr(common, "replay_oracle",
+                        lambda *args: replays.append(1) or fallback(*args))
+    scan = oracle._family_tables
+    monkeypatch.setattr(oracle, "_family_tables",
+                        lambda *args: scans.append(1) or scan(*args))
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    model = build()
+    with common.capacity_plan((BUDGET // 2, BUDGET)):
+        common._replay(trace, model)
+    assert (replays, scans) == ([1], [])
+    twin = replay(trace, build(), verify=False)
+    assert twin.stats.registers_spilled > 0
+    assert model.stats.snapshot() == twin.stats.snapshot()

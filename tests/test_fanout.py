@@ -739,7 +739,8 @@ def test_numpy_loads_with_a_single_threaded_blas_pool():
 
 def test_a_line_scan_as_first_numpy_use_keeps_one_thread():
     """The LRU kernel takes NumPy from the one import site: a process
-    whose first NumPy use is a line-size-2 table scan may still fork."""
+    whose first NumPy use is a table scan below the trace's peak may
+    still fork."""
     tasks, reason, openblas, omp = _first_load("""
         from repro.trace import oracle
         from repro.trace.events import OP_BEGIN, OP_READ, OP_WRITE, Trace
@@ -748,7 +749,7 @@ def test_a_line_scan_as_first_numpy_use_keeps_one_thread():
         for offset in range(4):
             trace.append(OP_WRITE, 1, offset, offset)
         trace.append(OP_READ, 1, 0, 0)
-        oracle.capacity_tables(trace, [1, 2], line_size=2)
+        oracle.capacity_tables(trace, [1, 2])
     """)
     assert (tasks, reason) == (1, None)
     assert (openblas, omp) == ("1", "1")

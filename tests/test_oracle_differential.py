@@ -8,18 +8,19 @@ Three rings of evidence:
   sweeps replay, :func:`capacity_tables` and :func:`segmented_tables`
   must reproduce every statistic of an event-exact replay at every
   capacity on a grid straddling the trace's peak demand — including
-  the sub-peak region where real evictions happen — across line sizes,
-  policies and spill modes.
+  the sub-peak region where real evictions happen — for one-register
+  NSF lines and both segmented spill modes, all with LRU victims.
 * **Sweep parity.** A sweep run under the oracle engine (closed form
   and tables inside a :func:`~repro.evalx.common.capacity_plan`, event
   replay for every cell they do not serve) returns byte-identical
   stats snapshots to :func:`repro.trace.replay.sweep`, including
-  configurations (NMRU) and trace shapes (negative or huge context
-  ids, out-of-range offsets) only event replay serves.
+  configurations (FIFO, NMRU, wider lines) and trace shapes
+  (negative or huge context ids, out-of-range offsets) only event
+  replay serves.
 * **Random traces.** Hypothesis generates arbitrary BEGIN / END /
   read / write / FREE interleavings, and the tables must match replay
-  at every tiny capacity under LRU and FIFO at line sizes 1 and 2,
-  plus hold the Mattson monotonicity invariant under LRU.
+  at every tiny capacity and hold the Mattson monotonicity invariant;
+  oracle-engine sweeps of any design must match event sweeps.
 """
 
 from unittest import mock
@@ -27,7 +28,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NamedStateRegisterFile
+from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.errors import RegisterRangeError
 from repro.evalx import common
 from repro.evalx.common import make_nsf
@@ -76,11 +77,19 @@ def _capacity_grid(trace):
     return sorted(c for c in grid if c >= 1)
 
 
-def _nsf(trace, lines, line_size=1, **kw):
-    """A fresh NSF of ``lines`` lines for ``trace``'s contexts."""
+def _nsf(trace, lines, **kw):
+    """A fresh NSF of ``lines`` one-register lines for ``trace``'s
+    contexts."""
     return NamedStateRegisterFile(
-        num_registers=lines * line_size, context_size=trace.context_size,
-        line_size=line_size, **kw)
+        num_registers=lines, context_size=trace.context_size, **kw)
+
+
+def _seg(trace, frames, **kw):
+    """A fresh segmented file of ``frames`` frames for ``trace``'s
+    contexts."""
+    ctx = trace.context_size
+    return SegmentedRegisterFile(num_registers=frames * ctx,
+                                 context_size=ctx, **kw)
 
 
 def _snapshot(model):
@@ -88,8 +97,8 @@ def _snapshot(model):
             model.backing.words_loaded)
 
 
-def _event_model(trace, lines, line_size=1, **kw):
-    model = _nsf(trace, lines, line_size, **kw)
+def _event_model(trace, lines, **kw):
+    model = _nsf(trace, lines, **kw)
     replay(trace, model, verify=False)
     return model
 
@@ -99,15 +108,13 @@ def _tabled(patch, model):
     return _snapshot(oracle.apply_table(patch, model))
 
 
-def _assert_tables_match_replay(trace, grid, line_size=1, policy="lru"):
-    tables = oracle.capacity_tables(trace, grid, line_size=line_size,
-                                    policy=policy)
+def _assert_tables_match_replay(trace, grid):
+    tables = oracle.capacity_tables(trace, grid)
     assert sorted(tables) == sorted(set(grid))
     for cap in grid:
-        want = _snapshot(_event_model(trace, cap, line_size, policy=policy))
-        got = _tabled(tables[cap], _nsf(trace, cap, line_size,
-                                        policy=policy))
-        assert got == want, f"L={line_size} {policy} cap={cap}"
+        want = _snapshot(_event_model(trace, cap))
+        got = _tabled(tables[cap], _nsf(trace, cap))
+        assert got == want, f"cap={cap}"
 
 
 def _oracle_sweep(trace, factory, configurations):
@@ -129,97 +136,61 @@ def test_curves_match_event_replay_on_golden_workloads(recorded):
     _assert_tables_match_replay(trace, _capacity_grid(trace))
 
 
-def test_curves_match_event_replay_across_line_sizes_and_policies(
-        recorded):
-    """The design-space scan: line sizes x policies on every golden.
-
-    Capacities are in *lines*; the grid straddles the trace's peak so
-    sub-peak evictions, partial-line write allocates and line-granular
-    valid masks are all exercised.
-    """
-    _, trace = recorded
-    base = _capacity_grid(trace)
-    for line_size in (1, 2, 4):
-        grid = sorted({max(1, c // line_size) for c in base} | {1, 3})
-        for policy in ("lru", "fifo"):
-            _assert_tables_match_replay(trace, grid, line_size, policy)
-
-
 def test_tables_match_event_snapshots_on_golden_workloads(recorded):
-    """Full-snapshot parity: every stats field, not just the curve."""
+    """Full-snapshot parity deep below the peak, where most accesses
+    miss: every stats field, not just the curve."""
+    _, trace = recorded
+    grid = sorted({max(1, c // 2) for c in _capacity_grid(trace)})
+    tables = oracle.capacity_tables(trace, grid)
+    for cap in grid:
+        model = _event_model(trace, cap)
+        synth = oracle.apply_table(tables[cap], _nsf(trace, cap))
+        assert synth.stats.snapshot() == model.stats.snapshot(), (
+            f"cap={cap}")
+        assert synth.backing.words_stored == model.backing.words_stored
+        assert synth.backing.words_loaded == model.backing.words_loaded
+
+
+def test_segmented_tables_match_event_replay(recorded):
+    """The segmented-frame oracle in both spill modes."""
     _, trace = recorded
     ctx = trace.context_size
-    grid = sorted({max(1, c // 2) for c in _capacity_grid(trace)})
-    for policy in ("lru", "fifo"):
-        tables = oracle.capacity_tables(trace, grid, line_size=2,
-                                        policy=policy)
-        for cap in grid:
-            model = NamedStateRegisterFile(
-                num_registers=cap * 2, context_size=ctx,
-                line_size=2, policy=policy)
+    frames = [1, 2, 4, 8]
+    for spill_mode in ("frame", "live"):
+        tables = oracle.segmented_tables(trace, frames,
+                                         spill_mode=spill_mode)
+        for nf in frames:
+            model = _seg(trace, nf, spill_mode=spill_mode)
             replay(trace, model, verify=False)
-            synth = NamedStateRegisterFile(
-                num_registers=cap * 2, context_size=ctx,
-                line_size=2, policy=policy)
-            oracle.apply_table(tables[cap], synth)
+            synth = _seg(trace, nf, spill_mode=spill_mode)
+            oracle.apply_table(tables[nf], synth)
             assert synth.stats.snapshot() == model.stats.snapshot(), (
-                f"{policy} cap={cap}")
+                f"{spill_mode} frames={nf}")
             assert synth.backing.words_stored == \
                 model.backing.words_stored
             assert synth.backing.words_loaded == \
                 model.backing.words_loaded
 
 
-def test_segmented_tables_match_event_replay(recorded):
-    """The segmented-frame oracle across spill modes and policies."""
-    from repro.core import SegmentedRegisterFile
-
-    _, trace = recorded
-    ctx = trace.context_size
-    frames = [1, 2, 4, 8]
-    for spill_mode in ("frame", "live"):
-        for policy in ("lru", "fifo"):
-            tables = oracle.segmented_tables(
-                trace, frames, spill_mode=spill_mode, policy=policy)
-            for nf in frames:
-                model = SegmentedRegisterFile(
-                    num_registers=nf * ctx, context_size=ctx,
-                    spill_mode=spill_mode, policy=policy)
-                replay(trace, model, verify=False)
-                synth = SegmentedRegisterFile(
-                    num_registers=nf * ctx, context_size=ctx,
-                    spill_mode=spill_mode, policy=policy)
-                oracle.apply_table(tables[nf], synth)
-                assert synth.stats.snapshot() == \
-                    model.stats.snapshot(), (
-                        f"{spill_mode} {policy} frames={nf}")
-                assert synth.backing.words_stored == \
-                    model.backing.words_stored
-                assert synth.backing.words_loaded == \
-                    model.backing.words_loaded
-
-
 def test_vector_kernel_matches_scalar_walk(recorded):
     """The NumPy windowed-stack kernel prices every capacity exactly as
-    the scalar event walk (``replay``) counts it, at line sizes 1, 2
-    and 4 on one grid of capacities in lines."""
+    the scalar event walk (``replay``) counts it, field by field, on
+    one grid of capacities."""
     from repro.trace import vector
 
     _, trace = recorded
     grid = _capacity_grid(trace)
-    for line_size in (1, 2, 4):
-        shared, percap = vector.lru_scan(trace, grid, 4, line_size)
-        for cap in grid:
-            model = _event_model(trace, cap, line_size)
-            stats = model.stats
-            for field, value in shared.items():
-                assert value == getattr(stats, field), (
-                    f"L={line_size} cap={cap}: {field}")
-            for field, value in percap[cap].items():
-                want = (getattr(model.backing, field)
-                        if field.startswith("words_")
-                        else getattr(stats, field))
-                assert value == want, f"L={line_size} cap={cap}: {field}"
+    shared, percap = vector.lru_scan(trace, grid, 4)
+    for cap in grid:
+        model = _event_model(trace, cap)
+        stats = model.stats
+        for field, value in shared.items():
+            assert value == getattr(stats, field), f"cap={cap}: {field}"
+        for field, value in percap[cap].items():
+            want = (getattr(model.backing, field)
+                    if field.startswith("words_")
+                    else getattr(stats, field))
+            assert value == want, f"cap={cap}: {field}"
 
 
 def test_curves_cost_one_pass_regardless_of_grid(recorded):
@@ -276,11 +247,13 @@ def test_unsupported_traces_raise():
     freed = Trace(context_size=4)
     freed.append(OP_BEGIN, 1)
     freed.append(OP_WRITE, 1, 0, 7)
-    freed.append(OP_FREE, 1, 0)  # line-granular FREE diverges per file
-    with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_tables(freed, [4], line_size=2)
-    # ... but at line_size 1 a FREE is an exact deletion
+    freed.append(OP_FREE, 1, 0)  # a FREE is an exact deletion
     assert oracle.capacity_tables(freed, [4])[4]["write_misses"] == 1
+
+    # only the families admit() grants have a scan
+    for family in (("nsf", 2, "lru", 4), ("nsf", 1, "fifo", 4),
+                   ("seg", "live", "fifo", 4)):
+        assert oracle.scan_tables(freed, family, [4]) is None
 
 
 def _two_contexts(cid, offset):
@@ -312,24 +285,26 @@ def _outcome(drive, model):
                                    "cid-overflows-composite-key"])
 def test_unkeyable_traces_fall_back_to_event_replay(shape):
     """The shapes the kernel's composite keying cannot represent are
-    refused by the scan, and under the oracle engine their cells replay
-    exactly as the event engine does."""
+    refused by every scan, and under the oracle engine their cells
+    replay exactly as the event engine does, on either file."""
     trace = {
         "negative-cid": lambda: _two_contexts(-5, 1),
         "offset-out-of-range": lambda: _two_contexts(1, 5),
         "cid-overflows-composite-key": lambda: _two_contexts(1 << 60, 1),
     }[shape]()
-    for family in (("nsf", 1, "lru", 4), ("nsf", 2, "lru", 4)):
+    for family in (("nsf", 1, "lru", 4), ("seg", "frame", "lru", 4)):
         assert oracle.scan_tables(trace, family, [1, 2]) is None
-    for lines in (2, 4):
-        def oracle_cell(model):
-            _oracle_sweep(trace, lambda: model, [{}])
 
+    def oracle_cell(model):
+        _oracle_sweep(trace, lambda: model, [{}])
+
+    for build in (lambda: _nsf(trace, 2), lambda: _nsf(trace, 4),
+                  lambda: _seg(trace, 1), lambda: _seg(trace, 2)):
         want = _outcome(lambda model: replay(trace, model, verify=False),
-                        _nsf(trace, lines))
-        assert _outcome(oracle_cell, _nsf(trace, lines)) == want
-    if shape == "offset-out-of-range":
-        assert want is RegisterRangeError
+                        build())
+        assert _outcome(oracle_cell, build()) == want
+        if shape == "offset-out-of-range":
+            assert want is RegisterRangeError
 
 
 # -- hypothesis: random traces -------------------------------------------
@@ -390,23 +365,16 @@ def _without_frees(trace):
 
 
 @settings(max_examples=80, deadline=None)
-@given(random_traces(), st.sampled_from((1, 2)),
-       st.sampled_from(("lru", "fifo")))
-def test_curves_match_replay_on_random_traces(trace, line_size, policy):
-    if line_size > 1:
-        trace = _without_frees(trace)  # FREE needs line_size 1
-    _assert_tables_match_replay(trace, list(range(1, 10)), line_size,
-                                policy)
+@given(random_traces())
+def test_curves_match_replay_on_random_traces(trace):
+    _assert_tables_match_replay(trace, list(range(1, 10)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(random_traces(), st.sampled_from((1, 2)))
-def test_curves_are_monotone_in_capacity(trace, line_size):
-    if line_size > 1:
-        trace = _without_frees(trace)
+@given(random_traces())
+def test_curves_are_monotone_in_capacity(trace):
     capacities = list(range(1, 12))
-    tables = oracle.capacity_tables(trace, capacities,
-                                    line_size=line_size)
+    tables = oracle.capacity_tables(trace, capacities)
     for small, big in zip(capacities, capacities[1:]):
         for field in ("read_misses", "write_misses",
                       "registers_spilled", "registers_reloaded"):
@@ -418,8 +386,8 @@ def test_curves_are_monotone_in_capacity(trace, line_size):
        st.sampled_from(("lru", "fifo")))
 def test_oracle_sweep_matches_replay_on_random_traces(trace, line_size,
                                                       policy):
-    if line_size > 1:
-        trace = _without_frees(trace)
+    """Every design, served or replayed: the tables price line size 1
+    with LRU, and event replay every other cell."""
 
     def factory(num_registers):
         return NamedStateRegisterFile(

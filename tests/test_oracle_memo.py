@@ -70,9 +70,8 @@ class ScanLog:
                 for label, digest, families, caps in self.log.records()]
 
 
-def _nsf(budget, policy="lru"):
-    return NamedStateRegisterFile(num_registers=budget, context_size=CTX,
-                                  line_size=1, policy=policy)
+def _nsf(budget):
+    return NamedStateRegisterFile(num_registers=budget, context_size=CTX)
 
 
 def _snapshot(model):
@@ -221,11 +220,7 @@ def test_capacities_at_or_above_peak_are_never_scanned(monkeypatch,
 
 # -- hypothesis: random traces ------------------------------------------------
 
-FAMILIES = [
-    ("nsf", 1, "lru", 4), ("nsf", 1, "fifo", 4),
-    ("nsf", 2, "lru", 4), ("nsf", 2, "fifo", 4),
-    ("seg", "frame", "lru", 4), ("seg", "frame", "fifo", 4),
-]
+FAMILIES = [("nsf", 1, "lru", 4), ("seg", "frame", "lru", 4)]
 
 capacity_sets = st.sets(st.integers(1, 10), max_size=5)
 
@@ -235,8 +230,6 @@ capacity_sets = st.sets(st.integers(1, 10), max_size=5)
        capacity_sets, capacity_sets)
 def test_patch_does_not_depend_on_the_grid(trace, family, cap, extra_a,
                                            extra_b):
-    if family[0] == "nsf" and family[1] > 1:
-        trace = _without_frees(trace)  # FREE needs line_size 1
     grid_a = sorted(extra_a | {cap})
     grid_b = sorted(extra_b | {cap})
     tables_a = oracle._family_tables(trace, family, grid_a)
@@ -248,15 +241,12 @@ def test_patch_does_not_depend_on_the_grid(trace, family, cap, extra_a,
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_traces().map(_without_frees), st.integers(0, 3),
-       st.sampled_from(("lru", "fifo")))
-def test_closed_form_equals_table_patch_at_or_above_peak(trace, headroom,
-                                                         policy):
+@given(random_traces().map(_without_frees), st.integers(0, 3))
+def test_closed_form_equals_table_patch_at_or_above_peak(trace, headroom):
     analysis = columnar._analyze_uncached(trace)
     cap = max(1, analysis.peak_lines) + headroom
-    closed = _nsf(cap, policy)
+    closed = _nsf(cap)
     assert columnar.apply_stats(analysis, closed)
-    tabled = _nsf(cap, policy)
-    oracle.apply_table(
-        oracle.capacity_tables(trace, [cap], policy=policy)[cap], tabled)
+    tabled = _nsf(cap)
+    oracle.apply_table(oracle.capacity_tables(trace, [cap])[cap], tabled)
     assert _snapshot(closed) == _snapshot(tabled)

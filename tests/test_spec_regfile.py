@@ -20,8 +20,6 @@ raised error types and the whole ``stats.snapshot()`` agree.
   tables; whenever it serves, its stats equal the spec's.
 """
 
-import inspect
-
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -76,25 +74,6 @@ DESIGNS = ([("nsf", config) for config in NSF_CONFIGS]
            + [("conventional", {})])
 
 
-def fetches_lines_on_read(design):
-    """FOUND in CHANGES.md: under ``reload_scope="register"`` an NSF
-    with ``fetch_on_write=True`` reloads a whole line on a read miss
-    (``NamedStateRegisterFile._fill_line``).  Fetch-on-write names write
-    misses (§4.2), and register scope reloads the missing register
-    only, as the spec does: the machine leaves these designs out, and
-    :func:`test_read_miss_under_fetch_on_write_reloads_one_register`
-    keeps the smallest failing sequence."""
-    kind, config = design
-    return (kind == "nsf" and config["line_size"] > 1
-            and config["reload_scope"] == "register"
-            and config["fetch_on_write"])
-
-
-#: the designs the machine checks
-MACHINE_DESIGNS = [design for design in DESIGNS
-                   if not fetches_lines_on_read(design)]
-
-
 def build(design, capacity, ctx):
     """``(production model, spec)`` of one design, both new."""
     kind, config = design
@@ -114,12 +93,8 @@ def design_id(design):
 
 def restored(model):
     """``type(model)(**config)`` restored from ``model.capture()``, its
-    spill path rebuilt first.  (``ConventionalRegisterFile`` declares a
-    ``policy_seed`` its constructor does not take.)"""
-    accepted = inspect.signature(type(model)).parameters
-    twin = type(model)(**{key: value
-                          for key, value in model._config().items()
-                          if key in accepted})
+    spill path rebuilt first."""
+    twin = type(model)(**model._config())
     port = getattr(model.backing, "port", None)
     if port is not None:
         compress_spills(twin, codec=port.codec.name,
@@ -310,7 +285,7 @@ class RegisterFileMachine(RuleBasedStateMachine):
         if not getattr(self, "done", None):
             return
         trace = self.trace()
-        for design in MACHINE_DESIGNS:
+        for design in DESIGNS:
             model, spec = build(design, self.capacity, self.ctx)
             if admit(model).family is None:
                 continue
@@ -321,8 +296,7 @@ class RegisterFileMachine(RuleBasedStateMachine):
                     design_id(design)
 
 
-@pytest.mark.parametrize("design", MACHINE_DESIGNS,
-                         ids=map(design_id, MACHINE_DESIGNS))
+@pytest.mark.parametrize("design", DESIGNS, ids=map(design_id, DESIGNS))
 def test_models_follow_the_spec(design):
     machine = type("Machine", (RegisterFileMachine,), {"design": design})
     run_state_machine_as_test(machine, settings=settings(
@@ -330,13 +304,12 @@ def test_models_follow_the_spec(design):
         database=None))
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND: a register-scope read "
-                   "miss reloads a whole line under fetch_on_write")
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
 def test_read_miss_under_fetch_on_write_reloads_one_register(policy):
+    """Fetch-on-write names write misses (§4.2): under register scope a
+    read miss reloads the missing register only, not its line."""
     design = ("nsf", dict(line_size=2, policy=policy,
                           reload_scope="register", fetch_on_write=True))
-    assert fetches_lines_on_read(design)
     model, spec = build(design, 2, 2)  # one line: a context each
     for op, args in [("begin", (0,)), ("begin", (1,)),
                      ("write", (0, 5, 0)), ("write", (0, 6, 1)),
@@ -344,3 +317,29 @@ def test_read_miss_under_fetch_on_write_reloads_one_register(policy):
         assert (outcome(drive_model, model, op, args)
                 == outcome(drive_spec, spec, op, args))
     assert model.stats.snapshot() == spec.stats.snapshot()
+
+
+#: one seeded model of each exact class
+EXACT = {
+    "nsf": lambda: NamedStateRegisterFile(6, 2, line_size=2, policy="nmru",
+                                          policy_seed=3),
+    "seg": lambda: SegmentedRegisterFile(6, 2, spill_mode="live",
+                                         policy="random", policy_seed=5),
+    "conventional": lambda: ConventionalRegisterFile(2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT))
+def test_a_twin_built_from_the_config_restores_the_capture(kind):
+    """Each exact class's ``_config()`` names exactly its constructor's
+    parameters: a twin built from it restores the model's capture."""
+    model = EXACT[kind]()
+    for cid in (0, 1, 2, 3):
+        model.begin_context(cid)
+        model.switch_to(cid)
+        model.write(1, cid)
+    model.read(1, cid=0)
+    twin = type(model)(**model._config())
+    assert twin._config() == model._config()
+    twin.restore(model.capture())
+    assert twin.capture() == model.capture()
