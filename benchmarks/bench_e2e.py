@@ -10,9 +10,14 @@ event engine's.  Three kinds of pass, interleaved, min-of-3 each:
   once, and the figures that revisit cells (fig10, fig12, most of
   fig14) are served from the memo;
 * ``event_cold``  — the same, but the memo cleared before every
-  figure, so each figure replays all of its own cells;
+  figure, so each figure replays all of its own shared-trace cells;
 * ``oracle``      — ``REPRO_REPLAY_ENGINE=oracle`` with the oracle's
   table and analysis memos and the result memo cleared per pass.
+
+In every pass kind a Gamteb cell restores the end state its cache
+entry holds, as it does in a user's warm run; it is neither replayed
+nor served by the oracle, so the ratios compare the engines on the
+shared-trace cells.
 
 Two same-box ratios are gated on hard floors:
 

@@ -19,6 +19,11 @@ are identical to direct execution by construction (pinned by
 ``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLIs)
 to force direct execution.
 
+A timing-sensitive workload's cache entry (Gamteb's) memoizes the
+whole execution: a fresh model of the recording model's configuration
+``restore()``s the end state stored beside the trace and replays
+nothing, under either engine.
+
 Each distinct (trace content, model start state) pair is replayed at
 most once per process: the figures read different statistics off the
 same cells, and every repeat gets the first replay's complete end state
@@ -56,7 +61,6 @@ from repro.ioutil import (
 from repro.trace import cache as trace_cache, lru
 from repro.trace.admit import admit
 from repro.trace.columnar import selected_engine
-from repro.trace.events import Trace
 from repro.trace.oracle import (
     closed_form,
     merge_tables,
@@ -114,9 +118,9 @@ def capacity_plan(register_budgets):
     the whole process, and one stack-distance scan per (trace, design
     family) covers every announced capacity the table still lacks, so
     each further capacity point costs an O(1) table application.  A
-    per-model trace (``trace_stable=False``) only ever meets one model
-    configuration, so it is scanned at that cell's capacity alone.
-    Cells outside the oracle's exactness boundary (FIFO or NMRU
+    per-model trace (``trace_stable=False``) reaches the oracle only for
+    a model that cannot restore its entry's end state, which the tables
+    refuse.  Cells outside the oracle's exactness boundary (FIFO or NMRU
     victims, lines of more than one register, line-scope reloads,
     wide-value traces) transparently fall back to the memoized event
     replay, and the ``event`` engine ignores the plan
@@ -149,17 +153,18 @@ def _model_key(model, verdict):
     """The model's part of a memo key, or ``None`` for a model the memo
     does not admit (:func:`~repro.trace.admit.admit`).
 
-    A fresh model is exactly what its constructor built, so its
-    configuration names its whole state without a capture; the config
-    carries the policy seed, and so every RNG state.  Any other model
-    is named by a 16-byte blake2b of its whole ``capture()``; equal
-    bytes mean equal captures, and an equal capture encoded differently
-    only misses.
+    A fresh model is exactly what its constructor built, so its class
+    and configuration (:func:`~repro.trace.cache.end_key`, the key a
+    model-keyed cache entry stores) name its whole state without a
+    capture; the config carries the policy seed, and so every RNG
+    state.  Any other model is named by a 16-byte blake2b of its whole
+    ``capture()``; equal bytes mean equal captures, and an equal
+    capture encoded differently only misses.
     """
     if not verdict.memo:
         return None
     if verdict.fresh:
-        return type(model), tuple(verdict.config.items())
+        return trace_cache.end_key(model, verdict)
     return type(model), hashlib.blake2b(marshal.dumps(model.capture()),
                                         digest_size=16).digest()
 
@@ -208,7 +213,7 @@ def _replay_event(trace, model):
 replay_oracle = _replay_event
 
 
-def _replay(trace, model, shared=True):
+def _replay(trace, model):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop behind the
@@ -216,43 +221,50 @@ def _replay(trace, model, shared=True):
     inside a :func:`capacity_plan` block is served by
     :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
     above the trace's peak demand by the closed form, below it from the
-    shared design-space tables; a trace that is not ``shared`` across
-    model configurations is scanned at the model's own capacity, not
-    the plan's.  Every other cell goes to :func:`replay_oracle`, the
-    memoized event replay, so both engines leave byte-identical
-    statistics by construction.
+    shared design-space tables.  Every other cell goes to
+    :func:`replay_oracle`, the memoized event replay, so both engines
+    leave byte-identical statistics by construction.
     """
     if selected_engine() == "oracle":
-        capacities = _plan_for(shared)
-        if (capacities is not None
-                and serve_from_tables(trace, model, capacities)):
+        if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
             return model
         return replay_oracle(trace, model)
     return _replay_event(trace, model)
 
 
-def _plan_for(shared):
-    """The register budgets the oracle serves a cell at: the innermost
-    :func:`capacity_plan`'s, ``()`` for a trace no other configuration
-    shares (its own capacity only), ``None`` outside any plan."""
-    if not _PLAN:
-        return None
-    return _PLAN[-1] if shared else ()
+def _restore(entry, model, verdict):
+    """Leave ``model`` in the end state a model-keyed cache entry
+    memoizes, if it may take it; returns whether it did.
+
+    Only a model the result memo holds (``verdict``) takes one, and
+    only from an entry whose stored :func:`~repro.trace.cache.end_key`
+    is the model's own.  The entry was recorded through a fresh model
+    of this class, config and backing kind, and this model is fresh
+    too, so a direct run would end exactly there.  The end state is
+    decoded afresh, so a caller that drives the model further cannot
+    change the entry.
+    """
+    if not verdict.memo or entry.end is None:
+        return False
+    key, state = entry.end_state()
+    if key != trace_cache.end_key(model, verdict):
+        return False
+    model.restore(state)
+    return True
 
 
 class _Cell:
     """One cell whose trace is resolved and whose replay is pending."""
 
-    __slots__ = ("workload", "model", "scale", "seed", "trace", "shared",
-                 "done", "error")
+    __slots__ = ("workload", "model", "scale", "seed", "trace", "done",
+                 "error")
 
-    def __init__(self, workload, model, scale, seed, trace, shared):
+    def __init__(self, workload, model, scale, seed, trace):
         self.workload = workload
         self.model = model
         self.scale = scale
         self.seed = seed
         self.trace = trace
-        self.shared = shared
         #: a fanned-out job already left the model in its end state
         self.done = False
         #: what that job raised in this process instead
@@ -262,7 +274,7 @@ class _Cell:
         """Replay the trace onto the model, as :func:`run_workload`
         does (same engine, same last rung)."""
         try:
-            _replay(self.trace, self.model, shared=self.shared)
+            _replay(self.trace, self.model)
         except OSError:
             self.workload.run(self.model, scale=self.scale,
                               seed=self.seed)
@@ -282,12 +294,14 @@ def run_workload(workload, model, scale=1.0, seed=1):
     byte-identical statistics on the model.
 
     Workloads whose stream is timing-sensitive (``trace_stable`` is
-    False) get memoized execution instead of a shared trace: the cold
-    run executes directly through a recorder, and only models with the
-    identical configuration replay the cached stream.  A cold run over
-    a model the result memo holds, never driven before, leaves its end
-    state in the memo, under the key a replay of its recording would
-    have: a direct run ends exactly where that replay ends.
+    False) get memoized execution instead of a shared trace, for a
+    model :func:`~repro.trace.admit.admit` calls fresh: the cold run
+    executes directly through a recorder, and later models of the
+    identical configuration ``restore()`` the end state stored with the
+    trace (:func:`_restore`), or replay the trace when they may not
+    (a compressing backing store).  Any other model (driven, wrapped,
+    subclassed) executes the front-end directly, with no lookup and no
+    publish: its run need not be the fresh run an entry memoizes.
 
     Degradation ladder: warm cache -> quarantine + re-record (inside
     the cache) -> on persistent storage failure, **direct execution**
@@ -299,31 +313,30 @@ def run_workload(workload, model, scale=1.0, seed=1):
     Inside :func:`run_cells` the trace is resolved here as always, and
     the replay is left to the batch.
     """
-    if not trace_cache.enabled():
+    verdict = None if workload.trace_stable else admit(model)
+    if not trace_cache.enabled() or (verdict is not None
+                                     and not verdict.fresh):
         workload.run(model, scale=scale, seed=seed)
         return model
     try:
-        if workload.trace_stable:
+        if verdict is None:
             trace = trace_cache.load_or_record(workload, scale=scale,
                                                seed=seed)
         else:
-            trace = trace_cache.load_for_model(workload, model,
+            entry = trace_cache.load_for_model(workload, model,
                                                scale=scale, seed=seed)
-            if trace is None:
-                verdict = admit(model)
-                start = _model_key(model, verdict) if verdict.fresh else None
-                trace = trace_cache.record_through(workload, model,
-                                                   scale=scale, seed=seed)
-                if start is not None:
-                    _remember((trace.digest(),) + start,
-                              marshal.dumps(model.capture()))
+            if entry is None:
+                trace_cache.record_through(workload, model, scale=scale,
+                                           seed=seed)
                 return model
+            if _restore(entry, model, verdict):
+                return model
+            trace = entry.trace
     except OSError:
         # the cache's own retries/quarantine already failed: last rung
         workload.run(model, scale=scale, seed=seed)
         return model
-    cell = _Cell(workload, model, scale, seed, trace,
-                 workload.trace_stable)
+    cell = _Cell(workload, model, scale, seed, trace)
     pending = getattr(_BATCH, "cells", None)
     if pending is None:
         cell.drive()
@@ -470,54 +483,49 @@ def run_pair_totals(groups, scale=1.0, seed=1):
 
 class _Recording:
     """One front-end a batch runs ahead of its lookups (step 1 of
-    :func:`run_cells`), into the hand-off ``entry`` of its lookup.
+    :func:`run_cells`), into the hand-off ``planned`` of its lookup.
 
     ``model`` is ``None`` for a ``trace_stable`` trace, which records
     over the cache's own model; otherwise the trace is recorded through
     a copy of the cell's model, never driven, so the model itself stays
-    untouched until its cell ``restore()``s the copy's end state.
+    untouched until its cell ``restore()``s the end state of the copy's
+    entry.
     """
 
-    __slots__ = ("workload", "model", "scale", "seed", "entry")
+    __slots__ = ("workload", "model", "scale", "seed", "planned")
 
-    def __init__(self, workload, model, scale, seed, entry):
+    def __init__(self, workload, model, scale, seed, planned):
         self.workload = workload
         self.model = model
         self.scale = scale
         self.seed = seed
-        self.entry = entry
+        self.planned = planned
 
-    def _run(self, model):
-        return trace_cache.run_traced(self.workload, model,
-                                      scale=self.scale, seed=self.seed)
+    def _record(self, model):
+        return trace_cache.record_entry(self.workload, model,
+                                        scale=self.scale, seed=self.seed)
 
     def reply(self):
-        """What a worker sends back: the packed trace and, for a
-        model-keyed one, the model's marshalled end-state capture (the
-        worker's model is its own copy)."""
-        trace = self._run(self.model)
-        return (trace.dumps_binary(), None if self.model is None
-                else marshal.dumps(self.model.capture()))
+        """What a worker sends back: the payload of the recording's
+        cache entry (the worker's model is its own copy), published as
+        it is."""
+        return self._record(self.model).payload()
 
     def here(self):
         """Make the recording in this process, on a copy of the model;
         what it raises is raised again at its cell."""
-        entry = self.entry
         model = None if self.model is None else copy.deepcopy(self.model)
         try:
-            entry.trace = self._run(model)
+            entry = self._record(model)
         except Exception as exc:
-            entry.error = exc
+            self.planned.error = exc
             return
-        if model is not None:
-            entry.end = model.capture()
+        self.planned.entry = entry
 
-    def merge(self, reply):
-        """Keep what a worker made."""
-        data, end = reply
-        self.entry.trace = Trace.loads_binary(data)
-        if end is not None:
-            self.entry.end = marshal.loads(end)
+    def merge(self, payload):
+        """Keep a worker's entry payload, decoded once."""
+        self.planned.entry = trace_cache.decode_entry(payload)
+        self.planned.payload = payload
 
 
 def _recordings(cells, scale, seed):
@@ -526,9 +534,10 @@ def _recordings(cells, scale, seed):
 
     A trace is planned at its first cell, and only when it is neither
     memoized nor on disk.  A model-keyed trace is planned only for a
-    fresh model that no other cell drives and whose end state travels
-    (:func:`~repro.trace.admit.admit`): any other model records inline,
-    as a serial pass would, since its stream may differ from a copy's.
+    model :func:`~repro.trace.admit.admit` calls fresh (any other looks
+    nothing up), and made ahead only when no other cell drives that
+    model: a model two cells drive records inline, as a serial pass
+    would.
     """
     if not trace_cache.enabled():
         return []
@@ -538,13 +547,14 @@ def _recordings(cells, scale, seed):
     for workload, model in cells:
         if workload.trace_stable:
             model = None
+        elif not admit(model).fresh:
+            continue
         planned = trace_cache.plan_lookup(workload, model, scale, seed)
         if planned is None or planned[0] in paths:
             continue
         path, entry = planned
         paths.add(path)
-        if model is None or (drives[id(model)] == 1
-                             and admit(model).fresh):
+        if model is None or drives[id(model)] == 1:
             jobs.append(_Recording(workload, model, scale, seed, entry))
     return jobs
 
@@ -608,7 +618,7 @@ def _jobs(cells):
     for cell in cells:
         trace, model = cell.trace, cell.model
         verdict = admit(model)
-        capacities = _plan_for(cell.shared) if oracle else None
+        capacities = _PLAN[-1] if oracle and _PLAN else None
         if capacities is not None:
             if closed_form(trace, verdict) is not None:
                 continue
@@ -617,11 +627,8 @@ def _jobs(cells):
                 key, family, _, missing = request
                 if missing:
                     # one scan per trace and sibling families covers
-                    # every capacity the plan asks for; a trace no
-                    # other configuration shares is scanned per
-                    # capacity, as a serial pass scans it
-                    group = (key, scan_siblings(family),
-                             () if cell.shared else tuple(missing))
+                    # every capacity the plan asks for
+                    group = (key, scan_siblings(family))
                     if group not in scans:
                         scans[group] = _Job("scan", None, key, trace,
                                             family, set())

@@ -16,26 +16,36 @@ re-running the program.
 Timing-sensitive workloads (``trace_stable = False``, e.g. Gamteb,
 whose thread wake-up order races the model-dependent stall cycles of
 spills and reloads) cannot share one stream across models.  For those
-the cache degrades gracefully to *memoized execution*: the trace is
+the cache degrades gracefully to *memoized execution*: the entry is
 additionally keyed by the target model's configuration fingerprint
-(:func:`model_fingerprint`), recorded straight through the target
-model on the cold run (:func:`record_through` — so the cold run IS a
-direct run, exact by construction) and replayed only onto models of
-the identical configuration afterwards.
+(:func:`model_fingerprint`) and the kind of its backing store, and it
+is recorded straight through the target model on the cold run
+(:func:`record_through` — so the cold run IS a direct run, exact by
+construction).  It holds the whole execution: the trace, and the
+recording model's marshalled end-state ``capture()`` beside the memo
+key of that model (:func:`end_key`).  Later fresh models of the same
+configuration ``restore()`` that end state instead of replaying the
+trace (:func:`repro.evalx.common.run_workload`); only a model that
+:func:`repro.trace.admit.admit` calls fresh looks such an entry up,
+records or publishes one.
 
 Inside a :func:`repro.evalx.common.run_cells` batch the front-ends
 of the recordings a batch lacks may already have run on other CPUs
-(:func:`plan_lookup`, :func:`run_traced`): the batch hands each
-recording over through :func:`handoff`, and :func:`record_trace` and
-:func:`record_through` take it instead of executing the front-end
-again.  Every lookup, lock, publish, fault draw, :data:`STATS` count and
-log line still happens here, at the cell that needs the trace.
+(:func:`plan_lookup`, :func:`record_entry`): the batch hands each
+recording over through :func:`handoff` as the entry payload it will
+publish, and :func:`record_trace` and :func:`record_through` take it
+instead of executing the front-end again.  Every lookup, lock,
+publish, fault draw, :data:`STATS` count and log line still happens
+here, at the cell that needs the trace.
 
 Keying is content-addressed: ``(workload name, context size, scale,
 seed)`` plus a fingerprint of the recorder/format implementation
 (sha256 of this package's sources and a schema version), so any change
 to recording semantics invalidates every stale entry automatically —
-old files are simply never looked up again.
+old files are simply never looked up again.  A model-keyed key also
+names the register-file models' sources (``repro/core``) and the
+interpreter's bytecode tag (:func:`core_fingerprint`): both the trace
+and the marshalled end state depend on them.
 
 Storage-fault hardening (PR 6) — the cache assumes the disk lies:
 
@@ -76,16 +86,19 @@ CLI::
 """
 
 import hashlib
+import marshal
 import os
 import pathlib
 import sys
 import threading
 import time
 from contextlib import contextmanager
+from struct import Struct
 
 from repro.chaos import plane as _chaos
 from repro.ioutil import TRANSIENT_ERRNOS, atomic_write_bytes
 from repro.trace import events as _events
+from repro.trace.admit import admit
 from repro.trace.events import Trace, TraceFormatError
 from repro.trace.recorder import TracingRegisterFile
 
@@ -99,6 +112,22 @@ SCHEMA_VERSION = 1
 
 #: default location: ``<repo root>/.trace-cache`` (gitignored)
 DEFAULT_DIR = pathlib.Path(__file__).resolve().parents[3] / ".trace-cache"
+
+#: the register-file models, whose code a model-keyed entry's trace and
+#: end state both depend on
+CORE_DIR = pathlib.Path(__file__).resolve().parents[1] / "core"
+
+#: a model-keyed entry's payload: this header (magic, byte length of
+#: the packed trace), the packed trace, then the marshalled
+#: ``(end_key, end-state capture)``.  A shared entry's payload is the
+#: packed trace alone
+_END_MAGIC = b"NSFE"
+_END_HEADER = Struct("<4sQ")
+
+#: ``marshal`` format of the stored end state: version 2 writes no
+#: object references, so equal captures always encode to equal bytes
+#: (an entry recorded on another CPU is byte-identical to a serial one)
+_END_MARSHAL = 2
 
 #: a recording lock older than this is debris from a crashed recorder
 LOCK_STALE_SECONDS = 60.0
@@ -152,6 +181,7 @@ _memo = {}
 _degraded = {"publish_failures": 0, "publish_disabled": False}
 
 _fingerprint = None
+_core_fingerprint = None
 
 
 def enabled():
@@ -182,6 +212,26 @@ def recorder_fingerprint():
     return _fingerprint
 
 
+def core_fingerprint():
+    """sha256 over the ``repro/core`` sources and the interpreter's
+    bytecode tag (``sys.implementation.cache_tag``, which names its
+    ``marshal`` format too).
+
+    Only model-keyed keys carry it: a model-keyed entry holds a model's
+    end state as well as the trace the model's stalls shaped, so an
+    edit to a model, or another interpreter, must record it again.
+    """
+    global _core_fingerprint
+    if _core_fingerprint is None:
+        digest = hashlib.sha256(
+            f"tag={sys.implementation.cache_tag}".encode())
+        for path in sorted(CORE_DIR.glob("*.py")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        _core_fingerprint = digest.hexdigest()[:16]
+    return _core_fingerprint
+
+
 def model_fingerprint(model):
     """Stable digest of a register-file model's configuration.
 
@@ -208,12 +258,22 @@ def model_fingerprint(model):
     return digest.hexdigest()[:16]
 
 
+def model_part(model):
+    """The model's part of a model-keyed key: its configuration
+    fingerprint and the kind of its backing store, whose state the
+    entry's end state holds; ``None`` outside the snapshot protocol."""
+    fp = model_fingerprint(model)
+    if fp is None:
+        return None
+    return f"{fp}|backing={type(model.backing).__name__}"
+
+
 def trace_key(workload_name, context_size, scale, seed, model_fp=None):
     """Content-addressed key for one recorded execution."""
     canonical = (f"{workload_name}|ctx={context_size}|scale={scale!r}"
                  f"|seed={seed!r}|{recorder_fingerprint()}")
     if model_fp is not None:
-        canonical += f"|model={model_fp}"
+        canonical += f"|model={model_fp}|core={core_fingerprint()}"
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
@@ -258,9 +318,87 @@ def record_trace(workload, scale=1.0, seed=1):
     (:func:`run_traced`), or take the recording its batch made ahead."""
     handed = _handed(_planned(workload, None, scale, seed))
     trace = (run_traced(workload, scale=scale, seed=seed)
-             if handed is None else handed[0])
+             if handed is None else handed.trace)
     STATS.records += 1
     return trace
+
+
+# -- entries -----------------------------------------------------------------
+
+
+def end_key(model, verdict):
+    """The memo key of a fresh model, which a model-keyed entry stores
+    beside its end state to name the model that left it: the exact
+    class and the ``_config()`` that ``admit`` read off the model while
+    it was fresh (``verdict``)."""
+    cls = type(model)
+    return (f"{cls.__module__}.{cls.__qualname__}",
+            tuple(verdict.config.items()))
+
+
+class Entry:
+    """One cache entry in memory: the recorded ``trace`` and, for a
+    model-keyed entry, ``end``: the marshalled ``(end_key, end-state
+    capture)`` of the model it was recorded through (``None`` for a
+    shared entry)."""
+
+    __slots__ = ("trace", "end")
+
+    def __init__(self, trace, end=None):
+        self.trace = trace
+        self.end = end
+
+    def payload(self):
+        """The bytes :func:`_publish` frames: the packed trace, behind
+        an end-state header and followed by the end state when there is
+        one."""
+        data = self.trace.dumps_binary()
+        if self.end is None:
+            return data
+        return b"".join((_END_HEADER.pack(_END_MAGIC, len(data)), data,
+                         self.end))
+
+    def end_state(self):
+        """``(end_key, capture)``, decoded afresh on every call."""
+        return marshal.loads(self.end)
+
+
+def decode_entry(payload):
+    """The :class:`Entry` of one payload (bytes or a memoryview of
+    them); raises :class:`TraceFormatError` for anything
+    :meth:`Entry.payload` does not write.  The trace is copied out of
+    the payload once, and only the small end state is kept."""
+    view = memoryview(payload)
+    end = None
+    if view[:4] == _END_MAGIC:
+        if len(view) < _END_HEADER.size:
+            raise TraceFormatError("entry shorter than its end-state "
+                                   "header")
+        _, length = _END_HEADER.unpack_from(view)
+        start = _END_HEADER.size
+        if length > len(view) - start:
+            raise TraceFormatError("end-state header promises more trace "
+                                   "than the entry holds")
+        end = bytes(view[start + length:])
+        view = view[start:start + length]
+        try:
+            marshal.loads(end)
+        except (EOFError, ValueError, TypeError) as exc:
+            raise TraceFormatError(f"unreadable end state: {exc}") from None
+    return Entry(Trace.loads_binary(view), end)
+
+
+def record_entry(workload, model=None, scale=1.0, seed=1):
+    """:func:`run_traced`, as an :class:`Entry` that also carries the
+    end state of a model :func:`~repro.trace.admit.admit` calls fresh
+    beforehand.  Touches no cache state or counter: a batch's worker
+    sends back its :meth:`Entry.payload`, to be published as it is."""
+    verdict = None if model is None else admit(model)
+    trace = run_traced(workload, model, scale=scale, seed=seed)
+    if verdict is None or not verdict.fresh:
+        return Entry(trace)
+    end = (end_key(model, verdict), model.capture())
+    return Entry(trace, marshal.dumps(end, _END_MARSHAL))
 
 
 # -- a batch's hand-off ------------------------------------------------------
@@ -268,13 +406,13 @@ def record_trace(workload, scale=1.0, seed=1):
 
 class _Planned:
     """One planned lookup of a batch: once a recording was made ahead
-    of it, that recording (and, for a model-keyed trace, the model's
-    end state) or what making it raised."""
+    of it, that recording's :class:`Entry` and the payload it will be
+    published as, or what making it raised."""
 
-    __slots__ = ("trace", "end", "error")
+    __slots__ = ("entry", "payload", "error")
 
     def __init__(self):
-        self.trace = self.end = self.error = None
+        self.entry = self.payload = self.error = None
 
 
 #: per thread, the :class:`_Planned` lookups of the innermost open
@@ -314,16 +452,17 @@ def _planned(workload, model, scale, seed, directory=None):
     return plan.get(_plan_key(workload, model, scale, seed))
 
 
-def _handed(entry):
-    """``(trace, end state)`` made ahead for a planned lookup, once, or
-    ``None`` when nothing was; raises what making it raised."""
-    if entry is None or (entry.trace is None and entry.error is None):
+def _handed(planned):
+    """The :class:`Entry` made ahead for a planned lookup, once, or
+    ``None`` when nothing was; raises what making it raised.  Its
+    payload stays for :func:`_publish`."""
+    if planned is None or (planned.entry is None and planned.error is None):
         return None
-    handed, error = (entry.trace, entry.end), entry.error
-    entry.trace = entry.end = entry.error = None
+    entry, error = planned.entry, planned.error
+    planned.entry = planned.error = None
     if error is not None:
         raise error
-    return handed
+    return entry
 
 
 def plan_lookup(workload, model, scale, seed):
@@ -340,12 +479,12 @@ def plan_lookup(workload, model, scale, seed):
     key = _plan_key(workload, model, scale, seed)
     if key in plan:
         return None
-    fp = None
+    part = None
     if model is not None:
-        fp = model_fingerprint(model)
-        if fp is None:
+        part = model_part(model)
+        if part is None:
             return None
-    path = trace_path(workload, scale, seed, model_fp=fp)
+    path = trace_path(workload, scale, seed, model_fp=part)
     plan[key] = entry = _Planned()
     if (str(path.parent), path.name) in _memo or path.exists():
         return None
@@ -468,47 +607,49 @@ def _read_bytes(path, attempts=3, backoff=0.005):
 
 
 def _parse_entry(blob):
-    """Decode one on-disk entry: a binary trace in the CRC frame
-    :func:`_publish` writes.  Anything else (a bare binary or text
-    trace carries no CRC to check) raises :class:`TraceFormatError`."""
-    payload = _events.unframe(blob)
-    del blob  # the framed copy goes before the decode allocates
-    return Trace.loads_binary(payload)
+    """Decode one on-disk entry: a payload (:func:`decode_entry`) in the
+    CRC frame :func:`_publish` writes.  Anything else (a bare binary or
+    text trace carries no CRC to check) raises
+    :class:`TraceFormatError`.  The frame is checked and stripped in
+    place, without copying the payload."""
+    return decode_entry(_events.unframe(memoryview(blob)))
 
 
 def _lookup(workload, path):
-    """Memo-then-disk lookup; returns the trace or ``None`` on a miss.
+    """Memo-then-disk lookup; returns the :class:`Entry` or ``None`` on
+    a miss.
 
     Memo hits are re-validated against the disk file's stat signature:
     if the file changed (or vanished) since memoization the entry is
     invalidated, so a poisoned memo can never outlive the bytes it
     mirrors.  Corrupt or truncated disk entries (torn copy, bit rot —
-    the CRC frame catches both) are quarantined and treated as misses,
-    so callers transparently re-record them.
+    the CRC frame catches both, in the trace and the end state alike)
+    are quarantined and treated as misses, so callers transparently
+    re-record them.
     """
     memo_key = (str(path.parent), path.name)
-    entry = _memo.get(memo_key)
-    if entry is not None:
-        trace, sig = entry
+    cached = _memo.get(memo_key)
+    if cached is not None:
+        entry, sig = cached
         if sig is None or sig == _stat_sig(path):
             STATS.hits += 1
             _log("HIT", workload, path)
-            return trace
+            return entry
         del _memo[memo_key]
-    trace = None
+    entry = None
     if path.exists():
         try:
-            trace = _parse_entry(_read_bytes(path))
+            entry = _parse_entry(_read_bytes(path))
         except TraceFormatError as exc:
             _quarantine(workload, path, str(exc))
         except OSError:
-            trace = None
-        if trace is not None:
-            _memo[memo_key] = (trace, _stat_sig(path))
-    if trace is not None:
+            entry = None
+        if entry is not None:
+            _memo[memo_key] = (entry, _stat_sig(path))
+    if entry is not None:
         STATS.hits += 1
         _log("HIT", workload, path)
-        return trace
+        return entry
     STATS.misses += 1
     _log("MISS", workload, path)
     return None
@@ -589,9 +730,11 @@ def _release_record_lock(lock_path):
 # -- publishing --------------------------------------------------------------
 
 
-def _publish(workload, path, trace):
-    """Atomically write ``trace`` (CRC-framed) to ``path``; memoize.
+def _publish(workload, path, entry, planned=None):
+    """Atomically write ``entry`` (CRC-framed) to ``path``; memoize.
 
+    A recording its batch made ahead (``planned``) is published as the
+    payload it arrived in; any other is serialized here, once.
     Transient write failures retry with deterministic backoff; when
     failures persist past :data:`PUBLISH_FAILURE_LIMIT` the ladder
     disables publishing for this process — recordings remain usable
@@ -599,10 +742,15 @@ def _publish(workload, path, trace):
     only warm-start reuse is lost.
     """
     memo_key = (str(path.parent), path.name)
+    payload = None
+    if planned is not None:
+        payload, planned.payload = planned.payload, None
     if publishing_enabled():
+        if payload is None:
+            payload = entry.payload()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(path, _events.frame(trace.dumps_binary()),
+            atomic_write_bytes(path, _events.frame(payload),
                                site="cache.publish", attempts=3)
         except OSError:
             _degraded["publish_failures"] += 1
@@ -611,11 +759,11 @@ def _publish(workload, path, trace):
             _log("PUBFAIL", workload, path)
         else:
             _log("RECORD", workload, path)
-            _memo[memo_key] = (trace, _stat_sig(path))
+            _memo[memo_key] = (entry, _stat_sig(path))
             return
     else:
         _log("NOPUBLISH", workload, path)
-    _memo[memo_key] = (trace, None)
+    _memo[memo_key] = (entry, None)
 
 
 def load_or_record(workload, scale=1.0, seed=1, directory=None):
@@ -626,38 +774,54 @@ def load_or_record(workload, scale=1.0, seed=1, directory=None):
     :func:`load_for_model` / :func:`record_through` instead.
     """
     path = trace_path(workload, scale, seed, directory=directory)
-    trace = _lookup(workload, path)
-    if trace is None:
+    entry = _lookup(workload, path)
+    if entry is None:
         lock_path, contended = _acquire_record_lock(path)
         try:
             if contended:
                 # a concurrent recorder may have published while we
                 # waited on its lock
-                trace = _lookup(workload, path)
-            if trace is None:
-                trace = record_trace(workload, scale=scale, seed=seed)
-                _publish(workload, path, trace)
+                entry = _lookup(workload, path)
+            if entry is None:
+                entry = Entry(record_trace(workload, scale=scale,
+                                           seed=seed))
+                _publish(workload, path, entry,
+                         _planned(workload, None, scale, seed, directory))
         finally:
             _release_record_lock(lock_path)
-    return trace
+    return entry.trace
+
+
+def _model_path(workload, model, scale, seed, directory):
+    """Where the model-keyed entry of a model :func:`admit` calls fresh
+    lives; ``None`` for any other model, which may neither look one up
+    nor publish one: its run need not be the fresh run an entry
+    memoizes."""
+    if not admit(model).fresh:
+        return None
+    part = model_part(model)
+    if part is None:
+        return None
+    return trace_path(workload, scale, seed, directory=directory,
+                      model_fp=part)
 
 
 def load_for_model(workload, model, scale=1.0, seed=1, directory=None):
-    """Cached trace for this exact model configuration, or ``None``.
+    """Cached :class:`Entry` for this exact model configuration, or
+    ``None``.
 
-    The lookup path for timing-sensitive workloads: a hit may only be
-    replayed onto a model whose configuration fingerprint matches the
-    one it was recorded through.  A ``None`` return (miss, or a model
-    outside the snapshot protocol) means the caller must execute the
-    workload directly — ideally via :func:`record_through` so the next
-    run hits.
+    The lookup path for timing-sensitive workloads, open only to a
+    model :func:`~repro.trace.admit.admit` calls fresh: the entry was
+    recorded through a fresh model of the same configuration and
+    backing kind, so its trace may be replayed onto this one, and a
+    model whose :func:`end_key` the entry names may ``restore()`` its
+    end state instead.  A ``None`` return (miss, or a model that may
+    not look up) means the caller must execute the workload directly —
+    through :func:`record_through` for a fresh model, so the next run
+    hits.
     """
-    fp = model_fingerprint(model)
-    if fp is None:
-        return None
-    path = trace_path(workload, scale, seed, directory=directory,
-                      model_fp=fp)
-    return _lookup(workload, path)
+    path = _model_path(workload, model, scale, seed, directory)
+    return None if path is None else _lookup(workload, path)
 
 
 def record_through(workload, model, scale=1.0, seed=1, directory=None):
@@ -665,25 +829,25 @@ def record_through(workload, model, scale=1.0, seed=1, directory=None):
 
     The cold-run path for timing-sensitive workloads: the model ends up
     with genuine direct-execution statistics (no replay involved), and
-    the recorded stream is published under the model-keyed entry so
-    future runs on the same configuration replay instead.  The key is
-    taken from the model before the run.  A recording its batch made
-    ahead on a copy of the model arrives with that copy's end state,
-    which the model ``restore()``s.
+    for a model :func:`~repro.trace.admit.admit` calls fresh the
+    recorded stream and the model's end state are published under the
+    model-keyed entry, so future runs on the same configuration restore
+    or replay instead.  Any other model is recorded and nothing is
+    published.  A recording its batch made ahead on a copy of the model
+    arrives as the copy's entry, whose end state the model
+    ``restore()``s.  Returns the trace.
     """
-    fp = model_fingerprint(model)
-    handed = _handed(_planned(workload, model, scale, seed, directory))
-    if handed is None:
-        trace = run_traced(workload, model, scale=scale, seed=seed)
+    path = _model_path(workload, model, scale, seed, directory)
+    planned = _planned(workload, model, scale, seed, directory)
+    entry = _handed(planned)
+    if entry is None:
+        entry = record_entry(workload, model, scale=scale, seed=seed)
     else:
-        trace, end = handed
-        model.restore(end)
+        model.restore(entry.end_state()[1])
     STATS.records += 1
-    if fp is not None:
-        path = trace_path(workload, scale, seed, directory=directory,
-                          model_fp=fp)
-        _publish(workload, path, trace)
-    return trace
+    if path is not None:
+        _publish(workload, path, entry, planned)
+    return entry.trace
 
 
 def clear(directory=None):

@@ -359,7 +359,8 @@ class Trace:
 
     @classmethod
     def loads_binary(cls, blob):
-        """Parse bytes produced by :meth:`dumps_binary`."""
+        """Parse bytes produced by :meth:`dumps_binary` (or a memoryview
+        of them, which the events are copied out of once)."""
         if len(blob) < _HEADER.size:
             raise TraceFormatError("binary trace shorter than its header")
         magic, version, _, context_size, n_events, n_wide = \
@@ -391,7 +392,7 @@ class Trace:
             if not 0 <= index < n_events:
                 raise TraceFormatError(
                     f"wide-value index {index} out of range")
-            digits = blob[cursor:cursor + length]
+            digits = bytes(blob[cursor:cursor + length])
             if len(digits) != length:
                 raise TraceFormatError("truncated wide-value digits")
             cursor += length

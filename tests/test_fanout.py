@@ -10,8 +10,10 @@ this process.  Evidence that this never changes a number:
   result-memo counters, cache counters and cache log, and leaves the
   same cache entry bytes, with the fan-out as with a fork guard that
   refuses; the fanned-out run really forks its recordings and replays,
-  and each cell's trace is looked up once.  Every result-memo entry a
-  cold recording leaves is the end state a replay of its trace leaves.
+  and each cell's trace is looked up once.  Every end state a cold
+  recording stores in its cache entry is the end state a replay of its
+  trace leaves, and a recording a worker made is published as the
+  payload it sent, without serializing it again.
   These run in a fresh interpreter, as do the other fork tests, so no
   thread another test left behind refuses the fork.
 * **Dedupe.** Identical cells in one batch replay once.
@@ -19,8 +21,9 @@ this process.  Evidence that this never changes a number:
   do the recordings of a child SIGKILLed mid-recording; a job or a
   recording raising in a child raises the serial error in the parent,
   and so does a recording raising in the parent's own share; a parent
-  whose own share raises leaves no child behind.  A model driven
-  before its batch, or by two of its cells, records inline.
+  whose own share raises leaves no child behind.  A model two of its
+  cells drive records inline at the first; a driven model records
+  nothing.
 * **Guard timing.** Under ``oracle`` planning loads NumPy; with a
   multi-threaded BLAS pool nothing forks after that, and NumPy's one
   import site keeps the pool at one thread however it is first used.
@@ -108,10 +111,11 @@ POINTS = ((0.35, 11), (0.2, 7))
 
 #: primes two empty caches with every batched experiment at every point,
 #: fanned out and then fork-refused, then runs both warm from the
-#: fanned-out one under either engine; every cold recording of a fresh
-#: model the memo holds is checked against a replay of its trace
+#: fanned-out one under either engine; the end state every cold
+#: recording of a fresh model the memo holds stores in its entry is
+#: checked against a replay of its trace
 DIFFERENTIAL = """
-import copy, hashlib, marshal
+import copy, hashlib
 from repro.trace.admit import admit
 from repro.trace.replay import replay
 
@@ -136,14 +140,14 @@ def counted(workload, model, scale=1.0, seed=1):
     if twin is not None and trace_cache.STATS.records > records:
         # read without a lookup, a count or a memo reorder
         path = trace_cache.trace_path(
-            workload, scale, seed,
-            model_fp=trace_cache.model_fingerprint(twin))
-        trace = trace_cache._memo[(str(path.parent), path.name)][0]
-        end = common._RESULT_MEMO.get(common._result_key(trace, twin))
-        replay(trace, twin, verify=False)
+            workload, scale, seed, model_fp=trace_cache.model_part(twin))
+        entry = trace_cache._memo[(str(path.parent), path.name)][0]
+        key, end = entry.end_state()
+        own = trace_cache.end_key(twin, admit(twin))
+        replay(entry.trace, twin, verify=False)
         seeded.append([f"{workload.name} {twin._config()}",
-                       end is not None
-                       and marshal.loads(end) == twin.capture()])
+                       key == own and end == twin.capture()
+                       and end == model.capture()])
     return result
 
 
@@ -269,16 +273,18 @@ def test_fanout_matches_a_refused_fork(differential):
 @needs_fork
 def test_a_seeded_memo_entry_equals_a_replay_of_its_trace(differential):
     """A cold recording through a fresh model the result memo holds
-    leaves its end state in the memo: for every such cell of every
-    batched experiment, at both points and in both modes, that entry
-    is the end state a replay of the recorded trace leaves."""
+    stores that model's end state in its cache entry: for every such
+    cell of every batched experiment, at both points and in both
+    modes, the stored end state is the one a replay of the recorded
+    trace leaves, and the one the cold run left on the model, and the
+    entry names the model's own class and config."""
     for mode in ("fanout", "refused"):
         seeded = differential["cold " + mode]["seeded"]
         # fig11 alone records 16 Gamteb traces of its own per point
         assert len(seeded) >= 2 * 16, mode
         wrong = [label for label, same in seeded if not same]
         assert not wrong, (mode, wrong)
-    # no warm pass records, so none seeds
+    # no warm pass records, so none stores an end state
     assert not differential["event fanout"]["seeded"]
 
 
@@ -369,9 +375,11 @@ def test_a_killed_childs_job_runs_in_the_parent(tmp_path):
     """)
     assert out["same"] is True
     assert out["forked"] == 1
-    # the dead child's job, and the ones it never took, replay here
-    assert out["parent_replays"] == 18
-    assert out["stats"] == "MemoStats(hits=0, misses=18)"
+    # the dead child's job, and the ones it never took, replay here:
+    # all 16 of fig09's shared-trace cells (its 2 Gamteb cells restore
+    # the end states their cache entries hold, and are no jobs)
+    assert out["parent_replays"] == 16
+    assert out["stats"] == "MemoStats(hits=0, misses=16)"
     assert out["summary"] == "0 of 0 cell job(s) forked in 1 batch(es)"
 
 
@@ -417,8 +425,10 @@ def test_a_job_raising_in_a_child_raises_its_serial_error(tmp_path):
     """)
     assert out["fanned"] == out["serial"] == ["LookupError", "planted 80"]
     assert out["forked"] == 1
-    # raised in the child first, then in the parent's serial rerun
-    assert out["raisers"].count("False") == 9
+    # raised in the child first, then in the parent's serial rerun; the
+    # child replays fig09's 8 shared-trace segmented cells (the Gamteb
+    # one restores its entry's end state)
+    assert out["raisers"].count("False") == 8
     assert out["raisers"][-1] == "True"
 
 
@@ -561,6 +571,44 @@ def test_a_killed_workers_recordings_are_made_in_the_parent(tmp_path):
     assert fanned["forks"] == 2 and refused["forks"] == 0
 
 
+@needs_fork
+def test_a_workers_recording_is_published_as_it_sent_it(tmp_path):
+    out = _fresh(STEER, f"""
+        ROOT = {str(tmp_path)!r}
+    """, COLD, """
+        from repro.trace.events import Trace
+        calls = {"dumps": 0, "loads": 0}
+        dumps, loads = Trace.dumps_binary, Trace.loads_binary.__func__
+
+        def counted_dumps(self):
+            if os.getpid() == MAIN:
+                calls["dumps"] += 1
+            return dumps(self)
+
+        def counted_loads(cls, blob):
+            if os.getpid() == MAIN:
+                calls["loads"] += 1
+            return loads(cls, blob)
+
+        Trace.dumps_binary = counted_dumps
+        Trace.loads_binary = classmethod(counted_loads)
+        for mode in ("fanout", "refused"):
+            out[mode] = cold(mode)
+            out[mode]["calls"] = dict(calls)
+            calls.update(dumps=0, loads=0)
+    """)
+    fanned, refused = out["fanout"], out["refused"]
+    for field in ("table", "log", "entries", "cache", "results"):
+        assert fanned[field] == refused[field], field
+    # the worker made every recording; the parent decoded each payload
+    # once and published it as sent, serializing nothing
+    recorded, planned = fanned["recorded"]
+    assert recorded == planned > 2
+    assert fanned["calls"] == {"dumps": 0, "loads": recorded}
+    # a serial pass serializes each recording once, to publish it
+    assert refused["calls"] == {"dumps": planned, "loads": 0}
+
+
 #: the recorder raising for one kind of recording, wherever it runs
 PLANTED = """
 inner = trace_cache.run_traced
@@ -664,10 +712,12 @@ def test_models_that_may_not_start_as_a_copy_record_inline(tmp_path):
     """)
     assert out["same"] is True
     # only the two fresh models were recorded ahead, in the worker; the
-    # model driven before the batch and the one two cells drive were
-    # recorded through themselves, here, at their cells
+    # model two cells drive was recorded through itself, here, at its
+    # first cell; the model driven before the batch, and the twice
+    # driven one at its second cell, ran the front-end directly with
+    # no recording at all
     assert out["planned"] == 2
-    assert out["made"] == ["False 128", "False 96", "True 64", "True 96"]
+    assert out["made"] == ["False 128", "False 96", "True 64"]
 
 
 # -- guard timing --------------------------------------------------------------

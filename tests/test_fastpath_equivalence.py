@@ -98,11 +98,18 @@ def test_segmented_workload_equivalence(workload_cls):
     _assert_twins_match(*twins, label=workload_cls.name)
 
 
-def test_golden_table_equivalence(monkeypatch):
+def test_golden_table_equivalence(monkeypatch, tmp_path):
     """A whole experiment table renders identically under both modes."""
     from repro.core.base import RegisterFile
     from repro.evalx import common, table1
+    from repro.trace import cache as trace_cache
 
+    # each side records on an empty cache of its own: a Gamteb cell runs
+    # directly through that side's model, where a warm entry would
+    # restore the end state the other side's model left
+    monkeypatch.delenv(trace_cache.ENV_DISABLE, raising=False)
+    monkeypatch.setattr(trace_cache, "_memo", {})
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "fast"))
     fast = table1.run(scale=0.1, seed=1).rows
     built = RegisterFile.__init__
 
@@ -111,6 +118,7 @@ def test_golden_table_equivalence(monkeypatch):
         tracked(self)
 
     monkeypatch.setattr(RegisterFile, "__init__", build_tracked)
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "tracked"))
     # the memo key does not tell the two paths apart: forget the fast
     # side's results so that the tracked side replays every cell
     common.clear_result_memo()

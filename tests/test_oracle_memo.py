@@ -7,8 +7,8 @@ Two rings of evidence:
   never scans one (trace content, design family, capacity) twice:
   fig10, fig12 and fig14 revisit only cells that fig09 and fig11
   already priced, fig11 scans the shared GateSim trace at most once
-  per family, and a per-model trace is scanned at its cell's capacity
-  alone.
+  per family, and no per-model (Gamteb) trace is scanned at all: its
+  cells restore the end states their cache entries hold.
 * **Memo semantics.** Equal content shares one scan; a trace that grew
   is scanned again, never served a stale table; eviction is least
   recently used; a capacity's patch does not depend on the grid that
@@ -128,6 +128,9 @@ def test_sweeps_scan_each_trace_family_and_capacity_once(
         for family in families for cap in caps)
     repeated = [key for key, count in priced.items() if count > 1]
     assert log.scans and not repeated
+    # 10 scans in all at (SCALE, SEED), one per shared trace and family
+    # that some planned cell needs below the trace's peak
+    assert len(log.scans) == 10
 
     per_figure = collections.Counter(label for label, *_ in log.scans)
     for name in ("fig10", "fig12", "fig14"):
@@ -140,9 +143,8 @@ def test_sweeps_scan_each_trace_family_and_capacity_once(
         family for _, digest, families, _ in fig11 if digest == gatesim
         for family in families)
     assert max(gatesim_families.values(), default=0) <= 1
-    # every other fig11 trace is a per-model Gamteb trace
-    assert all(len(caps) == 1 for _, digest, _, caps in fig11
-               if digest != gatesim)
+    # fig11's other traces are per-model Gamteb traces, never scanned
+    assert fig11 and all(digest == gatesim for _, digest, _, _ in fig11)
 
 
 # -- memo semantics -----------------------------------------------------------

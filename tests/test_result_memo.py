@@ -7,7 +7,8 @@ Four rings of evidence:
   and of the ``oracle`` engine; fig10 and fig12 replay nothing, and no
   (trace content, start state) key is replayed twice.  Under
   ``oracle`` the cells its closed form and tables serve never touch
-  the memo, and fig13's cells, which neither prices, are memo hits;
+  the memo, fig13's GateSim cells, which neither prices, are memo
+  hits, and every Gamteb cell restores its cache entry's end state;
   every planned cell takes the same route, fanned out or not.
 * **Exact end state.** A served model's whole ``capture()`` equals that
   of a twin replayed independently, for every design the sweeps use,
@@ -63,12 +64,16 @@ BUDGET = 40
 #: cid offset of the continuation trace (clear of every recorded cid)
 SHIFT = 1 << 20
 
+#: fig13's Gamteb cells, which restore their cache entries' end states
+FIG13_RESTORED = len(fig13.PAR_LINE_SIZES)
+
 #: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED),
-#: warm: every planned cell by the closed form or a table, after one
-#: scan per trace and design family, and fig13's cells, which neither
-#: prices, by the memoized event replay
-ORACLE_ROUTES = {"closed form": 40, "table": 86, "scan": 28,
-                 "replay": FIG13_CELLS}
+#: warm: every Gamteb cell restores its cache entry's end state, every
+#: other planned cell is served by the closed form or a table, after
+#: one scan per trace and design family, and fig13's GateSim cells,
+#: which neither prices, by the memoized event replay
+ORACLE_ROUTES = {"restore": 48, "closed form": 40, "table": 44, "scan": 10,
+                 "replay": FIG13_CELLS - FIG13_RESTORED}
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +120,8 @@ class ReplayLog:
 class RouteLog:
     """Records how the oracle engine serves each cell, in this process
     or a forked child: ``routes(label)`` counts each route (``closed
-    form``, ``table``, ``replay``) and each family ``scan``."""
+    form``, ``table``, ``replay``, and ``restore`` for a cell that took
+    its cache entry's end state) and each family ``scan``."""
 
     def __init__(self, monkeypatch, path):
         self.label = None
@@ -124,14 +130,17 @@ class RouteLog:
                 (oracle, "apply_stats", "closed form"),
                 (oracle, "apply_table", "table"),
                 (oracle, "_family_tables", "scan"),
-                (common, "replay_oracle", "replay")):
+                (common, "replay_oracle", "replay"),
+                (common, "_restore", "restore")):
             monkeypatch.setattr(module, name,
                                 self._logged(getattr(module, name), route))
 
     def _logged(self, inner, route):
         def logged(*args):
-            self.log.append([self.label, route])
-            return inner(*args)
+            result = inner(*args)
+            if route != "restore" or result:
+                self.log.append([self.label, route])
+            return result
 
         return logged
 
@@ -204,10 +213,12 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
             table = run_experiment(name, scale=SCALE, seed=SEED)
             assert table.to_dict() == expected[name], name
         # the closed form and the tables serve every planned cell
-        # without the memo; fig13's cells, which neither prices, take
-        # the memoized replay and find the entries the event passes left
+        # without the memo; fig13's GateSim cells, which neither
+        # prices, take the memoized replay and find the entries the
+        # event passes left
         assert common.RESULT_STATS.misses == misses
-        assert common.RESULT_STATS.hits - hits == FIG13_CELLS
+        assert common.RESULT_STATS.hits - hits == (FIG13_CELLS
+                                                   - FIG13_RESTORED)
         assert routes.routes(routes.label) == ORACLE_ROUTES, routes.label
     assert "oracle" not in {label for label, _ in log.keys}
 

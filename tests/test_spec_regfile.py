@@ -7,6 +7,9 @@ rules are the paper's operations: begin, end, switch, read, write,
 free (``rfree``) and tick.  After every step the returned values, the
 raised error types and the whole ``stats.snapshot()`` agree.
 
+* ``spill_and_reload`` fills ``cid``'s lines, makes the other
+  contexts spill them and reads one register back, so every design
+  meets a reload miss whose line partners wait in memory.
 * ``capture_restore`` builds a new model of the same config, restores
   it from the model's ``capture()`` and drives both in lockstep, their
   captures equal after every step.  The result memo and the fork
@@ -246,6 +249,24 @@ class RegisterFileMachine(RuleBasedStateMachine):
         for _ in range(n):
             offset, cid, value = data.draw(st.sampled_from(self.writes))
             self._step("write", offset, value, cid=cid)
+
+    @rule(cid=cids)
+    def spill_and_reload(self, cid):
+        """Begin any context that has ended, write every register of
+        ``cid``, then every register of the other contexts, so that a
+        small file spills ``cid``'s lines, then read ``cid``'s first
+        register back: a read miss whose line partners wait in memory,
+        where reload scopes differ."""
+        for other in (0, 1, 2):
+            if other not in self.model:
+                self._step("begin", other)
+        for offset in range(self.ctx):
+            self._step("write", offset, offset, cid=cid)
+        for other in (0, 1, 2):
+            if other != cid:
+                for offset in range(self.ctx):
+                    self._step("write", offset, other, cid=other)
+        self._step("read", 0, cid=cid)
 
     @rule(data=st.data())
     def free(self, data):
