@@ -9,14 +9,18 @@ cost nothing measurable: this benchmark gates the warm-cache cell at
 gating) the cost of an armed-but-empty plane.
 
 * ``floor`` — model construction + replay of an already-in-memory
-  trace: the work a warm cell cannot avoid, with the cache machinery
-  bypassed entirely;
+  trace + publishing the replay's result entry: the work a warm cell
+  that replays cannot avoid, with the cache's lookups bypassed
+  entirely (the publish is the cell's own work, not the plane's);
 * ``warm``  — the real sweep path (:func:`run_workload`): cache memo
-  hit (incl. the new stat re-validation) + replay, plane disarmed.
-  The replay-result memo is cleared before every call, so the cell
-  pays its miss path and a real replay;
+  hit (incl. the new stat re-validation), a missed result-entry
+  lookup, replay and publish, plane disarmed.  Every result entry
+  (file and memo) is dropped before every call, in ``floor`` too, so
+  the cell pays its miss path and a real replay;
 * ``armed`` — same, under an active plane with an exhausted/empty
-  schedule (every hook takes its slow branch) — informational.
+  schedule (every hook takes its slow branch) — informational;
+* ``restored`` — the real sweep path on a warm result entry: the cell
+  restores it and replays nothing — informational.
 
 The measurement is min-of-N interleaved; a failing gate re-measures
 once before failing, so a single background-load spike cannot flake
@@ -39,7 +43,7 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.chaos import plane as plane_mod
-from repro.evalx.common import clear_result_memo, make_nsf, run_workload
+from repro.evalx.common import make_nsf, run_workload
 from repro.trace import cache as trace_cache
 from repro.trace.replay import replay
 from repro.workloads import get_workload
@@ -73,24 +77,33 @@ def measure():
             trace = trace_cache.load_or_record(workload, scale=SCALE,
                                                seed=SEED)
 
+            result = trace_cache.result_entry(workload, trace,
+                                              make_nsf(workload))
+
             def floor():
-                replay(trace, make_nsf(workload), verify=False)
+                trace_cache.clear_results()
+                model = replay(trace, make_nsf(workload), verify=False)
+                result.publish(result.payload(model))
 
             def warm():
-                clear_result_memo()
+                trace_cache.clear_results()
                 run_workload(workload, make_nsf(workload), scale=SCALE,
                              seed=SEED)
 
             empty_plane = plane_mod.FaultPlane(1, kinds=(), sites=())
 
             def armed():
-                clear_result_memo()
+                trace_cache.clear_results()
                 with plane_mod.activated(empty_plane):
                     run_workload(workload, make_nsf(workload),
                                  scale=SCALE, seed=SEED)
 
-            floor_t, warm_t, armed_t = _best_times(
-                [floor, warm, armed])
+            def restored():
+                run_workload(workload, make_nsf(workload), scale=SCALE,
+                             seed=SEED)
+
+            floor_t, warm_t, armed_t, restored_t = _best_times(
+                [floor, warm, armed, restored])
         finally:
             if saved_dir is None:
                 os.environ.pop(trace_cache.ENV_DIR, None)
@@ -101,6 +114,7 @@ def measure():
         "floor_ms": round(floor_t * 1e3, 3),
         "warm_ms": round(warm_t * 1e3, 3),
         "armed_ms": round(armed_t * 1e3, 3),
+        "restored_ms": round(restored_t * 1e3, 3),
         "overhead_pct": round((warm_t / floor_t - 1.0) * 100, 2),
         "armed_pct": round((armed_t / floor_t - 1.0) * 100, 2),
     }
@@ -113,7 +127,8 @@ def report(results, stream=sys.stdout):
         f"warm {results['warm_ms']:.3f} ms "
         f"({results['overhead_pct']:+.2f}%), "
         f"armed-empty {results['armed_ms']:.3f} ms "
-        f"({results['armed_pct']:+.2f}%, not gated)\n")
+        f"({results['armed_pct']:+.2f}%, not gated), restored "
+        f"{results['restored_ms']:.3f} ms (not gated)\n")
 
 
 def main(argv=None):

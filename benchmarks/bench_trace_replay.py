@@ -53,7 +53,7 @@ from pathlib import Path
 if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.evalx.common import clear_result_memo, make_nsf, run_workload
+from repro.evalx.common import make_nsf, run_workload
 from repro.trace import Trace, TracingRegisterFile, replay
 from repro.trace import cache as trace_cache
 from repro.workloads import get_workload
@@ -260,8 +260,9 @@ def _sweep_case(workload_name):
                          scale=SCALE, seed=SEED)
 
     def cached_pass():
-        # replay every cell: a memo hit would time no replay at all
-        clear_result_memo()
+        # replay every cell: a restored result entry would time no
+        # replay at all
+        trace_cache.clear_results()
         for line_size in LINE_SIZES:
             run_workload(workload, make_nsf(workload, line_size=line_size),
                          scale=SCALE, seed=SEED)

@@ -19,33 +19,37 @@ are identical to direct execution by construction (pinned by
 ``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLIs)
 to force direct execution.
 
-A timing-sensitive workload's cache entry (Gamteb's) memoizes the
-whole execution: a fresh model of the recording model's configuration
-``restore()``s the end state stored beside the trace and replays
-nothing, under either engine.
+A timing-sensitive workload's cache entry (Gamteb's) is recorded
+through the model it runs on, so its cold run is a direct run.
 
-Each distinct (trace content, model start state) pair is replayed at
-most once per process: the figures read different statistics off the
-same cells, and every repeat gets the first replay's complete end state
-back through the snapshot protocol (see :func:`_replay_event`).  Under
-``REPRO_REPLAY_ENGINE=oracle`` the cells of a :func:`capacity_plan`
-are served from the oracle's closed form and design-space tables where
-they can be, and every other cell takes that same memoized replay.
+Each distinct (trace content, fresh model) cell is replayed at most
+once per cache: the figures read different statistics off the same
+cells, and the first replay's complete end state is kept as a *result
+entry* of the trace cache (:class:`repro.trace.cache.Result`, keyed by
+the trace's digest, the model's class and config, and the model and
+replay sources).  A fresh model the result memo holds looks its entry
+up before the engine is asked, under either engine, and ``restore()``s
+it instead of replaying; an event replay of such a model publishes
+one, and so does a recording through one (the direct run's end
+state).  Under ``REPRO_REPLAY_ENGINE=oracle`` the other cells of a
+:func:`capacity_plan` are served from the oracle's closed form and
+design-space tables where they can be, which patch statistics only
+and never publish, and every other cell takes the same event replay.
 
 An experiment that drives many models hands them to :func:`run_cells`
 in one batch.  It first runs the front-ends of the traces the batch
 lacks (each on a copy of its model where the trace is model-keyed),
-then computes the replays and oracle scans its memos lack, both in
-forked children on every CPU the process may use, and serves each cell
-in-process exactly as :func:`run_workload` would have: every cache
-lookup, lock, publish and fault draw stays here, in cell order.
+then computes the replays and oracle scans its cache and memos lack,
+both in forked children on every CPU the process may use, and serves
+each cell in-process exactly as :func:`run_workload` would have: every
+cache lookup, lock, publish and fault draw, result entries' too, stays
+here, in cell order.
 :func:`fan_out` is the one fork-worker loop behind it; the storage-
 fault chaos campaign spreads its cells with it too.
 """
 
 import collections
 import copy
-import hashlib
 import marshal
 import os
 import threading
@@ -61,6 +65,7 @@ from repro.ioutil import (
 from repro.trace import cache as trace_cache, lru
 from repro.trace.admit import admit
 from repro.trace.columnar import selected_engine
+from repro.trace.events import Trace
 from repro.trace.oracle import (
     closed_form,
     merge_tables,
@@ -117,15 +122,15 @@ def capacity_plan(register_budgets):
     :mod:`repro.trace.oracle`.  Those are memoized by trace content for
     the whole process, and one stack-distance scan per (trace, design
     family) covers every announced capacity the table still lacks, so
-    each further capacity point costs an O(1) table application.  A
-    per-model trace (``trace_stable=False``) reaches the oracle only for
-    a model that cannot restore its entry's end state, which the tables
-    refuse.  Cells outside the oracle's exactness boundary (FIFO or NMRU
-    victims, lines of more than one register, line-scope reloads,
-    wide-value traces) transparently fall back to the memoized event
-    replay, and the ``event`` engine ignores the plan
-    entirely — results are byte-identical across engines by
-    construction.
+    each further capacity point costs an O(1) table application; a
+    per-model trace (``trace_stable=False``) is scanned at its cell's
+    capacity alone.  A fresh model whose cell already has a result
+    entry restores it before the plan is consulted, and the tables
+    never publish one.  Cells outside the oracle's exactness boundary
+    (FIFO or NMRU victims, lines of more than one register, line-scope
+    reloads, wide-value traces) transparently fall back to event
+    replay, and the ``event`` engine ignores the plan entirely —
+    results are byte-identical across engines by construction.
     """
     _PLAN.append(tuple(int(b) for b in register_budgets))
     try:
@@ -134,147 +139,126 @@ def capacity_plan(register_budgets):
         _PLAN.pop()
 
 
-#: process-local hit/miss counters of the replay-result memo
+#: process-local counters of the result store: ``hits`` counts cells
+#: that restored their result entry, ``misses`` event replays that
+#: published one (a forked job's at its cell)
 RESULT_STATS = lru.MemoStats()
 
-#: (trace digest, model class, start state) -> the marshalled end-state
-#: ``capture()``, in least-recently-used order (:mod:`repro.trace.lru`);
-#: one fig09-fig14 pass needs 68 entries
-_RESULT_MEMO = {}
-_RESULT_MEMO_LIMIT = 128
 
-
-def clear_result_memo():
-    """Forget every memoized replay result (the counters are kept)."""
-    _RESULT_MEMO.clear()
-
-
-def _model_key(model, verdict):
-    """The model's part of a memo key, or ``None`` for a model the memo
-    does not admit (:func:`~repro.trace.admit.admit`).
-
-    A fresh model is exactly what its constructor built, so its class
-    and configuration (:func:`~repro.trace.cache.end_key`, the key a
-    model-keyed cache entry stores) name its whole state without a
-    capture; the config carries the policy seed, and so every RNG
-    state.  Any other model is named by a 16-byte blake2b of its whole
-    ``capture()``; equal bytes mean equal captures, and an equal
-    capture encoded differently only misses.
-    """
-    if not verdict.memo:
-        return None
-    if verdict.fresh:
-        return trace_cache.end_key(model, verdict)
-    return type(model), hashlib.blake2b(marshal.dumps(model.capture()),
-                                        digest_size=16).digest()
-
-
-def _result_key(trace, model, verdict=None):
-    """Memo key of replaying ``trace`` onto ``model``, or ``None`` when
-    the memo does not admit the model; ``verdict`` is its
-    :func:`~repro.trace.admit.admit`, when the caller has it."""
-    start = _model_key(model, verdict or admit(model))
-    return None if start is None else (trace.digest(),) + start
-
-
-def _remember(key, end):
-    """Memoize one replay's marshalled end state (a counted miss)."""
-    RESULT_STATS.misses += 1
-    lru.put(_RESULT_MEMO, key, end, _RESULT_MEMO_LIMIT)
-
-
-def _replay_event(trace, model):
-    """Event replay, each distinct (trace, start state) once per process.
-
-    The key names the model's whole start state, so only a model that
-    would replay identically can be served.  A hit decodes a fresh copy
-    of the memoized end state and ``restore()``s it, so the model ends
-    exactly as a replay would have left it, and a caller that drives it
-    further cannot corrupt the entry.  The end state is kept as
-    ``marshal`` bytes, the cheapest round trip for the snapshot
-    protocol's plain values, and never leaves the process.
-    """
-    key = _result_key(trace, model)
-    if key is None:
-        return replay(trace, model, verify=False)
-    end = lru.get(_RESULT_MEMO, key)
-    if end is None:
-        replay(trace, model, verify=False)
-        _remember(key, marshal.dumps(model.capture()))
-    else:
-        RESULT_STATS.hits += 1
-        model.restore(marshal.loads(end))
-    return model
-
-
-#: the oracle engine's route for every cell its closed form and tables
-#: do not serve: the same memoized event replay, under a name of its own
-#: so that the two routes can be told apart where callers look them up
-replay_oracle = _replay_event
-
-
-def _replay(trace, model):
-    """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
-
-    ``event`` (the default) is the scalar packed loop behind the
-    replay-result memo (:func:`_replay_event`).  Under ``oracle`` a cell
-    inside a :func:`capacity_plan` block is served by
-    :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
-    above the trace's peak demand by the closed form, below it from the
-    shared design-space tables.  Every other cell goes to
-    :func:`replay_oracle`, the memoized event replay, so both engines
-    leave byte-identical statistics by construction.
-    """
-    if selected_engine() == "oracle":
-        if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
-            return model
-        return replay_oracle(trace, model)
-    return _replay_event(trace, model)
-
-
-def _restore(entry, model, verdict):
-    """Leave ``model`` in the end state a model-keyed cache entry
-    memoizes, if it may take it; returns whether it did.
-
-    Only a model the result memo holds (``verdict``) takes one, and
-    only from an entry whose stored :func:`~repro.trace.cache.end_key`
-    is the model's own.  The entry was recorded through a fresh model
-    of this class, config and backing kind, and this model is fresh
-    too, so a direct run would end exactly there.  The end state is
-    decoded afresh, so a caller that drives the model further cannot
-    change the entry.
-    """
-    if not verdict.memo or entry.end is None:
+def _restored(result, model):
+    """Restore the end state ``result`` (a cell's
+    :class:`~repro.trace.cache.Result`, ``None`` for a model the store
+    does not hold) has stored onto ``model``, a counted hit; False when
+    there is none to take."""
+    if result is None:
         return False
-    key, state = entry.end_state()
-    if key != trace_cache.end_key(model, verdict):
+    state = result.load()
+    if state is None:
         return False
+    RESULT_STATS.hits += 1
     model.restore(state)
     return True
 
 
+def _published(result, payload):
+    """Publish a replay's end state as ``result``, a counted miss."""
+    RESULT_STATS.misses += 1
+    result.publish(payload)
+
+
+def _replay_event(trace, model, result=None):
+    """Event replay of ``trace`` onto ``model``; when ``result`` is the
+    cell's result entry (the model is fresh and the result memo holds
+    it), the end state is published there, so the next fresh model of
+    this configuration restores it instead."""
+    replay(trace, model, verify=False)
+    if result is not None:
+        _published(result, result.payload(model))
+    return model
+
+
+#: the oracle engine's route for every cell its closed form and tables
+#: do not serve: the same event replay, under a name of its own so that
+#: the two routes can be told apart where callers look them up
+replay_oracle = _replay_event
+
+
+def _replay(trace, model, result=None, shared=True):
+    """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
+
+    ``event`` (the default) is the scalar packed loop
+    (:func:`_replay_event`).  Under ``oracle`` a cell inside a
+    :func:`capacity_plan` block is served by
+    :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
+    above the trace's peak demand by the closed form, below it from the
+    shared design-space tables; neither publishes ``result``.  A trace
+    that is not ``shared`` across model configurations is scanned at
+    the model's own capacity, not the plan's.  Every other cell goes to
+    :func:`replay_oracle`, the event replay, so both engines leave
+    byte-identical statistics by construction.  The cell's result entry
+    was looked up before (:meth:`_Cell.drive`).
+    """
+    if selected_engine() == "oracle":
+        capacities = _plan_for(shared)
+        if (capacities is not None
+                and serve_from_tables(trace, model, capacities)):
+            return model
+        return replay_oracle(trace, model, result)
+    return _replay_event(trace, model, result)
+
+
+def _plan_for(shared):
+    """The register budgets the oracle serves a cell at: the innermost
+    :func:`capacity_plan`'s, ``()`` for a trace no other configuration
+    shares (its own capacity only), ``None`` outside any plan."""
+    if not _PLAN:
+        return None
+    return _PLAN[-1] if shared else ()
+
+
 class _Cell:
-    """One cell whose trace is resolved and whose replay is pending."""
+    """One cell whose trace is resolved and whose serving is pending.
 
-    __slots__ = ("workload", "model", "scale", "seed", "trace", "done",
-                 "error")
+    ``trace`` ``None`` is a direct run of the front-end.  ``result`` is
+    the cell's result entry, read off the model while it was fresh
+    (``None`` for a model the store does not hold).
+    """
 
-    def __init__(self, workload, model, scale, seed, trace):
+    __slots__ = ("workload", "model", "scale", "seed", "trace", "result",
+                 "done", "end", "error")
+
+    def __init__(self, workload, model, scale, seed, trace, result=None):
         self.workload = workload
         self.model = model
         self.scale = scale
         self.seed = seed
         self.trace = trace
+        self.result = result
         #: a fanned-out job already left the model in its end state
         self.done = False
+        #: that end state, as :meth:`Result.payload
+        #: <repro.trace.cache.Result.payload>` encodes it
+        self.end = None
         #: what that job raised in this process instead
         self.error = None
 
     def drive(self):
-        """Replay the trace onto the model, as :func:`run_workload`
-        does (same engine, same last rung)."""
+        """Serve the cell here, as :func:`run_workload` does: restore
+        its result entry, else take what its job left (publishing the
+        end state) or raised, else ask the engine; the same last rung."""
+        if self.trace is None:
+            self.workload.run(self.model, scale=self.scale, seed=self.seed)
+            return
         try:
-            _replay(self.trace, self.model)
+            if _restored(self.result, self.model):
+                return
+            if self.error is not None:
+                raise self.error
+            if not self.done:
+                _replay(self.trace, self.model, self.result,
+                        self.workload.trace_stable)
+            elif self.result is not None:
+                _published(self.result, self.end)
         except OSError:
             self.workload.run(self.model, scale=self.scale,
                               seed=self.seed)
@@ -291,17 +275,22 @@ def run_workload(workload, model, scale=1.0, seed=1):
     Replays the cached register-reference trace (recording it on first
     use) when the trace cache is enabled; falls back to executing the
     workload front-end directly when it is not.  Both paths leave
-    byte-identical statistics on the model.
+    byte-identical statistics on the model.  A fresh model the result
+    memo holds (:func:`~repro.trace.cache.result_entry`) first looks up
+    the result entry of its trace and ``restore()``s it when there is
+    one, under either engine; otherwise the engine serves the cell, and
+    an event replay publishes that entry.
 
     Workloads whose stream is timing-sensitive (``trace_stable`` is
     False) get memoized execution instead of a shared trace, for a
     model :func:`~repro.trace.admit.admit` calls fresh: the cold run
-    executes directly through a recorder, and later models of the
-    identical configuration ``restore()`` the end state stored with the
-    trace (:func:`_restore`), or replay the trace when they may not
-    (a compressing backing store).  Any other model (driven, wrapped,
-    subclassed) executes the front-end directly, with no lookup and no
-    publish: its run need not be the fresh run an entry memoizes.
+    executes directly through a recorder (which publishes the trace and
+    the run's end state as its result entry), and later models of the
+    identical configuration restore that entry, or replay the trace
+    when they may not (a compressing backing store).  Any other model
+    (driven, wrapped, subclassed) executes the front-end directly, with
+    no lookup and no publish: its run need not be the fresh run an
+    entry memoizes.
 
     Degradation ladder: warm cache -> quarantine + re-record (inside
     the cache) -> on persistent storage failure, **direct execution**
@@ -311,34 +300,38 @@ def run_workload(workload, model, scale=1.0, seed=1):
     disk lied.
 
     Inside :func:`run_cells` the trace is resolved here as always, and
-    the replay is left to the batch.
+    the rest of the cell is left to the batch; a model an earlier cell
+    of the batch drives counts as driven, so its cell is served in
+    order after that one, as a serial pass serves it.
     """
-    verdict = None if workload.trace_stable else admit(model)
-    if not trace_cache.enabled() or (verdict is not None
-                                     and not verdict.fresh):
-        workload.run(model, scale=scale, seed=seed)
-        return model
-    try:
-        if verdict is None:
-            trace = trace_cache.load_or_record(workload, scale=scale,
-                                               seed=seed)
-        else:
-            entry = trace_cache.load_for_model(workload, model,
-                                               scale=scale, seed=seed)
-            if entry is None:
-                trace_cache.record_through(workload, model, scale=scale,
-                                           seed=seed)
-                return model
-            if _restore(entry, model, verdict):
-                return model
-            trace = entry.trace
-    except OSError:
-        # the cache's own retries/quarantine already failed: last rung
-        workload.run(model, scale=scale, seed=seed)
-        return model
-    cell = _Cell(workload, model, scale, seed, trace)
     pending = getattr(_BATCH, "cells", None)
-    if pending is None:
+    # inside a batch, a model an earlier cell drives is driven already
+    driven = pending is not None and any(cell.model is model
+                                         for cell in pending)
+    verdict = admit(model)
+    fresh = verdict.fresh and not driven
+    trace = result = None
+    if trace_cache.enabled() and (workload.trace_stable or fresh):
+        try:
+            if workload.trace_stable:
+                trace = trace_cache.load_or_record(workload, scale=scale,
+                                                   seed=seed)
+            else:
+                trace = trace_cache.load_for_model(workload, model,
+                                                   scale=scale, seed=seed)
+                if trace is None:
+                    trace_cache.record_through(workload, model,
+                                               scale=scale, seed=seed)
+                    return model
+            if fresh:
+                result = trace_cache.result_entry(workload, trace, model,
+                                                  verdict)
+        except OSError:
+            # the cache's own retries/quarantine already failed: last
+            # rung, direct execution
+            trace = result = None
+    cell = _Cell(workload, model, scale, seed, trace, result)
+    if pending is None or (trace is None and not driven):
         cell.drive()
     else:
         pending.append(cell)
@@ -409,13 +402,17 @@ def run_cells(cells, scale=1.0, seed=1):
        and in the serial order; a recording step 1 made is handed to
        the recorder (:func:`repro.trace.cache.handoff`) instead of
        executing the front-end again;
-    3. ask the selected engine what the cells lack: a table scan for
-       a cell the oracle's tables will serve, a result-memo entry for
-       every other cell;
-    4. compute those jobs the same way as step 1's, and merge the end
-       states and tables they send back into the memos;
-    5. serve every cell in order: a memo hit or a table hit, or the
-       plain serial path for anything no job covered.
+    3. plan, without side effects, what the cells lack: nothing for a
+       cell whose result entry is memoized or on disk, else a table
+       scan for a cell the oracle's tables will serve and a replay for
+       every other cell the engine would replay;
+    4. compute those jobs the same way as step 1's, merging the tables
+       they send back into the oracle's memo and each end state into
+       its cell's model;
+    5. serve every cell in order (:meth:`_Cell.drive`): its result
+       entry is looked up here, and a miss takes what its job left,
+       publishing the end state, or a table hit, or the plain serial
+       path for anything no job covered.
 
     Where forking is refused (a second thread, one CPU) steps 1 and 4
     compute nothing ahead, and steps 2 and 5 are the serial pass
@@ -445,10 +442,7 @@ def run_cells(cells, scale=1.0, seed=1):
         _BATCH.cells = outer
     _fan_out_jobs(_jobs(pending))
     for cell in pending:
-        if cell.error is not None:
-            raise cell.error
-        if not cell.done:
-            cell.drive()
+        cell.drive()
 
 
 def run_pairs(pairs, scale=1.0, seed=1):
@@ -487,9 +481,8 @@ class _Recording:
 
     ``model`` is ``None`` for a ``trace_stable`` trace, which records
     over the cache's own model; otherwise the trace is recorded through
-    a copy of the cell's model, never driven, so the model itself stays
-    untouched until its cell ``restore()``s the end state of the copy's
-    entry.
+    a copy of the cell's fresh model, never driven, so the model itself
+    stays untouched until its cell ``restore()``s the copy's end state.
     """
 
     __slots__ = ("workload", "model", "scale", "seed", "planned")
@@ -502,29 +495,36 @@ class _Recording:
         self.planned = planned
 
     def _record(self, model):
-        return trace_cache.record_entry(self.workload, model,
-                                        scale=self.scale, seed=self.seed)
+        """``(trace, end)``: the recording, and the
+        :func:`~repro.trace.cache.end_payload` of the model it was
+        recorded through (``None`` for a shared trace)."""
+        if model is None:
+            return trace_cache.run_traced(self.workload, scale=self.scale,
+                                          seed=self.seed), None
+        key = trace_cache.end_key(model, admit(model))
+        trace = trace_cache.run_traced(self.workload, model,
+                                       scale=self.scale, seed=self.seed)
+        return trace, trace_cache.end_payload(key, model)
 
     def reply(self):
-        """What a worker sends back: the payload of the recording's
-        cache entry (the worker's model is its own copy), published as
-        it is."""
-        return self._record(self.model).payload()
+        """What a worker sends back: the packed trace, published as it
+        is, and the end payload (the worker's model is its own copy)."""
+        trace, end = self._record(self.model)
+        return trace.dumps_binary(), end
 
     def here(self):
         """Make the recording in this process, on a copy of the model;
         what it raises is raised again at its cell."""
         model = None if self.model is None else copy.deepcopy(self.model)
         try:
-            entry = self._record(model)
+            self.planned.trace, self.planned.end = self._record(model)
         except Exception as exc:
             self.planned.error = exc
-            return
-        self.planned.entry = entry
 
-    def merge(self, payload):
-        """Keep a worker's entry payload, decoded once."""
-        self.planned.entry = trace_cache.decode_entry(payload)
+    def merge(self, reply):
+        """Keep a worker's recording, its trace decoded once."""
+        payload, self.planned.end = reply
+        self.planned.trace = Trace.loads_binary(payload)
         self.planned.payload = payload
 
 
@@ -583,9 +583,7 @@ class _Job:
 
     A replay job (``kind`` ``"event"``) drives its cell's model through
     the scalar loop; a scan job (``kind`` ``"scan"``, no cell) prices
-    ``units`` of one design family for the trace digest ``key``.  A
-    replay job's ``key`` is its result-memo key, or ``None`` for a model
-    the memo never holds.
+    ``units`` of one design family for the trace digest ``key``.
     """
 
     __slots__ = ("kind", "cell", "key", "trace", "family", "units")
@@ -600,25 +598,34 @@ class _Job:
 
 
 def _jobs(cells):
-    """The jobs the selected engine's memos lack for ``cells``.
+    """The jobs the result store and the selected engine's memos lack
+    for ``cells``, planned without a fault draw, a count or a log line.
 
-    Under ``oracle`` a planned cell that the closed form serves needs
-    nothing, and one the tables serve needs the scan its family's table
-    lacks; every other cell is planned as under ``event``, a replay per
-    result-memo key not yet held.  A model that several cells drive
-    gets no job: only its first cell starts from the state planning
-    sees, so all of them are served in order instead.
+    A cell whose result entry is memoized or on disk needs nothing: it
+    restores the entry when served.  Under ``oracle`` a planned cell
+    that the closed form serves needs nothing, and one the tables serve
+    needs the scan its family's table lacks; every other cell is
+    planned as under ``event``, a replay per distinct result entry, or
+    per cell for a model that travels but the store does not hold.  A
+    model that several cells drive gets no job: only its first cell
+    starts from the state planning sees, so all of them are served in
+    order instead.
     """
     oracle = selected_engine() == "oracle"
     models = collections.Counter(id(cell.model) for cell in cells)
-    cells = [cell for cell in cells if models[id(cell.model)] == 1]
     jobs = []
-    keys = set()
+    paths = set()
     scans = {}
     for cell in cells:
-        trace, model = cell.trace, cell.model
-        verdict = admit(model)
-        capacities = _PLAN[-1] if oracle and _PLAN else None
+        if models[id(cell.model)] > 1 or cell.trace is None:
+            continue
+        trace, result = cell.trace, cell.result
+        if result is not None and (result.path in paths
+                                   or result.cached()):
+            continue
+        verdict = admit(cell.model)
+        shared = cell.workload.trace_stable
+        capacities = _plan_for(shared) if oracle else None
         if capacities is not None:
             if closed_form(trace, verdict) is not None:
                 continue
@@ -627,21 +634,22 @@ def _jobs(cells):
                 key, family, _, missing = request
                 if missing:
                     # one scan per trace and sibling families covers
-                    # every capacity the plan asks for
-                    group = (key, scan_siblings(family))
+                    # every capacity the plan asks for; a trace no
+                    # other configuration shares is scanned per
+                    # capacity, as a serial pass scans it
+                    group = (key, scan_siblings(family),
+                             () if shared else tuple(missing))
                     if group not in scans:
                         scans[group] = _Job("scan", None, key, trace,
                                             family, set())
                         jobs.append(scans[group])
                     scans[group].units.update(missing)
                 continue
-        key = _result_key(trace, model, verdict)
-        if key is None:
-            if verdict.travels:
-                jobs.append(_Job("event", cell, None, trace))
-        elif key not in _RESULT_MEMO and key not in keys:
-            keys.add(key)
-            jobs.append(_Job("event", cell, key, trace))
+        if result is not None:
+            paths.add(result.path)
+        elif not verdict.travels:
+            continue
+        jobs.append(_Job("event", cell, None, trace))
     return jobs
 
 
@@ -651,6 +659,14 @@ def _compute(job):
         return scan_tables(job.trace, job.family, sorted(job.units))
     replay(job.trace, job.cell.model, verify=False)
     return None
+
+
+def _end(cell):
+    """A replay job's end state: its cell's model's capture behind the
+    key of its result entry (``None`` for a model the store does not
+    hold), as :func:`~repro.trace.cache.end_payload` encodes it."""
+    key = None if cell.result is None else cell.result.key
+    return trace_cache.end_payload(key, cell.model)
 
 
 def _run_here(job):
@@ -671,20 +687,21 @@ def _run_here(job):
     if job.kind == "scan":
         merge_tables(job.key, job.family, tables)
         return
-    if job.key is not None:
-        _remember(job.key, marshal.dumps(job.cell.model.capture()))
+    if job.cell.result is not None:
+        job.cell.end = _end(job.cell)
     job.cell.done = True
 
 
 def _merge(job, reply):
-    """Keep what a child computed for ``job``."""
+    """Keep what a child computed for ``job``: a scan's tables go to
+    the oracle's memo, and a replay's end state onto its cell's model;
+    the cell publishes it when it is served."""
     FANOUT.forked += 1
     if job.kind == "scan":
         merge_tables(job.key, job.family, reply)
         return
-    if job.key is not None:
-        _remember(job.key, reply)
-    job.cell.model.restore(marshal.loads(reply))
+    job.cell.model.restore(marshal.loads(reply)[1])
+    job.cell.end = reply
     job.cell.done = True
 
 
@@ -725,13 +742,13 @@ def _fan_out_jobs(jobs):
 
 
 def _reply(job):
-    """What a worker sends back for ``job``: a replay's end-state
-    ``capture()`` as the memo stores it, or a scan's tables.  Neither
-    touches a cache, journal or results file."""
+    """What a worker sends back for ``job``: a replay's end state
+    (:func:`_end`) or a scan's tables.  Neither touches a cache,
+    journal or results file."""
     tables = _compute(job)
     if job.kind == "scan":
         return tables
-    return marshal.dumps(job.cell.model.capture())
+    return _end(job.cell)
 
 
 def fan_out(count, work, here):

@@ -1,8 +1,9 @@
 """One admission rule for every shortcut that serves a cell unreplayed.
 
 Four shortcuts hand a sweep cell what an event replay would leave
-without running one: the result memo and the fork hand-off of
-:mod:`repro.evalx.common`, and the oracle's tables and closed form
+without running one: the result memo (the trace cache's result
+entries) and the fork hand-off of :mod:`repro.evalx.common`, and the
+oracle's tables and closed form
 (:mod:`repro.trace.oracle`).  :func:`admit` decides for all four from
 allowlists — exact model classes, exact backing stores, one fresh-model
 test and every key of the model's declared ``_config()`` — so a class,

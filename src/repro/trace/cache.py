@@ -1,4 +1,5 @@
-"""Content-addressed disk cache of recorded workload traces.
+"""Content-addressed disk cache of recorded workload traces and of the
+end states replays leave.
 
 The expensive half of every sweep is executing a workload front-end
 (the activation machine or thread scheduler); for every workload with
@@ -21,22 +22,35 @@ additionally keyed by the target model's configuration fingerprint
 (:func:`model_fingerprint`) and the kind of its backing store, and it
 is recorded straight through the target model on the cold run
 (:func:`record_through` — so the cold run IS a direct run, exact by
-construction).  It holds the whole execution: the trace, and the
-recording model's marshalled end-state ``capture()`` beside the memo
-key of that model (:func:`end_key`).  Later fresh models of the same
-configuration ``restore()`` that end state instead of replaying the
-trace (:func:`repro.evalx.common.run_workload`); only a model that
-:func:`repro.trace.admit.admit` calls fresh looks such an entry up,
-records or publishes one.
+construction).  Only a model that :func:`repro.trace.admit.admit`
+calls fresh looks such an entry up, records or publishes one.
+
+**Result entries.**  Beside the traces the cache keeps the end states
+that replaying a trace onto a fresh model leaves (:class:`Result`): a
+``.result`` file whose payload is ``marshal.dumps((end_key,
+capture()), 2)`` (:func:`end_payload`), keyed by the trace's content
+digest (:meth:`Trace.digest <repro.trace.events.Trace.digest>`), the
+model's :func:`end_key`, the model sources (:func:`core_fingerprint`)
+and the replay loop's (:func:`replay_fingerprint`).  A later fresh
+model of the same class and config ``restore()``s it instead of
+replaying (:func:`repro.evalx.common.run_workload`, under either
+engine).  Two things produce one, both for a model that ``admit``
+calls fresh and lets the result memo hold: an event replay
+(:func:`repro.evalx.common._replay_event`) and a recording through
+such a model (:func:`record_through`), whose entry holds the direct
+run's end state.  The oracle's closed form and tables patch only a
+model's statistics and never publish one.  A model-keyed trace entry
+holds the trace alone; its recording's end state is the result entry
+of that trace.
 
 Inside a :func:`repro.evalx.common.run_cells` batch the front-ends
 of the recordings a batch lacks may already have run on other CPUs
-(:func:`plan_lookup`, :func:`record_entry`): the batch hands each
-recording over through :func:`handoff` as the entry payload it will
-publish, and :func:`record_trace` and :func:`record_through` take it
+(:func:`plan_lookup`): the batch hands each recording over through
+:func:`handoff` (with the end state of the model copy it was recorded
+through), and :func:`record_trace` and :func:`record_through` take it
 instead of executing the front-end again.  Every lookup, lock,
 publish, fault draw, :data:`STATS` count and log line still happens
-here, at the cell that needs the trace.
+here, at the cell that needs the entry.
 
 Keying is content-addressed: ``(workload name, context size, scale,
 seed)`` plus a fingerprint of the recorder/format implementation
@@ -44,16 +58,17 @@ seed)`` plus a fingerprint of the recorder/format implementation
 to recording semantics invalidates every stale entry automatically —
 old files are simply never looked up again.  A model-keyed key also
 names the register-file models' sources (``repro/core``) and the
-interpreter's bytecode tag (:func:`core_fingerprint`): both the trace
-and the marshalled end state depend on them.
+interpreter's bytecode tag (:func:`core_fingerprint`): the trace
+depends on them.
 
 Storage-fault hardening (PR 6) — the cache assumes the disk lies:
 
-* every entry is published inside a CRC-32 integrity frame
-  (``NSFC``, :func:`repro.trace.events.frame`); a cold load whose
-  checksum disagrees **quarantines** the file — moved into
-  ``<cache>/quarantine/`` beside a ``.reason`` file — and re-records
-  transparently, so bit rot can never replay as a wrong number;
+* every entry, trace or result, is published inside a CRC-32
+  integrity frame (``NSFC``, :func:`repro.trace.events.frame`); a cold
+  load whose checksum disagrees **quarantines** the file — moved into
+  ``<cache>/quarantine/`` beside a ``.reason`` file — and records or
+  replays it again transparently, so bit rot can never surface as a
+  wrong number;
 * in-process memo hits are re-validated against the disk file's
   ``(size, mtime_ns)`` signature, so an entry corrupted *after* it was
   memoized cannot keep serving from memory while cold readers see
@@ -61,10 +76,11 @@ Storage-fault hardening (PR 6) — the cache assumes the disk lies:
 * cold recordings take a pid-stamped single-flight lock
   (``<entry>.trace.lock``); stale locks (dead pid, or older than
   ``LOCK_STALE_SECONDS``) are broken, and lock starvation degrades to
-  lock-less recording — duplicate publishes are safe by construction;
+  lock-less recording — duplicate publishes are safe by construction
+  (a result entry takes no lock: a duplicate writes identical bytes);
 * reads and publishes retry transient ``EIO``/``ENOSPC`` with bounded
   deterministic backoff; when publishing keeps failing the cache drops
-  one rung down the degradation ladder — recordings stay usable
+  one rung down the degradation ladder — entries stay usable
   in-process but publishing is disabled (``NOPUBLISH``) until
   :func:`reset_degradation`, so a full disk degrades throughput,
   never correctness.
@@ -82,7 +98,7 @@ Environment knobs:
 CLI::
 
     python -m repro.trace.cache info     # entries, sizes, quarantine
-    python -m repro.trace.cache clear    # delete every cached trace
+    python -m repro.trace.cache clear    # delete every cached entry
 """
 
 import hashlib
@@ -93,11 +109,10 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from struct import Struct
 
 from repro.chaos import plane as _chaos
 from repro.ioutil import TRANSIENT_ERRNOS, atomic_write_bytes
-from repro.trace import events as _events
+from repro.trace import events as _events, lru
 from repro.trace.admit import admit
 from repro.trace.events import Trace, TraceFormatError
 from repro.trace.recorder import TracingRegisterFile
@@ -113,21 +128,25 @@ SCHEMA_VERSION = 1
 #: default location: ``<repo root>/.trace-cache`` (gitignored)
 DEFAULT_DIR = pathlib.Path(__file__).resolve().parents[3] / ".trace-cache"
 
-#: the register-file models, whose code a model-keyed entry's trace and
-#: end state both depend on
+#: the register-file models, whose code a model-keyed trace and every
+#: result entry depend on
 CORE_DIR = pathlib.Path(__file__).resolve().parents[1] / "core"
 
-#: a model-keyed entry's payload: this header (magic, byte length of
-#: the packed trace), the packed trace, then the marshalled
-#: ``(end_key, end-state capture)``.  A shared entry's payload is the
-#: packed trace alone
-_END_MAGIC = b"NSFE"
-_END_HEADER = Struct("<4sQ")
+#: the replay loop, whose code every result entry depends on
+REPLAY_SOURCE = pathlib.Path(__file__).resolve().parent / "replay.py"
 
-#: ``marshal`` format of the stored end state: version 2 writes no
-#: object references, so equal captures always encode to equal bytes
-#: (an entry recorded on another CPU is byte-identical to a serial one)
+#: file suffixes of the two kinds of entry
+TRACE_SUFFIX = ".trace"
+RESULT_SUFFIX = ".result"
+
+#: ``marshal`` format of a result entry: version 2 writes no object
+#: references, so equal captures always encode to equal bytes (an end
+#: state computed on another CPU is byte-identical to a serial one)
 _END_MARSHAL = 2
+
+#: entries :data:`_memo` keeps: one golden pass at the golden point
+#: loads 106 (38 traces, 68 result entries)
+MEMO_LIMIT = 128
 
 #: a recording lock older than this is debris from a crashed recorder
 LOCK_STALE_SECONDS = 60.0
@@ -170,11 +189,13 @@ class CacheStats:
 
 STATS = CacheStats()
 
-#: traces already loaded in this process, keyed by (directory, key);
-#: each entry is ``(trace, stat_sig)`` where ``stat_sig`` is the disk
-#: file's (size, mtime_ns) at memoization time — ``None`` marks a
-#: memory-only entry (publish failed or disabled) with no disk copy to
-#: re-validate against
+#: entries already loaded in this process, keyed by (directory, file
+#: name), in least-recently-used order (:mod:`repro.trace.lru`, bound
+#: :data:`MEMO_LIMIT`); each value is ``(entry, stat_sig)``, the entry
+#: a :class:`~repro.trace.events.Trace` or a result entry's payload,
+#: and ``stat_sig`` the disk file's (size, mtime_ns) at memoization
+#: time — ``None`` marks a memory-only entry (publish failed or
+#: disabled) with no disk copy to re-validate against
 _memo = {}
 
 #: the degradation ladder's process-local rung state
@@ -182,6 +203,7 @@ _degraded = {"publish_failures": 0, "publish_disabled": False}
 
 _fingerprint = None
 _core_fingerprint = None
+_replay_fingerprint = None
 
 
 def enabled():
@@ -217,9 +239,10 @@ def core_fingerprint():
     bytecode tag (``sys.implementation.cache_tag``, which names its
     ``marshal`` format too).
 
-    Only model-keyed keys carry it: a model-keyed entry holds a model's
-    end state as well as the trace the model's stalls shaped, so an
-    edit to a model, or another interpreter, must record it again.
+    Model-keyed trace keys and every result key carry it: a model's
+    stalls shape a model-keyed trace, and a result entry holds a
+    model's end state, so an edit to a model, or another interpreter,
+    must record or replay them again.
     """
     global _core_fingerprint
     if _core_fingerprint is None:
@@ -232,36 +255,42 @@ def core_fingerprint():
     return _core_fingerprint
 
 
+def replay_fingerprint():
+    """sha256 over the replay loop's source (:data:`REPLAY_SOURCE`) and
+    :func:`recorder_fingerprint`: what drives a trace onto a model, so
+    an edit to either replays every result entry again."""
+    global _replay_fingerprint
+    if _replay_fingerprint is None:
+        digest = hashlib.sha256(recorder_fingerprint().encode())
+        digest.update(REPLAY_SOURCE.read_bytes())
+        _replay_fingerprint = digest.hexdigest()[:16]
+    return _replay_fingerprint
+
+
 def model_fingerprint(model):
     """Stable digest of a register-file model's configuration.
 
-    Derived from the snapshot protocol's ``kind`` and ``config``
-    (construction parameters only, no mutable state), so two freshly
-    built models compare equal exactly when direct execution over them
-    is guaranteed to produce the same event stream.  A model whose class
-    defines ``_config()`` (the one ``capture()`` files under
-    ``config``) is read without a capture; a wrapper, whose attribute
-    forwarding could answer for the model inside it, is captured.
-    Returns ``None`` for objects outside the snapshot protocol.
+    Derived from the model's ``kind`` and the ``_config()`` its class
+    defines (construction parameters only, no mutable state, the
+    ``config`` that ``capture()`` files), so two freshly built models
+    compare equal exactly when direct execution over them is
+    guaranteed to produce the same event stream.  Returns ``None`` for
+    an object whose class defines no ``_config()``: a wrapper, whose
+    attribute forwarding would answer for the model inside it, or
+    anything outside the snapshot protocol.
     """
     config = getattr(type(model), "_config", None)
-    try:
-        if config is not None:
-            kind, config = model.kind, config(model)
-        else:
-            state = model.capture()
-            kind, config = state["kind"], state["config"]
-        config = sorted(config.items())
-    except (TypeError, KeyError, AttributeError):
+    if config is None:
         return None
-    digest = hashlib.sha256(repr((kind, config)).encode())
-    return digest.hexdigest()[:16]
+    canonical = repr((model.kind, sorted(config(model).items())))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def model_part(model):
     """The model's part of a model-keyed key: its configuration
-    fingerprint and the kind of its backing store, whose state the
-    entry's end state holds; ``None`` outside the snapshot protocol."""
+    fingerprint and the kind of its backing store, so a model over a
+    compressing store records a trace of its own; ``None`` for a model
+    :func:`model_fingerprint` does not name."""
     fp = model_fingerprint(model)
     if fp is None:
         return None
@@ -318,87 +347,100 @@ def record_trace(workload, scale=1.0, seed=1):
     (:func:`run_traced`), or take the recording its batch made ahead."""
     handed = _handed(_planned(workload, None, scale, seed))
     trace = (run_traced(workload, scale=scale, seed=seed)
-             if handed is None else handed.trace)
+             if handed is None else handed[0])
     STATS.records += 1
     return trace
 
 
-# -- entries -----------------------------------------------------------------
+# -- result entries ----------------------------------------------------------
 
 
 def end_key(model, verdict):
-    """The memo key of a fresh model, which a model-keyed entry stores
-    beside its end state to name the model that left it: the exact
-    class and the ``_config()`` that ``admit`` read off the model while
-    it was fresh (``verdict``)."""
+    """The key of a fresh model, which a result entry stores beside its
+    end state to name the model that left it: the exact class and the
+    ``_config()`` that ``admit`` read off the model while it was fresh
+    (``verdict``)."""
     cls = type(model)
     return (f"{cls.__module__}.{cls.__qualname__}",
             tuple(verdict.config.items()))
 
 
-class Entry:
-    """One cache entry in memory: the recorded ``trace`` and, for a
-    model-keyed entry, ``end``: the marshalled ``(end_key, end-state
-    capture)`` of the model it was recorded through (``None`` for a
-    shared entry)."""
-
-    __slots__ = ("trace", "end")
-
-    def __init__(self, trace, end=None):
-        self.trace = trace
-        self.end = end
-
-    def payload(self):
-        """The bytes :func:`_publish` frames: the packed trace, behind
-        an end-state header and followed by the end state when there is
-        one."""
-        data = self.trace.dumps_binary()
-        if self.end is None:
-            return data
-        return b"".join((_END_HEADER.pack(_END_MAGIC, len(data)), data,
-                         self.end))
-
-    def end_state(self):
-        """``(end_key, capture)``, decoded afresh on every call."""
-        return marshal.loads(self.end)
+def end_payload(key, model):
+    """A result entry's payload: ``(key, model.capture())``, marshalled
+    in the version that encodes equal captures to equal bytes."""
+    return marshal.dumps((key, model.capture()), _END_MARSHAL)
 
 
-def decode_entry(payload):
-    """The :class:`Entry` of one payload (bytes or a memoryview of
-    them); raises :class:`TraceFormatError` for anything
-    :meth:`Entry.payload` does not write.  The trace is copied out of
-    the payload once, and only the small end state is kept."""
-    view = memoryview(payload)
-    end = None
-    if view[:4] == _END_MAGIC:
-        if len(view) < _END_HEADER.size:
-            raise TraceFormatError("entry shorter than its end-state "
-                                   "header")
-        _, length = _END_HEADER.unpack_from(view)
-        start = _END_HEADER.size
-        if length > len(view) - start:
-            raise TraceFormatError("end-state header promises more trace "
-                                   "than the entry holds")
-        end = bytes(view[start + length:])
-        view = view[start:start + length]
-        try:
-            marshal.loads(end)
-        except (EOFError, ValueError, TypeError) as exc:
-            raise TraceFormatError(f"unreadable end state: {exc}") from None
-    return Entry(Trace.loads_binary(view), end)
+class Result:
+    """The result entry of one cell: replaying ``trace`` onto a fresh
+    model whose :func:`end_key` is ``key``.  ``workload`` names the cell
+    in the cache log.  The entry's key is a sha256 over the trace's
+    content digest, ``key``, :func:`core_fingerprint` and
+    :func:`replay_fingerprint`."""
+
+    __slots__ = ("workload", "key", "path")
+
+    def __init__(self, workload, trace, key, directory=None):
+        self.workload = workload
+        self.key = key
+        directory = pathlib.Path(directory) if directory else cache_dir()
+        canonical = (f"{trace.digest().hex()}|{key!r}"
+                     f"|core={core_fingerprint()}"
+                     f"|replay={replay_fingerprint()}")
+        name = hashlib.sha256(canonical.encode()).hexdigest()[:32]
+        self.path = directory / f"{name}{RESULT_SUFFIX}"
+
+    def cached(self):
+        """True when the entry is memoized or on disk: no fault draw, no
+        count and no log line, as :func:`plan_lookup` checks."""
+        return _known(self.path)
+
+    def load(self):
+        """The stored end-state capture, decoded afresh (a caller that
+        drives the model on cannot change the entry), after a counted,
+        logged lookup; ``None`` on a miss or for an entry that names
+        another model than :attr:`key`."""
+        payload = _lookup(self.workload, self.path)
+        if payload is None:
+            return None
+        key, state = marshal.loads(payload)
+        return state if key == self.key else None
+
+    def payload(self, model):
+        """What :meth:`publish` takes for ``model``'s end state."""
+        return end_payload(self.key, model)
+
+    def publish(self, payload):
+        """Publish an :func:`end_payload` as it is (no record lock: a
+        duplicate publish writes identical bytes)."""
+        _publish(self.workload, self.path, payload, payload)
 
 
-def record_entry(workload, model=None, scale=1.0, seed=1):
-    """:func:`run_traced`, as an :class:`Entry` that also carries the
-    end state of a model :func:`~repro.trace.admit.admit` calls fresh
-    beforehand.  Touches no cache state or counter: a batch's worker
-    sends back its :meth:`Entry.payload`, to be published as it is."""
-    verdict = None if model is None else admit(model)
-    trace = run_traced(workload, model, scale=scale, seed=seed)
-    if verdict is None or not verdict.fresh:
-        return Entry(trace)
-    end = (end_key(model, verdict), model.capture())
-    return Entry(trace, marshal.dumps(end, _END_MARSHAL))
+def result_entry(workload, trace, model, verdict=None, directory=None):
+    """The :class:`Result` of replaying ``trace`` onto ``model``, or
+    ``None`` for a model the store does not hold: only a model that
+    :func:`~repro.trace.admit.admit` (``verdict``, when the caller has
+    it) calls fresh and lets the result memo hold.  Driven, wrapped,
+    subclassed and compressing models neither look one up nor publish
+    one."""
+    verdict = verdict or admit(model)
+    if not (verdict.memo and verdict.fresh):
+        return None
+    return Result(workload, trace, end_key(model, verdict), directory)
+
+
+def _check_result(payload):
+    """A result entry's payload as bytes; raises
+    :class:`TraceFormatError` for anything :func:`end_payload` does not
+    write."""
+    payload = bytes(payload)
+    try:
+        key, state = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise TraceFormatError(f"unreadable result entry: {exc}") from None
+    if not (isinstance(key, tuple) and isinstance(state, dict)):
+        raise TraceFormatError("result entry is not (end_key, capture)")
+    return payload
 
 
 # -- a batch's hand-off ------------------------------------------------------
@@ -406,13 +448,15 @@ def record_entry(workload, model=None, scale=1.0, seed=1):
 
 class _Planned:
     """One planned lookup of a batch: once a recording was made ahead
-    of it, that recording's :class:`Entry` and the payload it will be
-    published as, or what making it raised."""
+    of it, that recording's ``trace``, the :func:`end_payload` of the
+    model copy it was recorded through (``end``, ``None`` for a shared
+    trace) and the trace payload a worker sent (``payload``), or what
+    making it raised (``error``)."""
 
-    __slots__ = ("entry", "payload", "error")
+    __slots__ = ("trace", "end", "payload", "error")
 
     def __init__(self):
-        self.entry = self.payload = self.error = None
+        self.trace = self.end = self.payload = self.error = None
 
 
 #: per thread, the :class:`_Planned` lookups of the innermost open
@@ -453,16 +497,31 @@ def _planned(workload, model, scale, seed, directory=None):
 
 
 def _handed(planned):
-    """The :class:`Entry` made ahead for a planned lookup, once, or
-    ``None`` when nothing was; raises what making it raised.  Its
-    payload stays for :func:`_publish`."""
-    if planned is None or (planned.entry is None and planned.error is None):
+    """``(trace, end)`` of the recording made ahead for a planned
+    lookup, once, or ``None`` when nothing was; raises what making it
+    raised.  Its payload stays for :func:`_sent`."""
+    if planned is None or (planned.trace is None and planned.error is None):
         return None
-    entry, error = planned.entry, planned.error
-    planned.entry = planned.error = None
+    handed, error = (planned.trace, planned.end), planned.error
+    planned.trace = planned.end = planned.error = None
     if error is not None:
         raise error
-    return entry
+    return handed
+
+
+def _sent(planned):
+    """The trace payload a worker sent for a planned lookup, once, to
+    be published as it is; ``None`` when none was."""
+    if planned is None:
+        return None
+    payload, planned.payload = planned.payload, None
+    return payload
+
+
+def _known(path):
+    """True when the entry at ``path`` is memoized or on disk; no
+    fault draw, no count, no log line."""
+    return (str(path.parent), path.name) in _memo or path.exists()
 
 
 def plan_lookup(workload, model, scale, seed):
@@ -486,7 +545,7 @@ def plan_lookup(workload, model, scale, seed):
             return None
     path = trace_path(workload, scale, seed, model_fp=part)
     plan[key] = entry = _Planned()
-    if (str(path.parent), path.name) in _memo or path.exists():
+    if _known(path):
         return None
     return path, entry
 
@@ -606,29 +665,32 @@ def _read_bytes(path, attempts=3, backoff=0.005):
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _parse_entry(blob):
-    """Decode one on-disk entry: a payload (:func:`decode_entry`) in the
-    CRC frame :func:`_publish` writes.  Anything else (a bare binary or
-    text trace carries no CRC to check) raises
-    :class:`TraceFormatError`.  The frame is checked and stripped in
-    place, without copying the payload."""
-    return decode_entry(_events.unframe(memoryview(blob)))
+def _parse_entry(path, blob):
+    """Decode one on-disk entry, its kind named by the suffix of
+    ``path``: a payload in the CRC frame :func:`_publish` writes, the
+    packed trace of a trace entry or the :func:`end_payload` of a
+    result entry.  Anything else (a bare binary or text trace carries
+    no CRC to check) raises :class:`TraceFormatError`.  The frame is
+    checked and stripped in place, without copying the payload."""
+    payload = _events.unframe(memoryview(blob))
+    if path.suffix == RESULT_SUFFIX:
+        return _check_result(payload)
+    return Trace.loads_binary(payload)
 
 
 def _lookup(workload, path):
-    """Memo-then-disk lookup; returns the :class:`Entry` or ``None`` on
-    a miss.
+    """Memo-then-disk lookup; returns the entry (a trace, or a result
+    entry's payload) or ``None`` on a miss.
 
     Memo hits are re-validated against the disk file's stat signature:
     if the file changed (or vanished) since memoization the entry is
     invalidated, so a poisoned memo can never outlive the bytes it
     mirrors.  Corrupt or truncated disk entries (torn copy, bit rot —
-    the CRC frame catches both, in the trace and the end state alike)
-    are quarantined and treated as misses, so callers transparently
-    re-record them.
+    the CRC frame catches both) are quarantined and treated as misses,
+    so callers transparently record or replay them again.
     """
     memo_key = (str(path.parent), path.name)
-    cached = _memo.get(memo_key)
+    cached = lru.get(_memo, memo_key)
     if cached is not None:
         entry, sig = cached
         if sig is None or sig == _stat_sig(path):
@@ -639,13 +701,13 @@ def _lookup(workload, path):
     entry = None
     if path.exists():
         try:
-            entry = _parse_entry(_read_bytes(path))
+            entry = _parse_entry(path, _read_bytes(path))
         except TraceFormatError as exc:
             _quarantine(workload, path, str(exc))
         except OSError:
             entry = None
         if entry is not None:
-            _memo[memo_key] = (entry, _stat_sig(path))
+            lru.put(_memo, memo_key, (entry, _stat_sig(path)), MEMO_LIMIT)
     if entry is not None:
         STATS.hits += 1
         _log("HIT", workload, path)
@@ -730,24 +792,24 @@ def _release_record_lock(lock_path):
 # -- publishing --------------------------------------------------------------
 
 
-def _publish(workload, path, entry, planned=None):
-    """Atomically write ``entry`` (CRC-framed) to ``path``; memoize.
+def _publish(workload, path, entry, payload=None):
+    """Atomically write ``payload`` (CRC-framed) to ``path``; memoize
+    ``entry``.
 
-    A recording its batch made ahead (``planned``) is published as the
-    payload it arrived in; any other is serialized here, once.
+    ``payload`` ``None`` serializes a trace ``entry`` here, once; a
+    recording its batch made ahead is published as the payload it
+    arrived in, and a result entry as its :func:`end_payload`.
     Transient write failures retry with deterministic backoff; when
     failures persist past :data:`PUBLISH_FAILURE_LIMIT` the ladder
-    disables publishing for this process — recordings remain usable
+    disables publishing for this process — entries remain usable
     in-memory (``stat_sig=None`` memo entries), results stay exact,
     only warm-start reuse is lost.
     """
     memo_key = (str(path.parent), path.name)
-    payload = None
-    if planned is not None:
-        payload, planned.payload = planned.payload, None
+    sig = None
     if publishing_enabled():
         if payload is None:
-            payload = entry.payload()
+            payload = entry.dumps_binary()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(path, _events.frame(payload),
@@ -759,11 +821,10 @@ def _publish(workload, path, entry, planned=None):
             _log("PUBFAIL", workload, path)
         else:
             _log("RECORD", workload, path)
-            _memo[memo_key] = (entry, _stat_sig(path))
-            return
+            sig = _stat_sig(path)
     else:
         _log("NOPUBLISH", workload, path)
-    _memo[memo_key] = (entry, None)
+    lru.put(_memo, memo_key, (entry, sig), MEMO_LIMIT)
 
 
 def load_or_record(workload, scale=1.0, seed=1, directory=None):
@@ -774,30 +835,29 @@ def load_or_record(workload, scale=1.0, seed=1, directory=None):
     :func:`load_for_model` / :func:`record_through` instead.
     """
     path = trace_path(workload, scale, seed, directory=directory)
-    entry = _lookup(workload, path)
-    if entry is None:
+    trace = _lookup(workload, path)
+    if trace is None:
         lock_path, contended = _acquire_record_lock(path)
         try:
             if contended:
                 # a concurrent recorder may have published while we
                 # waited on its lock
-                entry = _lookup(workload, path)
-            if entry is None:
-                entry = Entry(record_trace(workload, scale=scale,
-                                           seed=seed))
-                _publish(workload, path, entry,
-                         _planned(workload, None, scale, seed, directory))
+                trace = _lookup(workload, path)
+            if trace is None:
+                trace = record_trace(workload, scale=scale, seed=seed)
+                _publish(workload, path, trace, _sent(
+                    _planned(workload, None, scale, seed, directory)))
         finally:
             _release_record_lock(lock_path)
-    return entry.trace
+    return trace
 
 
-def _model_path(workload, model, scale, seed, directory):
-    """Where the model-keyed entry of a model :func:`admit` calls fresh
-    lives; ``None`` for any other model, which may neither look one up
-    nor publish one: its run need not be the fresh run an entry
-    memoizes."""
-    if not admit(model).fresh:
+def _model_path(workload, model, scale, seed, directory, verdict=None):
+    """Where the model-keyed entry of a model :func:`admit` (``verdict``,
+    when the caller has it) calls fresh lives; ``None`` for any other
+    model, which may neither look one up nor publish one: its run need
+    not be the fresh run an entry memoizes."""
+    if not (verdict or admit(model)).fresh:
         return None
     part = model_part(model)
     if part is None:
@@ -807,16 +867,14 @@ def _model_path(workload, model, scale, seed, directory):
 
 
 def load_for_model(workload, model, scale=1.0, seed=1, directory=None):
-    """Cached :class:`Entry` for this exact model configuration, or
-    ``None``.
+    """Cached trace for this exact model configuration, or ``None``.
 
     The lookup path for timing-sensitive workloads, open only to a
-    model :func:`~repro.trace.admit.admit` calls fresh: the entry was
+    model :func:`~repro.trace.admit.admit` calls fresh: the trace was
     recorded through a fresh model of the same configuration and
-    backing kind, so its trace may be replayed onto this one, and a
-    model whose :func:`end_key` the entry names may ``restore()`` its
-    end state instead.  A ``None`` return (miss, or a model that may
-    not look up) means the caller must execute the workload directly —
+    backing kind, so it may be replayed onto this one, or its result
+    entry restored.  A ``None`` return (miss, or a model that may not
+    look up) means the caller must execute the workload directly —
     through :func:`record_through` for a fresh model, so the next run
     hits.
     """
@@ -828,57 +886,81 @@ def record_through(workload, model, scale=1.0, seed=1, directory=None):
     """Execute ``workload`` directly over ``model``, recording as it runs.
 
     The cold-run path for timing-sensitive workloads: the model ends up
-    with genuine direct-execution statistics (no replay involved), and
-    for a model :func:`~repro.trace.admit.admit` calls fresh the
-    recorded stream and the model's end state are published under the
-    model-keyed entry, so future runs on the same configuration restore
-    or replay instead.  Any other model is recorded and nothing is
-    published.  A recording its batch made ahead on a copy of the model
-    arrives as the copy's entry, whose end state the model
-    ``restore()``s.  Returns the trace.
+    with genuine direct-execution statistics (no replay involved).  For
+    a model :func:`~repro.trace.admit.admit` calls fresh the recorded
+    stream is published under the model-keyed entry, and for one the
+    result memo holds too the model's end state is published as the
+    result entry of that trace (:func:`result_entry`), so future runs
+    on the same configuration restore or replay instead.  Any other
+    model is recorded and nothing is published.  A recording its batch
+    made ahead on a copy of the model arrives with the copy's end
+    state, which the model ``restore()``s.  Returns the trace.
     """
-    path = _model_path(workload, model, scale, seed, directory)
+    verdict = admit(model)
+    path = _model_path(workload, model, scale, seed, directory, verdict)
     planned = _planned(workload, model, scale, seed, directory)
-    entry = _handed(planned)
-    if entry is None:
-        entry = record_entry(workload, model, scale=scale, seed=seed)
+    handed = _handed(planned)
+    if handed is None:
+        trace = run_traced(workload, model, scale=scale, seed=seed)
+        end = None
     else:
-        model.restore(entry.end_state()[1])
+        trace, end = handed
+        model.restore(marshal.loads(end)[1])
     STATS.records += 1
     if path is not None:
-        _publish(workload, path, entry, planned)
-    return entry.trace
+        _publish(workload, path, trace, _sent(planned))
+        result = result_entry(workload, trace, model, verdict, directory)
+        if result is not None:
+            result.publish(result.payload(model) if end is None else end)
+    return trace
 
 
-def clear(directory=None):
-    """Delete every cached trace (and lock debris); returns the number
-    of traces removed.  Quarantined entries are kept for inspection —
-    see :func:`clear_quarantine`."""
-    directory = pathlib.Path(directory) if directory else cache_dir()
+def _remove(directory, pattern):
+    """Delete the files of ``directory`` that ``pattern`` matches;
+    returns how many went."""
     removed = 0
     if directory.is_dir():
-        for path in directory.glob("*.trace"):
+        for path in directory.glob(pattern):
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        for path in directory.glob("*.trace.lock"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    return removed
+
+
+def clear(directory=None):
+    """Delete every cached trace and result entry (and lock debris) and
+    forget every memoized entry; returns the number of entries removed.
+    Quarantined entries are kept for inspection — see
+    :func:`clear_quarantine`."""
+    directory = pathlib.Path(directory) if directory else cache_dir()
+    removed = (_remove(directory, "*" + TRACE_SUFFIX)
+               + _remove(directory, "*" + RESULT_SUFFIX))
+    _remove(directory, f"*{TRACE_SUFFIX}.lock")
     _memo.clear()
     return removed
 
 
+def clear_results(directory=None):
+    """Delete every result entry of ``directory`` and forget every
+    memoized one, so the next cell of each configuration replays;
+    returns the number of files removed.  Traces stay."""
+    directory = pathlib.Path(directory) if directory else cache_dir()
+    for key in [key for key in _memo if key[1].endswith(RESULT_SUFFIX)]:
+        del _memo[key]
+    return _remove(directory, "*" + RESULT_SUFFIX)
+
+
 def entries(directory=None):
-    """``(path, size_bytes)`` of every cached trace, sorted by name."""
+    """``(path, size_bytes)`` of every cached trace and result entry,
+    sorted by name."""
     directory = pathlib.Path(directory) if directory else cache_dir()
     if not directory.is_dir():
         return []
-    return sorted((path, path.stat().st_size)
-                  for path in directory.glob("*.trace"))
+    return sorted((path, path.stat().st_size) for suffix in
+                  (TRACE_SUFFIX, RESULT_SUFFIX)
+                  for path in directory.glob("*" + suffix))
 
 
 def main(argv=None):
@@ -888,7 +970,8 @@ def main(argv=None):
         description="Inspect or clear the content-addressed trace cache."
     )
     parser.add_argument("command", choices=["info", "clear"],
-                        help="info: list entries; clear: delete them")
+                        help="info: list trace and result entries; "
+                             "clear: delete them")
     parser.add_argument("--dir", default=None,
                         help="cache directory (default: "
                              f"$" + ENV_DIR + " or .trace-cache)")
@@ -896,15 +979,18 @@ def main(argv=None):
     directory = pathlib.Path(args.dir) if args.dir else cache_dir()
     if args.command == "clear":
         removed = clear(directory)
-        print(f"removed {removed} cached trace(s) from {directory}")
+        print(f"removed {removed} cached entr"
+              f"{'y' if removed == 1 else 'ies'} from {directory}")
         return 0
     listing = entries(directory)
     total = sum(size for _, size in listing)
+    results = sum(path.suffix == RESULT_SUFFIX for path, _ in listing)
     print(f"trace cache: {directory}"
           + ("" if enabled() else "  [DISABLED via $" + ENV_DISABLE + "]"))
     for path, size in listing:
         print(f"  {path.name}  {size:,} B")
-    print(f"{len(listing)} entr{'y' if len(listing) == 1 else 'ies'}, "
+    print(f"{len(listing)} entr{'y' if len(listing) == 1 else 'ies'} "
+          f"({len(listing) - results} trace, {results} result), "
           f"{total:,} B")
     quarantined = quarantine_entries(directory)
     if quarantined:

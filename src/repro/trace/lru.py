@@ -1,7 +1,7 @@
 """Bounded least-recently-used memos over plain dicts.
 
 The in-process memos (``columnar._ANALYSES``, ``oracle._TABLE_MEMO``
-and the replay-result memo in ``repro.evalx.common``)
+and the trace cache's ``_memo`` of loaded traces and result entries)
 are plain dicts kept in least-recently-used order: the oldest key is
 first, and a lookup moves its key to the end.  They stay plain dicts so
 callers can ``clear()`` them and tests can swap in an empty one; these

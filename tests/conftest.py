@@ -7,13 +7,17 @@ import textwrap
 import pytest
 
 from repro.evalx import common
+from repro.trace import cache as trace_cache
 
 
 @pytest.fixture(autouse=True)
 def fresh_result_memo():
-    """Start every test with an empty replay-result memo and zeroed
-    counters, so no test is served a result another test computed."""
-    common.clear_result_memo()
+    """Start every test with no result entry, on disk in the cache the
+    test starts with or in the cache's memo, and zeroed counters, so no
+    test is served a result another test computed.  Result entries
+    outlive the process that publishes them, so forgetting an
+    in-process memo alone would not keep that promise."""
+    trace_cache.clear_results()
     common.RESULT_STATS.reset()
     yield
 

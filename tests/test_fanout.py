@@ -1,19 +1,22 @@
 """Experiments fan their cells out over forked children.
 
 ``repro.evalx.common.run_cells`` computes the replays and oracle scans
-a batch's memos lack in forked children, then serves every cell in
-this process.  Evidence that this never changes a number:
+a batch's cache and memos lack in forked children, then serves every
+cell in this process.  Evidence that this never changes a number:
 
 * **Differential.** Every batched experiment (fig09-fig14, claims,
   compression, table1) at two operating points, on an empty cache and
-  then warm under ``event`` and ``oracle``, prints the same tables,
-  result-memo counters, cache counters and cache log, and leaves the
-  same cache entry bytes, with the fan-out as with a fork guard that
-  refuses; the fanned-out run really forks its recordings and replays,
-  and each cell's trace is looked up once.  Every end state a cold
-  recording stores in its cache entry is the end state a replay of its
-  trace leaves, and a recording a worker made is published as the
-  payload it sent, without serializing it again.
+  then on a cache holding only its traces and its recordings' result
+  entries under ``event`` and ``oracle``, prints the same tables,
+  result counters, cache counters and cache log, and leaves the same
+  cache entry bytes, with the fan-out as with a fork guard that
+  refuses; the fanned-out run really forks its recordings and
+  replays, each cell's trace is looked up once, and each result entry
+  a pass lacks is looked up and published at its cell.  Every end
+  state a cold recording publishes as the result entry of its trace is
+  the end state a replay of its trace leaves, and a recording a worker
+  made is published as the payload it sent, without serializing it
+  again.
   These run in a fresh interpreter, as do the other fork tests, so no
   thread another test left behind refuses the fork.
 * **Dedupe.** Identical cells in one batch replay once.
@@ -110,12 +113,14 @@ def _fresh(*parts, env=None):
 POINTS = ((0.35, 11), (0.2, 7))
 
 #: primes two empty caches with every batched experiment at every point,
-#: fanned out and then fork-refused, then runs both warm from the
-#: fanned-out one under either engine; the end state every cold
-#: recording of a fresh model the memo holds stores in its entry is
-#: checked against a replay of its trace
+#: fanned out and then fork-refused, then runs both under either engine
+#: on a copy of the fanned-out one's traces and of the result entries
+#: its recordings published (so every shared-trace cell replays and
+#: forks again, and the Gamteb cells restore); the end state every cold
+#: recording of a fresh model the memo holds publishes as its trace's
+#: result entry is checked against a replay of its trace
 DIFFERENTIAL = """
-import copy, hashlib
+import copy, hashlib, marshal
 from repro.trace.admit import admit
 from repro.trace.replay import replay
 
@@ -138,17 +143,23 @@ def counted(workload, model, scale=1.0, seed=1):
     records = trace_cache.STATS.records
     result = resolve(workload, model, scale=scale, seed=seed)
     if twin is not None and trace_cache.STATS.records > records:
-        # read without a lookup, a count or a memo reorder
+        # both entries were just published: read them without a lookup,
+        # a count or a memo reorder
         path = trace_cache.trace_path(
             workload, scale, seed, model_fp=trace_cache.model_part(twin))
-        entry = trace_cache._memo[(str(path.parent), path.name)][0]
-        key, end = entry.end_state()
+        trace = memoized(path)
+        result = trace_cache.result_entry(workload, trace, twin)
+        key, end = marshal.loads(memoized(result.path))
         own = trace_cache.end_key(twin, admit(twin))
-        replay(entry.trace, twin, verify=False)
+        replay(trace, twin, verify=False)
         seeded.append([f"{workload.name} {twin._config()}",
                        key == own and end == twin.capture()
                        and end == model.capture()])
     return result
+
+
+def memoized(path):
+    return trace_cache._memo[(str(path.parent), path.name)][0]
 
 
 common.run_workload = counted
@@ -172,9 +183,8 @@ def run(mode, cache, fresh):
     del seeded[:]
     tables, compression = {}, None
     for scale, seed in POINTS:
-        # within the memos' bounds, so no eviction order can change a
-        # hit count
-        common.clear_result_memo()
+        # within the table memo's bound, so no eviction order can change
+        # a scan count
         oracle._TABLE_MEMO.clear()
         for name in BATCHED:
             memo = repr(common.RESULT_STATS)
@@ -205,11 +215,20 @@ def run(mode, cache, fresh):
 for mode in ("fanout", "refused"):
     out["cold " + mode] = run(mode, os.path.join(ROOT, "cold-" + mode),
                               fresh=True)
+primed = os.path.join(ROOT, "cold-fanout")
+with open(primed + ".log") as handle:
+    logged = [line.split() for line in handle]
+# the result entries the recordings published, which no cell looked up
+recordings = ({name for outcome, _, name in logged if outcome == "RECORD"}
+              - {name for outcome, _, name in logged if outcome == "MISS"})
 for engine in ("event", "oracle"):
     os.environ[columnar.ENV_ENGINE] = engine
     for mode in ("fanout", "refused"):
         cache = os.path.join(ROOT, engine + mode)
-        shutil.copytree(os.path.join(ROOT, "cold-fanout"), cache)
+        os.makedirs(cache)
+        for name in os.listdir(primed):
+            if name.endswith(".trace") or name in recordings:
+                shutil.copy2(os.path.join(primed, name), cache)
         out[engine + " " + mode] = run(mode, cache, fresh=False)
 """
 
@@ -225,6 +244,12 @@ def differential(tmp_path_factory):
     """, DIFFERENTIAL, env={columnar.ENV_ENGINE: "event"})
 
 
+def _outcomes(log, suffix):
+    """The outcome of every cache log line about an entry ending in
+    ``suffix``, in log order."""
+    return [line.split()[0] for line in log if line.endswith(suffix)]
+
+
 @needs_fork
 def test_fanout_matches_a_refused_fork(differential):
     out = differential
@@ -238,34 +263,53 @@ def test_fanout_matches_a_refused_fork(differential):
     for field in ("tables", "results", "cache", "log", "lookups",
                   "entries"):
         assert fanned[field] == refused[field], ("cold", field)
-    assert fanned["entries"] and all(
-        name.endswith(".trace") for name in fanned["entries"])
+    entries = fanned["entries"]
+    assert entries and all(name.endswith((".trace", ".result"))
+                           for name in entries)
     # planning looked nothing up: each cell's trace is looked up once,
-    # and each miss is recorded and published once
-    looked = [line.split()[0] for line in fanned["log"]
-              if line.startswith(("HIT ", "MISS "))]
+    # each miss is recorded and published once, and so is each result
+    # entry, at its cell
+    traces = _outcomes(fanned["log"], ".trace")
+    results = _outcomes(fanned["log"], ".result")
+    assert len(traces) + len(results) == len(fanned["log"])
+    looked = [outcome for outcome in traces if outcome != "RECORD"]
     misses = looked.count("MISS")
     assert len(looked) == fanned["lookups"]
+    assert misses == traces.count("RECORD") == sum(
+        name.endswith(".trace") for name in entries)
+    assert results.count("RECORD") == sum(
+        name.endswith(".result") for name in entries) > 0
+    outcomes = traces + results
     assert fanned["cache"] == (
-        f"CacheStats(hits={len(looked) - misses}, misses={misses}, "
-        f"records={misses}, quarantined=0)")
-    assert misses == len(fanned["entries"]) == sum(
-        line.startswith("RECORD ") for line in fanned["log"])
+        f"CacheStats(hits={outcomes.count('HIT')}, "
+        f"misses={outcomes.count('MISS')}, records={misses}, "
+        "quarantined=0)")
     for engine in ("event", "oracle"):
         fanned, refused = out[f"{engine} fanout"], out[f"{engine} refused"]
         assert fanned["forks"] > 0, engine
         assert refused["forks"] == 0, engine
-        for field in ("tables", "results", "cache", "log", "lookups"):
+        for field in ("tables", "results", "cache", "log", "lookups",
+                      "entries"):
             assert fanned[field] == refused[field], (engine, field)
         assert fanned["tables"] == out["cold fanout"]["tables"], engine
-        # a warm cache: each cell's trace is looked up once, a hit
-        assert len(fanned["log"]) == fanned["lookups"] > 0
-        assert all(line.startswith("HIT ") for line in fanned["log"])
+        # the traces are warm: each cell's trace is looked up once, a
+        # hit; each result entry the cache lacks is looked up, missed
+        # and, where a replay priced the cell, published, at its cell
+        assert _outcomes(fanned["log"], ".trace") == (
+            ["HIT"] * fanned["lookups"])
+        results = _outcomes(fanned["log"], ".result")
+        published = results.count("RECORD")
+        assert 0 < published <= results.count("MISS"), engine
+        if engine == "event":
+            assert published == results.count("MISS"), engine
+        assert fanned["results"] == (
+            f"MemoStats(hits={results.count('HIT')}, "
+            f"misses={published})"), engine
         assert fanned["cache"] == (
-            f"CacheStats(hits={fanned['lookups']}, misses=0, records=0, "
-            "quarantined=0)")
+            f"CacheStats(hits={fanned['lookups'] + results.count('HIT')}, "
+            f"misses={results.count('MISS')}, records=0, quarantined=0)")
         assert fanned["recorded"] == [0, 0], engine
-        # compressing models travel but never enter the result memo
+        # compressing models travel but never enter the result store
         before, after = fanned["compression"]
         assert before == after, engine
 
@@ -273,11 +317,11 @@ def test_fanout_matches_a_refused_fork(differential):
 @needs_fork
 def test_a_seeded_memo_entry_equals_a_replay_of_its_trace(differential):
     """A cold recording through a fresh model the result memo holds
-    stores that model's end state in its cache entry: for every such
-    cell of every batched experiment, at both points and in both
-    modes, the stored end state is the one a replay of the recorded
-    trace leaves, and the one the cold run left on the model, and the
-    entry names the model's own class and config."""
+    publishes that model's end state as the result entry of its trace:
+    for every such cell of every batched experiment, at both points and
+    in both modes, the stored end state is the one a replay of the
+    recorded trace leaves, and the one the cold run left on the model,
+    and the entry names the model's own class and config."""
     for mode in ("fanout", "refused"):
         seeded = differential["cold " + mode]["seeded"]
         # fig11 alone records 16 Gamteb traces of its own per point
@@ -297,7 +341,7 @@ def test_identical_cells_in_one_batch_replay_once(cache_env, monkeypatch,
     inner = common.replay
 
     def logged(trace, model, verify=True):
-        log.append(repr(common._result_key(trace, model)))
+        log.append(trace_cache.result_entry(None, trace, model).path.name)
         return inner(trace, model, verify=verify)
 
     monkeypatch.setattr(common, "replay", logged)
@@ -327,7 +371,7 @@ def test_empty_and_one_cell_batches(cache_env):
     # its one recording is made at its cell, not counted as made ahead
     assert common.FANOUT.recordings == 0
     assert "recording" not in common.FANOUT.summary()
-    common.clear_result_memo()
+    trace_cache.clear_results()
     common.run_workload(workload, alone, scale=0.2, seed=3)
     assert batched.stats != RegFileStats(capacity=batched.num_registers)
     assert batched.capture() == alone.capture()
@@ -352,7 +396,7 @@ def test_a_killed_childs_job_runs_in_the_parent(tmp_path):
         os.environ[trace_cache.ENV_DIR] = {str(tmp_path)!r}
         os.environ[columnar.ENV_ENGINE] = "event"
         expected = run_experiment("fig09", scale=0.2, seed=7).to_dict()
-        common.clear_result_memo()
+        trace_cache.clear_results()
         common.RESULT_STATS.reset()
         common.FANOUT.reset()
         inner = common.replay
@@ -361,7 +405,8 @@ def test_a_killed_childs_job_runs_in_the_parent(tmp_path):
         def dying(trace, model, verify=True):
             if os.getpid() != MAIN:
                 os.kill(os.getpid(), signal.SIGKILL)
-            ran.append(repr(common._result_key(trace, model)))
+            ran.append(trace_cache.result_entry(None, trace,
+                                                model).path.name)
             return inner(trace, model, verify=verify)
 
         common.replay = dying
@@ -376,10 +421,10 @@ def test_a_killed_childs_job_runs_in_the_parent(tmp_path):
     assert out["same"] is True
     assert out["forked"] == 1
     # the dead child's job, and the ones it never took, replay here:
-    # all 16 of fig09's shared-trace cells (its 2 Gamteb cells restore
-    # the end states their cache entries hold, and are no jobs)
-    assert out["parent_replays"] == 16
-    assert out["stats"] == "MemoStats(hits=0, misses=16)"
+    # all 18 of fig09's cells (the result entries of its 2 Gamteb cells
+    # were dropped too, so they replay their recordings)
+    assert out["parent_replays"] == 18
+    assert out["stats"] == "MemoStats(hits=0, misses=18)"
     assert out["summary"] == "0 of 0 cell job(s) forked in 1 batch(es)"
 
 
@@ -409,7 +454,7 @@ def test_a_job_raising_in_a_child_raises_its_serial_error(tmp_path):
         common.replay = failing
 
         def error(refuse):
-            common.clear_result_memo()
+            trace_cache.clear_results()
             common.fork_unavailable = (lambda: "refused") if refuse else guard
             try:
                 run_experiment("fig09", scale=0.2, seed=7)
@@ -426,9 +471,9 @@ def test_a_job_raising_in_a_child_raises_its_serial_error(tmp_path):
     assert out["fanned"] == out["serial"] == ["LookupError", "planted 80"]
     assert out["forked"] == 1
     # raised in the child first, then in the parent's serial rerun; the
-    # child replays fig09's 8 shared-trace segmented cells (the Gamteb
-    # one restores its entry's end state)
-    assert out["raisers"].count("False") == 8
+    # child replays fig09's 9 segmented cells (the Gamteb one's result
+    # entry was dropped with the rest)
+    assert out["raisers"].count("False") == 9
     assert out["raisers"][-1] == "True"
 
 
@@ -439,7 +484,7 @@ def test_an_error_in_the_parents_share_leaves_no_child(tmp_path):
         os.environ[trace_cache.ENV_DIR] = ROOT
         os.environ[columnar.ENV_ENGINE] = "event"
         run_experiment("fig09", scale=0.2, seed=7)  # records the traces
-        common.clear_result_memo()
+        trace_cache.clear_results()
         common._cpus = lambda: 2
         # the parent takes every job; the child none
         take = common._take
@@ -470,7 +515,7 @@ def test_an_interrupted_parent_kills_its_children(tmp_path):
         os.environ[trace_cache.ENV_DIR] = {str(tmp_path)!r}
         os.environ[columnar.ENV_ENGINE] = "event"
         run_experiment("fig09", scale=0.2, seed=7)  # records the traces
-        common.clear_result_memo()
+        trace_cache.clear_results()
         common._cpus = lambda: 2
         inner = common.replay
 
@@ -510,7 +555,6 @@ def cold(mode):
     os.environ[trace_cache.ENV_LOG] = cache + ".log"
     trace_cache._memo.clear()
     trace_cache.STATS.reset()
-    common.clear_result_memo()
     common.RESULT_STATS.reset()
     common.FANOUT.reset()
     common.fork_unavailable = (
@@ -688,7 +732,6 @@ def test_models_that_may_not_start_as_a_copy_record_inline(tmp_path):
             LOG = False
             os.environ[trace_cache.ENV_DIR] = cache
             trace_cache._memo.clear()
-            common.clear_result_memo()
             common.FANOUT.reset()
             if refuse:
                 common.fork_unavailable = lambda: "refused"
@@ -862,7 +905,7 @@ def test_a_model_two_cells_drive_is_driven_twice(tmp_path, compressed):
             return model
 
         common.run_workload(workload, build(), scale=0.2, seed=3)
-        common.clear_result_memo()
+        trace_cache.clear_results()
         twice, again = build(), build()
         common.run_cells([(workload, twice), (workload, build()),
                           (workload, twice)], scale=0.2, seed=3)

@@ -104,13 +104,14 @@ def test_golden_table_equivalence(monkeypatch, tmp_path):
     from repro.evalx import common, table1
     from repro.trace import cache as trace_cache
 
-    # each side records on an empty cache of its own: a Gamteb cell runs
-    # directly through that side's model, where a warm entry would
-    # restore the end state the other side's model left
+    # each side records on an empty cache of its own: a cell replays or
+    # runs directly on that side's model, where a warm result entry
+    # would restore the end state the other side's model left
     monkeypatch.delenv(trace_cache.ENV_DISABLE, raising=False)
     monkeypatch.setattr(trace_cache, "_memo", {})
     monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "fast"))
     fast = table1.run(scale=0.1, seed=1).rows
+    hits = common.RESULT_STATS.hits
     built = RegisterFile.__init__
 
     def build_tracked(self, *args, **kwargs):
@@ -119,10 +120,10 @@ def test_golden_table_equivalence(monkeypatch, tmp_path):
 
     monkeypatch.setattr(RegisterFile, "__init__", build_tracked)
     monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "tracked"))
-    # the memo key does not tell the two paths apart: forget the fast
-    # side's results so that the tracked side replays every cell
-    common.clear_result_memo()
     assert table1.run(scale=0.1, seed=1).rows == fast
+    # the result key does not tell the two paths apart: the tracked side
+    # restored nothing the fast side left
+    assert common.RESULT_STATS.hits == hits
 
 
 # -- flyweight contract -----------------------------------------------------

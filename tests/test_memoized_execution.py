@@ -1,26 +1,35 @@
-"""Memoized execution: a model-keyed cache entry keeps its end state.
+"""Memoized execution: model-keyed traces and result entries.
 
 A timing-sensitive workload (Gamteb) is recorded straight through the
-model it runs on, and its cache entry holds the trace and that model's
-end-state ``capture()``.  A later fresh model of the same configuration
-``restore()``s the end state and replays nothing.  Evidence that this
-never changes a number:
+model it runs on: its cache entry holds the trace, and the recording
+model's end state becomes the result entry of that trace.  Every other
+fresh cell's first replay leaves a result entry too.  A later fresh
+model of the same configuration ``restore()``s it and replays nothing.
+Evidence that this never changes a number:
 
-* **Exact end state.** Every model-keyed cell of fig09-fig14, claims
-  and table1 ends, restored, exactly as a replay of its entry's trace
-  onto a fresh model and as the cold direct run it memoizes.
-* **Integrity.** A flipped byte in an entry's end state fails the CRC:
-  the entry is quarantined and recorded again, and the tables do not
-  change.
+* **Exact end state.** Every fresh cell of fig09-fig14, claims and
+  table1 ends, restored from disk, exactly as a replay of its trace
+  onto a fresh model, and every Gamteb cell also as the cold direct
+  run it memoizes.
+* **Integrity.** A flipped byte in a result entry fails the CRC: the
+  entry is quarantined, replayed and published again, and the tables
+  do not change.
 * **Who restores.** Compressing (whose codec round trips must all
-  run), protected, faulty, subclassed and driven models never restore;
-  only a fresh one looks an entry up at all, and a stored model key
-  other than the model's own gives a replay.
+  run), protected, faulty, subclassed and driven models neither look
+  a result entry up nor publish one; only a fresh one looks its trace
+  up at all, and a stored model key other than the model's own gives
+  a replay.
 * **Keys.** An edit to the ``repro/core`` sources, or another
-  interpreter, changes every model-keyed key and no shared one.
+  interpreter, changes every model-keyed trace key and no shared one;
+  an edit to the ``repro/core`` sources or to the replay loop changes
+  every result key.
+* **Producers.** An ``oracle`` pass on an empty cache publishes result
+  entries only for its fallback replays and its recordings: the closed
+  form and the tables never publish.
 """
 
 import marshal
+import pathlib
 
 import pytest
 
@@ -31,10 +40,11 @@ from repro.core import (
 )
 from repro.core.compress import CompressedSpillPort
 from repro.core.faults import FaultyRegisterFile
-from repro.evalx import common, run_experiment
+from repro.evalx import common, fig13, run_experiment
 from repro.evalx.common import make_nsf, make_segmented, run_workload
-from repro.trace import cache as trace_cache
+from repro.trace import cache as trace_cache, columnar, oracle
 from repro.trace.admit import admit
+from repro.trace.events import Trace, TraceFormatError, frame
 from repro.trace.replay import replay
 from repro.workloads import get_workload
 from tests.test_result_memo import cache_env  # noqa: F401 (fixture)
@@ -42,9 +52,11 @@ from tests.test_result_memo import cache_env  # noqa: F401 (fixture)
 #: the golden seed (11) is covered by the golden checks
 SCALE, SEED = 0.2, 3
 
-#: the experiments whose cells run Gamteb on fresh plain models
+#: the experiments whose cells run fresh plain models, Gamteb's included
 MODEL_KEYED = ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
                "claims", "table1")
+
+SWEEPS = MODEL_KEYED[:6]
 
 
 def _canonical(model):
@@ -52,17 +64,29 @@ def _canonical(model):
     return marshal.dumps(model.capture(), 2)
 
 
-def _entry(workload, model, scale=SCALE, seed=SEED):
-    """The in-process entry of ``model``'s model-keyed lookup, read
-    without a lookup, a count or a log line."""
-    path = trace_cache.trace_path(workload, scale, seed,
-                                  model_fp=trace_cache.model_part(model))
-    return trace_cache._memo[(str(path.parent), path.name)][0]
+def _read(path):
+    """The entry at ``path``, read from disk without a lookup, a count
+    or a log line."""
+    return trace_cache._parse_entry(path, path.read_bytes())
+
+
+def _trace(workload, model, scale=SCALE, seed=SEED):
+    """The trace a cell of ``model`` replays: the shared one, or the
+    model-keyed one its configuration recorded."""
+    part = None if workload.trace_stable else trace_cache.model_part(model)
+    return _read(trace_cache.trace_path(workload, scale, seed,
+                                        model_fp=part))
+
+
+def _result_files():
+    return sorted(trace_cache.cache_dir().glob(
+        "*" + trace_cache.RESULT_SUFFIX))
 
 
 class Cells:
-    """Every model-keyed cell :func:`common.run_workload` resolves: a
-    copy of its model as it came, and the model itself."""
+    """Every cell :func:`common.run_workload` resolves for a fresh model
+    the result memo holds: a twin built from its config, and the model
+    itself."""
 
     def __init__(self, monkeypatch):
         self.cells = []
@@ -70,8 +94,7 @@ class Cells:
 
         def logged(workload, model, scale=1.0, seed=1):
             verdict = admit(model)
-            if (not workload.trace_stable and verdict.memo
-                    and verdict.fresh):
+            if verdict.memo and verdict.fresh:
                 twin = type(model)(**verdict.config)
                 self.cells.append((workload, twin, model))
             return inner(workload, model, scale=scale, seed=seed)
@@ -86,41 +109,48 @@ class Cells:
 def test_restored_cells_end_as_a_replay_and_a_direct_run(cache_env,
                                                          monkeypatch):
     restores = []
-    inner = common._restore
+    inner = common._restored
 
-    def counted(entry, model, verdict):
-        restored = inner(entry, model, verdict)
-        restores.append(restored)
+    def counted(result, model):
+        restored = inner(result, model)
+        if result is not None:
+            restores.append(restored)
         return restored
 
-    monkeypatch.setattr(common, "_restore", counted)
+    monkeypatch.setattr(common, "_restored", counted)
     cells = Cells(monkeypatch)
     cold, tables = {}, {}
     for name in MODEL_KEYED:
         tables[name] = run_experiment(name, scale=SCALE,
                                       seed=SEED).to_dict()
         for workload, twin, model in cells.take():
-            # the first cell of a configuration is its direct run; a
-            # later one restores what that run left
-            first = cold.setdefault(_canonical(twin), _canonical(model))
-            assert _canonical(model) == first, name
-    assert len(cold) >= 16 and len(restores) > 0
+            if not workload.trace_stable:
+                # the first cell of a configuration is its direct run;
+                # a later one restores what that run left
+                first = cold.setdefault(_canonical(twin), _canonical(model))
+                assert _canonical(model) == first, name
+    assert len(cold) >= 16 and any(restores)
 
-    common.clear_result_memo()
+    # warm, every entry read from disk
+    trace_cache._memo.clear()
     del restores[:]
-    checked = 0
+    checked = direct = 0
     for name in MODEL_KEYED:
         assert run_experiment(name, scale=SCALE,
                               seed=SEED).to_dict() == tables[name], name
         for workload, twin, model in cells.take():
             restored = _canonical(model)
-            assert restored == cold[_canonical(twin)], name
-            trace = _entry(workload, twin).trace
+            if not workload.trace_stable:
+                assert restored == cold[_canonical(twin)], name
+                direct += 1
+            trace = _trace(workload, twin)
             assert restored == _canonical(
                 replay(trace, twin, verify=False)), name
             checked += 1
-    # every model-keyed cell of the warm pass was restored
-    assert len(restores) == checked >= 40 and all(restores)
+    # every fresh cell of the warm pass was restored, Gamteb's and the
+    # shared traces' alike
+    assert len(restores) == checked and all(restores)
+    assert direct >= 40 and checked > direct
     # and a direct run ends there too, for each design the sweeps use
     for build in (make_nsf, make_segmented):
         gamteb = get_workload("Gamteb")
@@ -131,34 +161,35 @@ def test_restored_cells_end_as_a_replay_and_a_direct_run(cache_env,
         assert _canonical(model) == _canonical(direct)
 
 
-def _entry_paths(directory):
-    return sorted(directory.glob("gamteb-*.trace"))
-
-
-def test_a_flipped_end_state_byte_is_quarantined(cache_env, tmp_path):
+def test_a_flipped_end_state_byte_is_quarantined(cache_env):
     expected = run_experiment("fig09", scale=SCALE, seed=SEED).to_dict()
-    paths = _entry_paths(tmp_path)
-    assert len(paths) == 2
+    paths = _result_files()
+    # fig09's 16 shared-trace cells and its 2 Gamteb cells
+    assert len(paths) == 18
     for path in paths:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01  # the last byte of the marshalled end state
         path.write_bytes(bytes(blob))
     trace_cache._memo.clear()
     trace_cache.STATS.reset()
-    common.clear_result_memo()
+    common.RESULT_STATS.reset()
     assert run_experiment("fig09", scale=SCALE,
                           seed=SEED).to_dict() == expected
+    # quarantined, replayed and published again; no trace recorded
     assert (trace_cache.STATS.quarantined,
-            trace_cache.STATS.records) == (2, 2)
+            trace_cache.STATS.records) == (18, 0)
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 18)
     assert sorted(path.name for path, _ in
                   trace_cache.quarantine_entries()) == [p.name for p in paths]
-    # recorded again, whole: the next pass restores from it
+    assert _result_files() == paths
+    # published whole: the next pass restores from them
     trace_cache._memo.clear()
     trace_cache.STATS.reset()
+    common.RESULT_STATS.reset()
     assert run_experiment("fig09", scale=SCALE,
                           seed=SEED).to_dict() == expected
-    assert (trace_cache.STATS.quarantined,
-            trace_cache.STATS.records) == (0, 0)
+    assert trace_cache.STATS.quarantined == 0
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (18, 0)
 
 
 # -- who restores -------------------------------------------------------------
@@ -188,7 +219,7 @@ def _driven():
 
 
 #: models that must never take a stored end state: ``fresh`` marks the
-#: one that may look its own entry up (and replays it)
+#: one that may look its own trace up (and replays it)
 NEVER_RESTORE = {
     "compressing": (_compressing, True),
     "protected": (lambda: ProtectedRegisterFile(_nsf()), False),
@@ -203,9 +234,10 @@ NEVER_RESTORE = {
 @pytest.mark.parametrize("kind", sorted(NEVER_RESTORE))
 def test_these_models_never_restore(cache_env, monkeypatch, kind):
     build, fresh = NEVER_RESTORE[kind]
-    # a plain model's entry, and one of the model's own kind, are warm
+    # a plain model's entries, and one of the model's own kind, are warm
     run_workload(GAMTEB, _nsf(), scale=SCALE, seed=SEED)
     run_workload(GAMTEB, build(), scale=SCALE, seed=SEED)
+    results = _result_files()
     direct = build()
     GAMTEB.run(direct, scale=SCALE, seed=SEED)
     restored, sent = [], []
@@ -229,9 +261,11 @@ def test_these_models_never_restore(cache_env, monkeypatch, kind):
     assert not restored
     assert model.capture() == direct.capture()
     assert model.stats.snapshot() == direct.stats.snapshot()
+    # the compressing model looks its trace up, and no result entry
     looked = trace_cache.STATS.hits + trace_cache.STATS.misses
     assert looked == (1 if fresh else 0)
     assert trace_cache.STATS.records == 0
+    assert _result_files() == results
     if kind == "compressing":
         # every spill and reload went through the codecs again
         assert sent and model.backing.port.stats_for("zero").spill_units > 0
@@ -240,7 +274,7 @@ def test_these_models_never_restore(cache_env, monkeypatch, kind):
 def test_a_driven_model_runs_its_front_end_directly(cache_env):
     """Two runs of Gamteb on one model through :func:`run_workload`
     end as two direct runs do: the second run is not served the trace
-    a fresh model recorded."""
+    or the end state a fresh model recorded."""
     def build():
         return NamedStateRegisterFile(num_registers=64, context_size=32,
                                       policy="random", policy_seed=1)
@@ -256,10 +290,18 @@ def test_a_driven_model_runs_its_front_end_directly(cache_env):
     # the second run looked nothing up and published nothing
     assert (trace_cache.STATS.hits, trace_cache.STATS.misses,
             trace_cache.STATS.records) == (0, 1, 1)
+    assert len(_result_files()) == 1
 
 
 def test_another_stored_model_key_gives_a_replay(cache_env, monkeypatch):
     run_workload(GAMTEB, _nsf(), scale=SCALE, seed=SEED)
+    trace = _trace(GAMTEB, _nsf())
+    result = trace_cache.result_entry(GAMTEB, trace, _nsf())
+    key, state = marshal.loads(_read(result.path))
+    # an entry that passes its CRC but names another model
+    other = ("repro.core.nsf.Other",) + key[1:]
+    result.path.write_bytes(frame(marshal.dumps((other, state), 2)))
+    trace_cache._memo.clear()
     replays = []
     inner = common.replay
 
@@ -268,27 +310,29 @@ def test_another_stored_model_key_gives_a_replay(cache_env, monkeypatch):
         return inner(trace, model, verify=verify)
 
     monkeypatch.setattr(common, "replay", logged)
-    own = trace_cache.end_key
-    monkeypatch.setattr(trace_cache, "end_key", lambda model, verdict: (
-        "repro.core.nsf.Other",) + own(model, verdict)[1:])
     model = run_workload(GAMTEB, _nsf(), scale=SCALE, seed=SEED)
     assert replays == ["NamedStateRegisterFile"]
     direct = _nsf()
     GAMTEB.run(direct, scale=SCALE, seed=SEED)
     assert model.capture() == direct.capture()
+    # the replay published the model's own entry over it
+    assert marshal.loads(_read(result.path))[0] == key
+    run_workload(GAMTEB, _nsf(), scale=SCALE, seed=SEED)
+    assert replays == ["NamedStateRegisterFile"]
 
 
 def test_the_stored_key_names_the_recording_model(cache_env):
     model = _nsf(policy="nmru", policy_seed=4)
     run_workload(GAMTEB, model, scale=SCALE, seed=SEED)
     twin = _nsf(policy="nmru", policy_seed=4)
-    key, state = _entry(GAMTEB, twin).end_state()
-    assert key == ("repro.core.nsf.NamedStateRegisterFile",
-                   tuple(twin._config().items()))
+    result = trace_cache.result_entry(GAMTEB, _trace(GAMTEB, twin), twin)
+    key, state = marshal.loads(_read(result.path))
+    assert key == result.key == ("repro.core.nsf.NamedStateRegisterFile",
+                                 tuple(twin._config().items()))
     assert state == model.capture()
 
 
-# -- keys -----------------------------------------------------------------------
+# -- keys ---------------------------------------------------------------------
 
 
 def _keys():
@@ -299,19 +343,29 @@ def _keys():
     return shared, keyed
 
 
-def test_a_core_source_edit_changes_model_keyed_keys_only(monkeypatch,
-                                                          tmp_path):
-    shared, keyed = _keys()
+def _copy_core(tmp_path, monkeypatch):
+    """A copy of the ``repro/core`` sources the fingerprint reads."""
     core = tmp_path / "core"
     core.mkdir()
     for path in sorted(trace_cache.CORE_DIR.glob("*.py")):
         (core / path.name).write_bytes(path.read_bytes())
     monkeypatch.setattr(trace_cache, "CORE_DIR", core)
     monkeypatch.setattr(trace_cache, "_core_fingerprint", None)
-    assert _keys() == (shared, keyed)  # the same sources, the same keys
-    with open(core / "nsf.py", "a", encoding="utf-8") as handle:
+    return core
+
+
+def _edit(path, monkeypatch, cached):
+    with open(path, "a", encoding="utf-8") as handle:
         handle.write("# an edit\n")
-    monkeypatch.setattr(trace_cache, "_core_fingerprint", None)
+    monkeypatch.setattr(trace_cache, cached, None)
+
+
+def test_a_core_source_edit_changes_model_keyed_keys_only(monkeypatch,
+                                                          tmp_path):
+    shared, keyed = _keys()
+    core = _copy_core(tmp_path, monkeypatch)
+    assert _keys() == (shared, keyed)  # the same sources, the same keys
+    _edit(core / "nsf.py", monkeypatch, "_core_fingerprint")
     edited_shared, edited_keyed = _keys()
     assert edited_shared == shared
     assert edited_keyed != keyed
@@ -327,6 +381,31 @@ def test_another_interpreter_changes_model_keyed_keys_only(monkeypatch):
     assert _keys()[1] != keyed
 
 
+@pytest.mark.parametrize("source", ["core", "replay"])
+def test_a_model_or_replay_source_edit_changes_result_keys(monkeypatch,
+                                                           tmp_path,
+                                                           source):
+    trace = Trace(context_size=4)
+    model = _nsf()
+
+    def name():
+        return trace_cache.result_entry(None, trace, model).path.name
+
+    before = name()
+    if source == "core":
+        edited = _copy_core(tmp_path, monkeypatch) / "segmented.py"
+        cached = "_core_fingerprint"
+    else:
+        edited = tmp_path / "replay.py"
+        edited.write_bytes(trace_cache.REPLAY_SOURCE.read_bytes())
+        monkeypatch.setattr(trace_cache, "REPLAY_SOURCE", edited)
+        cached = "_replay_fingerprint"
+        monkeypatch.setattr(trace_cache, cached, None)
+    assert name() == before  # the same sources, the same key
+    _edit(edited, monkeypatch, cached)
+    assert name() != before
+
+
 def test_the_backing_kind_separates_model_keyed_entries():
     assert (trace_cache.model_part(_nsf())
             != trace_cache.model_part(_compressing()))
@@ -334,23 +413,89 @@ def test_the_backing_kind_separates_model_keyed_entries():
             == trace_cache.model_fingerprint(_compressing()))
 
 
-# -- the entry format -----------------------------------------------------------
+# -- producers ----------------------------------------------------------------
+
+
+def test_an_oracle_pass_publishes_only_replays_and_recordings(
+        cache_env, monkeypatch):
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    monkeypatch.setattr(common, "_cpus", lambda: 1)  # every replay here
+    replayed, recorded = set(), set()
+    fallback = common.replay_oracle
+
+    def replaying(trace, model, result=None):
+        replayed.add(trace_cache.result_entry(None, trace,
+                                              model).path.name)
+        return fallback(trace, model, result)
+
+    monkeypatch.setattr(common, "replay_oracle", replaying)
+    record = trace_cache.record_through
+
+    def recording(workload, model, scale=1.0, seed=1, directory=None):
+        verdict = admit(model)
+        twin = type(model)(**verdict.config) if verdict.memo else None
+        trace = record(workload, model, scale=scale, seed=seed,
+                       directory=directory)
+        if twin is not None:
+            recorded.add(trace_cache.result_entry(
+                workload, trace, twin).path.name)
+        return trace
+
+    monkeypatch.setattr(trace_cache, "record_through", recording)
+    for name in SWEEPS:
+        run_experiment(name, scale=SCALE, seed=SEED)
+    # fig13's GateSim cells are the only fallbacks; every Gamteb
+    # configuration records once
+    assert len(replayed) == len(fig13.SEQ_LINE_SIZES)
+    assert len(recorded) >= 16
+    assert {path.name for path in _result_files()} == replayed | recorded
+
+
+def test_a_gamteb_cell_without_its_entry_is_scanned_at_its_capacity(
+        cache_env, monkeypatch, tmp_path):
+    """A model-keyed trace serves no other configuration, so a Gamteb
+    cell whose result entry is gone is priced by the oracle at its own
+    capacity, not across the whole plan."""
+    expected = run_experiment("fig11", scale=SCALE, seed=SEED).to_dict()
+    gamteb = {_read(path).digest()
+              for path in tmp_path.glob("gamteb-*.trace")}
+    trace_cache.clear_results()
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    monkeypatch.setattr(common, "_cpus", lambda: 1)  # every scan here
+    scans = []
+    inner = oracle._family_tables
+
+    def logged(trace, family, units):
+        scans.append((trace.digest(), len(units)))
+        return inner(trace, family, units)
+
+    monkeypatch.setattr(oracle, "_family_tables", logged)
+    assert run_experiment("fig11", scale=SCALE,
+                          seed=SEED).to_dict() == expected
+    own = [units for digest, units in scans if digest in gamteb]
+    assert len(own) >= 16 and set(own) == {1}
+
+
+# -- the entry format ---------------------------------------------------------
 
 
 def test_an_entry_round_trips_through_its_framed_payload():
-    from repro.trace.events import (OP_BEGIN, OP_WRITE, Trace,
-                                    TraceFormatError, frame)
+    from repro.trace.events import OP_BEGIN, OP_WRITE
 
     trace = Trace(context_size=4)
     trace.append(OP_BEGIN, 1)
     trace.append(OP_WRITE, 1, 0, 1 << 70)  # a wide value
-    for end in (None, marshal.dumps((("m", ()), {"x": [1, 2]}), 2)):
-        entry = trace_cache.Entry(trace, end)
-        blob = frame(entry.payload())
-        decoded = trace_cache._parse_entry(blob)
-        assert decoded.trace == trace and decoded.end == end
-        assert list(decoded.trace)[-1][3] == 1 << 70
-    payload = trace_cache.Entry(trace, end).payload()
-    for cut in (6, len(payload) - len(end) - 1):
+    traced, resulted = pathlib.Path("x.trace"), pathlib.Path("x.result")
+    decoded = trace_cache._parse_entry(traced, frame(trace.dumps_binary()))
+    assert decoded == trace
+    assert list(decoded)[-1][3] == 1 << 70
+    end = marshal.dumps((("m", ()), {"x": [1, 2]}), 2)
+    assert trace_cache._parse_entry(resulted, frame(end)) == end
+    for cut in (1, len(end) - 1):
         with pytest.raises(TraceFormatError):
-            trace_cache.decode_entry(payload[:cut])
+            trace_cache._parse_entry(resulted, frame(end[:cut]))
+    # neither kind reads as the other
+    with pytest.raises(TraceFormatError):
+        trace_cache._parse_entry(traced, frame(end))
+    with pytest.raises(TraceFormatError):
+        trace_cache._parse_entry(resulted, frame(trace.dumps_binary()))

@@ -108,13 +108,16 @@ def _contexts_trace(contexts):
 
 def test_sweeps_scan_each_trace_family_and_capacity_once(
         tmp_path, monkeypatch, fresh_memos):
-    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "event"))
     monkeypatch.delenv(trace_cache.ENV_DISABLE, raising=False)
     monkeypatch.setattr(trace_cache, "_memo", {})
     monkeypatch.setenv(columnar.ENV_ENGINE, "event")
     expected = {name: run_experiment(name, scale=SCALE, seed=SEED)
                 for name in SWEEPS}
 
+    # an empty cache of its own: on the event pass's, every cell would
+    # restore the result entry its replay left, and nothing would scan
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
     log = ScanLog(monkeypatch, tmp_path / "scans.jsonl")
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     for name in SWEEPS:

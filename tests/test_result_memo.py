@@ -1,31 +1,38 @@
-"""The event engine's replay-result memo: each distinct cell replayed once.
+"""Result entries: each distinct (trace, fresh model) cell replayed once.
 
+The trace cache keeps the end state a replay leaves as a result entry,
+and a later fresh model of the same class and config restores it.
 Four rings of evidence:
 
 * **End to end.** fig09-fig14 run in one process under ``event`` print
-  the tables of a run that forgets every result before each figure,
-  and of the ``oracle`` engine; fig10 and fig12 replay nothing, and no
-  (trace content, start state) key is replayed twice.  Under
-  ``oracle`` the cells its closed form and tables serve never touch
-  the memo, fig13's GateSim cells, which neither prices, are memo
-  hits, and every Gamteb cell restores its cache entry's end state;
-  every planned cell takes the same route, fanned out or not.
+  the tables of a run that drops every result entry before each
+  figure; fig10 and fig12 replay nothing, and no result entry is
+  replayed twice.  Under ``oracle``, on a cache of its own, the cold
+  pass replays only the cells neither the closed form nor the tables
+  price, and the warm pass replays nothing: every Gamteb cell and each
+  of those fallbacks restores its entry, and the closed form and the
+  tables serve every other planned cell, publishing nothing; every
+  planned cell takes the same route, fanned out or not.
 * **Exact end state.** A served model's whole ``capture()`` equals that
   of a twin replayed independently, for every design the sweeps use,
   and stays equal while both are driven further; a served model that
   is driven on does not change what the next hit receives.
 * **No cross-serving.** Models that would replay differently (another
   policy seed, a driven start state that only looks fresh) never
-  share an entry; the oracle's served cells,
-  wrappers and a compressing backing store never read or fill the
-  memo, while the oracle's fallback cells go through it.  A model that
-  was never driven is keyed without capturing its start state.
-* **Memo mechanics.** A grown trace is replayed again, eviction is
-  least recently used, and on random churn traces a served capture
+  share an entry, and only a fresh model looks one up or publishes
+  one; the oracle's served cells publish nothing, wrappers and a
+  compressing backing store neither look up nor publish, and the
+  oracle's fallback cells go through the store.  A fresh model is
+  keyed without capturing its start state.
+* **Store mechanics.** A grown trace is replayed again, the cache's
+  memo evicts its least recently used entry (which is read from disk
+  again, not replayed), and on random churn traces a served capture
   equals a replayed one.
 """
 
 import collections
+import contextlib
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,8 +59,9 @@ from tests.test_oracle_memo import _contexts_trace
 
 SWEEPS = ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14")
 
-#: fig13's cells: line-scope reloads, which only event replay prices
-FIG13_CELLS = len(fig13.SEQ_LINE_SIZES) + len(fig13.PAR_LINE_SIZES)
+#: fig13's GateSim cells: line-scope reloads, which only event replay
+#: prices
+FIG13_REPLAYED = len(fig13.SEQ_LINE_SIZES)
 
 #: the golden seed (11) is covered by the golden checks
 SCALE, SEED = 0.2, 3
@@ -64,16 +72,21 @@ BUDGET = 40
 #: cid offset of the continuation trace (clear of every recorded cid)
 SHIFT = 1 << 20
 
-#: fig13's Gamteb cells, which restore their cache entries' end states
-FIG13_RESTORED = len(fig13.PAR_LINE_SIZES)
+#: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED) on
+#: a cache it filled: every Gamteb cell (48) and each of fig13's
+#: GateSim cells, which neither the closed form nor the tables price,
+#: restores its result entry; every other planned cell is served by
+#: the closed form or a table, after one scan per trace and design
+#: family, and nothing replays
+#: the event replays of fig09-fig14 at (SCALE, SEED) once every result
+#: entry is dropped: one per distinct (trace, fresh model) cell, the 24
+#: Gamteb cells' replays of their recordings included; fig10 and fig12
+#: revisit cells fig09 and fig11 priced
+EVENT_REPLAYS = {"fig09": 18, "fig10": 0, "fig11": 32, "fig12": 0,
+                 "fig13": 12, "fig14": 6}
 
-#: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED),
-#: warm: every Gamteb cell restores its cache entry's end state, every
-#: other planned cell is served by the closed form or a table, after
-#: one scan per trace and design family, and fig13's GateSim cells,
-#: which neither prices, by the memoized event replay
-ORACLE_ROUTES = {"restore": 48, "closed form": 40, "table": 44, "scan": 10,
-                 "replay": FIG13_CELLS - FIG13_RESTORED}
+ORACLE_ROUTES = {"restore": 48 + FIG13_REPLAYED, "closed form": 40,
+                 "table": 44, "scan": 10}
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +108,18 @@ def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv(columnar.ENV_ENGINE, "event")
 
 
+def _entry_name(trace, model):
+    """The file name of ``model``'s result entry for ``trace``, or
+    ``None`` for a model the store does not hold."""
+    result = trace_cache.result_entry(None, trace, model)
+    return None if result is None else result.path.name
+
+
 class ReplayLog:
-    """Records the memo key of every event replay ``common`` runs, in
-    this process or a forked child: ``keys`` lists ``(label, repr of
-    the key)``, ``None`` for a replay outside the memo."""
+    """Records the result entry of every event replay ``common`` runs,
+    in this process or a forked child: ``keys`` lists ``(label, entry
+    file name)``, ``None`` for a replay of a model the store does not
+    hold."""
 
     def __init__(self, monkeypatch, path):
         self.label = None
@@ -106,8 +127,7 @@ class ReplayLog:
         inner = common.replay
 
         def logged(trace, model, verify=True):
-            key = common._result_key(trace, model)
-            self.log.append([self.label, None if key is None else repr(key)])
+            self.log.append([self.label, _entry_name(trace, model)])
             return inner(trace, model, verify=verify)
 
         monkeypatch.setattr(common, "replay", logged)
@@ -121,7 +141,7 @@ class RouteLog:
     """Records how the oracle engine serves each cell, in this process
     or a forked child: ``routes(label)`` counts each route (``closed
     form``, ``table``, ``replay``, and ``restore`` for a cell that took
-    its cache entry's end state) and each family ``scan``."""
+    its result entry) and each family ``scan``."""
 
     def __init__(self, monkeypatch, path):
         self.label = None
@@ -131,7 +151,7 @@ class RouteLog:
                 (oracle, "apply_table", "table"),
                 (oracle, "_family_tables", "scan"),
                 (common, "replay_oracle", "replay"),
-                (common, "_restore", "restore")):
+                (common, "_restored", "restore")):
             monkeypatch.setattr(module, name,
                                 self._logged(getattr(module, name), route))
 
@@ -162,11 +182,25 @@ def _continuation(trace):
                  context_size=trace.context_size)
 
 
+#: the workload a cell of a bare trace names: shared across models, and
+#: ``-`` in the cache log
+BARE = types.SimpleNamespace(name="-", trace_stable=True)
+
+
+def _serve(trace, model):
+    """Serve one cell of ``trace`` on ``model`` as :func:`run_workload`
+    does once the trace is in hand: restore its result entry, else ask
+    the engine (which publishes the entry of a replayed fresh model)."""
+    common._Cell(BARE, model, 1.0, 1, trace,
+                 trace_cache.result_entry(BARE, trace, model)).drive()
+    return model
+
+
 def _served_and_twin(trace, build):
-    """(model served by the memo, twin replayed independently)."""
-    common._replay_event(trace, build())
+    """(model served by the store, twin replayed independently)."""
+    _serve(trace, build())
     hits = common.RESULT_STATS.hits
-    served = common._replay_event(trace, build())
+    served = _serve(trace, build())
     assert common.RESULT_STATS.hits == hits + 1
     return served, replay(trace, build(), verify=False)
 
@@ -178,11 +212,11 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
                                                tmp_path):
     expected = {}
     for name in SWEEPS:
-        common.clear_result_memo()
+        trace_cache.clear_results()
         expected[name] = run_experiment(name, scale=SCALE,
                                         seed=SEED).to_dict()
 
-    common.clear_result_memo()
+    trace_cache.clear_results()
     log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
     replays = {}
     for name in SWEEPS:
@@ -192,15 +226,27 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
         assert table.to_dict() == expected[name], name
         replays[name] = common.RESULT_STATS.misses - misses
 
-    assert replays["fig10"] == replays["fig12"] == 0
+    # the traces stayed: the Gamteb cells replay their recordings too
+    assert replays == EVENT_REPLAYS
     keys = [key for _, key in log.keys]
     assert None not in keys
     assert len(keys) == sum(replays.values()) == len(set(keys))
     assert collections.Counter(label for label, _ in log.keys) == {
         name: count for name, count in replays.items() if count}
 
+    # the oracle fills a cache of its own: on the event passes' every
+    # cell would restore what a replay left, and no table would serve
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
-    log.label = "oracle"
+    log.label = "oracle cold"
+    for name in SWEEPS:
+        table = run_experiment(name, scale=SCALE, seed=SEED)
+        assert table.to_dict() == expected[name], name
+    # cold, only the cells neither the closed form nor the tables price
+    # replay (the Gamteb cells run directly as they record)
+    cold = [key for label, key in log.keys if label == "oracle cold"]
+    assert len(cold) == len(set(cold)) == FIG13_REPLAYED
+    log.label = "oracle warm"
     routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
     for routes.label in ("fanned out", "serial"):
         if routes.label == "serial":
@@ -212,15 +258,54 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
         for name in SWEEPS:
             table = run_experiment(name, scale=SCALE, seed=SEED)
             assert table.to_dict() == expected[name], name
-        # the closed form and the tables serve every planned cell
-        # without the memo; fig13's GateSim cells, which neither
-        # prices, take the memoized replay and find the entries the
-        # event passes left
+        # warm, nothing replays: the cells the closed form and the
+        # tables serve published nothing and are served so again, and
+        # every other cell restores its entry
         assert common.RESULT_STATS.misses == misses
-        assert common.RESULT_STATS.hits - hits == (FIG13_CELLS
-                                                   - FIG13_RESTORED)
+        assert (common.RESULT_STATS.hits - hits
+                == ORACLE_ROUTES["restore"])
         assert routes.routes(routes.label) == ORACLE_ROUTES, routes.label
-    assert "oracle" not in {label for label, _ in log.keys}
+    assert "oracle warm" not in {label for label, _ in log.keys}
+
+
+#: perfbench's sweep point
+BENCH_SCALE, BENCH_SEED = 0.35, 3
+
+
+def test_a_warm_pass_replays_nothing(cache_env, monkeypatch, tmp_path):
+    """At perfbench's sweep point, counted serially: a warm ``event``
+    pass restores all 138 cells, replays and scans nothing and plans no
+    job; a warm ``oracle`` pass on a cache the oracle filled scans as
+    often as a cold one (11 scans), restores the 48 Gamteb cells and
+    fig13's 6 GateSim cells, and replays nothing."""
+    monkeypatch.setattr(common, "_cpus", lambda: 1)
+    log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
+    routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
+
+    def sweep(label):
+        log.label = routes.label = label
+        common.RESULT_STATS.reset()
+        common.FANOUT.reset()
+        oracle._TABLE_MEMO.clear()
+        for name in SWEEPS:
+            run_experiment(name, scale=BENCH_SCALE, seed=BENCH_SEED)
+        replays = sum(1 for at, _ in log.keys if at == label)
+        return (replays, routes.routes(label).get("scan", 0),
+                repr(common.RESULT_STATS), common.FANOUT.summary())
+
+    sweep("event cold")
+    assert sweep("event warm") == (
+        0, 0, "MemoStats(hits=138, misses=0)",
+        "0 of 0 cell job(s) forked in 6 batch(es)")
+    results = _stored_results()
+    assert len(results) == 68
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
+    cold = sweep("oracle cold")
+    assert cold[:3] == (6, 11, "MemoStats(hits=24, misses=6)")
+    warm = sweep("oracle warm")
+    assert warm[:3] == (0, 11, "MemoStats(hits=54, misses=0)")
+    assert len(_stored_results()) == 30
 
 
 # -- exact end state ----------------------------------------------------------
@@ -255,14 +340,14 @@ def test_served_model_ends_exactly_as_a_replay(gatesim, design):
 
 
 def test_driving_models_on_leaves_the_entry_intact(gatesim):
-    first = common._replay_event(gatesim, _nsf())
+    first = _serve(gatesim, _nsf())
     end = first.capture()
-    served = common._replay_event(gatesim, _nsf())
+    served = _serve(gatesim, _nsf())
     onward = _continuation(gatesim)
     for model in (first, served):
         replay(onward, model, verify=False)
         assert model.capture() != end
-    again = common._replay_event(gatesim, _nsf())
+    again = _serve(gatesim, _nsf())
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (2, 1)
     assert again.capture() == end
 
@@ -271,7 +356,7 @@ def test_driving_models_on_leaves_the_entry_intact(gatesim):
 
 
 def test_policy_seeds_get_separate_entries(gatesim):
-    models = [common._replay_event(gatesim, _nsf(policy="nmru",
+    models = [_serve(gatesim, _nsf(policy="nmru",
                                                  policy_seed=seed))
               for seed in (1, 2)]
     assert common.RESULT_STATS.misses == 2
@@ -341,9 +426,12 @@ NOT_FRESH = {
 
 @pytest.mark.parametrize("kind", sorted(NOT_FRESH))
 def test_only_fresh_models_share_the_fresh_entry(gatesim, kind):
-    common._replay_event(gatesim, _nsf(policy="nmru"))
-    served = common._replay_event(gatesim, NOT_FRESH[kind]())
-    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 2)
+    _serve(gatesim, _nsf(policy="nmru"))
+    looked = trace_cache.STATS.hits + trace_cache.STATS.misses
+    served = _serve(gatesim, NOT_FRESH[kind]())
+    # replayed, with no lookup and no publish
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 1)
+    assert trace_cache.STATS.hits + trace_cache.STATS.misses == looked
     twin = replay(gatesim, NOT_FRESH[kind](), verify=False)
     assert served.capture() == twin.capture()
 
@@ -362,9 +450,9 @@ def test_fresh_models_are_keyed_without_a_start_capture(gatesim,
         return inner(self)
 
     monkeypatch.setattr(cls, "capture", counted)
-    missed = common._replay_event(gatesim, build())
+    missed = _serve(gatesim, build())
     assert captures == [missed]  # the end state only
-    common._replay_event(gatesim, build())
+    _serve(gatesim, build())
     assert captures == [missed]
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 1)
 
@@ -373,24 +461,44 @@ def test_fresh_models_are_keyed_without_a_start_capture(gatesim,
 @pytest.mark.parametrize("planned", [False, True])
 def test_other_engines_bypass_the_memo(gatesim, monkeypatch, engine,
                                        planned):
-    """The cells the oracle's tables serve bypass the memo; every other
-    cell (any cell outside a plan, an NMRU cell inside one) is the
-    memoized event replay, so a fallback cell seen again is a hit."""
-    common._replay_event(gatesim, _nsf())
+    """The cells the oracle's tables serve publish no result entry;
+    every other cell (any cell outside a plan, an NMRU cell inside one)
+    is the event replay, which publishes one, so a fallback cell seen
+    again is a hit.  A cell whose entry an event replay left restores
+    it before the engine is asked."""
     monkeypatch.setenv(columnar.ENV_ENGINE, engine)
+    def plan():
+        return (common.capacity_plan((BUDGET,)) if planned
+                else contextlib.nullcontext())
+
     for policy in ("lru", "lru", "nmru", "nmru"):
         model = _nsf(policy=policy)
-        if planned:
-            with common.capacity_plan((BUDGET,)):
-                common._replay(gatesim, model)
-        else:
-            common._replay(gatesim, model)
+        with plan():
+            _serve(gatesim, model)
         twin = replay(gatesim, _nsf(policy=policy), verify=False)
         assert model.stats.snapshot() == twin.stats.snapshot()
     # planned: two table-served LRU cells, one NMRU miss and its hit;
-    # unplanned: the LRU cells hit the first replay's entry as well
-    want = (1, 2) if planned else (3, 2)
+    # unplanned: each design's first cell replays, its second restores
+    want = (1, 1) if planned else (2, 2)
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == want
+    lru = trace_cache.result_entry(None, gatesim, _nsf())
+    assert lru.cached() is not planned
+    if planned:
+        monkeypatch.setenv(columnar.ENV_ENGINE, "event")
+        _serve(gatesim, _nsf())
+        monkeypatch.setenv(columnar.ENV_ENGINE, engine)
+        scans = []
+        scan = oracle._family_tables
+        monkeypatch.setattr(oracle, "_family_tables",
+                            lambda *args: scans.append(1) or scan(*args))
+        monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
+        with plan():
+            model = _serve(gatesim, _nsf())
+        assert scans == []
+        assert (common.RESULT_STATS.hits,
+                common.RESULT_STATS.misses) == (2, 2)
+        assert model.capture() == replay(gatesim, _nsf(),
+                                         verify=False).capture()
 
 
 class _Subclassed(NamedStateRegisterFile):
@@ -414,15 +522,29 @@ WRAPPED = {
 }
 
 
+def _stored_results():
+    """The names of the result entries memoized or on disk in the
+    active cache."""
+    directory = trace_cache.cache_dir()
+    return ({name for parent, name in trace_cache._memo
+             if parent == str(directory)
+             and name.endswith(trace_cache.RESULT_SUFFIX)}
+            | {path.name for path in directory.glob(
+                "*" + trace_cache.RESULT_SUFFIX)})
+
+
 @pytest.mark.parametrize("kind", sorted(WRAPPED))
 def test_wrapped_models_are_always_replayed(gatesim, monkeypatch, kind,
                                            tmp_path):
     log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
+    looked = trace_cache.STATS.hits + trace_cache.STATS.misses
     for _ in range(2):
-        common._replay_event(gatesim, WRAPPED[kind]())
+        _serve(gatesim, WRAPPED[kind]())
     assert log.keys == [(None, None)] * 2
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 0)
-    assert not common._RESULT_MEMO
+    # neither looked up nor published
+    assert trace_cache.STATS.hits + trace_cache.STATS.misses == looked
+    assert not _stored_results()
 
 
 # -- memo mechanics -----------------------------------------------------------
@@ -430,10 +552,10 @@ def test_wrapped_models_are_always_replayed(gatesim, monkeypatch, kind,
 
 def test_grown_trace_is_replayed_again():
     trace = _contexts_trace(6)
-    before = common._replay_event(trace, _nsf(ctx=CTX, budget=8))
+    before = _serve(trace, _nsf(ctx=CTX, budget=8))
     before = before.stats.snapshot()
     trace.append(OP_READ, 0, 0, 0)  # context 0 was evicted at 8 lines
-    after = common._replay_event(trace, _nsf(ctx=CTX, budget=8))
+    after = _serve(trace, _nsf(ctx=CTX, budget=8))
     assert common.RESULT_STATS.misses == 2
     assert after.stats.snapshot() != before
     twin = replay(trace, _nsf(ctx=CTX, budget=8), verify=False)
@@ -444,26 +566,38 @@ def test_equal_content_shares_one_entry():
     first = _contexts_trace(6)
     second = Trace.loads_binary(first.dumps_binary())
     assert second is not first and second == first
-    served = [common._replay_event(trace, _nsf(ctx=CTX, budget=8))
+    served = [_serve(trace, _nsf(ctx=CTX, budget=8))
               for trace in (first, second)]
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 1)
     assert served[0].capture() == served[1].capture()
 
 
 def test_memo_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(common, "_RESULT_MEMO_LIMIT", 2)
+    """The cache's memo keeps the most recently used entries up to its
+    bound; an entry it evicted is read from disk again, not replayed."""
+    monkeypatch.setattr(trace_cache, "MEMO_LIMIT", 2)
+    monkeypatch.setattr(trace_cache, "_memo", {})
     old, other, new = (_contexts_trace(n) for n in (5, 6, 7))
+    names = {id(trace): _entry_name(trace, _nsf(ctx=CTX, budget=8))
+             for trace in (old, other, new)}
 
     def run(trace):
-        common._replay_event(trace, _nsf(ctx=CTX, budget=8))
+        _serve(trace, _nsf(ctx=CTX, budget=8))
         return common.RESULT_STATS.misses
+
+    def held(*traces):
+        return {name for _, name in trace_cache._memo} == {
+            names[id(trace)] for trace in traces}
 
     for trace in (old, other, old, new):  # ``old`` is used again
         run(trace)
     assert common.RESULT_STATS.misses == 3
-    assert run(old) == 3  # kept past the bound
-    assert run(other) == 4  # evicted, so replayed again
-    assert len(common._RESULT_MEMO) == 2
+    assert held(old, new)  # ``other`` evicted
+    assert run(old) == 3
+    assert run(other) == 3  # read from disk again, not replayed
+    assert common.RESULT_STATS.hits == 3
+    assert held(old, other)
+    assert len(trace_cache._memo) == 2
 
 
 # -- hypothesis: random traces ------------------------------------------------
@@ -493,7 +627,7 @@ def _random_model(design, units, seed):
        st.integers(1, 6), st.integers(0, 3))
 def test_served_capture_equals_replayed_capture(trace, design, units,
                                                 seed):
-    common.clear_result_memo()
+    trace_cache.clear_results()
     served, twin = _served_and_twin(
         trace, lambda: _random_model(design, units, seed))
     assert served.capture() == twin.capture()

@@ -218,9 +218,11 @@ def _captured_fingerprint(model):
 
 def test_fingerprint_without_a_capture_keeps_every_key():
     """Models whose class defines ``_config()`` are fingerprinted
-    without a capture, and wrappers (whose attribute forwarding would
-    answer ``kind`` and ``_config`` for the model inside) through one:
-    either way the digest, and so every cache key, is the capture's."""
+    without a capture, to the digest a whole ``capture()`` would name,
+    so every cache key is the capture's.  Wrappers (whose attribute
+    forwarding would answer ``kind`` and ``_config`` for the model
+    inside) and stores define none and get no fingerprint: they are
+    never named by the model inside them, and look no entry up."""
     from repro.core import (
         ConventionalRegisterFile,
         ProtectedRegisterFile,
@@ -245,10 +247,6 @@ def test_fingerprint_without_a_capture_keeps_every_key():
                                            spill_mode="live"),
         "conventional": ConventionalRegisterFile(context_size=32),
         "nsf over a compressing store": compressed(),
-        "compressing store": CompressingBackingStore(codec="zero"),
-        "faulty": FaultyRegisterFile(make_nsf(workload), "drop_write"),
-        "protected": ProtectedRegisterFile(make_nsf(workload)),
-        "traced": TracingRegisterFile(make_nsf(workload, line_size=4)),
     }
     fingerprints = {}
     for name, model in models.items():
@@ -256,9 +254,15 @@ def test_fingerprint_without_a_capture_keeps_every_key():
         assert fingerprint == _captured_fingerprint(model), name
         fingerprints[name] = fingerprint
     assert len(set(fingerprints.values())) == len(fingerprints)
-    # a wrapper is named by its own capture, not the model inside it
-    assert fingerprints["faulty"] != trace_cache.model_fingerprint(
-        make_nsf(workload))
+    unnamed = {
+        "compressing store": CompressingBackingStore(codec="zero"),
+        "faulty": FaultyRegisterFile(make_nsf(workload), "drop_write"),
+        "protected": ProtectedRegisterFile(make_nsf(workload)),
+        "traced": TracingRegisterFile(make_nsf(workload, line_size=4)),
+    }
+    for name, model in unnamed.items():
+        assert trace_cache.model_fingerprint(model) is None, name
+        assert trace_cache.model_part(model) is None, name
 
 
 def test_unstable_workload_memoizes_per_model():
