@@ -122,9 +122,10 @@ def capacity_plan(register_budgets):
     :mod:`repro.trace.oracle`.  Those are memoized by trace content for
     the whole process, and one stack-distance scan per (trace, design
     family) covers every announced capacity the table still lacks, so
-    each further capacity point costs an O(1) table application; a
-    per-model trace (``trace_stable=False``) is scanned at its cell's
-    capacity alone.  A fresh model whose cell already has a result
+    each further capacity point costs an O(1) table application.  A
+    per-model trace (``trace_stable=False``) serves no other
+    configuration, so its cell is replayed instead, which publishes
+    its result entry.  A fresh model whose cell already has a result
     entry restores it before the plan is consulted, and the tables
     never publish one.  Cells outside the oracle's exactness boundary
     (FIFO or NMRU victims, lines of more than one register, line-scope
@@ -191,29 +192,19 @@ def _replay(trace, model, result=None, shared=True):
     :func:`capacity_plan` block is served by
     :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
     above the trace's peak demand by the closed form, below it from the
-    shared design-space tables; neither publishes ``result``.  A trace
-    that is not ``shared`` across model configurations is scanned at
-    the model's own capacity, not the plan's.  Every other cell goes to
-    :func:`replay_oracle`, the event replay, so both engines leave
+    shared design-space tables; neither publishes ``result``.  Every
+    other cell, and every cell of a trace that is not ``shared`` across
+    model configurations, goes to :func:`replay_oracle`, the event
+    replay, which publishes ``result``; both engines leave
     byte-identical statistics by construction.  The cell's result entry
     was looked up before (:meth:`_Cell.drive`).
     """
     if selected_engine() == "oracle":
-        capacities = _plan_for(shared)
-        if (capacities is not None
-                and serve_from_tables(trace, model, capacities)):
+        if (shared and _PLAN
+                and serve_from_tables(trace, model, _PLAN[-1])):
             return model
         return replay_oracle(trace, model, result)
     return _replay_event(trace, model, result)
-
-
-def _plan_for(shared):
-    """The register budgets the oracle serves a cell at: the innermost
-    :func:`capacity_plan`'s, ``()`` for a trace no other configuration
-    shares (its own capacity only), ``None`` outside any plan."""
-    if not _PLAN:
-        return None
-    return _PLAN[-1] if shared else ()
 
 
 class _Cell:
@@ -603,13 +594,13 @@ def _jobs(cells):
 
     A cell whose result entry is memoized or on disk needs nothing: it
     restores the entry when served.  Under ``oracle`` a planned cell
-    that the closed form serves needs nothing, and one the tables serve
-    needs the scan its family's table lacks; every other cell is
-    planned as under ``event``, a replay per distinct result entry, or
-    per cell for a model that travels but the store does not hold.  A
-    model that several cells drive gets no job: only its first cell
-    starts from the state planning sees, so all of them are served in
-    order instead.
+    of a shared trace that the closed form serves needs nothing, and
+    one the tables serve needs the scan its family's table lacks; every
+    other cell is planned as under ``event``, a replay per distinct
+    result entry, or per cell for a model that travels but the store
+    does not hold.  A model that several cells drive gets no job: only
+    its first cell starts from the state planning sees, so all of them
+    are served in order instead.
     """
     oracle = selected_engine() == "oracle"
     models = collections.Counter(id(cell.model) for cell in cells)
@@ -624,8 +615,8 @@ def _jobs(cells):
                                    or result.cached()):
             continue
         verdict = admit(cell.model)
-        shared = cell.workload.trace_stable
-        capacities = _plan_for(shared) if oracle else None
+        capacities = (_PLAN[-1] if oracle and _PLAN
+                      and cell.workload.trace_stable else None)
         if capacities is not None:
             if closed_form(trace, verdict) is not None:
                 continue
@@ -634,11 +625,8 @@ def _jobs(cells):
                 key, family, _, missing = request
                 if missing:
                     # one scan per trace and sibling families covers
-                    # every capacity the plan asks for; a trace no
-                    # other configuration shares is scanned per
-                    # capacity, as a serial pass scans it
-                    group = (key, scan_siblings(family),
-                             () if shared else tuple(missing))
+                    # every capacity the plan asks for
+                    group = (key, scan_siblings(family))
                     if group not in scans:
                         scans[group] = _Job("scan", None, key, trace,
                                             family, set())

@@ -10,13 +10,34 @@ from repro.evalx import common
 from repro.trace import cache as trace_cache
 
 
+@pytest.fixture(scope="session", autouse=True)
+def suite_cache(tmp_path_factory):
+    """Run the whole suite on a trace cache of its own, so that what the
+    suite publishes and drops never touches the cache the suite was
+    started with (by default the checkout's ``.trace-cache``, whose
+    result entries a warm sweep restores).  That cache lends the suite
+    its traces as hard links, which costs no copy and is safe because
+    the cache only ever replaces an entry, never writes one in place;
+    where links cannot be made the suite starts cold."""
+    suite = tmp_path_factory.mktemp("trace-cache")
+    for path in trace_cache.cache_dir().glob("*" + trace_cache.TRACE_SUFFIX):
+        try:
+            os.link(path, suite / path.name)
+        except OSError:
+            break
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(trace_cache.ENV_DIR, str(suite))
+        yield suite
+
+
 @pytest.fixture(autouse=True)
-def fresh_result_memo():
-    """Start every test with no result entry, on disk in the cache the
-    test starts with or in the cache's memo, and zeroed counters, so no
-    test is served a result another test computed.  Result entries
-    outlive the process that publishes them, so forgetting an
-    in-process memo alone would not keep that promise."""
+def fresh_result_memo(suite_cache):
+    """Start every test with no result entry, on disk in the suite's
+    cache or in the cache's memo, and zeroed counters, so no test is
+    served a result another test computed.  Result entries outlive the
+    process that publishes them, so this drops the files as well as
+    the memo; a test that points the cache at a directory of its own
+    starts that directory empty."""
     trace_cache.clear_results()
     common.RESULT_STATS.reset()
     yield

@@ -229,17 +229,29 @@ def test_selected_engine_parsing(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["oracle"])
 def test_run_workload_honors_engine_env(tmp_path, monkeypatch, engine):
+    """Each engine runs on a cache of its own: on the event run's cache
+    the fresh model would restore the result entry event replay left,
+    and the engine would never be asked."""
     from repro.workloads import GateSim
 
-    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "cache"))
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "event"))
     monkeypatch.delenv(trace_cache.ENV_DISABLE, raising=False)
     trace_cache._memo.clear()
 
     workload = GateSim()
     monkeypatch.delenv(columnar.ENV_ENGINE, raising=False)
     event_model = run_workload(workload, make_nsf(workload), scale=0.1)
+    monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / engine))
     monkeypatch.setenv(columnar.ENV_ENGINE, engine)
+    routes = []
+    fallback = common.replay_oracle
+    monkeypatch.setattr(common, "replay_oracle",
+                        lambda *args: routes.append(1) or fallback(*args))
+    common.RESULT_STATS.reset()
     fast_model = run_workload(workload, make_nsf(workload), scale=0.1)
+    # outside a capacity plan the oracle's route is its event replay
+    assert routes == [1]
+    assert common.RESULT_STATS.hits == 0
     assert fast_model.stats.snapshot() == event_model.stats.snapshot()
     assert fast_model.capture() == event_model.capture()
 

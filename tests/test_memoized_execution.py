@@ -25,7 +25,8 @@ Evidence that this never changes a number:
   every result key.
 * **Producers.** An ``oracle`` pass on an empty cache publishes result
   entries only for its fallback replays and its recordings: the closed
-  form and the tables never publish.
+  form and the tables never publish.  A Gamteb cell whose entry is
+  gone is replayed, not scanned, and publishes it again.
 """
 
 import marshal
@@ -47,7 +48,10 @@ from repro.trace.admit import admit
 from repro.trace.events import Trace, TraceFormatError, frame
 from repro.trace.replay import replay
 from repro.workloads import get_workload
-from tests.test_result_memo import cache_env  # noqa: F401 (fixture)
+from tests.test_result_memo import (  # noqa: F401 (fixture)
+    ReplayLog,
+    cache_env,
+)
 
 #: the golden seed (11) is covered by the golden checks
 SCALE, SEED = 0.2, 3
@@ -451,29 +455,47 @@ def test_an_oracle_pass_publishes_only_replays_and_recordings(
     assert {path.name for path in _result_files()} == replayed | recorded
 
 
-def test_a_gamteb_cell_without_its_entry_is_scanned_at_its_capacity(
+def test_a_gamteb_cell_without_its_entry_is_replayed_and_published(
         cache_env, monkeypatch, tmp_path):
-    """A model-keyed trace serves no other configuration, so a Gamteb
-    cell whose result entry is gone is priced by the oracle at its own
-    capacity, not across the whole plan."""
+    """A model-keyed trace serves no other configuration, so under the
+    oracle a Gamteb cell whose result entry is gone is not scanned: it
+    replays its trace onto the fresh model once and publishes the
+    entry again, and the next pass restores it."""
     expected = run_experiment("fig11", scale=SCALE, seed=SEED).to_dict()
-    gamteb = {_read(path).digest()
-              for path in tmp_path.glob("gamteb-*.trace")}
+    # one model-keyed trace per Gamteb configuration; some have equal
+    # contents
+    configs = sorted(tmp_path.glob("gamteb-*.trace"))
+    gamteb = {_read(path).digest() for path in configs}
+    assert len(configs) == 18
     trace_cache.clear_results()
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     monkeypatch.setattr(common, "_cpus", lambda: 1)  # every scan here
+    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
     scans = []
     inner = oracle._family_tables
 
     def logged(trace, family, units):
-        scans.append((trace.digest(), len(units)))
+        scans.append(trace.digest())
         return inner(trace, family, units)
 
     monkeypatch.setattr(oracle, "_family_tables", logged)
+    log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
+    common.RESULT_STATS.reset()
     assert run_experiment("fig11", scale=SCALE,
                           seed=SEED).to_dict() == expected
-    own = [units for digest, units in scans if digest in gamteb]
-    assert len(own) >= 16 and set(own) == {1}
+    assert scans and not gamteb & set(scans)
+    # the closed form and the tables price every shared-trace cell, so
+    # the replays are the Gamteb cells', one per configuration
+    replayed = [name for _, name in log.keys]
+    assert len(replayed) == len(set(replayed)) == len(configs)
+    assert common.RESULT_STATS.misses == len(configs)
+    assert set(replayed) <= {path.name for path in _result_files()}
+    common.RESULT_STATS.reset()
+    assert run_experiment("fig11", scale=SCALE,
+                          seed=SEED).to_dict() == expected
+    assert len(log.keys) == len(configs)
+    assert common.RESULT_STATS.misses == 0
+    assert common.RESULT_STATS.hits >= len(configs)
 
 
 # -- the entry format ---------------------------------------------------------

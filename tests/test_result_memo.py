@@ -72,12 +72,6 @@ BUDGET = 40
 #: cid offset of the continuation trace (clear of every recorded cid)
 SHIFT = 1 << 20
 
-#: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED) on
-#: a cache it filled: every Gamteb cell (48) and each of fig13's
-#: GateSim cells, which neither the closed form nor the tables price,
-#: restores its result entry; every other planned cell is served by
-#: the closed form or a table, after one scan per trace and design
-#: family, and nothing replays
 #: the event replays of fig09-fig14 at (SCALE, SEED) once every result
 #: entry is dropped: one per distinct (trace, fresh model) cell, the 24
 #: Gamteb cells' replays of their recordings included; fig10 and fig12
@@ -85,6 +79,12 @@ SHIFT = 1 << 20
 EVENT_REPLAYS = {"fig09": 18, "fig10": 0, "fig11": 32, "fig12": 0,
                  "fig13": 12, "fig14": 6}
 
+#: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED) on
+#: a cache it filled: every Gamteb cell (48) and each of fig13's
+#: GateSim cells, which neither the closed form nor the tables price,
+#: restores its result entry; every other planned cell is served by
+#: the closed form or a table, after one scan per trace and design
+#: family, and nothing replays
 ORACLE_ROUTES = {"restore": 48 + FIG13_REPLAYED, "closed form": 40,
                  "table": 44, "scan": 10}
 

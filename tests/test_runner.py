@@ -255,7 +255,11 @@ class TestRunSweep:
                                             cell_site):
         """``--engine oracle`` on the runner's command line reaches
         every cell, and the sweep writes what an ``event`` sweep
-        writes."""
+        writes.  Each engine runs on an empty cache of its own: on the
+        cache the event sweep filled, every oracle cell would restore
+        the result entry event replay left, and the oracle would price
+        nothing."""
+        from repro.trace import cache as trace_cache
         from repro.trace.columnar import ENV_ENGINE
 
         cell_site(ENGINE_LOG_SITE)
@@ -263,10 +267,15 @@ class TestRunSweep:
         # the variable back as it was
         monkeypatch.setenv(ENV_ENGINE, "event")
         monkeypatch.setenv("ENGINE_LOG", str(tmp_path / "event.log"))
+        monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "event-cache"))
         assert _sweep(tmp_path, jobs=2,
                       journal_path=tmp_path / "event.jsonl",
                       out_path=tmp_path / "event.json").ok
         monkeypatch.setenv("ENGINE_LOG", str(tmp_path / "oracle.log"))
+        monkeypatch.setenv(trace_cache.ENV_DIR,
+                           str(tmp_path / "oracle-cache"))
+        monkeypatch.setenv(trace_cache.ENV_LOG,
+                           str(tmp_path / "oracle-cache.log"))
         assert runner_mod.main([
             "sweep", "table1", "--scale", str(SCALE), "--seed", str(SEED),
             "--jobs", "2", "--engine", "oracle",
@@ -278,6 +287,13 @@ class TestRunSweep:
         for engine in ("event", "oracle"):
             seen = (tmp_path / f"{engine}.log").read_text().splitlines()
             assert sorted(seen) == sorted(f"{key} {engine}" for key in keys)
+        # every oracle cell was priced: each looked its result entry up
+        # or recorded one, and none restored an entry
+        results = [line.split()[0] for line in
+                   (tmp_path / "oracle-cache.log").read_text().splitlines()
+                   if line.endswith(trace_cache.RESULT_SUFFIX)]
+        assert len(results) >= len(keys)
+        assert "HIT" not in results
 
     def test_watchdog_kills_hung_cell(self, tmp_path, monkeypatch):
         keys = sweep_cells("table1")[:2]
