@@ -33,8 +33,10 @@ it instead of replaying; an event replay of such a model publishes
 one, and so does a recording through one (the direct run's end
 state).  Under ``REPRO_REPLAY_ENGINE=oracle`` the other cells of a
 :func:`capacity_plan` are served from the oracle's closed form and
-design-space tables where they can be, which patch statistics only
-and never publish, and every other cell takes the same event replay.
+design-space tables where they can be, and each such cell publishes
+the served model as its *oracle entry*, which only a later cell the
+oracle could serve itself restores; every other cell takes the same
+event replay.
 
 An experiment that drives many models hands them to :func:`run_cells`
 in one batch.  It first runs the front-ends of the traces the batch
@@ -126,8 +128,12 @@ def capacity_plan(register_budgets):
     per-model trace (``trace_stable=False``) serves no other
     configuration, so its cell is replayed instead, which publishes
     its result entry.  A fresh model whose cell already has a result
-    entry restores it before the plan is consulted, and the tables
-    never publish one.  Cells outside the oracle's exactness boundary
+    entry restores it before the plan is consulted, and a cell the
+    closed form or a table served publishes its oracle entry, which a
+    later cell of the block restores.  Declaring a plan says the
+    experiment reads statistics alone off its models: an oracle entry
+    holds a fresh model's internals under the served statistics.
+    Cells outside the oracle's exactness boundary
     (FIFO or NMRU victims, lines of more than one register, line-scope
     reloads, wide-value traces) transparently fall back to event
     replay, and the ``event`` engine ignores the plan entirely —
@@ -141,8 +147,10 @@ def capacity_plan(register_budgets):
 
 
 #: process-local counters of the result store: ``hits`` counts cells
-#: that restored their result entry, ``misses`` event replays that
-#: published one (a forked job's at its cell)
+#: that restored an entry of either kind, ``misses`` cells that
+#: published one: an event replay its replay result (a forked job's at
+#: its cell), and a cell the closed form or a table served its oracle
+#: entry
 RESULT_STATS = lru.MemoStats()
 
 
@@ -162,7 +170,8 @@ def _restored(result, model):
 
 
 def _published(result, payload):
-    """Publish a replay's end state as ``result``, a counted miss."""
+    """Publish a served cell's end state as ``result``, a counted
+    miss."""
     RESULT_STATS.misses += 1
     result.publish(payload)
 
@@ -184,7 +193,7 @@ def _replay_event(trace, model, result=None):
 replay_oracle = _replay_event
 
 
-def _replay(trace, model, result=None, shared=True):
+def _replay(trace, model, result=None, shared=True, oracle=None):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop
@@ -192,31 +201,50 @@ def _replay(trace, model, result=None, shared=True):
     :func:`capacity_plan` block is served by
     :func:`~repro.trace.oracle.serve_from_tables` when it can be: at or
     above the trace's peak demand by the closed form, below it from the
-    shared design-space tables; neither publishes ``result``.  Every
-    other cell, and every cell of a trace that is not ``shared`` across
-    model configurations, goes to :func:`replay_oracle`, the event
-    replay, which publishes ``result``; both engines leave
-    byte-identical statistics by construction.  The cell's result entry
-    was looked up before (:meth:`_Cell.drive`).
+    shared design-space tables; the served model's end state is then
+    published as ``oracle``, the cell's oracle entry (when it has one).
+    Every other cell, and every cell of a trace that is not ``shared``
+    across model configurations, goes to :func:`replay_oracle`, the
+    event replay, which publishes ``result``; both engines leave
+    byte-identical statistics by construction.  The cell's entries
+    were looked up before (:meth:`_Cell.drive`).
     """
     if selected_engine() == "oracle":
         if (shared and _PLAN
                 and serve_from_tables(trace, model, _PLAN[-1])):
+            if oracle is not None:
+                _published(oracle, oracle.payload(model))
             return model
         return replay_oracle(trace, model, result)
     return _replay_event(trace, model, result)
+
+
+def _oracle_entry(workload, trace, result):
+    """The oracle entry of a cell whose replay result is ``result``,
+    when the oracle could serve the cell itself: the engine is
+    ``oracle``, a :func:`capacity_plan` is open, the trace is shared
+    across models and the result memo holds the fresh model (``result``
+    is not ``None``); else ``None``.  The ``event`` engine needs a full
+    end state, and a cell outside a plan may be read for more than its
+    statistics, so neither ever restores one."""
+    if (result is None or not workload.trace_stable or not _PLAN
+            or selected_engine() != "oracle"):
+        return None
+    return trace_cache.Result(workload, trace, result.key,
+                              result.path.parent, oracle=True)
 
 
 class _Cell:
     """One cell whose trace is resolved and whose serving is pending.
 
     ``trace`` ``None`` is a direct run of the front-end.  ``result`` is
-    the cell's result entry, read off the model while it was fresh
-    (``None`` for a model the store does not hold).
+    the cell's replay result, read off the model while it was fresh
+    (``None`` for a model the store does not hold), and ``oracle`` its
+    oracle entry (:func:`_oracle_entry`).
     """
 
     __slots__ = ("workload", "model", "scale", "seed", "trace", "result",
-                 "done", "end", "error")
+                 "oracle", "done", "end", "error")
 
     def __init__(self, workload, model, scale, seed, trace, result=None):
         self.workload = workload
@@ -225,6 +253,7 @@ class _Cell:
         self.seed = seed
         self.trace = trace
         self.result = result
+        self.oracle = _oracle_entry(workload, trace, result)
         #: a fanned-out job already left the model in its end state
         self.done = False
         #: that end state, as :meth:`Result.payload
@@ -235,24 +264,37 @@ class _Cell:
 
     def drive(self):
         """Serve the cell here, as :func:`run_workload` does: restore
-        its result entry, else take what its job left (publishing the
-        end state) or raised, else ask the engine; the same last rung."""
+        its entry (:meth:`entry`), else take what its job left
+        (publishing the end state) or raised, else ask the engine; the
+        same last rung."""
         if self.trace is None:
             self.workload.run(self.model, scale=self.scale, seed=self.seed)
             return
         try:
-            if _restored(self.result, self.model):
+            if _restored(self.entry(), self.model):
                 return
             if self.error is not None:
                 raise self.error
             if not self.done:
                 _replay(self.trace, self.model, self.result,
-                        self.workload.trace_stable)
+                        self.workload.trace_stable, self.oracle)
             elif self.result is not None:
                 _published(self.result, self.end)
         except OSError:
             self.workload.run(self.model, scale=self.scale,
                               seed=self.seed)
+
+    def entry(self):
+        """The one entry the cell looks up: its oracle entry when that
+        is cached and its replay result is not, else its replay result
+        (``None`` for a model the store does not hold).  Chosen by
+        :meth:`~repro.trace.cache.Result.cached`, with no fault draw,
+        count or log line."""
+        oracle = self.oracle
+        if (oracle is not None and not self.result.cached()
+                and oracle.cached()):
+            return oracle
+        return self.result
 
 
 #: per thread, the pending cells of the innermost open
@@ -593,16 +635,18 @@ def _jobs(cells):
     for ``cells``, planned without a fault draw, a count or a log line.
 
     A cell whose result entry is memoized or on disk needs nothing: it
-    restores the entry when served.  Under ``oracle`` a planned cell
-    of a shared trace that the closed form serves needs nothing, and
-    one the tables serve needs the scan its family's table lacks; every
-    other cell is planned as under ``event``, a replay per distinct
+    restores the entry when served.  A cell the oracle could serve
+    itself (one with an oracle entry, :func:`_oracle_entry`) needs
+    nothing either when that entry is cached, which is checked before
+    the closed form and the tables, which load NumPy, are asked; else
+    nothing when the closed form serves it, and the scan its family's
+    table lacks when a table does.  Every other cell is planned as
+    under ``event``, a replay per distinct
     result entry, or per cell for a model that travels but the store
     does not hold.  A model that several cells drive gets no job: only
     its first cell starts from the state planning sees, so all of them
     are served in order instead.
     """
-    oracle = selected_engine() == "oracle"
     models = collections.Counter(id(cell.model) for cell in cells)
     jobs = []
     paths = set()
@@ -615,12 +659,11 @@ def _jobs(cells):
                                    or result.cached()):
             continue
         verdict = admit(cell.model)
-        capacities = (_PLAN[-1] if oracle and _PLAN
-                      and cell.workload.trace_stable else None)
-        if capacities is not None:
-            if closed_form(trace, verdict) is not None:
+        if cell.oracle is not None:
+            if (cell.oracle.cached()
+                    or closed_form(trace, verdict) is not None):
                 continue
-            request = table_request(trace, verdict, capacities)
+            request = table_request(trace, verdict, _PLAN[-1])
             if request is not None:
                 key, family, _, missing = request
                 if missing:

@@ -34,14 +34,18 @@ model's :func:`end_key`, the model sources (:func:`core_fingerprint`)
 and the replay loop's (:func:`replay_fingerprint`).  A later fresh
 model of the same class and config ``restore()``s it instead of
 replaying (:func:`repro.evalx.common.run_workload`, under either
-engine).  Two things produce one, both for a model that ``admit``
-calls fresh and lets the result memo hold: an event replay
-(:func:`repro.evalx.common._replay_event`) and a recording through
-such a model (:func:`record_through`), whose entry holds the direct
-run's end state.  The oracle's closed form and tables patch only a
-model's statistics and never publish one.  A model-keyed trace entry
-holds the trace alone; its recording's end state is the result entry
-of that trace.
+engine).  Two things produce such a *replay result*, both for a model
+that ``admit`` calls fresh and lets the result memo hold: an event
+replay (:func:`repro.evalx.common._replay_event`) and a recording
+through such a model (:func:`record_through`), whose entry holds the
+direct run's end state.  A cell the oracle's closed form or tables
+serve publishes an *oracle entry*: the same kind of file, holding the
+served model's ``capture()`` (a fresh model's internals under the
+served statistics and store word counters), keyed by
+:func:`oracle_fingerprint` where a replay result is keyed by
+:func:`replay_fingerprint`; only a cell the oracle could serve itself
+restores one.  A model-keyed trace entry holds the trace alone; its
+recording's end state is the result entry of that trace.
 
 Inside a :func:`repro.evalx.common.run_cells` batch the front-ends
 of the recordings a batch lacks may already have run on other CPUs
@@ -132,8 +136,14 @@ DEFAULT_DIR = pathlib.Path(__file__).resolve().parents[3] / ".trace-cache"
 #: result entry depend on
 CORE_DIR = pathlib.Path(__file__).resolve().parents[1] / "core"
 
-#: the replay loop, whose code every result entry depends on
+#: the replay loop, whose code every replay result depends on
 REPLAY_SOURCE = pathlib.Path(__file__).resolve().parent / "replay.py"
+
+#: the oracle's closed form, tables and admission rule, whose code
+#: every oracle entry depends on
+ORACLE_SOURCES = tuple(pathlib.Path(__file__).resolve().parent / name
+                       for name in ("oracle.py", "vector.py",
+                                    "columnar.py", "admit.py"))
 
 #: file suffixes of the two kinds of entry
 TRACE_SUFFIX = ".trace"
@@ -144,8 +154,10 @@ RESULT_SUFFIX = ".result"
 #: state computed on another CPU is byte-identical to a serial one)
 _END_MARSHAL = 2
 
-#: entries :data:`_memo` keeps: one golden pass at the golden point
-#: loads 106 (38 traces, 68 result entries)
+#: entries :data:`_memo` keeps: a warm golden pass at the golden point
+#: looks up 108 under either engine on a cache it filled (40 traces and
+#: 68 result entries, under ``oracle`` 30 replay results and 38 oracle
+#: entries) and evicts none
 MEMO_LIMIT = 128
 
 #: a recording lock older than this is debris from a crashed recorder
@@ -204,6 +216,7 @@ _degraded = {"publish_failures": 0, "publish_disabled": False}
 _fingerprint = None
 _core_fingerprint = None
 _replay_fingerprint = None
+_oracle_fingerprint = None
 
 
 def enabled():
@@ -265,6 +278,24 @@ def replay_fingerprint():
         digest.update(REPLAY_SOURCE.read_bytes())
         _replay_fingerprint = digest.hexdigest()[:16]
     return _replay_fingerprint
+
+
+def oracle_fingerprint():
+    """sha256 over the oracle's sources (:data:`ORACLE_SOURCES`) and
+    :func:`recorder_fingerprint`: what prices a cell the closed form or
+    a table serves, so an edit to either prices every oracle entry
+    again.  NumPy's version is left out: the kernel's results are exact
+    integers, held to event replay by
+    ``tests/test_oracle_differential.py``, and reading it would import
+    NumPy on a pass that restores every cell."""
+    global _oracle_fingerprint
+    if _oracle_fingerprint is None:
+        digest = hashlib.sha256(recorder_fingerprint().encode())
+        for path in ORACLE_SOURCES:
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        _oracle_fingerprint = digest.hexdigest()[:16]
+    return _oracle_fingerprint
 
 
 def model_fingerprint(model):
@@ -373,20 +404,25 @@ def end_payload(key, model):
 
 class Result:
     """The result entry of one cell: replaying ``trace`` onto a fresh
-    model whose :func:`end_key` is ``key``.  ``workload`` names the cell
+    model whose :func:`end_key` is ``key`` (a *replay result*), or, with
+    ``oracle``, serving it from the oracle's closed form or tables (an
+    *oracle entry*: the fresh model's internals with the served
+    statistics and store word counters).  ``workload`` names the cell
     in the cache log.  The entry's key is a sha256 over the trace's
     content digest, ``key``, :func:`core_fingerprint` and
-    :func:`replay_fingerprint`."""
+    :func:`replay_fingerprint`, or :func:`oracle_fingerprint` for an
+    oracle entry."""
 
     __slots__ = ("workload", "key", "path")
 
-    def __init__(self, workload, trace, key, directory=None):
+    def __init__(self, workload, trace, key, directory=None, oracle=False):
         self.workload = workload
         self.key = key
         directory = pathlib.Path(directory) if directory else cache_dir()
+        source = (f"oracle={oracle_fingerprint()}" if oracle
+                  else f"replay={replay_fingerprint()}")
         canonical = (f"{trace.digest().hex()}|{key!r}"
-                     f"|core={core_fingerprint()}"
-                     f"|replay={replay_fingerprint()}")
+                     f"|core={core_fingerprint()}|{source}")
         name = hashlib.sha256(canonical.encode()).hexdigest()[:32]
         self.path = directory / f"{name}{RESULT_SUFFIX}"
 

@@ -13,20 +13,24 @@ Evidence that this never changes a number:
   run it memoizes.
 * **Integrity.** A flipped byte in a result entry fails the CRC: the
   entry is quarantined, replayed and published again, and the tables
-  do not change.
+  do not change.  So is an oracle entry, which the tables price and
+  publish again.
 * **Who restores.** Compressing (whose codec round trips must all
   run), protected, faulty, subclassed and driven models neither look
   a result entry up nor publish one; only a fresh one looks its trace
   up at all, and a stored model key other than the model's own gives
-  a replay.
+  a replay.  An ``event`` pass on a cache the oracle filled restores
+  no oracle entry, and every fresh cell ends as a replay.
 * **Keys.** An edit to the ``repro/core`` sources, or another
   interpreter, changes every model-keyed trace key and no shared one;
-  an edit to the ``repro/core`` sources or to the replay loop changes
-  every result key.
-* **Producers.** An ``oracle`` pass on an empty cache publishes result
-  entries only for its fallback replays and its recordings: the closed
-  form and the tables never publish.  A Gamteb cell whose entry is
-  gone is replayed, not scanned, and publishes it again.
+  an edit to the ``repro/core`` sources changes every result key, an
+  edit to the replay loop only the replay results' and an edit to the
+  oracle's sources only the oracle entries'.
+* **Producers.** An ``oracle`` pass on an empty cache publishes replay
+  results only for its fallback replays and its recordings, and an
+  oracle entry for each cell the closed form or a table served.  A
+  Gamteb cell whose entry is gone is replayed, not scanned, and
+  publishes it again.
 """
 
 import marshal
@@ -85,6 +89,13 @@ def _trace(workload, model, scale=SCALE, seed=SEED):
 def _result_files():
     return sorted(trace_cache.cache_dir().glob(
         "*" + trace_cache.RESULT_SUFFIX))
+
+
+def _oracle_name(trace, model):
+    """The file name of the oracle entry of a fresh ``model`` the result
+    memo holds, for ``trace``."""
+    key = trace_cache.end_key(model, admit(model))
+    return trace_cache.Result(None, trace, key, oracle=True).path.name
 
 
 class Cells:
@@ -193,6 +204,59 @@ def test_a_flipped_end_state_byte_is_quarantined(cache_env):
     assert run_experiment("fig09", scale=SCALE,
                           seed=SEED).to_dict() == expected
     assert trace_cache.STATS.quarantined == 0
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (18, 0)
+
+
+def test_a_flipped_oracle_entry_byte_is_quarantined(cache_env,
+                                                    monkeypatch):
+    """Under ``oracle``, fig09's 16 shared-trace cells are served by the
+    closed form or a table and publish oracle entries; a flipped byte
+    in each is caught by the CRC, quarantined, priced by the tables
+    again and published again, and the table does not change."""
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    served = []
+    serve = common.serve_from_tables
+
+    def serving(trace, model, capacities):
+        name = _oracle_name(trace, model)
+        if serve(trace, model, capacities):
+            served.append(name)
+            return True
+        return False
+
+    monkeypatch.setattr(common, "serve_from_tables", serving)
+    expected = run_experiment("fig09", scale=SCALE, seed=SEED).to_dict()
+    paths = [path for path in _result_files() if path.name in served]
+    # the 2 Gamteb cells' replay results are the other entries
+    assert (len(served), len(paths), len(_result_files())) == (16, 16, 18)
+    for path in paths:
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01  # the last byte of the marshalled end state
+        path.write_bytes(bytes(blob))
+    trace_cache._memo.clear()
+    trace_cache.STATS.reset()
+    common.RESULT_STATS.reset()
+    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
+    del served[:]
+    assert run_experiment("fig09", scale=SCALE,
+                          seed=SEED).to_dict() == expected
+    # quarantined, priced by the tables and published again; the Gamteb
+    # cells restore their replay results
+    assert sorted(served) == sorted(path.name for path in paths)
+    assert (trace_cache.STATS.quarantined,
+            trace_cache.STATS.records) == (16, 0)
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (2, 16)
+    assert sorted(path.name for path, _ in
+                  trace_cache.quarantine_entries()) == [p.name for p in paths]
+    assert len(_result_files()) == 18
+    # published whole: the next pass restores every cell
+    trace_cache._memo.clear()
+    trace_cache.STATS.reset()
+    common.RESULT_STATS.reset()
+    del served[:]
+    assert run_experiment("fig09", scale=SCALE,
+                          seed=SEED).to_dict() == expected
+    assert served == [] and trace_cache.STATS.quarantined == 0
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (18, 0)
 
 
@@ -336,6 +400,45 @@ def test_the_stored_key_names_the_recording_model(cache_env):
     assert state == model.capture()
 
 
+def test_an_event_pass_restores_no_oracle_entry(cache_env, monkeypatch):
+    """On a cache an ``oracle`` pass filled, an ``event`` pass restores
+    only replay results: every fresh cell ends exactly as a replay of
+    its trace onto a fresh model, which an oracle entry (a fresh
+    model's internals under served statistics) would not."""
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    tables = {name: run_experiment(name, scale=SCALE, seed=SEED).to_dict()
+              for name in ("fig09", "fig11")}
+    published = {path.name for path in _result_files()}
+    monkeypatch.setenv(columnar.ENV_ENGINE, "event")
+    trace_cache._memo.clear()
+    restored = []
+    inner = common._restored
+
+    def logged(result, model):
+        if inner(result, model):
+            restored.append(result.path.name)
+            return True
+        return False
+
+    monkeypatch.setattr(common, "_restored", logged)
+    cells = Cells(monkeypatch)
+    oracle_entries = set()
+    checked = 0
+    for name, table in tables.items():
+        assert run_experiment(name, scale=SCALE,
+                              seed=SEED).to_dict() == table, name
+        for workload, twin, model in cells.take():
+            trace = _trace(workload, twin)
+            oracle_entries.add(_oracle_name(trace, twin))
+            assert _canonical(model) == _canonical(
+                replay(trace, twin, verify=False)), name
+            checked += 1
+    # the oracle pass left oracle entries, and none was restored
+    assert oracle_entries & published
+    assert restored and not oracle_entries & set(restored)
+    assert checked > len(restored)
+
+
 # -- keys ---------------------------------------------------------------------
 
 
@@ -385,29 +488,53 @@ def test_another_interpreter_changes_model_keyed_keys_only(monkeypatch):
     assert _keys()[1] != keyed
 
 
-@pytest.mark.parametrize("source", ["core", "replay"])
+#: the oracle's sources, each of which an oracle entry's key names
+ORACLE_SOURCES = ("oracle", "vector", "columnar", "admit")
+
+
+@pytest.mark.parametrize("source", ("core", "replay") + ORACLE_SOURCES)
 def test_a_model_or_replay_source_edit_changes_result_keys(monkeypatch,
                                                            tmp_path,
                                                            source):
+    """An edit to the ``repro/core`` sources changes the names of both
+    kinds of result entry; one to the replay loop only the replay
+    results', and one to the oracle's sources only the oracle
+    entries'."""
     trace = Trace(context_size=4)
     model = _nsf()
 
-    def name():
-        return trace_cache.result_entry(None, trace, model).path.name
+    def names():
+        return (trace_cache.result_entry(None, trace, model).path.name,
+                _oracle_name(trace, model))
 
-    before = name()
+    before = names()
     if source == "core":
         edited = _copy_core(tmp_path, monkeypatch) / "segmented.py"
-        cached = "_core_fingerprint"
-    else:
+    elif source == "replay":
         edited = tmp_path / "replay.py"
         edited.write_bytes(trace_cache.REPLAY_SOURCE.read_bytes())
         monkeypatch.setattr(trace_cache, "REPLAY_SOURCE", edited)
-        cached = "_replay_fingerprint"
-        monkeypatch.setattr(trace_cache, cached, None)
-    assert name() == before  # the same sources, the same key
-    _edit(edited, monkeypatch, cached)
-    assert name() != before
+    else:
+        copies = []
+        for path in trace_cache.ORACLE_SOURCES:
+            copies.append(tmp_path / path.name)
+            copies[-1].write_bytes(path.read_bytes())
+        monkeypatch.setattr(trace_cache, "ORACLE_SOURCES", tuple(copies))
+        edited = tmp_path / f"{source}.py"
+
+    def forget():
+        """Read every fingerprint afresh, as a new process does."""
+        for cached in ("_core_fingerprint", "_replay_fingerprint",
+                       "_oracle_fingerprint"):
+            monkeypatch.setattr(trace_cache, cached, None)
+
+    forget()
+    assert names() == before  # the same sources, the same keys
+    _edit(edited, monkeypatch, "_core_fingerprint")
+    forget()
+    replayed, priced = names()
+    assert (replayed != before[0]) == (source in ("core", "replay"))
+    assert (priced != before[1]) == (source != "replay")
 
 
 def test_the_backing_kind_separates_model_keyed_entries():
@@ -422,10 +549,23 @@ def test_the_backing_kind_separates_model_keyed_entries():
 
 def test_an_oracle_pass_publishes_only_replays_and_recordings(
         cache_env, monkeypatch):
+    """Replay results come only from replays and recordings, and every
+    other entry is the oracle entry of a cell the closed form or a
+    table served."""
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     monkeypatch.setattr(common, "_cpus", lambda: 1)  # every replay here
-    replayed, recorded = set(), set()
+    replayed, recorded, served = set(), set(), set()
     fallback = common.replay_oracle
+    serve = common.serve_from_tables
+
+    def serving(trace, model, capacities):
+        name = _oracle_name(trace, model)
+        if serve(trace, model, capacities):
+            served.add(name)
+            return True
+        return False
+
+    monkeypatch.setattr(common, "serve_from_tables", serving)
 
     def replaying(trace, model, result=None):
         replayed.add(trace_cache.result_entry(None, trace,
@@ -452,7 +592,9 @@ def test_an_oracle_pass_publishes_only_replays_and_recordings(
     # configuration records once
     assert len(replayed) == len(fig13.SEQ_LINE_SIZES)
     assert len(recorded) >= 16
-    assert {path.name for path in _result_files()} == replayed | recorded
+    assert served and not served & (replayed | recorded)
+    assert {path.name for path in _result_files()} == (
+        replayed | recorded | served)
 
 
 def test_a_gamteb_cell_without_its_entry_is_replayed_and_published(
@@ -484,12 +626,14 @@ def test_a_gamteb_cell_without_its_entry_is_replayed_and_published(
     assert run_experiment("fig11", scale=SCALE,
                           seed=SEED).to_dict() == expected
     assert scans and not gamteb & set(scans)
-    # the closed form and the tables price every shared-trace cell, so
-    # the replays are the Gamteb cells', one per configuration
+    # the closed form and the tables price every shared-trace cell and
+    # publish its oracle entry, so the replays are the Gamteb cells',
+    # one per configuration
     replayed = [name for _, name in log.keys]
     assert len(replayed) == len(set(replayed)) == len(configs)
-    assert common.RESULT_STATS.misses == len(configs)
-    assert set(replayed) <= {path.name for path in _result_files()}
+    published = {path.name for path in _result_files()}
+    assert set(replayed) < published
+    assert common.RESULT_STATS.misses == len(published)
     common.RESULT_STATS.reset()
     assert run_experiment("fig11", scale=SCALE,
                           seed=SEED).to_dict() == expected

@@ -9,10 +9,9 @@ Four rings of evidence:
   figure; fig10 and fig12 replay nothing, and no result entry is
   replayed twice.  Under ``oracle``, on a cache of its own, the cold
   pass replays only the cells neither the closed form nor the tables
-  price, and the warm pass replays nothing: every Gamteb cell and each
-  of those fallbacks restores its entry, and the closed form and the
-  tables serve every other planned cell, publishing nothing; every
-  planned cell takes the same route, fanned out or not.
+  price, and each cell the closed form or a table serves publishes its
+  oracle entry; the warm pass replays, scans and serves nothing: every
+  cell restores its entry, fanned out or not.
 * **Exact end state.** A served model's whole ``capture()`` equals that
   of a twin replayed independently, for every design the sweeps use,
   and stays equal while both are driven further; a served model that
@@ -20,7 +19,8 @@ Four rings of evidence:
 * **No cross-serving.** Models that would replay differently (another
   policy seed, a driven start state that only looks fresh) never
   share an entry, and only a fresh model looks one up or publishes
-  one; the oracle's served cells publish nothing, wrappers and a
+  one; the oracle's served cells publish an oracle entry that only a
+  cell the oracle could serve itself restores, wrappers and a
   compressing backing store neither look up nor publish, and the
   oracle's fallback cells go through the store.  A fresh model is
   keyed without capturing its start state.
@@ -32,6 +32,7 @@ Four rings of evidence:
 
 import collections
 import contextlib
+import functools
 import types
 
 import pytest
@@ -49,7 +50,15 @@ from repro.core import (
 from repro.core.faults import FaultyRegisterFile
 from repro.evalx import common, fig13, run_experiment
 from repro.trace import cache as trace_cache, columnar, oracle
-from repro.trace.events import OP_BEGIN, OP_END, OP_READ, OP_WRITE, Trace
+from repro.trace.events import (
+    BEGIN,
+    END,
+    OP_BEGIN,
+    OP_END,
+    OP_READ,
+    OP_WRITE,
+    Trace,
+)
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import replay
 from repro.workloads import get_workload
@@ -80,13 +89,20 @@ EVENT_REPLAYS = {"fig09": 18, "fig10": 0, "fig11": 32, "fig12": 0,
                  "fig13": 12, "fig14": 6}
 
 #: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED) on
-#: a cache it filled: every Gamteb cell (48) and each of fig13's
-#: GateSim cells, which neither the closed form nor the tables price,
-#: restores its result entry; every other planned cell is served by
-#: the closed form or a table, after one scan per trace and design
-#: family, and nothing replays
-ORACLE_ROUTES = {"restore": 48 + FIG13_REPLAYED, "closed form": 40,
-                 "table": 44, "scan": 10}
+#: a cache it filled: every cell restores its entry, the replay result
+#: of a Gamteb cell (48) or of one of fig13's GateSim cells, which
+#: neither the closed form nor the tables price, and the oracle entry
+#: of every other cell; nothing replays, scans or is served
+ORACLE_ROUTES = {"restore": 138}
+
+#: how it serves them cold: one scan per trace and design family, the
+#: closed form or a table for each planned cell fig09 and fig11 visit
+#: first, and fig10 and fig12 restore the oracle entries those
+#: published; the Gamteb cells run directly as they record, later cells
+#: of a configuration restore what that run left, and fig13's GateSim
+#: cells replay as forked jobs
+ORACLE_COLD_ROUTES = {"restore": 70, "closed form": 18, "table": 20,
+                      "scan": 10}
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +255,10 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
     monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     log.label = "oracle cold"
+    routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
+    routes.label = "cold"
+    monkeypatch.setattr(oracle, "_TABLE_MEMO", {})
+    monkeypatch.setattr(columnar, "_ANALYSES", {})
     for name in SWEEPS:
         table = run_experiment(name, scale=SCALE, seed=SEED)
         assert table.to_dict() == expected[name], name
@@ -246,8 +266,8 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
     # replay (the Gamteb cells run directly as they record)
     cold = [key for label, key in log.keys if label == "oracle cold"]
     assert len(cold) == len(set(cold)) == FIG13_REPLAYED
+    assert routes.routes("cold") == ORACLE_COLD_ROUTES
     log.label = "oracle warm"
-    routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
     for routes.label in ("fanned out", "serial"):
         if routes.label == "serial":
             monkeypatch.setattr(common, "_cpus", lambda: 1)
@@ -258,9 +278,9 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
         for name in SWEEPS:
             table = run_experiment(name, scale=SCALE, seed=SEED)
             assert table.to_dict() == expected[name], name
-        # warm, nothing replays: the cells the closed form and the
-        # tables serve published nothing and are served so again, and
-        # every other cell restores its entry
+        # warm, nothing replays or is served: the cells the closed
+        # form and the tables served restore their oracle entries, and
+        # every other cell its replay result
         assert common.RESULT_STATS.misses == misses
         assert (common.RESULT_STATS.hits - hits
                 == ORACLE_ROUTES["restore"])
@@ -273,11 +293,12 @@ BENCH_SCALE, BENCH_SEED = 0.35, 3
 
 
 def test_a_warm_pass_replays_nothing(cache_env, monkeypatch, tmp_path):
-    """At perfbench's sweep point, counted serially: a warm ``event``
-    pass restores all 138 cells, replays and scans nothing and plans no
-    job; a warm ``oracle`` pass on a cache the oracle filled scans as
-    often as a cold one (11 scans), restores the 48 Gamteb cells and
-    fig13's 6 GateSim cells, and replays nothing."""
+    """At perfbench's sweep point, counted serially: a warm pass
+    restores all 138 cells, replays and scans nothing and plans no job,
+    under ``event`` and under ``oracle`` on a cache the oracle filled.
+    The oracle's cold pass publishes the replay results of fig13's 6
+    GateSim cells and the oracle entries of the 38 distinct cells the
+    closed form and the tables serve."""
     monkeypatch.setattr(common, "_cpus", lambda: 1)
     log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
     routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
@@ -302,10 +323,12 @@ def test_a_warm_pass_replays_nothing(cache_env, monkeypatch, tmp_path):
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
     cold = sweep("oracle cold")
-    assert cold[:3] == (6, 11, "MemoStats(hits=24, misses=6)")
-    warm = sweep("oracle warm")
-    assert warm[:3] == (0, 11, "MemoStats(hits=54, misses=0)")
-    assert len(_stored_results()) == 30
+    assert cold[:3] == (6, 11, "MemoStats(hits=70, misses=44)")
+    assert sweep("oracle warm") == (
+        0, 0, "MemoStats(hits=138, misses=0)",
+        "0 of 0 cell job(s) forked in 6 batch(es)")
+    # 30 replay results and 38 oracle entries
+    assert len(_stored_results()) == 30 + 38
 
 
 # -- exact end state ----------------------------------------------------------
@@ -461,11 +484,12 @@ def test_fresh_models_are_keyed_without_a_start_capture(gatesim,
 @pytest.mark.parametrize("planned", [False, True])
 def test_other_engines_bypass_the_memo(gatesim, monkeypatch, engine,
                                        planned):
-    """The cells the oracle's tables serve publish no result entry;
-    every other cell (any cell outside a plan, an NMRU cell inside one)
-    is the event replay, which publishes one, so a fallback cell seen
-    again is a hit.  A cell whose entry an event replay left restores
-    it before the engine is asked."""
+    """The cells the oracle's tables serve publish an oracle entry, and
+    the next such cell restores it; every other cell (any cell outside
+    a plan, an NMRU cell inside one) is the event replay, which
+    publishes its replay result, so a fallback cell seen again is a
+    hit.  A cell whose replay result an event replay left restores it
+    before the engine is asked, its oracle entry cached or not."""
     monkeypatch.setenv(columnar.ENV_ENGINE, engine)
     def plan():
         return (common.capacity_plan((BUDGET,)) if planned
@@ -477,10 +501,9 @@ def test_other_engines_bypass_the_memo(gatesim, monkeypatch, engine,
             _serve(gatesim, model)
         twin = replay(gatesim, _nsf(policy=policy), verify=False)
         assert model.stats.snapshot() == twin.stats.snapshot()
-    # planned: two table-served LRU cells, one NMRU miss and its hit;
-    # unplanned: each design's first cell replays, its second restores
-    want = (1, 1) if planned else (2, 2)
-    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == want
+    # each design's first cell publishes, its second restores: the
+    # LRU cells an oracle entry when planned, a replay result when not
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (2, 2)
     lru = trace_cache.result_entry(None, gatesim, _nsf())
     assert lru.cached() is not planned
     if planned:
@@ -496,9 +519,81 @@ def test_other_engines_bypass_the_memo(gatesim, monkeypatch, engine,
             model = _serve(gatesim, _nsf())
         assert scans == []
         assert (common.RESULT_STATS.hits,
-                common.RESULT_STATS.misses) == (2, 2)
+                common.RESULT_STATS.misses) == (3, 3)
+        # the replay result, whole internals and all
         assert model.capture() == replay(gatesim, _nsf(),
                                          verify=False).capture()
+
+
+def test_a_cell_outside_a_plan_restores_no_oracle_entry(gatesim,
+                                                        monkeypatch):
+    """Under ``oracle`` a planned cell the tables serve publishes an
+    oracle entry, and the next planned cell restores it; a cell of the
+    same design outside any plan never does (its experiment may read
+    more than statistics off the model): it replays and ends exactly as
+    a replay."""
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    for _ in range(2):
+        with common.capacity_plan((BUDGET,)):
+            planned = _serve(gatesim, _nsf())
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 1)
+    twin = replay(gatesim, _nsf(), verify=False)
+    assert planned.stats.snapshot() == twin.stats.snapshot()
+    assert planned.capture() != twin.capture()
+    unplanned = _serve(gatesim, _nsf())
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 2)
+    assert unplanned.capture() == twin.capture()
+
+
+#: the table families an oracle entry serves: NSF with one-register
+#: lines, segmented frames spilled whole or live
+ORACLE_DESIGNS = {
+    "nsf": lambda budget: _nsf(budget=budget),
+    "seg-frame": lambda budget: SegmentedRegisterFile(
+        num_registers=budget, context_size=20, spill_mode="frame"),
+    "seg-live": lambda budget: SegmentedRegisterFile(
+        num_registers=budget, context_size=20, spill_mode="live"),
+}
+
+
+def _peak_registers(trace, design):
+    """The registers a design needs for ``trace`` never to evict: its
+    peak live registers for an NSF, a frame per context live at once
+    for a segmented file."""
+    if design == "nsf":
+        return columnar.analyze(trace).peak_lines
+    live = peak = 0
+    for op, *_ in trace:
+        live += {BEGIN: 1, END: -1}.get(op, 0)
+        peak = max(peak, live)
+    return peak * trace.context_size
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+def test_a_restored_oracle_entry_ends_as_the_tables_serve(gatesim,
+                                                          monkeypatch,
+                                                          design, above):
+    """A restored oracle entry leaves the ``stats`` and store word
+    counters that :func:`~repro.trace.oracle.serve_from_tables` leaves
+    on a fresh twin, below the trace's peak demand (every design
+    evicts) and at or above it (none does)."""
+    budget = _peak_registers(gatesim, design) if above else BUDGET
+    build = functools.partial(ORACLE_DESIGNS[design], budget)
+    monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
+    with common.capacity_plan((budget,)):
+        _serve(gatesim, build())
+        restored = _serve(gatesim, build())
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 1)
+    twin = build()
+    assert oracle.serve_from_tables(gatesim, twin, (budget,))
+    assert restored.stats.snapshot() == twin.stats.snapshot()
+    assert ((restored.backing.words_stored, restored.backing.words_loaded)
+            == (twin.backing.words_stored, twin.backing.words_loaded))
+    assert (restored.stats.registers_spilled == 0) is above
+    # and those are event replay's numbers
+    replayed = replay(gatesim, build(), verify=False)
+    assert restored.stats.snapshot() == replayed.stats.snapshot()
 
 
 class _Subclassed(NamedStateRegisterFile):

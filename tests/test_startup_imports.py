@@ -4,10 +4,12 @@ Every sweep cell of the journalled runner is a fresh ``run-cell``
 interpreter, so its imports are paid once per cell.  On
 the default ``event`` engine a cell never touches NumPy, the
 compiled-CPU front-end (``repro.cpu``, ``repro.lang``) or the thread
-pool; it must not load them either.  The other half of the contract
-is that the lazy imports still happen where they are used: the oracle
-loads NumPy and serves cells with it, ``CompiledSuite`` loads the CPU
-and the compiler, and ``run_sweep(jobs=2)`` builds its pool.
+pool; it must not load them either.  Nor does a warm ``oracle`` pass
+on a cache the oracle filled: every cell restores its entry.  The
+other half of the contract is that the lazy imports still happen where
+they are used: the oracle loads NumPy and serves cells with it on a
+cold cache, ``CompiledSuite`` loads the CPU and the compiler, and
+``run_sweep(jobs=2)`` builds its pool.
 
 The pytest process has loaded most of these modules already, so every
 check runs in a subprocess with a private trace cache.  The checks
@@ -119,6 +121,31 @@ def test_oracle_loads_numpy_and_serves_planned_cells(tmp_path):
     assert found["served"] == [True, True, True]
     assert {"numpy", "repro.trace.vector"} <= set(found["loaded"])
     assert found["oracle"] == found["event"]
+
+
+SWEEPS = """
+from repro.evalx import common, run_experiment
+
+for name in ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14"):
+    run_experiment(name, scale={scale!r}, seed=1)
+out["restored"] = common.RESULT_STATS.hits
+out["published"] = common.RESULT_STATS.misses
+"""
+
+
+def test_a_warm_oracle_sweep_loads_no_numpy(tmp_path):
+    """fig09-fig14 under ``oracle``: the cold pass prices its cells with
+    the closed form and the tables, loading NumPy and the scan kernel,
+    and publishes their oracle entries; the warm pass on that cache
+    restores every cell and loads neither."""
+    body = SWEEPS.format(scale=SCALE)
+    cold = _fresh(tmp_path / "cache", "oracle", body)
+    assert {"numpy", "repro.trace.vector"} <= set(cold["loaded"])
+    assert cold["published"] > 0
+    warm = _fresh(tmp_path / "cache", "oracle", body)
+    assert "numpy" not in warm["loaded"]
+    assert "repro.trace.vector" not in warm["loaded"]
+    assert (warm["restored"], warm["published"]) == (138, 0)  # every cell
 
 
 def test_threads_racing_the_first_load_all_see_numpy(tmp_path):
@@ -265,13 +292,15 @@ def test_warm_parent_loads_nothing_a_cell_does_not(tmp_path, cell_site):
 
 
 def test_oracle_loads_numpy_in_the_warm_child_only(tmp_path, cell_site):
-    """A planned cell (fig10 serves from a capacity plan) loads NumPy;
-    its warm parent still has none when it forks the next cell."""
+    """A planned cell (fig10 serves from a capacity plan) loads NumPy on
+    a cold cache; its warm parent still has none when it forks the next
+    cell, which restores the oracle entries the first one published and
+    loads none either."""
     cell_site(MODULE_LOG_SITE)
     commands = [runner._cell_command("fig10", runner.GENERIC_CELL, SCALE,
                                      1, attempt) for attempt in (0, 1)]
     warm = _module_log(tmp_path, "oracle", commands, warm=True)
     assert len(warm["fork"]) == 2
     assert all("numpy" not in parent for parent in warm["fork"])
-    assert all("numpy" in child for child in warm["child"])
+    assert ["numpy" in child for child in warm["child"]] == [True, False]
 
