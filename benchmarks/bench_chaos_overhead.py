@@ -77,8 +77,8 @@ def measure():
             trace = trace_cache.load_or_record(workload, scale=SCALE,
                                                seed=SEED)
 
-            result = trace_cache.result_entry(workload, trace,
-                                              make_nsf(workload))
+            result = trace_cache.result_entry(workload, make_nsf(workload),
+                                              SCALE, SEED)
 
             def floor():
                 trace_cache.clear_results()

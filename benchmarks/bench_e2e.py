@@ -7,9 +7,10 @@ event engine's.  Five kinds of pass, interleaved, min-of-3 each:
 
 * ``event``       — the default engine, every result entry (file and
   memo) dropped once per pass: each distinct (trace, fresh model)
-  cell is replayed once, Gamteb's replaying its recording, and the
-  figures that revisit cells (fig10, fig12, most of fig14) restore the
-  entries the pass published;
+  cell is replayed once, each Gamteb configuration (which has no
+  trace) runs directly once, and the figures that revisit cells
+  (fig10, fig12, most of fig14) restore the entries the pass
+  published;
 * ``event_cold``  — the same, but the result entries dropped before
   every figure, so each figure replays all of its own cells;
 * ``oracle``      — ``REPRO_REPLAY_ENGINE=oracle`` with the oracle's
@@ -73,8 +74,8 @@ MIN_ORACLE_SPEEDUP = 1.2
 
 def _sweep(engine, before_figure=None):
     """One timed pass: (seconds, {figure: table}, result entries
-    published): under ``event`` its replays, under ``oracle`` its
-    fallback replays and the oracle entries of the cells it priced."""
+    published): its replays and its Gamteb cells' direct runs, and
+    under ``oracle`` the oracle entries of the cells it priced."""
     os.environ[columnar.ENV_ENGINE] = engine
     misses = common.RESULT_STATS.misses
     tables = {}
@@ -172,9 +173,10 @@ def report(results, stream=sys.stdout):
     stream.write(
         f"e2e fig09-fig14 (scale {results['scale']}, seed "
         f"{results['seed']}, warm cache): event {results['event_s']}s "
-        f"({results['event_replays']} replays), entries dropped per figure "
-        f"{results['event_cold_s']}s ({results['event_cold_replays']} "
-        f"replays), oracle {results['oracle_s']}s "
+        f"({results['event_replays']} replays and runs), entries dropped "
+        f"per figure {results['event_cold_s']}s "
+        f"({results['event_cold_replays']} replays and runs), oracle "
+        f"{results['oracle_s']}s "
         f"({results['oracle_published']} entries published), restored "
         f"{results['restored_s']}s, oracle restored "
         f"{results['oracle_restored_s']}s (not gated)\n")

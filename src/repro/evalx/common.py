@@ -19,33 +19,33 @@ are identical to direct execution by construction (pinned by
 ``REPRO_NO_TRACE_CACHE=1`` (or pass ``--no-trace-cache`` to the CLIs)
 to force direct execution.
 
-A timing-sensitive workload's cache entry (Gamteb's) is recorded
-through the model it runs on, so its cold run is a direct run.
+A timing-sensitive workload (Gamteb) has no shared trace: its cell
+runs the front-end directly on the model under test.
 
-Each distinct (trace content, fresh model) cell is replayed at most
-once per cache: the figures read different statistics off the same
-cells, and the first replay's complete end state is kept as a *result
-entry* of the trace cache (:class:`repro.trace.cache.Result`, keyed by
-the trace's digest, the model's class and config, and the model and
-replay sources).  A fresh model the result memo holds looks its entry
-up before the engine is asked, under either engine, and ``restore()``s
-it instead of replaying; an event replay of such a model publishes
-one, and so does a recording through one (the direct run's end
-state).  Under ``REPRO_REPLAY_ENGINE=oracle`` the other cells of a
-:func:`capacity_plan` are served from the oracle's closed form and
-design-space tables where they can be, and each such cell publishes
-the served model as its *oracle entry*, which only a later cell the
-oracle could serve itself restores; every other cell takes the same
-event replay.
+Each distinct (cell, fresh model) pair is served at most once per
+cache: the figures read different statistics off the same cells, and
+the first end state is kept as a *result entry* of the trace cache
+(:class:`repro.trace.cache.Result`, named by the cell's workload,
+context size, scale and seed, the model's class and config, and the
+model and replay sources).  A fresh model the result memo holds looks
+its entry up before the engine is asked, under either engine, and
+``restore()``s it instead of replaying or running; an event replay of
+such a model publishes one, and so does a direct run of a
+timing-sensitive cell.  Under ``REPRO_REPLAY_ENGINE=oracle`` the other
+cells of a :func:`capacity_plan` are served from the oracle's closed
+form and design-space tables where they can be, and each such cell
+publishes the served model as its *oracle entry*, which only a later
+cell the oracle could serve itself restores; every other cell takes
+the same event replay.
 
 An experiment that drives many models hands them to :func:`run_cells`
 in one batch.  It first runs the front-ends of the traces the batch
-lacks (each on a copy of its model where the trace is model-keyed),
-then computes the replays and oracle scans its cache and memos lack,
-both in forked children on every CPU the process may use, and serves
-each cell in-process exactly as :func:`run_workload` would have: every
-cache lookup, lock, publish and fault draw, result entries' too, stays
-here, in cell order.
+lacks, and the direct runs of its fresh timing-sensitive cells (each
+on a copy of its model), then computes the replays and oracle scans
+its cache and memos lack, both in forked children on every CPU the
+process may use, and serves each cell in-process exactly as
+:func:`run_workload` would have: every cache lookup, lock, publish and
+fault draw, result entries' too, stays here, in cell order.
 :func:`fan_out` is the one fork-worker loop behind it; the storage-
 fault chaos campaign spreads its cells with it too.
 """
@@ -68,6 +68,11 @@ from repro.trace import cache as trace_cache, lru
 from repro.trace.admit import admit
 from repro.trace.columnar import selected_engine
 from repro.trace.events import Trace
+
+# ``perfbench/spans.py`` wraps ``replay``, ``serve_from_tables`` and
+# ``replay_oracle`` (below) where this module's callers look them up,
+# as attributes of this module: renaming one breaks ``perfbench/tests``
+# (ROADMAP item 7).
 from repro.trace.oracle import (
     closed_form,
     merge_tables,
@@ -125,9 +130,9 @@ def capacity_plan(register_budgets):
     the whole process, and one stack-distance scan per (trace, design
     family) covers every announced capacity the table still lacks, so
     each further capacity point costs an O(1) table application.  A
-    per-model trace (``trace_stable=False``) serves no other
-    configuration, so its cell is replayed instead, which publishes
-    its result entry.  A fresh model whose cell already has a result
+    timing-sensitive workload (``trace_stable=False``) has no trace to
+    price: its cell restores its result entry or runs directly.  A
+    fresh model whose cell already has a result
     entry restores it before the plan is consulted, and a cell the
     closed form or a table served publishes its oracle entry, which a
     later cell of the block restores.  Declaring a plan says the
@@ -148,9 +153,9 @@ def capacity_plan(register_budgets):
 
 #: process-local counters of the result store: ``hits`` counts cells
 #: that restored an entry of either kind, ``misses`` cells that
-#: published one: an event replay its replay result (a forked job's at
-#: its cell), and a cell the closed form or a table served its oracle
-#: entry
+#: published one: an event replay or a timing-sensitive cell's direct
+#: run its replay result (a forked job's at its cell), and a cell the
+#: closed form or a table served its oracle entry
 RESULT_STATS = lru.MemoStats()
 
 
@@ -193,7 +198,7 @@ def _replay_event(trace, model, result=None):
 replay_oracle = _replay_event
 
 
-def _replay(trace, model, result=None, shared=True, oracle=None):
+def _replay(trace, model, result=None, oracle=None):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop
@@ -203,15 +208,13 @@ def _replay(trace, model, result=None, shared=True, oracle=None):
     above the trace's peak demand by the closed form, below it from the
     shared design-space tables; the served model's end state is then
     published as ``oracle``, the cell's oracle entry (when it has one).
-    Every other cell, and every cell of a trace that is not ``shared``
-    across model configurations, goes to :func:`replay_oracle`, the
-    event replay, which publishes ``result``; both engines leave
-    byte-identical statistics by construction.  The cell's entries
-    were looked up before (:meth:`_Cell.drive`).
+    Every other cell goes to :func:`replay_oracle`, the event replay,
+    which publishes ``result``; both engines leave byte-identical
+    statistics by construction.  The cell's entries were looked up
+    before (:meth:`_Cell.drive`).
     """
     if selected_engine() == "oracle":
-        if (shared and _PLAN
-                and serve_from_tables(trace, model, _PLAN[-1])):
+        if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
             if oracle is not None:
                 _published(oracle, oracle.payload(model))
             return model
@@ -219,18 +222,17 @@ def _replay(trace, model, result=None, shared=True, oracle=None):
     return _replay_event(trace, model, result)
 
 
-def _oracle_entry(workload, trace, result):
+def _oracle_entry(workload, scale, seed, result):
     """The oracle entry of a cell whose replay result is ``result``,
     when the oracle could serve the cell itself: the engine is
-    ``oracle``, a :func:`capacity_plan` is open, the trace is shared
-    across models and the result memo holds the fresh model (``result``
-    is not ``None``); else ``None``.  The ``event`` engine needs a full
-    end state, and a cell outside a plan may be read for more than its
-    statistics, so neither ever restores one."""
-    if (result is None or not workload.trace_stable or not _PLAN
-            or selected_engine() != "oracle"):
+    ``oracle``, a :func:`capacity_plan` is open and the result memo
+    holds the fresh model (``result`` is not ``None``); else ``None``.
+    The ``event`` engine needs a full end state, and a cell outside a
+    plan may be read for more than its statistics, so neither ever
+    restores one."""
+    if result is None or not _PLAN or selected_engine() != "oracle":
         return None
-    return trace_cache.Result(workload, trace, result.key,
+    return trace_cache.Result(workload, scale, seed, result.key,
                               result.path.parent, oracle=True)
 
 
@@ -253,7 +255,7 @@ class _Cell:
         self.seed = seed
         self.trace = trace
         self.result = result
-        self.oracle = _oracle_entry(workload, trace, result)
+        self.oracle = _oracle_entry(workload, scale, seed, result)
         #: a fanned-out job already left the model in its end state
         self.done = False
         #: that end state, as :meth:`Result.payload
@@ -276,8 +278,7 @@ class _Cell:
             if self.error is not None:
                 raise self.error
             if not self.done:
-                _replay(self.trace, self.model, self.result,
-                        self.workload.trace_stable, self.oracle)
+                _replay(self.trace, self.model, self.result, self.oracle)
             elif self.result is not None:
                 _published(self.result, self.end)
         except OSError:
@@ -310,20 +311,20 @@ def run_workload(workload, model, scale=1.0, seed=1):
     workload front-end directly when it is not.  Both paths leave
     byte-identical statistics on the model.  A fresh model the result
     memo holds (:func:`~repro.trace.cache.result_entry`) first looks up
-    the result entry of its trace and ``restore()``s it when there is
+    the result entry of its cell and ``restore()``s it when there is
     one, under either engine; otherwise the engine serves the cell, and
     an event replay publishes that entry.
 
-    Workloads whose stream is timing-sensitive (``trace_stable`` is
-    False) get memoized execution instead of a shared trace, for a
-    model :func:`~repro.trace.admit.admit` calls fresh: the cold run
-    executes directly through a recorder (which publishes the trace and
-    the run's end state as its result entry), and later models of the
-    identical configuration restore that entry, or replay the trace
-    when they may not (a compressing backing store).  Any other model
-    (driven, wrapped, subclassed) executes the front-end directly, with
-    no lookup and no publish: its run need not be the fresh run an
-    entry memoizes.
+    A workload whose stream is timing-sensitive (``trace_stable`` is
+    False) has no shared trace.  A fresh model the result memo holds
+    looks its cell's result entry up here, once: a hit restores it, and
+    a miss runs the front-end directly
+    (:func:`~repro.trace.cache.record_through`), which publishes the
+    run's end state as that entry.  A fresh model the memo does not
+    hold (a compressing backing store, whose codec round trips must all
+    run) runs directly too, with no lookup and no publish, and so does
+    any other model (driven, wrapped, subclassed): its run need not be
+    the fresh run an entry memoizes.
 
     Degradation ladder: warm cache -> quarantine + re-record (inside
     the cache) -> on persistent storage failure, **direct execution**
@@ -346,19 +347,18 @@ def run_workload(workload, model, scale=1.0, seed=1):
     trace = result = None
     if trace_cache.enabled() and (workload.trace_stable or fresh):
         try:
-            if workload.trace_stable:
-                trace = trace_cache.load_or_record(workload, scale=scale,
-                                                   seed=seed)
-            else:
-                trace = trace_cache.load_for_model(workload, model,
-                                                   scale=scale, seed=seed)
-                if trace is None:
-                    trace_cache.record_through(workload, model,
-                                               scale=scale, seed=seed)
-                    return model
             if fresh:
-                result = trace_cache.result_entry(workload, trace, model,
-                                                  verdict)
+                result = trace_cache.result_entry(workload, model, scale,
+                                                  seed, verdict)
+            if not workload.trace_stable:
+                if not _restored(result, model):
+                    if result is not None:
+                        RESULT_STATS.misses += 1
+                    trace_cache.record_through(workload, model, scale=scale,
+                                               seed=seed, result=result)
+                return model
+            trace = trace_cache.load_or_record(workload, scale=scale,
+                                               seed=seed)
         except OSError:
             # the cache's own retries/quarantine already failed: last
             # rung, direct execution
@@ -381,10 +381,10 @@ class FanoutStats:
     ``parent`` the jobs the parent computed itself, and ``refused``
     maps each reason a step with jobs did not fork to its count.  A
     job whose child failed is neither: its cell replays in-process.
-    ``recordings`` counts the recordings batches tried to make ahead
-    of their lookups (a batch's lone recording is made at its cell
-    and not counted) and ``recorded`` those a child made; every other
-    one is made in this process.
+    ``recordings`` counts the recordings and direct runs batches tried
+    to make ahead of their lookups (a batch's lone one is made at its
+    cell and not counted) and ``recorded`` those a child made; every
+    other one is made in this process.
     """
 
     __slots__ = ("batches", "forked", "parent", "refused", "recordings",
@@ -425,16 +425,18 @@ def run_cells(cells, scale=1.0, seed=1):
     order would, in five steps:
 
     1. plan, without side effects, the traces the cells would record
-       (:func:`_recordings`) and run those front-ends in forked
+       and the direct runs their fresh timing-sensitive cells would make
+       (:func:`_recordings`), and run those front-ends in forked
        children on every CPU this process may use, the parent taking
-       jobs too; a model-keyed trace is recorded through a copy of its
-       model, whose end state comes back with the recording;
+       jobs too; a direct run runs on a copy of its model, whose end
+       state comes back;
     2. resolve every cell's trace in order, in this process, through
        :func:`run_workload` itself, so every lookup, lock, publish,
        quarantine, chaos draw, cache count and log line happens once
-       and in the serial order; a recording step 1 made is handed to
-       the recorder (:func:`repro.trace.cache.handoff`) instead of
-       executing the front-end again;
+       and in the serial order; a recording or run step 1 made is
+       handed to the recorder (:func:`repro.trace.cache.handoff`)
+       instead of executing the front-end again, and a timing-sensitive
+       cell is served there, as it is resolved;
     3. plan, without side effects, what the cells lack: nothing for a
        cell whose result entry is memoized or on disk, else a table
        scan for a cell the oracle's tables will serve and a replay for
@@ -513,9 +515,10 @@ class _Recording:
     :func:`run_cells`), into the hand-off ``planned`` of its lookup.
 
     ``model`` is ``None`` for a ``trace_stable`` trace, which records
-    over the cache's own model; otherwise the trace is recorded through
-    a copy of the cell's fresh model, never driven, so the model itself
-    stays untouched until its cell ``restore()``s the copy's end state.
+    over the cache's own model; otherwise the front-end runs directly
+    on a copy of the cell's fresh model, never driven, so the model
+    itself stays untouched until its cell ``restore()``s the copy's end
+    state.
     """
 
     __slots__ = ("workload", "model", "scale", "seed", "planned")
@@ -527,50 +530,50 @@ class _Recording:
         self.seed = seed
         self.planned = planned
 
-    def _record(self, model):
-        """``(trace, end)``: the recording, and the
-        :func:`~repro.trace.cache.end_payload` of the model it was
-        recorded through (``None`` for a shared trace)."""
+    def _make(self, model):
+        """The recording of a shared trace (``model`` ``None``), or the
+        :func:`~repro.trace.cache.end_payload` of a direct run on
+        ``model``."""
         if model is None:
             return trace_cache.run_traced(self.workload, scale=self.scale,
-                                          seed=self.seed), None
+                                          seed=self.seed)
         key = trace_cache.end_key(model, admit(model))
-        trace = trace_cache.run_traced(self.workload, model,
-                                       scale=self.scale, seed=self.seed)
-        return trace, trace_cache.end_payload(key, model)
+        self.workload.run(model, scale=self.scale, seed=self.seed)
+        return trace_cache.end_payload(key, model)
 
     def reply(self):
         """What a worker sends back: the packed trace, published as it
-        is, and the end payload (the worker's model is its own copy)."""
-        trace, end = self._record(self.model)
-        return trace.dumps_binary(), end
+        is, or the end payload (the worker's model is its own copy)."""
+        made = self._make(self.model)
+        return made.dumps_binary() if self.model is None else made
 
     def here(self):
-        """Make the recording in this process, on a copy of the model;
-        what it raises is raised again at its cell."""
+        """Make it in this process, on a copy of the model; what it
+        raises is raised again at its cell."""
         model = None if self.model is None else copy.deepcopy(self.model)
         try:
-            self.planned.trace, self.planned.end = self._record(model)
+            self.planned.made = self._make(model)
         except Exception as exc:
             self.planned.error = exc
 
     def merge(self, reply):
-        """Keep a worker's recording, its trace decoded once."""
-        payload, self.planned.end = reply
-        self.planned.trace = Trace.loads_binary(payload)
-        self.planned.payload = payload
+        """Keep what a worker made, a trace decoded once."""
+        if self.model is None:
+            self.planned.payload = reply
+            reply = Trace.loads_binary(reply)
+        self.planned.made = reply
 
 
 def _recordings(cells, scale, seed):
-    """The recordings the cells' lookups will miss, one per distinct
-    trace, planned without side effects (:func:`trace_cache.plan_lookup`).
-
-    A trace is planned at its first cell, and only when it is neither
-    memoized nor on disk.  A model-keyed trace is planned only for a
-    model :func:`~repro.trace.admit.admit` calls fresh (any other looks
-    nothing up), and made ahead only when no other cell drives that
-    model: a model two cells drive records inline, as a serial pass
-    would.
+    """What the cells' lookups will miss, planned without side effects:
+    the recording of each shared trace that is neither memoized nor on
+    disk, at its first cell (:func:`trace_cache.plan_lookup`), and the
+    direct run of each timing-sensitive cell on a fresh model
+    (:func:`trace_cache.plan_run`) whose result entry is not cached, one
+    per entry, or which the result memo does not hold (a compressing
+    store, run on every pass).  A run is planned only for a model no
+    other cell drives: a model two cells drive runs inline, as a serial
+    pass would, and a driven one looks nothing up.
     """
     if not trace_cache.enabled():
         return []
@@ -579,16 +582,22 @@ def _recordings(cells, scale, seed):
     paths = set()
     for workload, model in cells:
         if workload.trace_stable:
-            model = None
-        elif not admit(model).fresh:
+            entry = trace_cache.plan_lookup(workload, scale, seed)
+            if entry is not None:
+                jobs.append(_Recording(workload, None, scale, seed, entry))
             continue
-        planned = trace_cache.plan_lookup(workload, model, scale, seed)
-        if planned is None or planned[0] in paths:
+        verdict = admit(model)
+        if not verdict.fresh or drives[id(model)] > 1:
             continue
-        path, entry = planned
-        paths.add(path)
-        if model is None or drives[id(model)] == 1:
-            jobs.append(_Recording(workload, model, scale, seed, entry))
+        result = trace_cache.result_entry(workload, model, scale, seed,
+                                          verdict)
+        if result is not None:
+            if result.path in paths or result.cached():
+                continue
+            paths.add(result.path)
+        jobs.append(_Recording(workload, model, scale, seed,
+                               trace_cache.plan_run(workload, model, scale,
+                                                    seed)))
     return jobs
 
 

@@ -1,5 +1,5 @@
 """Content-addressed disk cache of recorded workload traces and of the
-end states replays leave.
+end states cells leave.
 
 The expensive half of every sweep is executing a workload front-end
 (the activation machine or thread scheduler); for every workload with
@@ -16,54 +16,49 @@ re-running the program.
 
 Timing-sensitive workloads (``trace_stable = False``, e.g. Gamteb,
 whose thread wake-up order races the model-dependent stall cycles of
-spills and reloads) cannot share one stream across models.  For those
-the cache degrades gracefully to *memoized execution*: the entry is
-additionally keyed by the target model's configuration fingerprint
-(:func:`model_fingerprint`) and the kind of its backing store, and it
-is recorded straight through the target model on the cold run
-(:func:`record_through` — so the cold run IS a direct run, exact by
-construction).  Only a model that :func:`repro.trace.admit.admit`
-calls fresh looks such an entry up, records or publishes one.
+spills and reloads) cannot share one stream across models, and the
+cache keeps no trace of theirs: a cell of one runs the front-end
+directly (:func:`record_through` for a fresh model), and a fresh model
+the result memo holds publishes its end state as the cell's result
+entry, which the next fresh model of that configuration restores.
 
-**Result entries.**  Beside the traces the cache keeps the end states
-that replaying a trace onto a fresh model leaves (:class:`Result`): a
-``.result`` file whose payload is ``marshal.dumps((end_key,
-capture()), 2)`` (:func:`end_payload`), keyed by the trace's content
-digest (:meth:`Trace.digest <repro.trace.events.Trace.digest>`), the
-model's :func:`end_key`, the model sources (:func:`core_fingerprint`)
-and the replay loop's (:func:`replay_fingerprint`).  A later fresh
-model of the same class and config ``restore()``s it instead of
-replaying (:func:`repro.evalx.common.run_workload`, under either
-engine).  Two things produce such a *replay result*, both for a model
-that ``admit`` calls fresh and lets the result memo hold: an event
-replay (:func:`repro.evalx.common._replay_event`) and a recording
-through such a model (:func:`record_through`), whose entry holds the
-direct run's end state.  A cell the oracle's closed form or tables
-serve publishes an *oracle entry*: the same kind of file, holding the
-served model's ``capture()`` (a fresh model's internals under the
-served statistics and store word counters), keyed by
-:func:`oracle_fingerprint` where a replay result is keyed by
-:func:`replay_fingerprint`; only a cell the oracle could serve itself
-restores one.  A model-keyed trace entry holds the trace alone; its
-recording's end state is the result entry of that trace.
+**Result entries.**  Beside the traces the cache keeps the end state
+a cell leaves on a fresh model (:class:`Result`): a ``.result`` file
+whose payload is ``marshal.dumps((end_key, capture()), 2)``
+(:func:`end_payload`), named by its cell: the :func:`trace_key` of
+``(workload, context size, scale, seed)``, the model's
+:func:`end_key`, the model sources (:func:`core_fingerprint`) and the
+replay loop's (:func:`replay_fingerprint`).  A later fresh model of the
+same class and config ``restore()``s it instead of serving the cell
+(:func:`repro.evalx.common.run_workload`, under either engine).  Two
+things produce such a *replay result*, both for a model that
+``admit`` calls fresh and lets the result memo hold: an event replay
+of a shared trace (:func:`repro.evalx.common._replay_event`) and a
+direct run of a timing-sensitive workload (:func:`record_through`).  A
+cell the oracle's closed form or tables serve publishes an *oracle
+entry*: the same kind of file, holding the served model's
+``capture()`` (a fresh model's internals under the served statistics
+and store word counters), named with :func:`oracle_fingerprint` where
+a replay result has :func:`replay_fingerprint`; only a cell the oracle
+could serve itself restores one.
 
-Inside a :func:`repro.evalx.common.run_cells` batch the front-ends
-of the recordings a batch lacks may already have run on other CPUs
-(:func:`plan_lookup`): the batch hands each recording over through
-:func:`handoff` (with the end state of the model copy it was recorded
-through), and :func:`record_trace` and :func:`record_through` take it
-instead of executing the front-end again.  Every lookup, lock,
-publish, fault draw, :data:`STATS` count and log line still happens
-here, at the cell that needs the entry.
+Inside a :func:`repro.evalx.common.run_cells` batch the front-ends of
+the traces a batch lacks, and the direct runs of its fresh
+timing-sensitive cells, may already have run on other CPUs
+(:func:`plan_lookup`, :func:`plan_run`): the batch hands each recording
+and each run's end state over through :func:`handoff`, and
+:func:`record_trace` and :func:`record_through` take it instead of
+executing the front-end again.  Every lookup, lock, publish, fault
+draw, :data:`STATS` count and log line still happens here, at the cell
+that needs the entry.
 
 Keying is content-addressed: ``(workload name, context size, scale,
 seed)`` plus a fingerprint of the recorder/format implementation
 (sha256 of this package's sources and a schema version), so any change
 to recording semantics invalidates every stale entry automatically —
-old files are simply never looked up again.  A model-keyed key also
-names the register-file models' sources (``repro/core``) and the
-interpreter's bytecode tag (:func:`core_fingerprint`): the trace
-depends on them.
+old files are simply never looked up again.  A result entry's name
+adds the model, the ``repro/core`` sources with the interpreter's
+bytecode tag, and the code that priced the cell.
 
 Storage-fault hardening (PR 6) — the cache assumes the disk lies:
 
@@ -132,8 +127,7 @@ SCHEMA_VERSION = 1
 #: default location: ``<repo root>/.trace-cache`` (gitignored)
 DEFAULT_DIR = pathlib.Path(__file__).resolve().parents[3] / ".trace-cache"
 
-#: the register-file models, whose code a model-keyed trace and every
-#: result entry depend on
+#: the register-file models, whose code every result entry depends on
 CORE_DIR = pathlib.Path(__file__).resolve().parents[1] / "core"
 
 #: the replay loop, whose code every replay result depends on
@@ -155,9 +149,11 @@ RESULT_SUFFIX = ".result"
 _END_MARSHAL = 2
 
 #: entries :data:`_memo` keeps: a warm golden pass at the golden point
-#: looks up 108 under either engine on a cache it filled (40 traces and
-#: 68 result entries, under ``oracle`` 30 replay results and 38 oracle
-#: entries) and evicts none
+#: looks up 84 under either engine on a cache it filled (16 traces, the
+#: ``profile`` experiment's shared Gamteb trace among them, and 68
+#: result entries, under ``oracle`` 30 replay results and 38 oracle
+#: entries; 7 of the 84 in the private caches of chaos cells) and
+#: evicts none
 MEMO_LIMIT = 128
 
 #: a recording lock older than this is debris from a crashed recorder
@@ -252,10 +248,9 @@ def core_fingerprint():
     bytecode tag (``sys.implementation.cache_tag``, which names its
     ``marshal`` format too).
 
-    Model-keyed trace keys and every result key carry it: a model's
-    stalls shape a model-keyed trace, and a result entry holds a
-    model's end state, so an edit to a model, or another interpreter,
-    must record or replay them again.
+    Every result key carries it: a result entry holds a model's end
+    state, so an edit to a model, or another interpreter, must run or
+    replay its cell again.
     """
     global _core_fingerprint
     if _core_fingerprint is None:
@@ -298,50 +293,18 @@ def oracle_fingerprint():
     return _oracle_fingerprint
 
 
-def model_fingerprint(model):
-    """Stable digest of a register-file model's configuration.
-
-    Derived from the model's ``kind`` and the ``_config()`` its class
-    defines (construction parameters only, no mutable state, the
-    ``config`` that ``capture()`` files), so two freshly built models
-    compare equal exactly when direct execution over them is
-    guaranteed to produce the same event stream.  Returns ``None`` for
-    an object whose class defines no ``_config()``: a wrapper, whose
-    attribute forwarding would answer for the model inside it, or
-    anything outside the snapshot protocol.
-    """
-    config = getattr(type(model), "_config", None)
-    if config is None:
-        return None
-    canonical = repr((model.kind, sorted(config(model).items())))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def model_part(model):
-    """The model's part of a model-keyed key: its configuration
-    fingerprint and the kind of its backing store, so a model over a
-    compressing store records a trace of its own; ``None`` for a model
-    :func:`model_fingerprint` does not name."""
-    fp = model_fingerprint(model)
-    if fp is None:
-        return None
-    return f"{fp}|backing={type(model.backing).__name__}"
-
-
-def trace_key(workload_name, context_size, scale, seed, model_fp=None):
-    """Content-addressed key for one recorded execution."""
+def trace_key(workload_name, context_size, scale, seed):
+    """Content-addressed key of one cell's execution: the name of its
+    shared trace, and the cell part of its result entries' names."""
     canonical = (f"{workload_name}|ctx={context_size}|scale={scale!r}"
                  f"|seed={seed!r}|{recorder_fingerprint()}")
-    if model_fp is not None:
-        canonical += f"|model={model_fp}|core={core_fingerprint()}"
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
-def trace_path(workload, scale, seed, directory=None, model_fp=None):
+def trace_path(workload, scale, seed, directory=None):
     """Where the cached trace for one execution lives."""
     directory = pathlib.Path(directory) if directory else cache_dir()
-    key = trace_key(workload.name, workload.context_size, scale, seed,
-                    model_fp=model_fp)
+    key = trace_key(workload.name, workload.context_size, scale, seed)
     return directory / f"{workload.name.lower()}-{key}.trace"
 
 
@@ -356,31 +319,53 @@ def _log(outcome, workload, path):
         pass
 
 
-def run_traced(workload, model=None, scale=1.0, seed=1):
-    """Execute ``workload`` over ``model`` through a recorder; returns
-    the trace.  ``None`` records over a generously-sized NSF, which
-    keeps recording fast by avoiding spills (a ``trace_stable`` stream
-    is model-independent).  Touches no cache state or counter."""
-    if model is None:
-        from repro.core import NamedStateRegisterFile
+def run_traced(workload, scale=1.0, seed=1):
+    """Execute ``workload`` through a recorder over a generously-sized
+    NSF, which keeps recording fast by avoiding spills (a
+    ``trace_stable`` stream is model-independent); returns the trace.
+    Touches no cache state or counter."""
+    from repro.core import NamedStateRegisterFile
 
-        model = NamedStateRegisterFile(
-            num_registers=4 * workload.context_size,
-            context_size=workload.context_size,
-        )
-    tracer = TracingRegisterFile(model)
+    tracer = TracingRegisterFile(NamedStateRegisterFile(
+        num_registers=4 * workload.context_size,
+        context_size=workload.context_size,
+    ))
     workload.run(tracer, scale=scale, seed=seed)
     return tracer.trace
+
+
+# ``perfbench/spans.py`` wraps ``record_trace``, ``record_through`` and
+# ``_lookup`` where their callers look them up, as attributes of this
+# module: renaming one breaks ``perfbench/tests`` (ROADMAP item 7).
 
 
 def record_trace(workload, scale=1.0, seed=1):
     """Execute ``workload`` once over a recording register file
     (:func:`run_traced`), or take the recording its batch made ahead."""
-    handed = _handed(_planned(workload, None, scale, seed))
-    trace = (run_traced(workload, scale=scale, seed=seed)
-             if handed is None else handed[0])
+    trace = _handed(_planned(workload, None, scale, seed))
+    if trace is None:
+        trace = run_traced(workload, scale=scale, seed=seed)
     STATS.records += 1
     return trace
+
+
+def record_through(workload, model, scale=1.0, seed=1, result=None):
+    """Execute ``workload`` directly over ``model``, a fresh model of a
+    timing-sensitive cell, and publish its end state as ``result``, the
+    cell's :class:`Result` (``None`` for a model the store does not
+    hold, which publishes nothing).
+
+    A run its batch made ahead on a copy of the model arrives as the
+    copy's :func:`end_payload`, which the model ``restore()``s and which
+    is published as it is.  Records no trace and returns ``None``.
+    """
+    end = _handed(_planned(workload, model, scale, seed))
+    if end is None:
+        workload.run(model, scale=scale, seed=seed)
+    else:
+        model.restore(marshal.loads(end)[1])
+    if result is not None:
+        result.publish(result.payload(model) if end is None else end)
 
 
 # -- result entries ----------------------------------------------------------
@@ -403,26 +388,28 @@ def end_payload(key, model):
 
 
 class Result:
-    """The result entry of one cell: replaying ``trace`` onto a fresh
-    model whose :func:`end_key` is ``key`` (a *replay result*), or, with
-    ``oracle``, serving it from the oracle's closed form or tables (an
+    """The result entry of the cell ``(workload, scale, seed)`` on a
+    fresh model whose :func:`end_key` is ``key``: the end state its event
+    replay or direct run leaves (a *replay result*), or, with
+    ``oracle``, the one the oracle's closed form or tables serve (an
     *oracle entry*: the fresh model's internals with the served
-    statistics and store word counters).  ``workload`` names the cell
-    in the cache log.  The entry's key is a sha256 over the trace's
-    content digest, ``key``, :func:`core_fingerprint` and
+    statistics and store word counters).  ``workload`` also names the
+    cell in the cache log.  The entry's name is a sha256 over the
+    cell's :func:`trace_key`, ``key``, :func:`core_fingerprint` and
     :func:`replay_fingerprint`, or :func:`oracle_fingerprint` for an
     oracle entry."""
 
     __slots__ = ("workload", "key", "path")
 
-    def __init__(self, workload, trace, key, directory=None, oracle=False):
+    def __init__(self, workload, scale, seed, key, directory=None,
+                 oracle=False):
         self.workload = workload
         self.key = key
         directory = pathlib.Path(directory) if directory else cache_dir()
         source = (f"oracle={oracle_fingerprint()}" if oracle
                   else f"replay={replay_fingerprint()}")
-        canonical = (f"{trace.digest().hex()}|{key!r}"
-                     f"|core={core_fingerprint()}|{source}")
+        cell = trace_key(workload.name, workload.context_size, scale, seed)
+        canonical = f"{cell}|{key!r}|core={core_fingerprint()}|{source}"
         name = hashlib.sha256(canonical.encode()).hexdigest()[:32]
         self.path = directory / f"{name}{RESULT_SUFFIX}"
 
@@ -452,17 +439,17 @@ class Result:
         _publish(self.workload, self.path, payload, payload)
 
 
-def result_entry(workload, trace, model, verdict=None, directory=None):
-    """The :class:`Result` of replaying ``trace`` onto ``model``, or
-    ``None`` for a model the store does not hold: only a model that
-    :func:`~repro.trace.admit.admit` (``verdict``, when the caller has
-    it) calls fresh and lets the result memo hold.  Driven, wrapped,
-    subclassed and compressing models neither look one up nor publish
-    one."""
+def result_entry(workload, model, scale=1.0, seed=1, verdict=None):
+    """The :class:`Result` of the cell ``(workload, scale, seed)`` on
+    ``model``, or ``None`` for a model the store does not hold: only a
+    model that :func:`~repro.trace.admit.admit` (``verdict``, when the
+    caller has it) calls fresh and lets the result memo hold.  Driven,
+    wrapped, subclassed and compressing models neither look one up nor
+    publish one."""
     verdict = verdict or admit(model)
     if not (verdict.memo and verdict.fresh):
         return None
-    return Result(workload, trace, end_key(model, verdict), directory)
+    return Result(workload, scale, seed, end_key(model, verdict))
 
 
 def _check_result(payload):
@@ -483,16 +470,16 @@ def _check_result(payload):
 
 
 class _Planned:
-    """One planned lookup of a batch: once a recording was made ahead
-    of it, that recording's ``trace``, the :func:`end_payload` of the
-    model copy it was recorded through (``end``, ``None`` for a shared
-    trace) and the trace payload a worker sent (``payload``), or what
-    making it raised (``error``)."""
+    """One planned lookup of a batch: once its batch made it ahead,
+    what it made (``made``: a shared trace's recording, or the
+    :func:`end_payload` of a direct run on a copy of a fresh model) and
+    the trace payload a worker sent (``payload``), or what making it
+    raised (``error``)."""
 
-    __slots__ = ("trace", "end", "payload", "error")
+    __slots__ = ("made", "payload", "error")
 
     def __init__(self):
-        self.trace = self.end = self.payload = self.error = None
+        self.made = self.payload = self.error = None
 
 
 #: per thread, the :class:`_Planned` lookups of the innermost open
@@ -504,10 +491,10 @@ _HANDOFF = threading.local()
 def handoff():
     """Open a batch's hand-off for this thread for the block.
 
-    :func:`plan_lookup` fills it, the batch stores each recording it
-    made ahead in its entry, and the recorders of this thread take
-    those recordings from it.  It is dropped when the block ends,
-    however it ends, with whatever no recorder consumed.
+    :func:`plan_lookup` and :func:`plan_run` fill it, the batch stores
+    each recording or run it made ahead in its entry, and the recorders
+    of this thread take them from it.  It is dropped when the block
+    ends, however it ends, with whatever no recorder consumed.
     """
     outer = getattr(_HANDOFF, "plan", None)
     _HANDOFF.plan = {}
@@ -518,7 +505,7 @@ def handoff():
 
 
 def _plan_key(workload, model, scale, seed):
-    """Hand-off key of one lookup: a model-keyed one names its model."""
+    """Hand-off key of one lookup: a direct run's names its model."""
     key = (workload.name, workload.context_size, scale, seed)
     return key if model is None else key + (id(model),)
 
@@ -533,16 +520,16 @@ def _planned(workload, model, scale, seed, directory=None):
 
 
 def _handed(planned):
-    """``(trace, end)`` of the recording made ahead for a planned
-    lookup, once, or ``None`` when nothing was; raises what making it
-    raised.  Its payload stays for :func:`_sent`."""
-    if planned is None or (planned.trace is None and planned.error is None):
+    """What was made ahead for a planned lookup, once, or ``None`` when
+    nothing was; raises what making it raised.  Its payload stays for
+    :func:`_sent`."""
+    if planned is None:
         return None
-    handed, error = (planned.trace, planned.end), planned.error
-    planned.trace = planned.end = planned.error = None
+    made, error = planned.made, planned.error
+    planned.made = planned.error = None
     if error is not None:
         raise error
-    return handed
+    return made
 
 
 def _sent(planned):
@@ -560,30 +547,28 @@ def _known(path):
     return (str(path.parent), path.name) in _memo or path.exists()
 
 
-def plan_lookup(workload, model, scale, seed):
-    """Plan one lookup of the open hand-off, without side effects.
-
-    ``model`` is ``None`` for a ``trace_stable`` workload.  Returns
-    ``(path, entry)`` when the trace at ``path`` is neither memoized
-    nor on disk (a recording would be made), ``entry`` being where the
-    batch leaves a recording it makes ahead; ``None`` for a lookup
-    planned before, a cached trace or a model outside the snapshot
-    protocol.
-    """
+def plan_lookup(workload, scale, seed):
+    """Plan the lookup of a ``trace_stable`` workload's trace in the
+    open hand-off, without side effects.  Returns the entry where the
+    batch leaves the recording it makes ahead when the trace is neither
+    memoized nor on disk (a recording would be made); ``None`` for a
+    trace planned before or cached."""
     plan = _HANDOFF.plan
-    key = _plan_key(workload, model, scale, seed)
+    key = _plan_key(workload, None, scale, seed)
     if key in plan:
         return None
-    part = None
-    if model is not None:
-        part = model_part(model)
-        if part is None:
-            return None
-    path = trace_path(workload, scale, seed, model_fp=part)
     plan[key] = entry = _Planned()
-    if _known(path):
-        return None
-    return path, entry
+    return None if _known(trace_path(workload, scale, seed)) else entry
+
+
+def plan_run(workload, model, scale, seed):
+    """Plan :func:`record_through`'s run of a timing-sensitive
+    ``workload`` on the fresh ``model`` in the open hand-off; returns
+    the entry where the batch leaves the end payload of the run it
+    makes ahead on a copy of the model."""
+    plan = _HANDOFF.plan
+    plan[_plan_key(workload, model, scale, seed)] = entry = _Planned()
+    return entry
 
 
 # -- degradation ladder ------------------------------------------------------
@@ -866,9 +851,9 @@ def _publish(workload, path, entry, payload=None):
 def load_or_record(workload, scale=1.0, seed=1, directory=None):
     """Return the trace for ``(workload, scale, seed)``, recording once.
 
-    The model-independent entry point — only correct for workloads with
-    ``trace_stable = True``; timing-sensitive workloads go through
-    :func:`load_for_model` / :func:`record_through` instead.
+    Only correct for workloads with ``trace_stable = True``; a
+    timing-sensitive workload's cell runs directly instead
+    (:func:`record_through`).
     """
     path = trace_path(workload, scale, seed, directory=directory)
     trace = _lookup(workload, path)
@@ -885,69 +870,6 @@ def load_or_record(workload, scale=1.0, seed=1, directory=None):
                     _planned(workload, None, scale, seed, directory)))
         finally:
             _release_record_lock(lock_path)
-    return trace
-
-
-def _model_path(workload, model, scale, seed, directory, verdict=None):
-    """Where the model-keyed entry of a model :func:`admit` (``verdict``,
-    when the caller has it) calls fresh lives; ``None`` for any other
-    model, which may neither look one up nor publish one: its run need
-    not be the fresh run an entry memoizes."""
-    if not (verdict or admit(model)).fresh:
-        return None
-    part = model_part(model)
-    if part is None:
-        return None
-    return trace_path(workload, scale, seed, directory=directory,
-                      model_fp=part)
-
-
-def load_for_model(workload, model, scale=1.0, seed=1, directory=None):
-    """Cached trace for this exact model configuration, or ``None``.
-
-    The lookup path for timing-sensitive workloads, open only to a
-    model :func:`~repro.trace.admit.admit` calls fresh: the trace was
-    recorded through a fresh model of the same configuration and
-    backing kind, so it may be replayed onto this one, or its result
-    entry restored.  A ``None`` return (miss, or a model that may not
-    look up) means the caller must execute the workload directly —
-    through :func:`record_through` for a fresh model, so the next run
-    hits.
-    """
-    path = _model_path(workload, model, scale, seed, directory)
-    return None if path is None else _lookup(workload, path)
-
-
-def record_through(workload, model, scale=1.0, seed=1, directory=None):
-    """Execute ``workload`` directly over ``model``, recording as it runs.
-
-    The cold-run path for timing-sensitive workloads: the model ends up
-    with genuine direct-execution statistics (no replay involved).  For
-    a model :func:`~repro.trace.admit.admit` calls fresh the recorded
-    stream is published under the model-keyed entry, and for one the
-    result memo holds too the model's end state is published as the
-    result entry of that trace (:func:`result_entry`), so future runs
-    on the same configuration restore or replay instead.  Any other
-    model is recorded and nothing is published.  A recording its batch
-    made ahead on a copy of the model arrives with the copy's end
-    state, which the model ``restore()``s.  Returns the trace.
-    """
-    verdict = admit(model)
-    path = _model_path(workload, model, scale, seed, directory, verdict)
-    planned = _planned(workload, model, scale, seed, directory)
-    handed = _handed(planned)
-    if handed is None:
-        trace = run_traced(workload, model, scale=scale, seed=seed)
-        end = None
-    else:
-        trace, end = handed
-        model.restore(marshal.loads(end)[1])
-    STATS.records += 1
-    if path is not None:
-        _publish(workload, path, trace, _sent(planned))
-        result = result_entry(workload, trace, model, verdict, directory)
-        if result is not None:
-            result.publish(result.payload(model) if end is None else end)
     return trace
 
 

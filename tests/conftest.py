@@ -33,13 +33,15 @@ def suite_cache(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def fresh_result_memo(suite_cache):
     """Start every test with no result entry, on disk in the suite's
-    cache or in the cache's memo, and zeroed counters, so no test is
-    served a result another test computed.  Result entries outlive the
-    process that publishes them, so this drops the files as well as
-    the memo; a test that points the cache at a directory of its own
-    starts that directory empty."""
+    cache or in the cache's memo, and zeroed counters (the result
+    store's and the cache's), so no test is served a result another
+    test computed or counts what another test looked up.  Result
+    entries outlive the process that publishes them, so this drops the
+    files as well as the memo; a test that points the cache at a
+    directory of its own starts that directory empty."""
     trace_cache.clear_results()
     common.RESULT_STATS.reset()
+    trace_cache.STATS.reset()
     yield
 
 

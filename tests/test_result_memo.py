@@ -24,7 +24,8 @@ Four rings of evidence:
   compressing backing store neither look up nor publish, and the
   oracle's fallback cells go through the store.  A fresh model is
   keyed without capturing its start state.
-* **Store mechanics.** A grown trace is replayed again, the cache's
+* **Store mechanics.** A grown trace (another cell: a bare trace's
+  cell is named by its content) is replayed again, the cache's
   memo evicts its least recently used entry (which is read from disk
   again, not replayed), and on random churn traces a served capture
   equals a replayed one.
@@ -50,6 +51,7 @@ from repro.core import (
 from repro.core.faults import FaultyRegisterFile
 from repro.evalx import common, fig13, run_experiment
 from repro.trace import cache as trace_cache, columnar, oracle
+from repro.trace.admit import admit
 from repro.trace.events import (
     BEGIN,
     END,
@@ -82,11 +84,12 @@ BUDGET = 40
 SHIFT = 1 << 20
 
 #: the event replays of fig09-fig14 at (SCALE, SEED) once every result
-#: entry is dropped: one per distinct (trace, fresh model) cell, the 24
-#: Gamteb cells' replays of their recordings included; fig10 and fig12
-#: revisit cells fig09 and fig11 priced
-EVENT_REPLAYS = {"fig09": 18, "fig10": 0, "fig11": 32, "fig12": 0,
-                 "fig13": 12, "fig14": 6}
+#: entry is dropped: one per distinct (trace, fresh model) cell; fig10
+#: and fig12 revisit cells fig09 and fig11 priced
+EVENT_REPLAYS = {"fig09": 16, "fig11": 16, "fig13": 6, "fig14": 6}
+
+#: and the direct runs: one per Gamteb configuration, 24 in all
+EVENT_RUNS = {"fig09": 2, "fig11": 16, "fig13": 6}
 
 #: how the oracle engine serves fig09-fig14's cells at (SCALE, SEED) on
 #: a cache it filled: every cell restores its entry, the replay result
@@ -98,9 +101,9 @@ ORACLE_ROUTES = {"restore": 138}
 #: how it serves them cold: one scan per trace and design family, the
 #: closed form or a table for each planned cell fig09 and fig11 visit
 #: first, and fig10 and fig12 restore the oracle entries those
-#: published; the Gamteb cells run directly as they record, later cells
-#: of a configuration restore what that run left, and fig13's GateSim
-#: cells replay as forked jobs
+#: published; the Gamteb cells run directly, later cells of a
+#: configuration restore what that run left, and fig13's GateSim cells
+#: replay as forked jobs
 ORACLE_COLD_ROUTES = {"restore": 70, "closed form": 18, "table": 20,
                       "scan": 10}
 
@@ -124,18 +127,23 @@ def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv(columnar.ENV_ENGINE, "event")
 
 
-def _entry_name(trace, model):
-    """The file name of ``model``'s result entry for ``trace``, or
-    ``None`` for a model the store does not hold."""
-    result = trace_cache.result_entry(None, trace, model)
-    return None if result is None else result.path.name
+def _replayed_cell(trace, model):
+    """What tells one replayed cell of a fresh ``model`` the result
+    store holds from another: its trace's content and the model's
+    :func:`~repro.trace.cache.end_key`; ``None`` for a model the store
+    does not hold."""
+    verdict = admit(model)
+    if not (verdict.memo and verdict.fresh):
+        return None
+    return (f"{trace.digest().hex()} "
+            f"{trace_cache.end_key(model, verdict)!r}")
 
 
 class ReplayLog:
-    """Records the result entry of every event replay ``common`` runs,
-    in this process or a forked child: ``keys`` lists ``(label, entry
-    file name)``, ``None`` for a replay of a model the store does not
-    hold."""
+    """Records every event replay ``common`` runs, in this process or a
+    forked child: ``keys`` lists ``(label, cell)``, the cell as
+    :func:`_replayed_cell` names it (``None`` for a replay of a model
+    the store does not hold)."""
 
     def __init__(self, monkeypatch, path):
         self.label = None
@@ -143,7 +151,7 @@ class ReplayLog:
         inner = common.replay
 
         def logged(trace, model, verify=True):
-            self.log.append([self.label, _entry_name(trace, model)])
+            self.log.append([self.label, _replayed_cell(trace, model)])
             return inner(trace, model, verify=verify)
 
         monkeypatch.setattr(common, "replay", logged)
@@ -198,17 +206,29 @@ def _continuation(trace):
                  context_size=trace.context_size)
 
 
-#: the workload a cell of a bare trace names: shared across models, and
-#: ``-`` in the cache log
-BARE = types.SimpleNamespace(name="-", trace_stable=True)
+def _bare(trace):
+    """The workload of a cell of a bare trace: shared across models and
+    named by the trace's content, so that two traces are two cells (a
+    recorded cell's trace is named by its workload, scale and seed)."""
+    return types.SimpleNamespace(name=f"-{trace.digest().hex()}",
+                                 context_size=trace.context_size,
+                                 trace_stable=True)
+
+
+def _entry_name(trace, model):
+    """The file name of ``model``'s result entry for a cell of the bare
+    ``trace``, or ``None`` for a model the store does not hold."""
+    result = trace_cache.result_entry(_bare(trace), model)
+    return None if result is None else result.path.name
 
 
 def _serve(trace, model):
     """Serve one cell of ``trace`` on ``model`` as :func:`run_workload`
     does once the trace is in hand: restore its result entry, else ask
     the engine (which publishes the entry of a replayed fresh model)."""
-    common._Cell(BARE, model, 1.0, 1, trace,
-                 trace_cache.result_entry(BARE, trace, model)).drive()
+    workload = _bare(trace)
+    common._Cell(workload, model, 1.0, 1, trace,
+                 trace_cache.result_entry(workload, model)).drive()
     return model
 
 
@@ -234,21 +254,32 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
 
     trace_cache.clear_results()
     log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
-    replays = {}
+    runs = collections.Counter()
+    record = trace_cache.record_through
+
+    def running(workload, model, scale=1.0, seed=1, result=None):
+        runs[log.label] += 1
+        return record(workload, model, scale=scale, seed=seed,
+                      result=result)
+
+    monkeypatch.setattr(trace_cache, "record_through", running)
+    published = {}
     for name in SWEEPS:
         log.label = name
         misses = common.RESULT_STATS.misses
         table = run_experiment(name, scale=SCALE, seed=SEED)
         assert table.to_dict() == expected[name], name
-        replays[name] = common.RESULT_STATS.misses - misses
+        published[name] = common.RESULT_STATS.misses - misses
 
-    # the traces stayed: the Gamteb cells replay their recordings too
-    assert replays == EVENT_REPLAYS
+    # the traces stayed, so the shared-trace cells replay them, and the
+    # Gamteb cells, which have none, run directly; each publishes
+    replays = collections.Counter(label for label, _ in log.keys)
+    assert (dict(replays), dict(runs)) == (EVENT_REPLAYS, EVENT_RUNS)
+    assert published == {name: replays[name] + runs[name]
+                          for name in SWEEPS}
     keys = [key for _, key in log.keys]
     assert None not in keys
-    assert len(keys) == sum(replays.values()) == len(set(keys))
-    assert collections.Counter(label for label, _ in log.keys) == {
-        name: count for name, count in replays.items() if count}
+    assert len(keys) == len(set(keys))
 
     # the oracle fills a cache of its own: on the event passes' every
     # cell would restore what a replay left, and no table would serve
@@ -263,7 +294,7 @@ def test_sweeps_replay_each_distinct_cell_once(cache_env, monkeypatch,
         table = run_experiment(name, scale=SCALE, seed=SEED)
         assert table.to_dict() == expected[name], name
     # cold, only the cells neither the closed form nor the tables price
-    # replay (the Gamteb cells run directly as they record)
+    # replay (the Gamteb cells run directly)
     cold = [key for label, key in log.keys if label == "oracle cold"]
     assert len(cold) == len(set(cold)) == FIG13_REPLAYED
     assert routes.routes("cold") == ORACLE_COLD_ROUTES
@@ -297,8 +328,9 @@ def test_a_warm_pass_replays_nothing(cache_env, monkeypatch, tmp_path):
     restores all 138 cells, replays and scans nothing and plans no job,
     under ``event`` and under ``oracle`` on a cache the oracle filled.
     The oracle's cold pass publishes the replay results of fig13's 6
-    GateSim cells and the oracle entries of the 38 distinct cells the
-    closed form and the tables serve."""
+    GateSim cells and of the 24 Gamteb configurations' direct runs, and
+    the oracle entries of the 38 distinct cells the closed form and the
+    tables serve."""
     monkeypatch.setattr(common, "_cpus", lambda: 1)
     log = ReplayLog(monkeypatch, tmp_path / "replays.jsonl")
     routes = RouteLog(monkeypatch, tmp_path / "routes.jsonl")
@@ -323,7 +355,7 @@ def test_a_warm_pass_replays_nothing(cache_env, monkeypatch, tmp_path):
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracle")
     monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path / "oracle"))
     cold = sweep("oracle cold")
-    assert cold[:3] == (6, 11, "MemoStats(hits=70, misses=44)")
+    assert cold[:3] == (6, 11, "MemoStats(hits=70, misses=68)")
     assert sweep("oracle warm") == (
         0, 0, "MemoStats(hits=138, misses=0)",
         "0 of 0 cell job(s) forked in 6 batch(es)")
@@ -504,7 +536,7 @@ def test_other_engines_bypass_the_memo(gatesim, monkeypatch, engine,
     # each design's first cell publishes, its second restores: the
     # LRU cells an oracle entry when planned, a replay result when not
     assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (2, 2)
-    lru = trace_cache.result_entry(None, gatesim, _nsf())
+    lru = trace_cache.result_entry(_bare(gatesim), _nsf())
     assert lru.cached() is not planned
     if planned:
         monkeypatch.setenv(columnar.ENV_ENGINE, "event")

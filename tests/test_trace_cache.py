@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core import NamedStateRegisterFile
+from repro.evalx import common
 from repro.evalx.common import make_nsf, run_workload
 from repro.trace import cache as trace_cache
 from repro.trace.replay import replay
@@ -188,7 +189,7 @@ def test_log_file_records_outcomes(tmp_path, monkeypatch):
     assert outcomes == ["MISS", "RECORD", "HIT"]
 
 
-# -- timing-sensitive workloads (model-keyed entries) -----------------------
+# -- timing-sensitive workloads (result entries) -----------------------------
 
 
 def test_gamteb_is_marked_unstable():
@@ -196,105 +197,58 @@ def test_gamteb_is_marked_unstable():
     assert get_workload("DTW").trace_stable is True
 
 
-def test_model_fingerprint_separates_configs():
-    workload = get_workload("Gamteb")
-    fp1 = trace_cache.model_fingerprint(make_nsf(workload))
-    fp2 = trace_cache.model_fingerprint(make_nsf(workload, line_size=4))
-    fp3 = trace_cache.model_fingerprint(make_nsf(workload))
-    assert fp1 == fp3
-    assert fp1 != fp2
-    assert trace_cache.model_fingerprint(object()) is None
+def _result_names():
+    return sorted(path.name for path, _ in trace_cache.entries()
+                  if path.suffix == trace_cache.RESULT_SUFFIX)
 
 
-def _captured_fingerprint(model):
-    """The fingerprint as a whole ``capture()`` names it."""
-    import hashlib
-
-    state = model.capture()
-    config = sorted(state["config"].items())
-    return hashlib.sha256(
-        repr((state["kind"], config)).encode()).hexdigest()[:16]
-
-
-def test_fingerprint_without_a_capture_keeps_every_key():
-    """Models whose class defines ``_config()`` are fingerprinted
-    without a capture, to the digest a whole ``capture()`` would name,
-    so every cache key is the capture's.  Wrappers (whose attribute
-    forwarding would answer ``kind`` and ``_config`` for the model
-    inside) and stores define none and get no fingerprint: they are
-    never named by the model inside them, and look no entry up."""
-    from repro.core import (
-        ConventionalRegisterFile,
-        ProtectedRegisterFile,
-        SegmentedRegisterFile,
-        compress_spills,
-    )
-    from repro.core.compress import CompressingBackingStore
-    from repro.core.faults import FaultyRegisterFile
-    from repro.trace.recorder import TracingRegisterFile
-
-    workload = get_workload("Gamteb")
-
-    def compressed():
-        model = make_nsf(workload, line_size=2)
-        compress_spills(model, codec="raw", shadow_codecs=["zero"])
-        return model
-
-    models = {
-        "nsf": make_nsf(workload, policy="nmru", policy_seed=5),
-        "segmented": SegmentedRegisterFile(num_registers=64,
-                                           context_size=32,
-                                           spill_mode="live"),
-        "conventional": ConventionalRegisterFile(context_size=32),
-        "nsf over a compressing store": compressed(),
-    }
-    fingerprints = {}
-    for name, model in models.items():
-        fingerprint = trace_cache.model_fingerprint(model)
-        assert fingerprint == _captured_fingerprint(model), name
-        fingerprints[name] = fingerprint
-    assert len(set(fingerprints.values())) == len(fingerprints)
-    unnamed = {
-        "compressing store": CompressingBackingStore(codec="zero"),
-        "faulty": FaultyRegisterFile(make_nsf(workload), "drop_write"),
-        "protected": ProtectedRegisterFile(make_nsf(workload)),
-        "traced": TracingRegisterFile(make_nsf(workload, line_size=4)),
-    }
-    for name, model in unnamed.items():
-        assert trace_cache.model_fingerprint(model) is None, name
-        assert trace_cache.model_part(model) is None, name
+def _result_name(workload, model, scale, seed):
+    return trace_cache.result_entry(workload, model, scale, seed).path.name
 
 
 def test_unstable_workload_memoizes_per_model():
+    """A timing-sensitive workload records no trace: the first fresh
+    model of a configuration runs directly and publishes its end state
+    under a result name of that configuration, the next restores it,
+    and another configuration runs and publishes under its own name."""
     workload = get_workload("Gamteb")
     cold = make_nsf(workload)
+    name = _result_name(workload, make_nsf(workload), 0.1, 3)
     run_workload(workload, cold, scale=0.1, seed=3)
-    assert trace_cache.STATS.records == 1
+    assert _result_names() == [name]
     warm = make_nsf(workload)
     run_workload(workload, warm, scale=0.1, seed=3)
-    assert trace_cache.STATS.records == 1  # replayed, not re-executed
     assert warm.stats.snapshot() == cold.stats.snapshot()
-    # a different configuration records its own trace
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 1)
+    # a different configuration has a name of its own, and runs
     other = make_nsf(workload, line_size=4)
+    other_name = _result_name(workload, make_nsf(workload, line_size=4),
+                              0.1, 3)
+    assert other_name != name
     run_workload(workload, other, scale=0.1, seed=3)
-    assert trace_cache.STATS.records == 2
+    assert _result_names() == sorted([name, other_name])
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (1, 2)
+    assert trace_cache.STATS.records == 0
+    assert not [path for path, _ in trace_cache.entries()
+                if path.suffix == trace_cache.TRACE_SUFFIX]
 
 
 def test_policy_seed_separates_per_model_traces():
     """Two NMRU files that differ only in ``policy_seed`` evict
     differently, so Gamteb's timing-sensitive stream differs too: the
-    second seed must not replay the first seed's recording."""
+    second seed must not restore the first seed's end state."""
     workload = get_workload("Gamteb")
 
     def nmru(seed):
         return make_nsf(workload, num_registers=64, policy="nmru",
                         policy_seed=seed)
 
-    assert (trace_cache.model_fingerprint(nmru(1))
-            != trace_cache.model_fingerprint(nmru(2)))
+    assert (_result_name(workload, nmru(1), 0.2, 1)
+            != _result_name(workload, nmru(2), 0.2, 1))
     run_workload(workload, nmru(1), scale=0.2, seed=1)
     served = run_workload(workload, nmru(2), scale=0.2, seed=1)
-    assert trace_cache.STATS.records == 2
+    assert (common.RESULT_STATS.hits, common.RESULT_STATS.misses) == (0, 2)
+    assert len(_result_names()) == 2
     direct = nmru(2)
     workload.run(direct, scale=0.2, seed=1)
     assert served.stats.snapshot() == direct.stats.snapshot()
