@@ -29,7 +29,10 @@ faults at the same operations.  The plane is process-local; sweep cell
 subprocesses build their own plane from the ``REPRO_CHAOS_*``
 environment, which is exactly what makes a multi-worker chaos run
 deterministic.  A cell forked from the runner's warm parent inherits
-the plane that parent armed here and never consumed.
+the plane that parent armed and never consumed: an exec'd parent arms
+it here, at import, and a parent a sweep forks from its own process
+re-arms it with :func:`refresh_from_env` under the cell environment,
+whatever the sweep's own plane had drawn.
 
 Injection sites (the storage operations the substrate exposes):
 

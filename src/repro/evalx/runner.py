@@ -28,8 +28,9 @@ completion order, so the journal, resume semantics, and the final
 output file are byte-identical to a sequential run.  Each worker
 thread forks its cells from one warm parent that has done a
 ``run-cell``'s imports once (:class:`WarmCells`), so a cell skips
-interpreter start-up; the sweep's closing line says how its attempts
-were launched.
+interpreter start-up; the sweep forks those parents from its own
+process before its pool starts, so they skip it too.  The sweep's
+closing line says how its attempts and its parents were launched.
 
 CLI::
 
@@ -38,6 +39,7 @@ CLI::
     python -m repro.evalx.runner smoke --kills 3     # chaos self-test
 """
 
+import gc
 import io
 import json
 import math
@@ -156,6 +158,28 @@ def _cell_env():
     return env
 
 
+def _fork_refusal(env):
+    """Why this process may not fork warm parents for cells run under
+    ``env``, or ``None`` if it may.
+
+    Besides :func:`repro.ioutil.fork_unavailable`'s reasons, a fresh
+    interpreter under ``env`` must import from no directory this one
+    lacks: a ``PYTHONPATH`` entry missing from ``sys.path`` may hold a
+    ``sitecustomize`` or a module of its own that only an exec'd
+    parent would load.
+    """
+    reason = fork_unavailable()
+    if reason is not None:
+        return reason
+    on_path = {os.path.realpath(entry) for entry in sys.path}
+    entries = env.get("PYTHONPATH") or ""
+    # an empty entry of a non-empty PYTHONPATH is the working directory
+    for entry in entries.split(os.pathsep) if entries else ():
+        if os.path.realpath(entry) not in on_path:
+            return f"PYTHONPATH entry {entry!r} is not on sys.path"
+    return None
+
+
 def _output_tail(data, limit=200):
     """Last ``limit`` chars of a subprocess's (partial) output.
 
@@ -232,13 +256,17 @@ def watched_run(command, env=None, timeout=None, grace=2.0):
 #
 # A cell's own work is a few tens of milliseconds; starting Python and
 # importing the runner and the cell modules costs more.  So inside a
-# WarmCells scope each executor thread keeps one warm parent: an
-# interpreter (the internal ``warm-parent`` subcommand) that has done a
-# run-cell's imports once and forks one child per cell attempt.  Each
-# child is a fresh run-cell in every way that matters: its own session,
-# stdin from /dev/null, its own output captures, a chaos plane armed
-# but unconsumed, empty in-process memos, and the exit status a fresh
-# interpreter would give.  The parent runs no cell code itself.
+# WarmCells scope each executor thread keeps one warm parent: a process
+# that has done a run-cell's imports once and forks one child per cell
+# attempt.  A sweep forks its parents from its own process before its
+# pool starts (_fork_parent), where _fork_refusal allows; any other
+# parent is an exec'd interpreter (the internal ``warm-parent``
+# subcommand).  Either way the parent starts as a fresh interpreter
+# would, and each child is a fresh run-cell in every way that matters:
+# its own session, stdin from /dev/null, its own output captures, a
+# chaos plane armed but unconsumed, empty in-process memos, and the
+# exit status a fresh interpreter would give.  The parent runs no cell
+# code itself.
 #
 # Protocol, one JSON object per line: the executor writes
 # {"argv": [...]} and, while that cell runs, {"signal": N}; the parent
@@ -399,6 +427,131 @@ def _exit_status(argv):
     return 1
 
 
+def _fork_parent(env):
+    """Fork a warm parent for cells run under ``env`` from this process;
+    returns ``Popen``-like access to it (:class:`_ForkedProc`).  Call it
+    only where :func:`_fork_refusal` allows."""
+    requests_r, requests_w = os.pipe()
+    replies_r, replies_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _forked_parent(env, requests_r, replies_w)
+    os.close(requests_r)
+    os.close(replies_w)
+    return _ForkedProc(pid, requests_w, replies_r)
+
+
+def _forked_parent(env, requests, replies):
+    """The forked side of :func:`_fork_parent`; leaves through
+    ``os._exit`` and never returns.
+
+    Before it reads a request it becomes what an exec'd ``warm-parent``
+    is: the leader of its own session, holding no descriptor but its
+    request pipe (fd 0), its reply pipe (fd 1) and stderr, with stdio
+    streams, environment, signal handlers and chaos plane of its own,
+    and none of what :func:`_start_afresh` forgets.
+    """
+    status = 1
+    # the sweep's streams stay referenced until the exit, so this
+    # process never flushes what they still hold into its own pipes
+    inherited = [sys.stdin, sys.stdout, sys.stderr, sys.__stdin__,
+                 sys.__stdout__, sys.__stderr__]
+    try:
+        os.setsid()
+        os.dup2(requests, 0)
+        os.dup2(replies, 1)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        _fresh_stdio(env)
+        os.environ.clear()
+        os.environ.update(env)
+        _chaos.refresh_from_env()
+        for signum in signal.valid_signals():
+            handler = signal.getsignal(signum)
+            if callable(handler) and handler is not signal.default_int_handler:
+                signal.signal(signum, signal.default_int_handler
+                              if signum == signal.SIGINT else signal.SIG_DFL)
+        _start_afresh()
+        # what this process left for the collector stays uncollected,
+        # so no object it owned closes a descriptor a cell has reused
+        gc.freeze()
+        status = _warm_parent()
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _fresh_stdio(env):
+    """``sys.stdin``, ``sys.stdout`` and ``sys.stderr`` (and their
+    ``__std*__`` twins) over fds 0-2, as a fresh interpreter under
+    ``env`` builds them."""
+    unbuffered = bool(env.get("PYTHONUNBUFFERED"))
+    for fd, name in enumerate(("stdin", "stdout", "stderr")):
+        started = getattr(sys, f"__{name}__")
+        writes = fd > 0
+        buffer = open(fd, "wb" if writes else "rb", closefd=False,
+                      buffering=0 if writes and unbuffered else -1)
+        raw = getattr(buffer, "raw", buffer)
+        raw.name = f"<{name}>"
+        stream = io.TextIOWrapper(
+            buffer, encoding=getattr(started, "encoding", None),
+            errors=("backslashreplace" if name == "stderr"
+                    else getattr(started, "errors", None)),
+            newline="\n", write_through=unbuffered,
+            line_buffering=not unbuffered and (fd == 2 or raw.isatty()))
+        stream.mode = "w" if writes else "r"
+        setattr(sys, name, stream)
+        setattr(sys, f"__{name}__", stream)
+
+
+def _start_afresh():
+    """Forget what this process accumulated and a fresh interpreter
+    starts without: the trace cache's memo, counters and degradation
+    rung, the result and fan-out counters, open capacity plans, the
+    oracle's table and analysis memos, and this runner's scope."""
+    global _SCOPE
+    from repro.evalx import common
+    from repro.trace import cache, columnar, oracle
+
+    cache._memo.clear()
+    cache.STATS.reset()
+    cache.reset_degradation()
+    common.RESULT_STATS.reset()
+    common.FANOUT.reset()
+    common._PLAN.clear()
+    oracle._TABLE_MEMO.clear()
+    columnar._ANALYSES.clear()
+    _SCOPE = None
+
+
+class _ForkedProc:
+    """What :class:`_WarmParent` uses of ``Popen``, for a parent forked
+    from this process."""
+
+    def __init__(self, pid, stdin, stdout):
+        self.pid = pid
+        self.stdin = open(stdin, "wb", buffering=0)
+        self.stdout = open(stdout, "rb", buffering=0)
+        self.returncode = None
+
+    def poll(self):
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self):
+        if self.returncode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def kill(self):
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
 def _signal_cell(pid, signum):
     """Signal a warm child's whole group; before its ``setsid`` there is
     no such group yet, and the child alone is all there is to signal."""
@@ -468,11 +621,12 @@ def _text(latin1):
 
 
 class _WarmParent:
-    """The executor's end of one warm parent."""
+    """The executor's end of one warm parent, forked from this process
+    (``fork=True``) or exec'd."""
 
-    def __init__(self, env):
+    def __init__(self, env, fork=False):
         self.env = env
-        self.proc = subprocess.Popen(
+        self.proc = _fork_parent(env) if fork else subprocess.Popen(
             _runner_command("warm-parent"), env=env,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
             start_new_session=True)
@@ -536,12 +690,16 @@ class _WarmParent:
         return (self.proc.returncode or 1, "", f"warm parent {what} "
                 "mid-cell", timed_out)
 
-    def close(self):
-        """EOF on the parent's stdin, which ends it; then reap it."""
+    def hang_up(self):
+        """EOF on the parent's stdin, which ends it after its cell."""
         try:
             self.proc.stdin.close()
         except OSError:
             pass
+
+    def close(self):
+        """Hang up, then reap the parent."""
+        self.hang_up()
         self.proc.wait()
         self.proc.stdout.close()
 
@@ -550,23 +708,30 @@ class WarmCells:
     """A scope whose ``run-cell`` attempts fork from warm parents.
 
     Inside it, :func:`watched_run` hands each of this runner's
-    ``run-cell`` commands to the calling thread's warm parent, started
-    at that thread's first cell with that cell's environment and
-    replaced when a cell's environment differs or the parent has died.
-    Leaving the scope ends and reaps every parent it started, so
-    nothing outlives it and their cells' usage reaches
-    ``RUSAGE_CHILDREN``.  The counts say how its attempts launched.
+    ``run-cell`` commands to the calling thread's warm parent: one
+    :meth:`fork_parents` forked, or else one exec'd at that thread's
+    first cell, with that cell's environment.  A parent is replaced,
+    by an exec'd one, when a cell's environment differs or the parent
+    has died.  Leaving the scope ends and reaps every parent it
+    started, so nothing outlives it and their cells' usage reaches
+    ``RUSAGE_CHILDREN``.  The counts say how its attempts and parents
+    launched.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
         #: executor thread ident -> its warm parent
         self.parents = {}
+        #: forked parents no thread has claimed yet
+        self.spare = []
         self.attempts = 0
         self.forked = 0
         self.forked_by = set()
         #: reason -> attempts exec'd for it
         self.execd = {}
+        #: parents :meth:`fork_parents` forked, or why it forked none
+        self.parents_forked = 0
+        self.parents_execd = None
         self._outer = None
 
     def __enter__(self):
@@ -578,10 +743,27 @@ class WarmCells:
         global _SCOPE
         _SCOPE = self._outer
         with self.lock:
-            parents = list(self.parents.values())
+            parents = list(self.parents.values()) + self.spare
             self.parents.clear()
+            self.spare = []
+        for parent in parents:
+            parent.hang_up()
         for parent in parents:
             parent.close()
+
+    def fork_parents(self, count, env):
+        """Fork ``count`` warm parents for cells run under ``env`` from
+        this process, for the executor's threads to claim; call it
+        before the executor starts a thread.  Where
+        :func:`_fork_refusal` does not allow it, each thread execs its
+        own parent, and :meth:`describe` says why."""
+        if not hasattr(os, "fork"):
+            return  # no parent at all: run() execs every attempt
+        self.parents_execd = _fork_refusal(env)
+        if self.parents_execd is None:
+            for _ in range(count):
+                self.spare.append(_WarmParent(env, fork=True))
+                self.parents_forked += 1
 
     def _exec(self, reason):
         with self.lock:
@@ -598,6 +780,8 @@ class WarmCells:
         ident = threading.get_ident()
         with self.lock:
             parent = self.parents.get(ident)
+            if parent is None and self.spare:
+                parent = self.parents[ident] = self.spare.pop()
         if parent is not None and (parent.proc.poll() is not None
                                    or parent.env != env):
             parent.close()
@@ -624,6 +808,11 @@ class WarmCells:
                     if self.forked else "")]
         parts += [f"{count} exec'd ({reason})"
                   for reason, count in sorted(self.execd.items())]
+        if self.parents_forked:
+            parts.append(f"{self.parents_forked} warm parent(s) forked "
+                         "from the sweep")
+        elif self.parents_execd is not None:
+            parts.append(f"warm parents exec'd ({self.parents_execd})")
         return "; ".join(parts)
 
 
@@ -809,6 +998,8 @@ def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
 
     workers = resolve_jobs(jobs, len(pending))
     with WarmCells() as launches:
+        if pending:
+            launches.fork_parents(workers, _cell_env())
         if workers <= 1:
             for key in pending:
                 payload, error, attempts = _attempt_cell(

@@ -33,8 +33,9 @@ physically injected.
 
 :func:`fork_unavailable` is the one guard every ``os.fork`` in the
 repo consults: the resilience campaign's forked runs, the sweep
-runner's warm cell parents, and the workers of
-:func:`repro.evalx.common.fan_out`, which serve the experiments'
+runner's warm parents (each forking its cells, and the sweep forking
+the parents themselves before its thread pool starts), and the workers
+of :func:`repro.evalx.common.fan_out`, which serve the experiments'
 fanned-out cells and the chaos campaign.  The last two use the same
 child plumbing: :func:`reply_and_exit`, :func:`read_reply` and
 :func:`kill_and_reap`.

@@ -72,7 +72,9 @@ def cell_site(tmp_path, monkeypatch):
     """``cell_site(source)`` puts a ``sitecustomize`` running ``source``
     on the path of every interpreter the test starts from here on:
     sweep cells, exec'd or forked from a warm parent, inherit it
-    through ``PYTHONPATH``."""
+    through ``PYTHONPATH``.  The entry is new to this process's
+    ``sys.path``, so a sweep run here execs its warm parents, which
+    run the site, instead of forking them from this process."""
     def install(source):
         site = tmp_path / "site"
         site.mkdir()

@@ -531,7 +531,8 @@ def _sweep_exec_and_warm(tmp_path, monkeypatch, experiment,
     ``watched_run`` execs) and again with warm cells, each under the
     extra environment ``mode_env(mode)``; returns each run's
     ``(journal bytes, output bytes)``.  Every warm attempt must have
-    been forked, so a guard that always execs fails here."""
+    been forked, so a guard that always execs fails here, and the warm
+    parents forked from this process wherever it may fork them."""
     found = {}
     for mode in ("exec", "warm"):
         stream = io.StringIO()
@@ -540,9 +541,14 @@ def _sweep_exec_and_warm(tmp_path, monkeypatch, experiment,
                 patch.delattr(os, "fork")
             for name, value in mode_env(mode).items():
                 patch.setenv(name, value)
+            refusal = runner_mod._fork_refusal(runner_mod._cell_env())
             _sweep(tmp_path, experiment=experiment, stream=stream,
                    journal_path=tmp_path / f"{mode}.jsonl",
                    out_path=tmp_path / f"{mode}.json", **kwargs)
+        if mode == "warm":
+            assert stream.getvalue().rstrip().endswith(
+                "warm parent(s) forked from the sweep" if refusal is None
+                else f"warm parents exec'd ({refusal})"), stream.getvalue()
         forked, attempts = _launched(stream)
         assert attempts >= len(sweep_cells(experiment))
         assert forked == (attempts if mode == "warm" else 0), \
@@ -582,11 +588,12 @@ if "warm-parent" in sys.orig_argv:
 """
 
 #: the first table1 cell attempt parks in ``run_cell_rows`` for a
-#: while, after leaving its pid in MARKER
+#: while, after leaving its pid in MARKER; a sweep that starts with
+#: this site on its path hands the patch to the parents it forks
 SLOW_FIRST_SITE = """
 import os, sys, time
 
-if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
+if {"run-cell", "warm-parent", "sweep"} & set(sys.orig_argv):
     from repro.evalx import table1
 
     _rows = table1.run_cell_rows
@@ -603,6 +610,112 @@ if "run-cell" in sys.orig_argv or "warm-parent" in sys.orig_argv:
 """
 
 
+#: logs, at the start of every compression cell, what the cell finds
+#: of what a fresh interpreter starts without; it runs in every
+#: interpreter that starts with it on its path, the sweep's included
+DIRT_LOG_SITE = """
+import json, os, signal, sys
+
+from repro.chaos import plane
+from repro.evalx import common, compression
+from repro.trace import cache, columnar, oracle
+
+_rows = compression.run_cell_rows
+
+
+def _runner():
+    main = sys.modules["__main__"]
+    return main if hasattr(main, "WarmCells") else sys.modules[
+        "repro.evalx.runner"]
+
+
+def _stream(stream):
+    return [type(stream).__name__, getattr(stream, "name", None),
+            stream.encoding, stream.errors, stream.line_buffering,
+            stream.write_through]
+
+
+def run_cell_rows(key, scale=1.0, seed=1):
+    found = {
+        "key": key,
+        "plane": repr(sorted(vars(plane.ACTIVE).items())),
+        "memo": len(cache._memo),
+        "stats": repr(cache.STATS),
+        "publishing": cache.publishing_enabled(),
+        "results": repr(common.RESULT_STATS),
+        "fanout": common.FANOUT.summary(),
+        "plan": list(common._PLAN),
+        "table_memo": len(oracle._TABLE_MEMO),
+        "analyses": len(columnar._ANALYSES),
+        "scope": repr(_runner()._SCOPE),
+        "fds": sorted(os.listdir("/proc/self/fd")),
+        "streams": [_stream(sys.stdin), _stream(sys.stdout),
+                    _stream(sys.stderr)],
+        "sigterm": repr(signal.getsignal(signal.SIGTERM)),
+        "environ": sorted(
+            (name, value) for name, value in os.environ.items()
+            if name not in ("CELL_LOG", cache.ENV_DIR)),
+    }
+    if found["scope"] == "None":
+        found["scope"] = None
+    with open(os.environ["CELL_LOG"], "a") as handle:
+        handle.write(json.dumps(found, sort_keys=True) + "\\n")
+    return _rows(key, scale=scale, seed=seed)
+
+
+compression.run_cell_rows = run_cell_rows
+"""
+
+#: an executor that dirties its process, then sweeps compression with
+#: jobs=2; argv: its work directory and ``exec`` (no ``os.fork``: every
+#: cell exec'd) or ``fork``.  Prints one JSON report line.
+DIRTY_EXECUTOR = """
+import io, json, os, pathlib, signal, sys
+
+from repro.chaos import plane
+from repro.evalx import common, run_experiment, runner
+from repro.evalx.journal import Journal
+from repro.trace import cache, columnar, oracle
+
+work, mode = pathlib.Path(sys.argv[1]), sys.argv[2]
+os.environ[plane.ENV_SEED] = "11"
+plane.refresh_from_env()
+os.environ[cache.ENV_DIR] = str(work / "dirt-cache")
+os.environ["REPRO_REPLAY_ENGINE"] = "oracle"
+run_experiment("fig10", scale=0.1, seed=5)
+journal = Journal(work / "dirt.jsonl")
+journal.write_header("table1", 0.1, 5)
+for key in ("a", "b", "c"):
+    journal.append_cell(key, "ok", payload={})
+cache._degraded["publish_disabled"] = True
+extra = os.open(os.devnull, os.O_RDONLY)
+signal.signal(signal.SIGTERM, lambda signum, frame: None)
+dirt = {
+    "memo": len(cache._memo), "table_memo": len(oracle._TABLE_MEMO),
+    "analyses": len(columnar._ANALYSES),
+    "publishing": cache.publishing_enabled(),
+    "injected": len(plane.ACTIVE.injected),
+    "fanout": common.FANOUT.batches,
+}
+os.environ["REPRO_REPLAY_ENGINE"] = "event"
+os.environ[cache.ENV_DIR] = str(work / "sweep-cache")
+os.environ["CELL_LOG"] = str(work / "cells.log")
+if mode == "exec":
+    del os.fork
+stream = io.StringIO()
+sys.stdout = io.StringIO()
+with common.capacity_plan((8, 16)):
+    dirt["plan"] = list(common._PLAN)
+    result = runner.run_sweep(
+        "compression", scale=0.2, seed=7, jobs=2,
+        journal_path=work / "sweep.jsonl", out_path=work / "sweep.json",
+        stream=stream)
+report = {"ok": result.ok, "dirt": dirt,
+          "line": stream.getvalue().splitlines()[-1]}
+os.write(1, (json.dumps(report) + "\\n").encode())
+"""
+
+
 #: gives the warm parent a second thread, so it must refuse to fork
 THREAD_SITE = """
 import sys, threading, time
@@ -610,6 +723,10 @@ import sys, threading, time
 if "warm-parent" in sys.orig_argv:
     threading.Thread(target=time.sleep, args=(3600,), daemon=True).start()
 """
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="finds the warm parents through /proc")
 
 
 @needs_fork
@@ -644,6 +761,56 @@ class TestWarmCells:
                              .read_text().splitlines())
                       for mode in ("exec", "warm")]
         assert plane_logs[0] and plane_logs[1] == plane_logs[0]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="logs each cell's descriptors through /proc")
+    def test_a_dirty_executor_forks_parents_that_start_afresh(
+            self, tmp_path):
+        """An executor that has drawn chaos tokens, memoized trace-cache
+        entries, counted, fanned out, scanned under the oracle, lost
+        publishing, opened a descriptor, installed a SIGTERM handler,
+        opened a capacity plan and swapped ``sys.stdout`` for a buffer
+        forks its sweep's warm parents; each cell must find what an
+        exec'd cell finds, and the sweep must write what an exec'd
+        sweep writes."""
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(DIRT_LOG_SITE)
+        env = runner_mod._cell_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+        found = {}
+        for mode in ("exec", "fork"):
+            work = tmp_path / mode
+            work.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", DIRTY_EXECUTOR, str(work), mode],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr[-3000:]
+            report = json.loads(done.stdout.splitlines()[-1])
+            assert report["ok"], report
+            found[mode] = ((work / "sweep.jsonl").read_bytes(),
+                           (work / "sweep.json").read_bytes(),
+                           sorted((work / "cells.log").read_text()
+                                  .splitlines()))
+            dirt = report["dirt"]
+            assert dirt["memo"] and dirt["table_memo"] and dirt["analyses"]
+            assert dirt["plan"] and not dirt["publishing"]
+            assert dirt["injected"] and dirt["fanout"]
+            found[mode + " line"] = report["line"]
+        assert re.search(r"0 of \d+ attempt\(s\) forked; \d+ exec'd "
+                         r"\(no os.fork\)$", found["exec line"])
+        assert re.search(r"(\d+) of \1 attempt\(s\) forked from 2 warm "
+                         r"parent\(s\); 2 warm parent\(s\) forked from the "
+                         r"sweep$", found["fork line"])
+        exec_run, fork_run = found["exec"], found["fork"]
+        assert fork_run[:2] == exec_run[:2]
+        assert b'"attempts":2' in fork_run[0]  # a crashed cell's retry
+        assert fork_run[2] == exec_run[2]
+        assert len(fork_run[2]) == len(sweep_cells("compression"))
+        for line in fork_run[2]:
+            cell = json.loads(line)
+            assert cell["plane"] and cell["memo"] == 0
+            assert cell["publishing"] and cell["scope"] is None
 
     # -- failure shapes: the journal's error field, byte for byte
 
@@ -808,26 +975,52 @@ class TestWarmCells:
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.strip() == "no child left"
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                        reason="finds the warm parents through /proc")
+    @needs_proc
     def test_parents_of_a_killed_sweep_exit_after_their_cells(
             self, tmp_path, monkeypatch, cell_site):
+        """SIGKILL a sweep mid-cell: the warm parents it forked let
+        their cells finish and then exit.  The sweep starts with the
+        cell site on its path, so it forks its parents."""
+        self._kill_sweep_mid_cell(tmp_path, monkeypatch, cell_site, "fork")
+
+    @needs_proc
+    def test_execd_parents_of_a_killed_sweep_exit_after_their_cells(
+            self, tmp_path, monkeypatch, cell_site):
+        """The same for exec'd parents: the sweep puts the cell site on
+        ``PYTHONPATH`` only once it runs, so it must exec them."""
+        self._kill_sweep_mid_cell(tmp_path, monkeypatch, cell_site, "exec")
+
+    @staticmethod
+    def _kill_sweep_mid_cell(tmp_path, monkeypatch, cell_site, launch):
         marker = tmp_path / "marker"
         cell_site(SLOW_FIRST_SITE)
         monkeypatch.setenv("MARKER", str(marker))
-        proc = subprocess.Popen(
-            runner_mod._runner_command(
-                "sweep", "table1", "--scale", str(SCALE), "--seed",
+        argv = ["sweep", "table1", "--scale", str(SCALE), "--seed",
                 str(SEED), "--jobs", "2", "--journal",
-                str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "s.json")),
-            env=runner_mod._cell_env(), stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+                str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "s.json")]
+        env = runner_mod._cell_env()
+        command = runner_mod._runner_command(*argv)
+        if launch == "exec":
+            command = [sys.executable, "-c", textwrap.dedent("""
+                import os, sys
+                from repro.evalx import runner
+                os.environ["PYTHONPATH"] = sys.argv[1]
+                sys.exit(runner.main(sys.argv[2:]))
+            """), env["PYTHONPATH"], *argv]
+            env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+                os.path.dirname(runner_mod.__file__)))
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 60
             while not marker.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             parents = _warm_parents_of(proc.pid)
-            assert parents
+            assert len(parents) == 2
+            for pid in parents:
+                with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                    argv_seen = handle.read().split(b"\0")
+                assert (b"warm-parent" in argv_seen) == (launch == "exec")
         finally:
             proc.kill()
             proc.wait()
@@ -836,21 +1029,66 @@ class TestWarmCells:
         for pid in parents + [cell]:  # ... then it and its parent end
             assert _gone(pid, within=20.0)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="reads descriptors through /proc")
+    def test_a_scope_with_two_forked_parents_closes_promptly(self,
+                                                             tmp_path):
+        """Each forked parent holds only its two pipe ends and stderr.
+        One that kept an inherited descriptor (the executor's end of
+        its own request pipe, or of the parent forked before it) would
+        hold a request pipe open, that parent would never see EOF, and
+        the scope would never close."""
+        code = textwrap.dedent(f"""
+            import json, os, time
+            from repro.evalx import runner
+
+            argv = runner._cell_command(
+                "table1", runner.sweep_cells("table1")[0], {SCALE!r},
+                {SEED!r}, 0)[3:]
+            found = {{}}
+            with runner.WarmCells() as scope:
+                scope.fork_parents(2, runner._cell_env())
+                found["describe"] = scope.describe()
+                for parent in scope.spare:
+                    status = parent.run(argv, 60, 1.0)[0]
+                    found[parent.proc.pid] = [status, sorted(
+                        (int(fd), os.readlink(f"/proc/{{parent.proc.pid}}"
+                                              f"/fd/{{fd}}").split(":")[0])
+                        for fd in os.listdir(
+                            f"/proc/{{parent.proc.pid}}/fd"))]
+                start = time.monotonic()
+            found["close_s"] = time.monotonic() - start
+            print(json.dumps(found))
+        """)
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=runner_mod._cell_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        found = json.loads(done.stdout)
+        assert found.pop("describe").endswith(
+            "2 warm parent(s) forked from the sweep")
+        assert found.pop("close_s") < 5.0
+        assert len(found) == 2
+        for status, fds in found.values():
+            assert status == 0
+            assert [fd for fd, _ in fds] == [0, 1, 2]
+            assert [kind for _, kind in fds[:2]] == ["pipe", "pipe"]
+
 
 def _warm_parents_of(pid):
-    """Pids of the live warm parents whose parent is ``pid``."""
+    """Pids of the live warm parents of sweep ``pid``: its children
+    that lead a session of their own, exec'd or forked."""
     found = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
             continue
         try:
             with open(f"/proc/{entry}/stat") as handle:
-                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                argv = handle.read().split(b"\0")
-        except (OSError, IndexError, ValueError):
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
             continue
-        if ppid == pid and b"warm-parent" in argv:
+        ppid, session = int(fields[1]), int(fields[3])
+        if ppid == pid and session == int(entry):
             found.append(int(entry))
     return found
 

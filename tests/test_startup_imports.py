@@ -16,9 +16,13 @@ check runs in a subprocess with a private trace cache.  The checks
 compare module sets, never times.
 
 A warm parent, which forks the runner's cells, does a ``run-cell``'s
-imports once; before its first fork it may hold no module that such a
-cell does not load, and whatever a cell loads on use (NumPy under the
-oracle) loads in the forked child only.
+imports once.  An exec'd one may hold no module before its first fork
+that such a cell does not load, and whatever a cell loads on use
+(NumPy under the oracle) loads in the forked child only.  A parent a
+sweep forks from its own process holds whatever that process had
+loaded (``concurrent.futures`` after a first ``jobs=2`` sweep); its
+cells still import nothing at run time that an exec'd cell does not,
+and start no thread.
 """
 
 import contextlib
@@ -304,3 +308,82 @@ def test_oracle_loads_numpy_in_the_warm_child_only(tmp_path, cell_site):
     assert all("numpy" not in parent for parent in warm["fork"])
     assert ["numpy" in child for child in warm["child"]] == [True, False]
 
+
+
+#: logs the modules of each warm parent the executor forks as it forks
+#: a cell, and of each such cell as it leaves, with its thread count
+#: (not the forks and exits of the workers a cell fans out to)
+FORK_LOG = """
+import json, os
+
+executor = os.getpid()
+_fork, _exit = os.fork, os._exit
+warm = []
+
+
+def _dump(where, **extra):
+    with open(os.environ["MODULE_LOG"], "a") as handle:
+        handle.write(json.dumps([where, sorted(sys.modules), extra]) + "\\n")
+
+
+def fork():
+    if os.getppid() == executor:
+        _dump("fork")
+        warm[:] = [os.getpid()]
+    return _fork()
+
+
+def leave(status):
+    if warm and os.getppid() == warm[0]:
+        _dump("child", threads=len(os.listdir("/proc/self/task")))
+    _exit(status)
+
+
+os.fork, os._exit = fork, leave
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts a cell's threads through /proc")
+def test_a_forked_cell_imports_nothing_an_execd_cell_does_not(tmp_path,
+                                                             cell_site):
+    """The first cell of each experiment, exec'd, and then in a sweep
+    whose warm parent is forked from an executor that has already run
+    a ``jobs=2`` sweep."""
+    cell_site(MODULE_LOG_SITE)
+    commands = [runner._cell_command(experiment,
+                                     runner.sweep_cells(experiment)[0],
+                                     SCALE, 1, 0)
+                for experiment in CELL_EXPERIMENTS]
+    execd = _module_log(tmp_path, "event", commands, warm=False)
+    found = _fresh(tmp_path / "cache", "event", FORK_LOG + f"""
+import io, pathlib
+
+from repro.evalx import runner
+
+work = pathlib.Path({str(tmp_path)!r})
+cells = runner.sweep_cells
+out["lines"], out["logs"] = [], []
+for sweep, experiment in enumerate(("table1",) + {CELL_EXPERIMENTS!r}):
+    keys = cells(experiment)[:2 if sweep == 0 else 1]
+    runner.sweep_cells = lambda experiment, keys=keys: keys
+    log = work / f"forked-{{sweep}}.log"
+    os.environ["MODULE_LOG"] = str(log)
+    stream = io.StringIO()
+    result = runner.run_sweep(
+        experiment, scale={SCALE!r}, seed=1, jobs=2, stream=stream,
+        journal_path=work / f"{{sweep}}.jsonl",
+        out_path=work / f"{{sweep}}.json")
+    assert result.ok, stream.getvalue()
+    out["lines"].append(stream.getvalue().splitlines()[-1])
+    out["logs"].append([json.loads(line)
+                        for line in log.read_text().splitlines()])
+""")
+    assert all(line.endswith("warm parent(s) forked from the sweep")
+               for line in found["lines"]), found["lines"]
+    for experiment, cell, log in zip(CELL_EXPERIMENTS, execd["run-cell"],
+                                     found["logs"][1:]):
+        (_, parent, _), (_, child, extra) = log
+        assert "concurrent.futures" in parent
+        assert set(child) - set(parent) <= cell, experiment
+        assert extra["threads"] == 1, experiment
