@@ -1,13 +1,22 @@
-"""Microbenchmarks of raw register-file model operations.
+"""Microbenchmarks of raw register-file model operations and of the
+compressed spill port.
 
 These time the *simulator itself* (operations per second of the Python
-models), not the modeled hardware — useful for tracking regressions in
-the hot paths every experiment depends on.
+models, units per second through a port that checks five codecs), not
+the modeled hardware — useful for tracking regressions in the hot paths
+every experiment depends on.  None has a floor or a baseline.
 """
+
+import random
 
 import pytest
 
-from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
+from repro.core import (
+    CODEC_NAMES,
+    CompressedSpillPort,
+    NamedStateRegisterFile,
+    SegmentedRegisterFile,
+)
 
 
 def _hit_loop(model, cid, n=2000):
@@ -63,3 +72,50 @@ def test_context_switch_throughput(benchmark):
 
     benchmark(spin)
     assert model.stats.switch_misses > 0
+
+
+def _spill_mix(units=2000, seed=11):
+    """A seeded mix of ``(unit, spill)`` transfers shaped like the ones
+    the compression experiment ships at its golden point: 61% one-word
+    units, 11% two-word units, 11% of 3-7 words and 17% frames of 15,
+    20 or 32 words, the 20- and 32-word frames with dead tails, so that
+    about a third of all slots are dead; live values are narrow ints,
+    and about 62% of the transfers are spills."""
+    rng = random.Random(seed)
+    mix = []
+    for _ in range(units):
+        roll = rng.random()
+        if roll < 0.61:
+            size = 1
+        elif roll < 0.72:
+            size = 2
+        elif roll < 0.83:
+            size = rng.randint(3, 7)
+        else:
+            size = rng.choice((15, 20, 32))
+        dead = round(size * 0.6) if size >= 20 else 0
+        live = [rng.getrandbits(rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 16)))
+                for _ in range(size - dead)]
+        mix.append((live + [None] * dead, rng.random() < 0.62))
+    return mix
+
+
+def test_spill_port_throughput(benchmark):
+    """Every codec encodes, decodes and checks every unit of the mix."""
+    mix = _spill_mix()
+    slots = sum(len(unit) for unit, _ in mix)
+    dead = sum(value is None for unit, _ in mix for value in unit)
+    assert 0.30 < dead / slots < 0.37
+
+    def transmit_all():
+        port = CompressedSpillPort(codec="raw", shadow_codecs=CODEC_NAMES,
+                                   verify=True)
+        for unit, spill in mix:
+            port.transmit(unit, spill=spill)
+        return port
+
+    port = benchmark(transmit_all)
+    assert port.codec_names == CODEC_NAMES
+    for name in CODEC_NAMES:
+        stats = port.stats_for(name)
+        assert stats.spill_units + stats.reload_units == len(mix), name

@@ -121,8 +121,7 @@ class BackingStore:
             self.spill(cid, offset, value)
         words = len(pairs) + dead_words
         size = words * self.word_bytes
-        return TransferRecord(codec="raw", words=words, raw_bytes=size,
-                              wire_bytes=size)
+        return TransferRecord("raw", words, size, size)
 
     def reload_unit(self, cid, offsets, dead_words=0):
         """Reload one transfer unit; returns ``(values, record)``.
@@ -134,8 +133,7 @@ class BackingStore:
         values = [self.reload(cid, offset) for offset in offsets]
         words = len(offsets) + dead_words
         size = words * self.word_bytes
-        return values, TransferRecord(codec="raw", words=words,
-                                      raw_bytes=size, wire_bytes=size)
+        return values, TransferRecord("raw", words, size, size)
 
     def peek(self, cid, offset):
         """Inspect a saved register without counting a memory load.

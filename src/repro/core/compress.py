@@ -47,11 +47,14 @@ round-trip tests exercise real encode/decode logic, not bookkeeping.
 
 Wiring
 ------
-:class:`CompressedSpillPort` is the engine: it compresses each unit,
-verifies the round-trip (raising
+:class:`CompressedSpillPort` is the engine: it frames each unit once,
+encodes it once per codec, verifies every codec's round trip (raising
 :class:`repro.errors.CompressionIntegrityError` on any mismatch), and
-keeps per-codec :class:`CodecStats`.  A port measures one *primary*
-codec — whose on-wire bytes feed the model's
+keeps per-codec :class:`CodecStats`.  It builds no
+:class:`CompressedBlock`: that is the one-unit API
+(:meth:`SpillCodec.compress` / ``decompress``), built on the port's
+framing, packed-or-raw decision and put-back helpers.  A port measures
+one *primary* codec — whose on-wire bytes feed the model's
 :class:`~repro.core.stats.RegFileStats` — plus any number of *shadow*
 codecs measured broadside on the same traffic, the same
 one-simulation-many-counts trick the repo uses for Fig 13.
@@ -75,29 +78,14 @@ WORD_BITS = 32
 _WORD_MIN = -(1 << 31)
 _WORD_MAX = (1 << 31) - 1
 _U32 = (1 << 32) - 1
+#: ``(u ^ _SIGN) - _SIGN`` sign-extends a 32-bit field ``u``
+_SIGN = 1 << 31
 
 
 def _is_word(value):
     """True when ``value`` is a plain int in the 32-bit word domain."""
     return (isinstance(value, int) and not isinstance(value, bool)
             and _WORD_MIN <= value <= _WORD_MAX)
-
-
-def _to_u32(value):
-    return value & _U32
-
-
-def _from_u32(u):
-    return u - (1 << 32) if u & (1 << 31) else u
-
-
-def _zigzag(value):
-    """Map signed ints to unsigned so small negatives stay narrow."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def _unzigzag(z):
-    return (z >> 1) if not (z & 1) else -((z + 1) >> 1)
 
 
 @dataclass(frozen=True)
@@ -148,13 +136,63 @@ def frame_unit(values):
     for i, v in enumerate(values):
         if v is None:
             dead.append(i)
-        elif _is_word(v):
+        elif (type(v) is int and _WORD_MIN <= v <= _WORD_MAX
+              or _is_word(v)):
             words.append(v)
         else:
             esc_pos.append(i)
             esc_vals.append(v)
     return (values, tuple(dead), tuple(esc_pos), tuple(esc_vals),
             tuple(words))
+
+
+def _encode_frame(codec, frame):
+    """How ``codec`` ships one framed unit: ``(packed, wire_bits, state)``.
+
+    A packed unit's ``state`` is the codec's word state, and its
+    ``wire_bits`` count the mode bit, the escape header, the escaped
+    literals and the payload.  Whenever packing is inapplicable or
+    would not win, the unit ships its raw payload (``state`` is the
+    framed values) at full width plus the codec's mode bits; an empty
+    unit ships nothing.  Both :meth:`SpillCodec.compress_frame` and
+    :meth:`CompressedSpillPort.transmit` decide here.
+    """
+    values, dead, esc_pos, _, words = frame
+    count = len(values)
+    if not count:
+        return False, 0, values
+    fallback = count * WORD_BITS + codec.mode_bits
+    encoded = codec._encode_words(words)
+    if encoded is not None:
+        payload_bits, word_state = encoded
+        # mode bit + has-escapes flag + escape mask (only when some
+        # live word escaped) + escaped literals at word width
+        bits = 2 + payload_bits
+        if esc_pos:
+            bits += count - len(dead) + WORD_BITS * len(esc_pos)
+        if bits < fallback:
+            return True, bits, word_state
+    return False, fallback, values
+
+
+def _unframe(count, dead, esc_pos, esc_vals, words):
+    """A packed unit of ``count`` slots as it decodes: its decoded
+    in-word integers ``words`` with its dead slots and escapes put
+    back."""
+    if not esc_pos and (not dead or dead[0] == count - len(dead)):
+        # the usual shape: live words, then any dead slots at the tail
+        return [*words, *(None,) * len(dead)]
+    out = [None] * count
+    for i, v in zip(esc_pos, esc_vals):
+        out[i] = v
+    skip = set(dead).union(esc_pos)
+    it = iter(words)
+    for i in range(count):
+        if i not in skip:
+            # a decoder that returned too few words leaves a hole
+            out[i] = next(it, None)
+    out.extend(it)  # and one that returned too many, a longer unit
+    return out
 
 
 class SpillCodec:
@@ -168,48 +206,31 @@ class SpillCodec:
     """
 
     name = "abstract"
+    #: the one-bit packed-or-raw header every non-identity unit carries
+    mode_bits = 1
 
     def compress(self, values):
         return self.compress_frame(frame_unit(values))
 
     def compress_frame(self, frame):
         """Compress one unit already split by :func:`frame_unit`."""
-        values, dead, esc_pos, esc_vals, words = frame
-        n = len(values)
-        raw_bits = n * WORD_BITS
-        if n == 0:
-            return CompressedBlock(self.name, "raw", 0, 0, 0, ())
-        encoded = self._encode_words(words)
-        fallback_bits = raw_bits + 1  # mode bit + full-width unit
-        candidate = None
-        if encoded is not None:
-            payload_bits, word_state = encoded
-            live = n - len(dead)
-            # mode bit + has-escapes flag + escape mask (only when some
-            # live word escaped) + escaped literals at word width
-            candidate = (2 + (live if esc_pos else 0)
-                         + WORD_BITS * len(esc_pos) + payload_bits)
-        if candidate is None or candidate >= fallback_bits:
-            return CompressedBlock(self.name, "raw", n, raw_bits,
-                                   fallback_bits, values)
-        state = (dead, esc_pos, esc_vals, word_state)
-        return CompressedBlock(self.name, "packed", n, raw_bits,
-                               candidate, state)
+        values, dead, esc_pos, esc_vals, _ = frame
+        count = len(values)
+        packed, wire_bits, state = _encode_frame(self, frame)
+        if packed:
+            return CompressedBlock(self.name, "packed", count,
+                                   count * WORD_BITS, wire_bits,
+                                   (dead, esc_pos, esc_vals, state))
+        return CompressedBlock(self.name, "raw", count, count * WORD_BITS,
+                               wire_bits, state)
 
     def decompress(self, block):
         if block.mode == "raw":
             return list(block.state)
         dead, esc_pos, esc_vals, word_state = block.state
-        skip = set(dead) | set(esc_pos)
-        words = self._decode_words(word_state, block.count - len(skip))
-        out = [None] * block.count
-        for i, v in zip(esc_pos, esc_vals):
-            out[i] = v
-        it = iter(words)
-        for i in range(block.count):
-            if i not in skip:
-                out[i] = next(it)
-        return out
+        words = self._decode_words(
+            word_state, block.count - len(dead) - len(esc_pos))
+        return _unframe(block.count, dead, esc_pos, esc_vals, words)
 
     # -- to implement --------------------------------------------------------
 
@@ -228,17 +249,10 @@ class RawCodec(SpillCodec):
     """Identity codec: the uncompressed wire, and the fallback payload."""
 
     name = "raw"
+    #: the identity wire needs no mode header: every unit ships raw
+    mode_bits = 0
 
-    def compress(self, values):
-        values = tuple(values)
-        raw_bits = len(values) * WORD_BITS
-        return CompressedBlock(self.name, "raw", len(values), raw_bits,
-                               raw_bits, values)
-
-    def compress_frame(self, frame):
-        return self.compress(frame[0])
-
-    def _encode_words(self, words):  # pragma: no cover - raw never packs
+    def _encode_words(self, words):
         return None
 
 
@@ -250,22 +264,21 @@ class ZeroElisionCodec(SpillCodec):
     def _encode_words(self, words):
         mask = 0
         packed = 0
-        shipped = 0
+        shift = 0
         for i, v in enumerate(words):
-            if v != 0:
+            if v:
                 mask |= 1 << i
-                packed |= _to_u32(v) << (WORD_BITS * shipped)
-                shipped += 1
-        return len(words) + WORD_BITS * shipped, (mask, packed)
+                packed |= (v & _U32) << shift
+                shift += WORD_BITS
+        return len(words) + shift, (mask, packed)
 
     def _decode_words(self, state, count):
         mask, packed = state
         out = []
-        shipped = 0
         for i in range(count):
             if mask >> i & 1:
-                out.append(_from_u32(packed >> (WORD_BITS * shipped) & _U32))
-                shipped += 1
+                out.append(((packed & _U32) ^ _SIGN) - _SIGN)
+                packed >>= WORD_BITS
             else:
                 out.append(0)
         return out
@@ -278,20 +291,14 @@ class NarrowValueCodec(SpillCodec):
     _WIDTH_FIELD = 6  # enough for widths 0..33
 
     def _encode_words(self, words):
-        zz = [_zigzag(v) for v in words]
-        width = max((z.bit_length() for z in zz), default=0)
-        packed = 0
-        for i, z in enumerate(zz):
-            packed |= z << (i * width)
+        width, packed = _pack_zigzag(words)
         return self._WIDTH_FIELD + width * len(words), (width, packed)
 
     def _decode_words(self, state, count):
         width, packed = state
         if width == 0:
             return [0] * count
-        mask = (1 << width) - 1
-        return [_unzigzag(packed >> (i * width) & mask)
-                for i in range(count)]
+        return _unpack_zigzag(packed, width, count)
 
 
 class BaseDeltaCodec(SpillCodec):
@@ -304,22 +311,40 @@ class BaseDeltaCodec(SpillCodec):
         if not words:
             return None
         base = words[0]
-        zz = [_zigzag(v - base) for v in words[1:]]
-        width = max((z.bit_length() for z in zz), default=0)
-        packed = 0
-        for i, z in enumerate(zz):
-            packed |= z << (i * width)
-        bits = WORD_BITS + self._WIDTH_FIELD + width * len(zz)
+        width, packed = _pack_zigzag([v - base for v in words[1:]])
+        bits = WORD_BITS + self._WIDTH_FIELD + width * (len(words) - 1)
         return bits, (base, width, packed)
 
     def _decode_words(self, state, count):
         base, width, packed = state
-        out = [base]
-        mask = (1 << width) - 1 if width else 0
-        for i in range(count - 1):
-            z = packed >> (i * width) & mask if width else 0
-            out.append(base + _unzigzag(z))
-        return out
+        if width == 0:
+            return [base] * count
+        return [base] + [base + d for d in
+                         _unpack_zigzag(packed, width, count - 1)]
+
+
+def _pack_zigzag(values):
+    """``(width, packed)``: signed ``values`` (each under 2**63 in
+    magnitude) zigzag-coded, so small negatives stay narrow, and packed
+    in order at the width of the widest, the first in the low bits."""
+    fields = [(v << 1) ^ (v >> 63) for v in values]
+    width = max(fields).bit_length() if fields else 0
+    packed = 0
+    for z in reversed(fields):
+        packed = packed << width | z
+    return width, packed
+
+
+def _unpack_zigzag(packed, width, count):
+    """The inverse of :func:`_pack_zigzag`: ``count`` signed values from
+    the ``width``-bit fields of ``packed``, the first from the low bits."""
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        z = packed & mask
+        out.append((z >> 1) ^ -(z & 1))
+        packed >>= width
+    return out
 
 
 class DictionaryCodec(SpillCodec):
@@ -336,35 +361,33 @@ class DictionaryCodec(SpillCodec):
     _INDEX_BITS = 4
 
     def _encode_words(self, words):
+        index_of = self._INDEX.get
         flags = 0
         packed = 0
         shift = 0
-        bits = 0
         for i, v in enumerate(words):
-            index = self._INDEX.get(v)
-            bits += 1
+            index = index_of(v)
             if index is not None:
                 flags |= 1 << i
                 packed |= index << shift
                 shift += self._INDEX_BITS
-                bits += self._INDEX_BITS
             else:
-                packed |= _to_u32(v) << shift
+                packed |= (v & _U32) << shift
                 shift += WORD_BITS
-                bits += WORD_BITS
-        return bits, (flags, packed)
+        # one flag bit per word, then the indices and literals
+        return len(words) + shift, (flags, packed)
 
     def _decode_words(self, state, count):
         flags, packed = state
+        table = self.TABLE
         out = []
-        shift = 0
         for i in range(count):
             if flags >> i & 1:
-                out.append(self.TABLE[packed >> shift & 0xF])
-                shift += self._INDEX_BITS
+                out.append(table[packed & 0xF])
+                packed >>= self._INDEX_BITS
             else:
-                out.append(_from_u32(packed >> shift & _U32))
-                shift += WORD_BITS
+                out.append(((packed & _U32) ^ _SIGN) - _SIGN)
+                packed >>= WORD_BITS
         return out
 
 
@@ -458,15 +481,16 @@ class CompressedSpillPort:
 
     def __init__(self, codec="narrow", shadow_codecs=(), verify=True):
         self.codec = make_codec(codec)
-        shadows = []
+        measured = {self.codec.name: self.codec}
         for shadow in shadow_codecs:
             shadow = make_codec(shadow)
-            if shadow.name != self.codec.name:
-                shadows.append(shadow)
-        self.shadows = tuple(shadows)
+            # the first codec of each name is the one measured
+            measured.setdefault(shadow.name, shadow)
+        self.shadows = tuple(measured.values())[1:]
         self.verify = verify
-        self.stats = {c.name: CodecStats()
-                      for c in (self.codec,) + self.shadows}
+        self.stats = {name: CodecStats() for name in measured}
+        self._measured = tuple((codec, self.stats[name])
+                               for name, codec in measured.items())
 
     @property
     def codec_names(self):
@@ -481,39 +505,46 @@ class CompressedSpillPort:
 
         ``wire_values`` is the unit as it would cross the wire: live
         values in slot order, dead slots as ``None``.  The unit is
-        framed once (:func:`frame_unit`) for all the codecs, and each
-        codec's decompression is still compared with it.
+        framed once (:func:`frame_unit`) and each codec encodes it once
+        (``_encode_words``); unless ``verify`` is off, each codec then
+        decodes what it would ship (``_decode_words``, dead slots and
+        escapes put back, or the raw payload) and compares it with the
+        unit, raising :class:`~repro.errors.CompressionIntegrityError`
+        on any difference.
         """
-        wire_values = list(wire_values)
-        frame = frame_unit(wire_values)
-        primary_block = None
-        for codec in (self.codec,) + self.shadows:
-            block = codec.compress_frame(frame)
-            if self.verify:
-                decoded = codec.decompress(block)
-                if decoded != wire_values:
-                    raise CompressionIntegrityError(
-                        codec.name, wire_values, decoded
-                    )
-            stats = self.stats[codec.name]
+        sent = list(wire_values)
+        frame = _, dead, esc_pos, esc_vals, words = frame_unit(sent)
+        count = len(sent)
+        raw_bytes = count * WORD_BITS // 8
+        verify = self.verify
+        primary_bytes = None
+        for codec, stats in self._measured:
+            packed, wire_bits, state = _encode_frame(codec, frame)
+            if verify:
+                if packed:
+                    decoded = _unframe(
+                        count, dead, esc_pos, esc_vals,
+                        codec._decode_words(state, len(words)))
+                else:
+                    decoded = list(state)
+                if decoded != sent:
+                    raise CompressionIntegrityError(codec.name, sent,
+                                                    decoded)
+            wire_bytes = (wire_bits + 7) // 8
             if spill:
                 stats.spill_units += 1
-                stats.words_spilled += block.count
-                stats.raw_spill_bytes += block.raw_bytes
-                stats.wire_spill_bytes += block.wire_bytes
+                stats.words_spilled += count
+                stats.raw_spill_bytes += raw_bytes
+                stats.wire_spill_bytes += wire_bytes
             else:
                 stats.reload_units += 1
-                stats.words_reloaded += block.count
-                stats.raw_reload_bytes += block.raw_bytes
-                stats.wire_reload_bytes += block.wire_bytes
-            if codec is self.codec:
-                primary_block = block
-        return TransferRecord(
-            codec=self.codec.name,
-            words=primary_block.count,
-            raw_bytes=primary_block.raw_bytes,
-            wire_bytes=primary_block.wire_bytes,
-        )
+                stats.words_reloaded += count
+                stats.raw_reload_bytes += raw_bytes
+                stats.wire_reload_bytes += wire_bytes
+            if primary_bytes is None:
+                primary_bytes = wire_bytes
+        return TransferRecord(self.codec.name, count, raw_bytes,
+                              primary_bytes)
 
     # -- checkpointing -------------------------------------------------------
     # The port's only mutable state is its per-codec shadow counters.

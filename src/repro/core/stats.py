@@ -12,16 +12,18 @@ paper ("average fraction of active registers").
 """
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One spill-unit transfer as it crossed the wire (sizes in bytes).
 
     Returned by :meth:`repro.core.backing.BackingStore.spill_unit` /
     ``reload_unit``; an uncompressed store reports ``wire_bytes ==
     raw_bytes``, a :class:`repro.core.compress.CompressingBackingStore`
-    reports the primary codec's on-wire size.
+    reports the primary codec's on-wire size.  Every unit transfer of
+    every store builds one, so it is a named tuple, which builds in
+    about a third of a frozen dataclass's time.
     """
 
     codec: str = "raw"

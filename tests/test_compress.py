@@ -26,6 +26,7 @@ from repro.core import (
     compress_spills,
     make_codec,
 )
+from repro.core import compress
 from repro.core.compress import CodecStats, WORD_BITS, ZeroElisionCodec
 from repro.errors import BackingStoreFaultError, CompressionIntegrityError
 from repro.workloads import get_workload
@@ -193,16 +194,45 @@ def test_port_verify_catches_corruption():
     assert port.stats_for("broken").spill_units == 1
 
 
-class _FlipFirstWord(ZeroElisionCodec):
-    """Zero elision whose decoder corrupts the first in-word integer."""
+def _flip_first(words):
+    """A decoder's lie: the first in-word integer is off by one bit."""
+    words = list(words)
+    if words:
+        words[0] ^= 1
+    return words
 
-    name = "flipfirst"
 
-    def _decode_words(self, state, count):
-        out = super()._decode_words(state, count)
-        if out:
-            out[0] ^= 1
-        return out
+def _drop_last(words):
+    """A decoder's lie: the last in-word integer never arrives."""
+    return list(words)[:-1]
+
+
+def _add_zero(words):
+    """A decoder's lie: an in-word integer the unit never held."""
+    return list(words) + [0]
+
+
+def _liar(name, lie):
+    """The built-in codec ``name`` (same name, same encoder) with a
+    decoder that tells ``lie``."""
+
+    class Liar(type(make_codec(name))):
+        def _decode_words(self, state, count):
+            return lie(super()._decode_words(state, count))
+
+    return Liar()
+
+
+def _has_packed_words(block):
+    """True when ``block`` is packed and carries an in-word integer, so
+    its codec's decoder runs and has a word to lie about."""
+    return (block.mode == "packed"
+            and block.count > len(block.state[0]) + len(block.state[1]))
+
+
+def _is_packed(block):
+    """True when ``block`` is packed, so its codec's decoder runs."""
+    return block.mode == "packed"
 
 
 @given(batch=st.lists(units, max_size=10), spill=st.booleans())
@@ -231,18 +261,112 @@ def test_transmit_counts_what_each_codec_compresses_alone(batch, spill):
             # escapes, dead slots and words keep their types
             assert [type(v) for v in codec.decompress(block)] == \
                 [type(v) for v in unit], name
-    # a shadow whose decoder lies still fails the unit it garbles
-    broken = CompressedSpillPort(codec="raw",
-                                 shadow_codecs=["narrow", _FlipFirstWord()])
-    for unit in batch:
-        block = _FlipFirstWord().compress(unit)
-        if block.mode == "packed" and len(unit) > len(block.state[0]) \
-                + len(block.state[1]):
-            with pytest.raises(CompressionIntegrityError) as info:
+    # a shadow whose decoder lies still fails the unit it garbles, for
+    # every built-in codec
+    for name in CODEC_NAMES:
+        others = [other for other in CODEC_NAMES if other != name]
+        broken = CompressedSpillPort(
+            codec=others[0],
+            shadow_codecs=others[1:] + [_liar(name, _flip_first)])
+        for unit in batch:
+            if _has_packed_words(make_codec(name).compress(unit)):
+                with pytest.raises(CompressionIntegrityError) as info:
+                    broken.transmit(unit, spill=spill)
+                assert info.value.codec == name
+            else:
                 broken.transmit(unit, spill=spill)
-            assert info.value.codec == "flipfirst"
-        else:
-            broken.transmit(unit, spill=spill)
+
+
+#: the unit shapes the compression experiment ships: one-word lines,
+#: lines with dead slots, 20- and 32-word segmented frames with dead
+#: tails, units with escaped values, and units too wide for any codec
+#: to pack (every codec ships those raw)
+SHIPPED_UNITS = [
+    [5], [0], [-3], [1024],
+    [7, None], [0, 12, None, None], [None, 3], [9, None, 4, None],
+    [i % 5 - 1 for i in range(13)] + [None] * 7,
+    [0x1000 + 4 * i for i in range(21)] + [None] * 11,
+    [3, -2, 0, 1, 100, 0, 0, 5, 2, 1, -1, 0, 0, 16, 4, 2, 1, 0, 9, 0],
+    [1.5, 3, None], [True, 7, 0], [2 ** 40, 1, 2, None],
+    [2 ** 31 - 1], [123456789, -987654321, 55555555],
+]
+
+
+@pytest.mark.parametrize("lie,lies_on", [
+    (_flip_first, _has_packed_words),
+    (_drop_last, _has_packed_words),
+    (_add_zero, _is_packed),
+], ids=["flip", "drop", "add"])
+@pytest.mark.parametrize("name", CODEC_NAMES)
+def test_a_lying_decoder_is_caught_on_every_shipped_shape(name, lie,
+                                                          lies_on):
+    """Every unit a codec packs is decoded by its own decoder and
+    compared with the sent unit, whether the codec is the port's
+    primary or a shadow; a unit it ships raw never reaches the
+    decoder, so the lie goes unseen and the unit passes."""
+    others = [other for other in CODEC_NAMES if other != name]
+    lied = []
+    for unit in SHIPPED_UNITS:
+        lies = lies_on(make_codec(name).compress(unit))
+        lied.append(lies)
+        for port in (
+                CompressedSpillPort(codec=_liar(name, lie),
+                                    shadow_codecs=others),
+                CompressedSpillPort(codec=others[0],
+                                    shadow_codecs=others[1:]
+                                    + [_liar(name, lie)])):
+            if lies:
+                with pytest.raises(CompressionIntegrityError) as info:
+                    port.transmit(unit, spill=True)
+                assert info.value.codec == name
+                assert info.value.sent == unit
+                assert info.value.received != unit
+            else:
+                record = port.transmit(unit, spill=False)
+                assert record.words == len(unit)
+    # the shapes exercise both of the codec's paths (raw has only one)
+    assert any(lied) == (name != "raw") and not all(lied)
+
+
+def test_a_garbled_raw_payload_is_caught(monkeypatch):
+    """A unit a codec ships raw, as the identity codec ships every
+    unit and every other codec ships a unit it cannot pack, is checked
+    by comparing the raw payload that would cross the wire with the
+    sent unit."""
+    frame_unit = compress.frame_unit
+
+    def garbled(values):
+        values, *rest = frame_unit(values)
+        return (values[:-1] + ("garbled",), *rest)
+
+    monkeypatch.setattr(compress, "frame_unit", garbled)
+    unit = [2 ** 31 - 1]  # too wide for any codec to pack
+    for name in CODEC_NAMES:
+        port = CompressedSpillPort(codec=name)
+        with pytest.raises(CompressionIntegrityError) as info:
+            port.transmit(unit, spill=True)
+        assert info.value.codec == name
+        assert (info.value.sent, info.value.received) == (unit, ["garbled"])
+        assert port.stats_for(name).spill_units == 0
+
+
+def test_a_duplicated_shadow_is_measured_once():
+    first = make_codec("narrow")
+    port = CompressedSpillPort(codec="raw",
+                               shadow_codecs=[first, "narrow", "zero",
+                                              "raw", "zero"])
+    port.transmit([1, 2, 3, 0], spill=True)
+    assert port.codec_names == ("raw", "narrow", "zero")
+    assert port.shadows[0] is first  # the first codec of each name
+    for name in port.codec_names:
+        assert port.stats_for(name).spill_units == 1, name
+    state = port.capture()
+    assert state["config"]["shadows"] == ["narrow", "zero"]
+    assert [name for name, _ in state["stats"]] == ["raw", "narrow", "zero"]
+    again = CompressedSpillPort(codec="raw",
+                                shadow_codecs=["narrow", "zero"])
+    again.restore(state)
+    assert again.capture() == state
 
 
 # -- backing-store wrapper ----------------------------------------------------

@@ -130,21 +130,39 @@ def test_oracle_loads_numpy_and_serves_planned_cells(tmp_path):
 SWEEPS = """
 from repro.evalx import common, run_experiment
 
+plan = common._jobs
+out["scans"] = 0
+
+def counted(cells):
+    jobs = plan(cells)
+    out["scans"] += sum(job.kind == "scan" for job in jobs)
+    return jobs
+
+common._jobs = counted
 for name in ("fig09", "fig10", "fig11", "fig12", "fig13", "fig14"):
     run_experiment(name, scale={scale!r}, seed=1)
 out["restored"] = common.RESULT_STATS.hits
 out["published"] = common.RESULT_STATS.misses
+out["jobs"] = common.FANOUT.forked + common.FANOUT.parent
 """
 
 
 def test_a_warm_oracle_sweep_loads_no_numpy(tmp_path):
     """fig09-fig14 under ``oracle``: the cold pass prices its cells with
-    the closed form and the tables, loading NumPy and the scan kernel,
-    and publishes their oracle entries; the warm pass on that cache
-    restores every cell and loads neither."""
+    the closed form and the tables, loading NumPy and planning table
+    scans, and publishes their oracle entries; the warm pass on that
+    cache restores every cell and loads neither NumPy nor the scan
+    kernel.
+
+    The cold pass's scans go to forked children and to this process
+    from one shared queue, so whether this process ever loads the scan
+    kernel (``repro.trace.vector``) is a race; the scans it planned,
+    the jobs it computed anywhere and the entries it published are
+    counted in this process whichever process took them."""
     body = SWEEPS.format(scale=SCALE)
     cold = _fresh(tmp_path / "cache", "oracle", body)
-    assert {"numpy", "repro.trace.vector"} <= set(cold["loaded"])
+    assert "numpy" in cold["loaded"]
+    assert cold["scans"] > 0 and cold["jobs"] > 0
     assert cold["published"] > 0
     warm = _fresh(tmp_path / "cache", "oracle", body)
     assert "numpy" not in warm["loaded"]
